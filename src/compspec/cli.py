@@ -20,7 +20,8 @@ from .continuation import (evaluate, globalize, preimage_orbit,
                            prop45_witness_demo)
 from .errors import CompspecError, ExpressionSyntaxError
 from .intervals import Interval
-from .numbers import GaussianRational, format_scalar, parse_gaussian, to_mpf
+from .numbers import (GaussianRational, format_scalar, is_exact, parse_gaussian,
+                      to_mpf)
 from .power_series import TruncatedSeries
 from .rootwork import analyze_symbol
 from .solver import eigenfunction, koenigs, solve_formal
@@ -165,10 +166,8 @@ def _emit(args, text_lines, doc):
 def _series_text(series: TruncatedSeries) -> list[str]:
     lines = []
     for n, c in enumerate(series.coeffs):
-        if isinstance(c, (int, Fraction)):
+        if is_exact(c):
             lines.append(f"  f_{n} = {format_scalar(c)}")
-        elif isinstance(c, GaussianRational):
-            lines.append(f"  f_{n} = {c}")
         else:
             lines.append(f"  f_{n} = {mpmath.nstr(c, 20)}")
     return lines
@@ -196,10 +195,8 @@ def _cmd_solve(args) -> int:
     precision = args.precision or default_precision()
     sol = solve_formal(phi, center, lam, gamma, args.order, precision=precision)
     doc = sol.to_json_dict()
-    multiplier = format_scalar(sol.multiplier) \
-        if isinstance(sol.multiplier, (int, Fraction)) else str(sol.multiplier)
     lines = [f"fixed point: {format_scalar(center)}",
-             f"multiplier: {multiplier}"]
+             f"multiplier: {format_scalar(sol.multiplier)}"]
     lines += _series_text(sol.series)
     verdict = doc["radius"]
     lines.append(f"verdict: {verdict['verdict'] if verdict else 'n/a'}")
@@ -215,8 +212,9 @@ def _cmd_eval(args) -> int:
                     precision=precision)
     point = Fraction(args.at)
     value, trace = evaluate(sol, point, precision=precision)
-    value_text = format_scalar(value) if isinstance(value, (int, Fraction)) \
-        else mpmath.nstr(to_mpf(value), 30)
+    with mpmath.workprec(precision):
+        value_text = format_scalar(value) if isinstance(value, (int, Fraction)) \
+            else mpmath.nstr(to_mpf(value), 30)
     doc = {"at": format_scalar(point), "value": value_text,
            "trace": trace.to_json_dict(),
            "core": str(sol.core)}

@@ -20,7 +20,8 @@ from .config import default_precision
 from .errors import (BasinEscape, BranchDomain, HypothesisViolation,
                      PrecisionLoss, ReflectedUncovered)
 from .intervals import Interval, is_finite
-from .numbers import GaussianRational, QuadraticNumber, to_mpf
+from .numbers import (GaussianRational, as_exact, exact_abs_compare, is_exact,
+                      to_mpf, to_numeric)
 from .power_series import Converges
 from .rootwork import attraction_basin_check
 from .solver import LocalSolution, solve_formal
@@ -92,10 +93,6 @@ class GlobalSolution:
         return self.local.series.center
 
 
-def _is_exact_scalar(v) -> bool:
-    return isinstance(v, (int, Fraction, GaussianRational, QuadraticNumber))
-
-
 def _half(r_est, domain: Interval, center) -> Fraction:
     """Safe radius: half the estimate, capped at 1 and by the domain."""
     if r_est is None:
@@ -136,7 +133,7 @@ def globalize(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
     if core_radius is not None:
         r_safe = min(r_safe, Fraction(core_radius))
     m = local.multiplier
-    parabolic = _is_exact_scalar(m) and m == 1
+    parabolic = is_exact(m) and m == 1
     for _ in range(64):
         core = Interval(Fraction(u) - r_safe, Fraction(u) + r_safe)
         if _core_invariant(phi, core, u, parabolic):
@@ -178,9 +175,7 @@ def _sampled_invariant(phi: AnalyticSymbol, source: Interval,
     from .symbols import _sample_grid
     with mpmath.workprec(96):
         for x in _sample_grid(source, 128):
-            y = to_mpf(phi.eval(x, 96))
-            if not (y > to_mpf(Fraction(target.lower))
-                    and y < to_mpf(Fraction(target.upper))):
+            if not target.contains(to_mpf(phi.eval(x, 96))):
                 return False
     return True
 
@@ -209,22 +204,15 @@ def standard_parabolic_rules(phi: AnalyticSymbol, max_depth: int = 10_000):
 # Rule engines
 
 
-def _in_core(sol: GlobalSolution, x) -> bool:
-    if _is_exact_scalar(x):
-        return sol.core.contains(Fraction(x) if isinstance(x, int) else x)
-    lo, hi = sol.core.lower, sol.core.upper
-    return x > to_mpf(Fraction(lo)) and x < to_mpf(Fraction(hi))
-
-
 def _series_value(sol: GlobalSolution, x):
     return sol.local.series.eval(x)
 
 
 def _exact_mode(sol: GlobalSolution, x) -> bool:
-    return (_is_exact_scalar(x) and sol.local.series.is_exact()
+    return (is_exact(x) and sol.local.series.is_exact()
             and sol.phi.is_rational_polynomial()
             and sol.gamma.is_rational_polynomial()
-            and _is_exact_scalar(sol.lam))
+            and is_exact(sol.lam))
 
 
 def extend_forward(sol: GlobalSolution, x, precision=None):
@@ -255,7 +243,7 @@ def _extend_forward_trace(sol: GlobalSolution, x, precision):
         orbit = [current]
         depth = None
         for k in range(max_depth + 1):
-            if _in_core(sol, current):
+            if sol.core.contains(current):
                 depth = k
                 break
             if abs(to_mpf(current)) > bound:
@@ -265,7 +253,7 @@ def _extend_forward_trace(sol: GlobalSolution, x, precision):
         if depth is None:
             raise BasinEscape(max_depth, x)
         value = _series_value(sol, orbit[depth])
-        lam = sol.lam if exact else _lam_numeric(sol.lam)
+        lam = sol.lam if exact else to_numeric(sol.lam)
         for k in range(depth - 1, -1, -1):
             value = (value - sol.gamma.eval(orbit[k], precision=work)) / lam
         return value, EvalTrace(("series",) if depth == 0 else ("forward-orbit",),
@@ -282,11 +270,7 @@ def extend_inverse_branch(sol: GlobalSolution, x, precision=None):
     rule = next((r for r in sol.rules if isinstance(r, InverseBranchRule)), None)
     if rule is None:
         raise BranchDomain("no inverse-branch rule configured")
-    if _is_exact_scalar(x):
-        inside = rule.region.contains(Fraction(x) if isinstance(x, int) else x)
-    else:
-        inside = _numeric_contains(rule.region, x)
-    if not inside and not _in_core(sol, x):
+    if not rule.region.contains(x) and not sol.core.contains(x):
         raise BranchDomain(f"{x} outside the inverse branch region {rule.region}")
     work = precision + 32
     with mpmath.workprec(work):
@@ -294,7 +278,7 @@ def extend_inverse_branch(sol: GlobalSolution, x, precision=None):
         orbit = [current]
         depth = None
         for k in range(rule.max_depth + 1):
-            if _in_core(sol, current):
+            if sol.core.contains(current):
                 depth = k
                 break
             current = rule.branch(current)
@@ -302,25 +286,11 @@ def extend_inverse_branch(sol: GlobalSolution, x, precision=None):
         if depth is None:
             raise BasinEscape(rule.max_depth, x)
         value = _series_value(sol, orbit[depth])
-        lam = sol.lam if not isinstance(sol.lam, GaussianRational) \
-            else _lam_numeric(sol.lam)
+        lam = to_numeric(sol.lam) if isinstance(sol.lam, GaussianRational) \
+            else sol.lam
         for k in range(depth - 1, -1, -1):
             value = lam * value + sol.gamma.eval(orbit[k + 1], precision=work)
         return value
-
-
-def _lam_numeric(lam):
-    if isinstance(lam, GaussianRational):
-        if lam.im == 0:
-            return to_mpf(lam.re)
-        return mpmath.mpc(to_mpf(lam.re), to_mpf(lam.im))
-    return to_mpf(lam)
-
-
-def _numeric_contains(region: Interval, x) -> bool:
-    lo_ok = not is_finite(region.lower) or x > to_mpf(Fraction(region.lower))
-    hi_ok = not is_finite(region.upper) or x < to_mpf(Fraction(region.upper))
-    return lo_ok and hi_ok
 
 
 def extend_mirror(sol: GlobalSolution, y, precision=None):
@@ -340,31 +310,25 @@ def extend_mirror(sol: GlobalSolution, y, precision=None):
         except (BranchDomain, BasinEscape) as exc:
             raise ReflectedUncovered(
                 f"reflected point {reflected} not covered") from exc
-        lam = sol.lam if exact else _lam_numeric(sol.lam)
+        lam = sol.lam if exact else to_numeric(sol.lam)
         correction = (sol.gamma.eval(reflected, precision=work)
                       - sol.gamma.eval(y_val, precision=work)) / lam
         return base + correction
 
 
 def _dispatch(sol: GlobalSolution, x, work, allow_mirror=True):
-    if _in_core(sol, x):
+    if sol.core.contains(x):
         return _series_value(sol, x if _exact_mode(sol, x) else to_mpf(x))
     for rule in sol.rules:
-        if isinstance(rule, ForwardOrbitRule) and _rule_contains(rule.region, x):
+        if isinstance(rule, ForwardOrbitRule) and rule.region.contains(x):
             value, _ = _extend_forward_trace(sol, x, work)
             return value
-        if isinstance(rule, InverseBranchRule) and _rule_contains(rule.region, x):
+        if isinstance(rule, InverseBranchRule) and rule.region.contains(x):
             return extend_inverse_branch(sol, x, precision=work)
         if allow_mirror and isinstance(rule, MirrorRule) \
-                and _rule_contains(rule.region, x):
+                and rule.region.contains(x):
             return extend_mirror(sol, x, precision=work)
     raise BranchDomain(f"{x} is not covered by any extension rule")
-
-
-def _rule_contains(region: Interval, x) -> bool:
-    if _is_exact_scalar(x):
-        return region.contains(Fraction(x) if isinstance(x, int) else x)
-    return _numeric_contains(region, x)
 
 
 def evaluate(sol: GlobalSolution, x, precision=None):
@@ -377,9 +341,9 @@ def evaluate(sol: GlobalSolution, x, precision=None):
     precision = precision or default_precision()
     if _exact_mode(sol, x):
         value = _dispatch(sol, x, precision)
-        if _is_exact_scalar(value):
+        if is_exact(value):
             residual = _residual_exact(sol, x, value)
-            if _is_exact_scalar(residual):
+            if is_exact(residual):
                 if residual != 0:
                     raise PrecisionLoss("exact path produced a nonzero residual")
                 return value, EvalTrace(("exact",), 0, "0")
@@ -408,7 +372,7 @@ def _residual_numeric(sol: GlobalSolution, x, value, work):
         x_val = to_mpf(x)
         phi_x = sol.phi.eval(x_val, precision=work + 32)
         f_phi = _dispatch(sol, phi_x, work)
-        lam = _lam_numeric(sol.lam)
+        lam = to_numeric(sol.lam)
         gamma_x = sol.gamma.eval(x_val, precision=work + 32)
         return f_phi - lam * value - gamma_x
 
@@ -425,7 +389,7 @@ def orbit_sum_check(sol: GlobalSolution, x, n: int, precision=None):
     work = precision + 32
     with mpmath.workprec(work):
         point = x if exact else to_mpf(x)
-        lam = sol.lam if exact else _lam_numeric(sol.lam)
+        lam = sol.lam if exact else to_numeric(sol.lam)
         orbit = [point]
         for _ in range(n):
             orbit.append(sol.phi.eval(orbit[-1], precision=work))
@@ -448,8 +412,8 @@ def preimage_orbit(mu, n: int, precision=None):
     return to the second fixed point mu - 1.
     """
     precision = precision or default_precision()
-    mu = Fraction(mu) if isinstance(mu, int) else mu
-    if not (_is_exact_scalar(mu) and mu > 2):
+    mu = as_exact(mu)
+    if not (is_exact(mu) and mu > 2):
         raise ValueError("parameter must be exact and greater than 2")
     if n < 1:
         raise ValueError("need at least one orbit point")
@@ -470,7 +434,7 @@ def telescoping_check(sol: GlobalSolution, mu, n: int, precision=None):
     orbit = preimage_orbit(mu, n, precision=precision)
     work = precision + 32
     with mpmath.workprec(work):
-        lam = _lam_numeric(sol.lam)
+        lam = to_numeric(sol.lam)
         fixed = to_mpf(mu) - 1
         lhs = sol.gamma.eval(fixed, precision=work) / (1 - lam)
         x_n = orbit[-1]
@@ -524,17 +488,16 @@ def prop45_witness_demo(mu, lam, k: int, c, n: int, precision=None) -> WitnessRe
     contradicts it.  This is a report, not a proof object.
     """
     precision = precision or default_precision()
-    mu = Fraction(mu) if isinstance(mu, int) else mu
+    mu = as_exact(mu)
     c = Fraction(c)
-    lam = _coerce_lambda(lam)
+    lam = as_exact(lam)
     if not mu > 2:
         raise ValueError("parameter must exceed 2")
     if not c < Fraction(1, 6) or c <= 0:
         raise ValueError("margin budget must sit in (0, 1/6)")
     if k < 1 or n < 2:
         raise ValueError("need k >= 1 and n >= 2")
-    lam_abs2 = lam.abs2() if isinstance(lam, GaussianRational) else lam * lam
-    if _scalar_eq_one(lam) or lam_abs2 > 1 or lam_abs2 == 0:
+    if lam == 1 or lam == 0 or exact_abs_compare(lam, Fraction(1)) > 0:
         raise ValueError("eigenvalue must satisfy 0 < |lam| <= 1 and lam != 1")
 
     denom = mu - 2
@@ -545,7 +508,7 @@ def prop45_witness_demo(mu, lam, k: int, c, n: int, precision=None) -> WitnessRe
     orbit = preimage_orbit(mu, n, precision=precision)
     work = precision + 32
     with mpmath.workprec(work):
-        lam_val = _lam_numeric(lam)
+        lam_val = to_numeric(lam)
         mu_val = to_mpf(mu)
 
         def gamma_val(x):
@@ -557,7 +520,7 @@ def prop45_witness_demo(mu, lam, k: int, c, n: int, precision=None) -> WitnessRe
             middle = middle + lam_val ** (n - 1 - i) * gamma_val(orbit[n - 1 - i])
         gamma_one = gamma_exact(Fraction(1))          # = 1 by construction
         gamma_fixed = gamma_exact(mu - 1)             # = 0 by construction
-        lhs_gap = abs(_lam_numeric(gamma_fixed) / (1 - lam_val) - to_mpf(gamma_one))
+        lhs_gap = abs(to_numeric(gamma_fixed) / (1 - lam_val) - to_mpf(gamma_one))
         hypothesis = to_mpf(c) * abs(lam_val) ** n
         margin_actual = lhs_gap - (hypothesis + abs(middle))
         margin_bound = lhs_gap - 6 * to_mpf(c)
@@ -569,15 +532,3 @@ def prop45_witness_demo(mu, lam, k: int, c, n: int, precision=None) -> WitnessRe
             margin_bound=mpmath.nstr(margin_bound, 12),
             margin_actual=mpmath.nstr(margin_actual, 12),
             positive=bool(margin_bound > 0 and margin_actual > 0))
-
-
-def _coerce_lambda(lam):
-    if isinstance(lam, int):
-        return Fraction(lam)
-    return lam
-
-
-def _scalar_eq_one(lam) -> bool:
-    if isinstance(lam, GaussianRational):
-        return lam.re == 1 and lam.im == 0
-    return lam == 1

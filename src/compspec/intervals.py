@@ -1,9 +1,10 @@
 """Open intervals with exact rational or infinite endpoints.
 
 Endpoints are ``Fraction`` or the module-level ``NEG_INF`` / ``POS_INF``
-sentinels; membership tests for rational points are exact.  Also provides
-the small amount of interval-set algebra the covering machinery needs
-(intersection, union coverage, reflection).
+sentinels; membership tests for exact points are exact, and mpf points
+are compared with the endpoints rounded at the working precision.  Also
+provides the small amount of interval-set algebra the covering machinery
+needs (intersection, union coverage, reflection).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ExpressionSyntaxError
-from .numbers import QuadraticNumber, parse_rational
+from .numbers import is_exact, parse_rational, to_mpf
 
 
 class _Infinity:
@@ -116,10 +117,12 @@ class Interval:
         return cls(endpoint(parts[0], 1), endpoint(parts[1], 2))
 
     def contains(self, x) -> bool:
-        """Exact membership for Fraction/int/QuadraticNumber points; floats
-        and mpf values are compared as-is (callers own rounding concerns)."""
-        lo_ok = (not is_finite(self.lower)) or _lt_num(self.lower, x)
-        hi_ok = (not is_finite(self.upper)) or _lt_num(x, self.upper)
+        """Strict membership.  Exact points (int, Fraction, QuadraticNumber)
+        compare exactly; an mpf point compares against the finite bounds
+        rounded by ``to_mpf`` at the current mpmath working precision."""
+        lo, hi = self.lower, self.upper
+        lo_ok = not is_finite(lo) or (lo if is_exact(x) else to_mpf(lo)) < x
+        hi_ok = not is_finite(hi) or x < (hi if is_exact(x) else to_mpf(hi))
         return lo_ok and hi_ok
 
     def contains_interval(self, other: "Interval") -> bool:
@@ -171,12 +174,6 @@ class Interval:
         lo = "-inf" if self.lower == NEG_INF else str(self.lower)
         hi = "inf" if self.upper == POS_INF else str(self.upper)
         return f"({lo},{hi})"
-
-
-def _lt_num(a, b) -> bool:
-    if isinstance(a, QuadraticNumber) or isinstance(b, QuadraticNumber):
-        return (a < b) if isinstance(a, QuadraticNumber) else (b > a)
-    return a < b
 
 
 def union_covers(pieces: list[Interval], target: Interval) -> bool:

@@ -38,6 +38,33 @@ def to_mpc(value, prec=None):
     return mpmath.mpc(to_mpf(value))
 
 
+def is_exact(value) -> bool:
+    """Whether value is an exact scalar: int, Fraction, GaussianRational or
+    QuadraticNumber.  Everything else (mpf, mpc) is numeric."""
+    return isinstance(value, (int, Fraction, GaussianRational, QuadraticNumber))
+
+
+def as_exact(value):
+    """Promote an int to a Fraction; every other value is returned as is."""
+    return Fraction(value) if isinstance(value, int) else value
+
+
+def to_numeric(value):
+    """Numeric image of a scalar at the working precision: mpf for real
+    values (a GaussianRational with zero imaginary part included), mpc for
+    non-real ones."""
+    if isinstance(value, GaussianRational):
+        return to_mpf(value.re) if value.im == 0 else to_mpc(value)
+    if isinstance(value, mpmath.mpc):
+        return value
+    return to_mpf(value)
+
+
+def invert(value):
+    """1/value, exact for exact scalars (an int gives a Fraction)."""
+    return 1 / as_exact(value)
+
+
 def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -332,10 +359,11 @@ class QuadraticNumber:
         return -self if self.sign() < 0 else self
 
     def _cmp(self, other) -> int:
-        diff = self - other
-        if isinstance(diff, Fraction):
-            return -1 if diff < 0 else (0 if diff == 0 else 1)
-        return diff.sign()
+        # Sign of the difference; d is already squarefree, so skip quadratic().
+        o = self._coerce(other)
+        if o is None:
+            raise TypeError(f"cannot compare QuadraticNumber with {other!r}")
+        return QuadraticNumber(self.p - o.p, self.q - o.q, self.d).sign()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QuadraticNumber)):

@@ -1,8 +1,11 @@
-"""Dense univariate polynomial arithmetic over exact rationals.
+"""Dense univariate polynomial arithmetic over exact scalars.
 
-Coefficient lists are ascending (index = degree) with a nonzero leading
-entry unless the polynomial is zero (empty list is not used; the zero
-polynomial is ``[Fraction(0)]``).
+Coefficients are Fractions (ints are promoted) or QuadraticNumbers; the
+ring operations, composition, derivative and evaluation work on both.
+Division-based routines (``content_free``, ``pseudo_rem``) need rational
+coefficients.  Coefficient lists are ascending (index = degree) with a
+nonzero leading entry unless the polynomial is zero (empty list is not
+used; the zero polynomial is ``[Fraction(0)]``).
 """
 
 from __future__ import annotations
@@ -10,14 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegreeOverflow
+from .numbers import as_exact
 
 DEGREE_CAP = 4096
 
-ZERO = (Fraction(0),)
-
 
 def normalize(coeffs) -> list[Fraction]:
-    out = [Fraction(c) for c in coeffs]
+    out = [as_exact(c) for c in coeffs]
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out or [Fraction(0)]
@@ -47,7 +49,7 @@ def sub(p, q):
 
 
 def scale(p, k):
-    k = Fraction(k)
+    k = as_exact(k)
     return normalize([c * k for c in p])
 
 
@@ -84,7 +86,7 @@ def compose(p, q):
         raise DegreeOverflow(f"composition degree exceeds {DEGREE_CAP}")
     result = [Fraction(0)]
     for c in reversed(p):
-        result = add(mul(result, q), [Fraction(c)])
+        result = add(mul(result, q), [c])
     return result
 
 
@@ -100,24 +102,6 @@ def eval_at(p, x):
     for c in reversed(p):
         result = c if result is None else result * x + c
     return result
-
-
-def shift(p, a):
-    """Coefficients of p(x + a)."""
-    return compose(p, [Fraction(a), Fraction(1)])
-
-
-def monic_x():
-    return [Fraction(0), Fraction(1)]
-
-
-def from_pairs(*pairs):
-    """Build from (degree, coefficient) pairs."""
-    n = max(d for d, _ in pairs)
-    out = [Fraction(0)] * (n + 1)
-    for d, c in pairs:
-        out[d] += Fraction(c)
-    return normalize(out)
 
 
 def content_free(p):

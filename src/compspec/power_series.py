@@ -14,25 +14,8 @@ from fractions import Fraction
 import mpmath
 
 from .errors import CenterMismatch
-from .numbers import GaussianRational, QuadraticNumber, format_rational, to_mpf
-
-
-def _is_exact(c) -> bool:
-    return isinstance(c, (int, Fraction, GaussianRational, QuadraticNumber))
-
-
-def _inv(c):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(1) / Fraction(c)
-    return 1 / c
-
-
-def _div_int(c, k: int):
-    if isinstance(c, int):
-        return Fraction(c, k)
-    if isinstance(c, Fraction):
-        return c / k
-    return c / k
+from .numbers import (GaussianRational, as_exact, format_rational, invert,
+                      is_exact, to_mpc, to_mpf)
 
 
 class TruncatedSeries:
@@ -51,7 +34,7 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     def is_exact(self) -> bool:
-        return all(_is_exact(c) for c in self.coeffs)
+        return all(is_exact(c) for c in self.coeffs)
 
     @classmethod
     def zero(cls, center, order):
@@ -112,7 +95,7 @@ class TruncatedSeries:
         n = min(self.order, o.order)
         out = [Fraction(0)] * (n + 1)
         for i, a in enumerate(self.coeffs[:n + 1]):
-            if _is_exact(a) and a == 0:
+            if is_exact(a) and a == 0:
                 continue
             for j in range(0, n - i + 1):
                 out[i + j] = out[i + j] + a * o.coeffs[j]
@@ -135,9 +118,9 @@ class TruncatedSeries:
     def reciprocal(self):
         """1/f; requires a nonzero constant term."""
         c0 = self.coeffs[0]
-        if _is_exact(c0) and c0 == 0:
+        if is_exact(c0) and c0 == 0:
             raise ZeroDivisionError("series has zero constant term")
-        inv0 = _inv(c0)
+        inv0 = invert(c0)
         out = [inv0]
         for n in range(1, self.order + 1):
             acc = 0
@@ -158,7 +141,7 @@ class TruncatedSeries:
     def integrate(self, constant=Fraction(0)):
         out = [constant]
         for i, c in enumerate(self.coeffs):
-            out.append(_div_int(c, i + 1))
+            out.append(as_exact(c) / (i + 1))
         return TruncatedSeries(self.center, out[:self.order + 2])
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
@@ -180,7 +163,7 @@ class TruncatedSeries:
         Requires an invertible linear coefficient.
         """
         c1 = self.coeffs[1] if self.order >= 1 else Fraction(0)
-        if _is_exact(c1) and c1 == 0:
+        if is_exact(c1) and c1 == 0:
             raise ZeroDivisionError("linear coefficient vanishes; not invertible")
         n = self.order
         # Work with t = x - center and s = y - self(center).
@@ -194,12 +177,12 @@ class TruncatedSeries:
             powers[k] = powers[k - 1] * fs
         g = [Fraction(0)] * (n + 1)
         if n >= 1:
-            g[1] = _inv(c1)
+            g[1] = invert(c1)
         for m in range(2, n + 1):
             acc = Fraction(0)
             for k in range(1, m):
                 acc = acc + g[k] * powers[k].coeffs[m]
-            g[m] = -acc * _inv(powers[m].coeffs[m])  # denominator = c1**m
+            g[m] = -acc * invert(powers[m].coeffs[m])  # denominator = c1**m
         new_center = self.coeffs[0]
         out = [self.center if m == 0 else g[m] for m in range(n + 1)]
         return TruncatedSeries(new_center, out)
@@ -216,13 +199,12 @@ class TruncatedSeries:
         return TruncatedSeries(self.center, [fn(c) for c in self.coeffs])
 
     def to_numeric(self, prec):
-        from .numbers import to_mpc
         with mpmath.workprec(prec):
-            center = self.center if not _is_exact(self.center) else to_mpf(self.center)
+            center = self.center if not is_exact(self.center) else to_mpf(self.center)
             if any(isinstance(c, GaussianRational) and c.im != 0 for c in self.coeffs):
-                coeffs = [to_mpc(c) if _is_exact(c) else c for c in self.coeffs]
+                coeffs = [to_mpc(c) if is_exact(c) else c for c in self.coeffs]
             else:
-                coeffs = [to_mpf(c) if _is_exact(c) else c for c in self.coeffs]
+                coeffs = [to_mpf(c) if is_exact(c) else c for c in self.coeffs]
         return TruncatedSeries(center, coeffs)
 
     def __eq__(self, other):

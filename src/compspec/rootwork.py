@@ -16,9 +16,9 @@ import mpmath
 
 from . import polynomials as polylib
 from . import sturm
-from .errors import HypothesisViolation
+from .errors import CompspecError, HypothesisViolation
 from .intervals import NEG_INF, POS_INF, Interval, is_finite
-from .numbers import QuadraticNumber, to_mpf
+from .numbers import QuadraticNumber, exact_abs_compare, is_exact, to_mpf
 from .sturm import Enclosure
 from .symbols import AnalyticSymbol, ConjugatedBody, _sample_grid
 
@@ -133,63 +133,60 @@ def _interval_eval(p, lo: Fraction, hi: Fraction):
     return alo, ahi
 
 
-def _multiplier_exact(phi: AnalyticSymbol, location):
-    dp = phi.derivative_polynomial()
-    return polylib.eval_at(dp, location)
-
-
 def _kind_from_exact(m) -> str:
-    if isinstance(m, QuadraticNumber):
-        mag = abs(m)
-        if mag == 1:
-            return NEUTRAL
-        return ATTRACTING if mag < 1 else REPELLING
     if m == 0:
         return SUPERATTRACTING
-    mag = abs(m)
-    if mag == 1:
+    side = exact_abs_compare(m, Fraction(1))
+    if side == 0:
         return NEUTRAL
-    return ATTRACTING if mag < 1 else REPELLING
+    return ATTRACTING if side < 0 else REPELLING
 
 
-def _multiplier_on_enclosure(phi: AnalyticSymbol, enc: Enclosure):
-    """Multiplier data for an irrational enclosure root.
+_SPECIAL_MULTIPLIERS = ((Fraction(0), SUPERATTRACTING),
+                        (Fraction(1), NEUTRAL), (Fraction(-1), NEUTRAL))
 
-    Exact membership of the multiplier in {0, 1, -1} is decided through
-    gcd certificates; otherwise the enclosure refines until the multiplier
-    interval separates from those circles.
+
+def _fixed_point_records(p, domain: Interval) -> list[FixedPointRecord]:
+    """Records of the fixed points of the rational polynomial map p on the
+    domain: each isolated root of p(x) - x with its multiplier and kind.
+
+    An exact root gets its exact multiplier.  For an enclosure root,
+    membership of the multiplier in {0, 1, -1} is decided by the gcd of
+    p(x) - x with p'(x) - s, computed once per polynomial; otherwise the
+    enclosure refines until the multiplier interval separates from those
+    circles.
     """
-    p_fix = polylib.sub(phi.rational_coeffs(), [Fraction(0), Fraction(1)])
-    dp = phi.derivative_polynomial()
-    for special, kind in ((Fraction(0), SUPERATTRACTING),
-                          (Fraction(1), NEUTRAL), (Fraction(-1), NEUTRAL)):
-        g = sturm.poly_gcd(p_fix, polylib.sub(dp, [special]))
-        if polylib.degree(g) >= 1 and \
-                sturm.count_roots_open(g, Interval(enc.lo, enc.hi)) >= 1:
-            return special, kind, enc
-    width = enc.hi - enc.lo
-    current = enc
+    p_fix = polylib.sub(p, [Fraction(0), Fraction(1)])
+    dp = polylib.derivative(p)
+    roots = sturm.isolate_roots(p_fix, domain)
+    certificates = []
+    if any(isinstance(root, Enclosure) for root, _ in roots):
+        certificates = [
+            (special, kind, sturm.poly_gcd(p_fix, polylib.sub(dp, [special])))
+            for special, kind in _SPECIAL_MULTIPLIERS]
+    return [_root_record(dp, certificates, root, mult) for root, mult in roots]
+
+
+def _root_record(dp, certificates, root, mult) -> FixedPointRecord:
+    """The record of one isolated root: its location, multiplier and kind."""
+    if not isinstance(root, Enclosure):
+        m = polylib.eval_at(dp, root)
+        return FixedPointRecord(root, m, _kind_from_exact(m), mult, True)
+    segment = Interval(root.lo, root.hi)
+    for special, kind, g in certificates:
+        if polylib.degree(g) >= 1 and sturm.count_roots_open(g, segment) >= 1:
+            return FixedPointRecord(root, special, kind, mult, True)
+    current, width = root, root.hi - root.lo
     while True:
         mlo, mhi = _interval_eval(dp, current.lo, current.hi)
         if mlo > 1 or mhi < -1:
-            return (mlo, mhi), REPELLING, current
+            return FixedPointRecord(current, (mlo, mhi), REPELLING, mult, True)
         if -1 < mlo and mhi < 1 and (mlo > 0 or mhi < 0):
-            return (mlo, mhi), ATTRACTING, current
+            return FixedPointRecord(current, (mlo, mhi), ATTRACTING, mult, True)
         if width <= _REFINE_LIMIT:
-            return (mlo, mhi), NEUTRAL_UNRESOLVED, current
+            return FixedPointRecord(current, (mlo, mhi), NEUTRAL_UNRESOLVED, mult, True)
         width = width / 2 ** 16
         current = current.refine(max(width, _REFINE_LIMIT))
-
-
-def _record_for_poly_root(phi: AnalyticSymbol, root, multiplicity) -> FixedPointRecord:
-    if isinstance(root, Enclosure):
-        multiplier, kind, refined = _multiplier_on_enclosure(phi, root)
-        return FixedPointRecord(location=refined, multiplier=multiplier,
-                                kind=kind, multiplicity=multiplicity, exact=True)
-    m = _multiplier_exact(phi, root)
-    return FixedPointRecord(location=root, multiplier=m,
-                            kind=_kind_from_exact(m),
-                            multiplicity=multiplicity, exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +200,9 @@ def find_fixed_points(phi: AnalyticSymbol) -> list[FixedPointRecord]:
     scan-based and flagged inexact otherwise.
     """
     if phi.is_rational_polynomial():
-        p = polylib.sub(phi.rational_coeffs(), [Fraction(0), Fraction(1)])
-        if polylib.is_zero(p):
+        if phi.is_identity():
             raise ValueError("the identity fixes every point")
-        return [_record_for_poly_root(phi, root, mult)
-                for root, mult in sturm.isolate_roots(p, phi.domain)]
+        return _fixed_point_records(phi.rational_coeffs(), phi.domain)
     return _scan_fixed_points(lambda x, prec: phi.eval(x, prec), phi)
 
 
@@ -218,47 +213,13 @@ def find_fixed_points_second_iterate(phi: AnalyticSymbol):
     """
     if phi.is_rational_polynomial():
         p2 = phi.second_iterate_polynomial()
-        identity = [Fraction(0), Fraction(1)]
-        if p2 == identity:
+        if p2 == [Fraction(0), Fraction(1)]:
             return AllFixed()
-        shifted = polylib.sub(p2, identity)
-        records = []
-        dp2 = polylib.derivative(p2)
-        for root, mult in sturm.isolate_roots(shifted, phi.domain):
-            if isinstance(root, Enclosure):
-                rec = _second_iterate_enclosure_record(p2, dp2, root, mult)
-            else:
-                m = polylib.eval_at(dp2, root)
-                rec = FixedPointRecord(location=root, multiplier=m,
-                                       kind=_kind_from_exact(m),
-                                       multiplicity=mult, exact=True)
-            records.append(rec)
-        return records
+        return _fixed_point_records(p2, phi.domain)
     if _looks_like_involution(phi):
         return AllFixed()
     return _scan_fixed_points(lambda x, prec: phi.eval(phi.eval(x, prec), prec), phi,
                               second_iterate_of=phi)
-
-
-def _second_iterate_enclosure_record(p2, dp2, enc: Enclosure, mult):
-    p_fix = polylib.sub(p2, [Fraction(0), Fraction(1)])
-    for special, kind in ((Fraction(0), SUPERATTRACTING),
-                          (Fraction(1), NEUTRAL), (Fraction(-1), NEUTRAL)):
-        g = sturm.poly_gcd(p_fix, polylib.sub(dp2, [special]))
-        if polylib.degree(g) >= 1 and \
-                sturm.count_roots_open(g, Interval(enc.lo, enc.hi)) >= 1:
-            return FixedPointRecord(enc, special, kind, mult, True)
-    current, width = enc, enc.hi - enc.lo
-    while True:
-        mlo, mhi = _interval_eval(dp2, current.lo, current.hi)
-        if mlo > 1 or mhi < -1:
-            return FixedPointRecord(current, (mlo, mhi), REPELLING, mult, True)
-        if -1 < mlo and mhi < 1 and (mlo > 0 or mhi < 0):
-            return FixedPointRecord(current, (mlo, mhi), ATTRACTING, mult, True)
-        if width <= _REFINE_LIMIT:
-            return FixedPointRecord(current, (mlo, mhi), NEUTRAL_UNRESOLVED, mult, True)
-        width = width / 2 ** 16
-        current = current.refine(max(width, _REFINE_LIMIT))
 
 
 def _looks_like_involution(phi: AnalyticSymbol) -> bool:
@@ -266,7 +227,7 @@ def _looks_like_involution(phi: AnalyticSymbol) -> bool:
         for x in _sample_grid(phi.domain, 32):
             try:
                 y = phi.eval(phi.eval(x, 96), 96)
-            except Exception:
+            except CompspecError:
                 return False
             if abs(to_mpf(y) - to_mpf(x)) > mpmath.mpf(2) ** -64:
                 return False
@@ -282,7 +243,7 @@ def _scan_fixed_points(apply_fn, phi: AnalyticSymbol, second_iterate_of=None):
         for x in grid:
             try:
                 values.append(to_mpf(apply_fn(to_mpf(x), 96)) - to_mpf(x))
-            except Exception:
+            except CompspecError:
                 values.append(None)
         for i, x in enumerate(grid):
             v = values[i]
@@ -350,16 +311,14 @@ def _heuristic_record(phi: AnalyticSymbol, location, second_iterate_of=None):
     else:
         jet = phi.jet(location, 1, precision=prec)
         m = jet.coeffs[1]
-    exact_m = isinstance(m, (int, Fraction, QuadraticNumber))
-    kind = _heuristic_kind(m, exact_m)
-    return FixedPointRecord(location=location, multiplier=m, kind=kind,
-                            multiplicity=1,
+    return FixedPointRecord(location=location, multiplier=m,
+                            kind=_heuristic_kind(m), multiplicity=1,
                             exact=False)
 
 
-def _heuristic_kind(m, exact_m: bool) -> str:
-    if exact_m:
-        return _kind_from_exact(Fraction(m) if isinstance(m, int) else m)
+def _heuristic_kind(m) -> str:
+    if is_exact(m):
+        return _kind_from_exact(m)
     mag = abs(to_mpf(m))
     tol = mpmath.mpf(2) ** -40
     if mag < tol:
@@ -394,18 +353,24 @@ def find_critical_points(phi: AnalyticSymbol):
     return roots
 
 
-def is_diffeomorphism(phi: AnalyticSymbol) -> DiffeoVerdict:
+def is_diffeomorphism(phi: AnalyticSymbol, critical=None) -> DiffeoVerdict:
     """True iff the derivative never vanishes on the domain and the map is
-    onto the domain (endpoint limits reach the interval ends)."""
+    onto the domain (endpoint limits reach the interval ends).
+
+    ``critical`` is the symbol's ``find_critical_points`` list when the
+    caller already has it; None computes it.
+    """
     if isinstance(phi.body, ConjugatedBody):
         inner = is_diffeomorphism(phi.body.inner)
         return DiffeoVerdict(inner.value,
                              f"conjugation-invariant: {inner.certificate}", False)
+    if critical is None:
+        critical = find_critical_points(phi)
     if phi.is_rational_polynomial():
         dp = phi.derivative_polynomial()
         if polylib.degree(dp) == 0 and dp[0] == 0:
             return DiffeoVerdict(False, "derivative vanishes identically", True)
-        if sturm.count_roots_open(dp, phi.domain) > 0:
+        if critical:
             return DiffeoVerdict(False, "critical point inside the domain", True)
         onto, certified = _onto_check(phi)
         if onto is True:
@@ -413,8 +378,7 @@ def is_diffeomorphism(phi: AnalyticSymbol) -> DiffeoVerdict:
         if onto is False:
             return DiffeoVerdict(False, "image does not fill the interval", certified)
         return DiffeoVerdict(None, "endpoint limits unresolved", False)
-    crit = find_critical_points(phi)
-    if crit:
+    if critical:
         return DiffeoVerdict(False, "critical point found by scan", False)
     onto, _ = _onto_check(phi)
     if onto is True:
@@ -471,13 +435,14 @@ def _is_increasing(phi: AnalyticSymbol):
         return v > 0
 
 
-def critical_set_bounded_away(phi: AnalyticSymbol, end: str):
+def critical_set_bounded_away(phi: AnalyticSymbol, end: str, critical=None):
     """Whether the critical set stays away from the chosen end ("upper" or
     "lower") of the domain.  Exact for polynomials (finitely many critical
-    points); scan-based for elementary symbols."""
+    points); scan-based for elementary symbols.  ``critical`` is the
+    symbol's ``find_critical_points`` list, computed when None."""
     if phi.is_rational_polynomial():
         return True
-    crit = find_critical_points(phi)
+    crit = find_critical_points(phi) if critical is None else critical
     if not crit:
         return True
     bound = phi.domain.upper if end == "upper" else phi.domain.lower
@@ -639,24 +604,18 @@ def _sampled_basin_witness(phi: AnalyticSymbol, core: Interval,
             x = to_mpf(start)
             entered = False
             for _ in range(max_depth):
-                if _inside_core(x, core):
+                if core.contains(x):
                     entered = True
                     break
                 try:
                     x = to_mpf(phi.eval(x, 64))
-                except Exception:
-                    return start, True
+                except CompspecError:
+                    return start, False
                 if abs(x) > big:
                     return start, _escape_is_certain(phi, start)
             if not entered:
                 return start, False
     return None
-
-
-def _inside_core(x, core: Interval) -> bool:
-    lo_ok = not is_finite(core.lower) or x > to_mpf(Fraction(core.lower))
-    hi_ok = not is_finite(core.upper) or x < to_mpf(Fraction(core.upper))
-    return lo_ok and hi_ok
 
 
 def _escape_is_certain(phi: AnalyticSymbol, start) -> bool:
@@ -694,13 +653,13 @@ def analyze_symbol(phi: AnalyticSymbol) -> SymbolAnalysis:
     fixed_sq = find_fixed_points_second_iterate(phi)
     involution = isinstance(fixed_sq, AllFixed)
     critical = find_critical_points(phi)
-    diffeo = is_diffeomorphism(phi)
+    diffeo = is_diffeomorphism(phi, critical)
     sign_vs_id = None
     bounded_away = None
     if not fixed:
         sign_vs_id = _sign_against_identity(phi)
         end = "upper" if sign_vs_id == "above" else "lower"
-        bounded_away = critical_set_bounded_away(phi, end)
+        bounded_away = critical_set_bounded_away(phi, end, critical)
     certified = (phi.invariance_certified and diffeo.certified
                  and phi.is_rational_polynomial()
                  and all(r.exact for r in fixed)

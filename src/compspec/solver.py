@@ -18,14 +18,11 @@ import mpmath
 from .config import default_precision
 from .errors import (HypothesisViolation, NeutralOrSuperattracting,
                      ResonantEigenvalue, ZeroLambda)
-from .numbers import GaussianRational, QuadraticNumber, to_mpf
+from .numbers import (GaussianRational, as_exact, exact_abs_compare, invert,
+                      is_exact, to_mpf, to_numeric)
 from .power_series import (Converges, Diverges, Inconclusive, TruncatedSeries,
                            estimate_radius)
 from .symbols import AnalyticSymbol
-
-
-def _is_exact_scalar(v) -> bool:
-    return isinstance(v, (int, Fraction, GaussianRational, QuadraticNumber))
 
 
 @dataclass(frozen=True)
@@ -76,9 +73,9 @@ def radius_verdict_json(verdict):
 
 
 def _check_fixed_point(phi: AnalyticSymbol, u, precision):
-    if isinstance(u, (int, Fraction, QuadraticNumber)):
+    if is_exact(u):
         value = phi.eval(u, precision=precision)
-        if _is_exact_scalar(value):
+        if is_exact(value):
             if not value == u:
                 raise HypothesisViolation(f"{u} is not a fixed point")
             return
@@ -102,17 +99,9 @@ def _composition_matrix(phi_jet: TruncatedSeries, order: int):
 
 
 def _powers_equal(m_pow, lam) -> bool:
-    if _is_exact_scalar(m_pow) and _is_exact_scalar(lam):
+    if is_exact(m_pow) and is_exact(lam):
         return m_pow == lam
-    return abs(to_mpf(m_pow) - _lam_mpf(lam)) < mpmath.mpf(2) ** -48
-
-
-def _lam_mpf(lam):
-    if isinstance(lam, GaussianRational):
-        if lam.im != 0:
-            return mpmath.mpc(to_mpf(lam.re), to_mpf(lam.im))
-        return to_mpf(lam.re)
-    return to_mpf(lam)
+    return abs(to_mpf(m_pow) - to_numeric(lam)) < mpmath.mpf(2) ** -48
 
 
 def solve_formal(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
@@ -124,7 +113,7 @@ def solve_formal(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
     residual zero through the requested order for exact inputs.
     """
     precision = precision or default_precision()
-    if _is_zero_lambda(lam):
+    if lam == 0:
         raise ZeroLambda("eigenvalue parameter must be nonzero")
     _check_fixed_point(phi, u, precision)
     phi_jet = phi.jet(u, order, precision=precision)
@@ -132,7 +121,7 @@ def solve_formal(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
     m = phi_jet.coeffs[1] if order >= 1 else phi.derivative_at(u, precision)
     if isinstance(lam, GaussianRational) and not (
             phi_jet.is_exact() and gamma_jet.is_exact()):
-        lam = _lam_mpf(lam)
+        lam = to_numeric(lam)
 
     powers = _composition_matrix(phi_jet, order)
     coeffs = []
@@ -143,7 +132,7 @@ def solve_formal(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
         rhs = gamma_jet.coeffs[n]
         for j in range(n):
             a = powers[j].coeffs[n]
-            if _is_zero(a):
+            if a == 0:
                 continue
             rhs = rhs - coeffs[j] * a
         coeffs.append(rhs / (m_pow - lam))
@@ -160,26 +149,14 @@ def solve_formal(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
 
 
 def _one_like(m):
-    if isinstance(m, (int, Fraction, GaussianRational, QuadraticNumber)):
-        return Fraction(1)
-    return mpmath.mpf(1)
-
-
-def _is_zero(v) -> bool:
-    return v == 0
-
-
-def _is_zero_lambda(lam) -> bool:
-    if isinstance(lam, GaussianRational):
-        return lam.re == 0 and lam.im == 0
-    return lam == 0
+    return Fraction(1) if is_exact(m) else mpmath.mpf(1)
 
 
 def smajdor_condition(lam, m, order: int) -> list[bool]:
     """Entry n: the uniqueness condition 1 - (1/lam) m**n != 0 holds, i.e.
     lam != m**n.  All-true through the order guarantees the triangular
     solve succeeds."""
-    if _is_zero_lambda(lam):
+    if lam == 0:
         raise ZeroLambda("eigenvalue parameter must be nonzero")
     out = []
     m_pow = _one_like(m)
@@ -198,10 +175,10 @@ def quadratic_id_recurrence(lam, order: int) -> list:
 
     An independent code path from solve_formal, used as its cross-oracle.
     """
-    lam = _coerce_exact(lam)
+    lam = as_exact(lam)
     if lam == 1:
         raise ResonantEigenvalue(0)
-    inv = _invert(1 - lam)
+    inv = invert(1 - lam)
     coeffs = [Fraction(0)]
     if order >= 1:
         coeffs.append(inv)
@@ -212,18 +189,6 @@ def quadratic_id_recurrence(lam, order: int) -> list:
             acc = acc + (term if j % 2 == 1 else -term)
         coeffs.append(inv * acc)
     return coeffs
-
-
-def _coerce_exact(lam):
-    if isinstance(lam, int):
-        return Fraction(lam)
-    return lam
-
-
-def _invert(v):
-    if isinstance(v, (int, Fraction)):
-        return Fraction(1) / Fraction(v)
-    return 1 / v
 
 
 def koenigs(phi: AnalyticSymbol, u, order: int, precision=None) -> TruncatedSeries:
@@ -240,14 +205,14 @@ def koenigs(phi: AnalyticSymbol, u, order: int, precision=None) -> TruncatedSeri
     m = phi_jet.coeffs[1]
     _require_strictly_attracting(m)
     powers = _composition_matrix(phi_jet, order)
-    coeffs = [_zero_like(m), _one_series_like(m)]
+    coeffs = [_zero_like(m), _one_like(m)]
     m_pow = m
     for n in range(2, order + 1):
         m_pow = m_pow * m  # m**n
         rhs = 0
         for j in range(1, n):
             a = powers[j].coeffs[n]
-            if _is_zero(a):
+            if a == 0:
                 continue
             rhs = rhs + coeffs[j] * a
         coeffs.append(-rhs / (m_pow - m))
@@ -255,13 +220,9 @@ def koenigs(phi: AnalyticSymbol, u, order: int, precision=None) -> TruncatedSeri
 
 
 def _require_strictly_attracting(m):
-    if isinstance(m, (int, Fraction)):
-        if m == 0 or abs(Fraction(m)) >= 1:
+    if is_exact(m):
+        if m == 0 or exact_abs_compare(m, Fraction(1)) >= 0:
             raise NeutralOrSuperattracting(f"multiplier {m} not in 0 < |m| < 1")
-        return
-    if isinstance(m, QuadraticNumber):
-        if abs(m) >= 1:
-            raise NeutralOrSuperattracting("multiplier modulus is at least one")
         return
     mag = abs(to_mpf(m))
     tol = mpmath.mpf(2) ** -40
@@ -272,11 +233,7 @@ def _require_strictly_attracting(m):
 
 
 def _zero_like(m):
-    return Fraction(0) if _is_exact_scalar(m) else mpmath.mpf(0)
-
-
-def _one_series_like(m):
-    return Fraction(1) if _is_exact_scalar(m) else mpmath.mpf(1)
+    return Fraction(0) if is_exact(m) else mpmath.mpf(0)
 
 
 def eigenfunction(phi: AnalyticSymbol, u, n: int, order: int,

@@ -23,7 +23,8 @@ from .config import default_precision
 from .errors import (ConstantSymbolError, DomainError, ExpressionSyntaxError,
                      NotADiffeomorphism, OrbitEscape)
 from .intervals import NEG_INF, POS_INF, Interval, is_finite
-from .numbers import QuadraticNumber, format_rational, parse_rational, to_mpf
+from .numbers import (QuadraticNumber, as_exact, format_rational, invert,
+                      is_exact, parse_rational, to_mpf)
 from .power_series import TruncatedSeries
 
 _GUARD_BITS = 24
@@ -63,30 +64,6 @@ class Call:
 _SPECIAL_AT_ZERO = {"exp": Fraction(1), "arctan": Fraction(0), "sin": Fraction(0)}
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _split_scalar(node):
     """Split a rational prefactor off a folded non-polynomial node."""
     if isinstance(node, Mul) and isinstance(node.parts[0], Poly) \
@@ -115,7 +92,7 @@ def fold(node):
         order = []
         for f in parts:
             if isinstance(f, Poly):
-                acc = _padd(acc, list(f.coeffs))
+                acc = polylib.add(acc, f.coeffs)
                 continue
             coeff, core = _split_scalar(f)
             if core not in groups:
@@ -143,7 +120,7 @@ def fold(node):
         rest = []
         for f in parts:
             if isinstance(f, Poly):
-                acc = _pmul(acc, list(f.coeffs))
+                acc = polylib.mul(acc, f.coeffs)
             else:
                 rest.append(f)
         if len(acc) == 1 and acc[0] == 0:
@@ -161,10 +138,7 @@ def fold(node):
         if n == 1:
             return base
         if isinstance(base, Poly):
-            out = [Fraction(1)]
-            for _ in range(n):
-                out = _pmul(out, list(base.coeffs))
-            return Poly(tuple(out))
+            return Poly(tuple(polylib.power(base.coeffs, n)))
         if isinstance(base, Pow):
             return Pow(base.base, base.exponent * n)
         return Pow(base, n)
@@ -191,11 +165,7 @@ def tree_has_variable(node) -> bool:
 def substitute_affine(node, scale: Fraction, offset: Fraction):
     """Replace the variable by scale*x + offset; stays inside the grammar."""
     if isinstance(node, Poly):
-        out = [Fraction(0)]
-        inner = [offset, scale]
-        for c in reversed(node.coeffs):
-            out = _padd(_pmul(out, inner), [c])
-        return Poly(tuple(out))
+        return Poly(tuple(polylib.compose(node.coeffs, [offset, scale])))
     if isinstance(node, Add):
         return Add(tuple(substitute_affine(p, scale, offset) for p in node.parts))
     if isinstance(node, Mul):
@@ -385,7 +355,7 @@ def _series_exp(g: TruncatedSeries, exact: bool):
         acc = 0
         for k in range(1, m + 1):
             acc = acc + k * h[k] * out[m - k]
-        out.append(_divide(acc, m))
+        out.append(as_exact(acc) / m)
     return TruncatedSeries(g.center, out)
 
 
@@ -406,8 +376,8 @@ def _series_sin(g: TruncatedSeries, exact: bool):
         for k in range(1, m + 1):
             acc_s = acc_s + k * h[k] * coss[m - k]
             acc_c = acc_c + k * h[k] * sins[m - k]
-        sins.append(_divide(acc_s, m))
-        coss.append(_divide(-acc_c, m))
+        sins.append(as_exact(acc_s) / m)
+        coss.append(as_exact(-acc_c) / m)
     return TruncatedSeries(g.center, sins)
 
 
@@ -424,12 +394,6 @@ def _series_arctan(g: TruncatedSeries, exact: bool):
     denom = (g * g + 1).truncate(g.order - 1)
     integrand = g.differentiate() * denom.reciprocal()
     return integrand.integrate(a0).truncate(g.order)
-
-
-def _divide(value, k: int):
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value) / k
-    return value / k
 
 
 def tree_jet(node, center, order, exact: bool):
@@ -494,11 +458,11 @@ def _poly_limit(coeffs, end):
                 return Limit("finite", value=Fraction(value))
             return Limit("finite", approx=to_mpf(value))
         lead = coeffs[-1]
-        lead_sign = 1 if _scalar_positive(lead) else -1
+        lead_sign = 1 if lead > 0 else -1
         if end is NEG_INF and (len(coeffs) - 1) % 2 == 1:
             lead_sign = -lead_sign
         return Limit("pos_inf") if lead_sign > 0 else Limit("neg_inf")
-    end = Fraction(end) if isinstance(end, int) else end
+    end = as_exact(end)
     if all(isinstance(c, (int, Fraction)) for c in coeffs) and isinstance(end, Fraction):
         return Limit("finite",
                      value=polylib.eval_at([Fraction(c) for c in coeffs], end))
@@ -719,8 +683,7 @@ class AnalyticSymbol:
     @classmethod
     def from_coefficients(cls, coeffs, domain=None, *,
                           require_self_map=True) -> "AnalyticSymbol":
-        body = PolynomialBody(tuple(
-            Fraction(c) if isinstance(c, int) else c for c in _normalize_generic(coeffs)))
+        body = PolynomialBody(tuple(polylib.normalize(coeffs)))
         return cls(body, domain or Interval.real_line(),
                    require_self_map=require_self_map)
 
@@ -841,9 +804,8 @@ class AnalyticSymbol:
         if not self._point_in_domain(x, precision):
             raise DomainError(f"{x} is outside the domain {self.domain}")
         if isinstance(self.body, PolynomialBody):
-            if isinstance(x, (int, Fraction, QuadraticNumber)):
-                return polylib.eval_at(list(self.body.coeffs),
-                                       Fraction(x) if isinstance(x, int) else x)
+            if is_exact(x):
+                return polylib.eval_at(self.body.coeffs, as_exact(x))
             with mpmath.workprec(precision + _GUARD_BITS):
                 acc = None
                 for c in reversed(self.body.coeffs):
@@ -865,15 +827,8 @@ class AnalyticSymbol:
             return +result
 
     def _point_in_domain(self, x, precision) -> bool:
-        if isinstance(x, (int, Fraction, QuadraticNumber)):
-            return self.domain.contains(Fraction(x) if isinstance(x, int) else x)
-        lo, hi = self.domain.lower, self.domain.upper
         with mpmath.workprec(precision):
-            if is_finite(lo) and not x > to_mpf(Fraction(lo)):
-                return False
-            if is_finite(hi) and not x < to_mpf(Fraction(hi)):
-                return False
-        return True
+            return self.domain.contains(x)
 
     def derivative_at(self, x, precision=None):
         """phi'(x) via the order-1 jet; exact where the jet is exact."""
@@ -890,9 +845,7 @@ class AnalyticSymbol:
         if not self._point_in_domain(center, precision):
             raise DomainError(f"jet center {center} outside {self.domain}")
         if isinstance(self.body, PolynomialBody):
-            return _series_from_poly(self.body.coeffs,
-                                     Fraction(center) if isinstance(center, int) else center,
-                                     order)
+            return _series_from_poly(self.body.coeffs, as_exact(center), order)
         if isinstance(self.body, ConjugatedBody):
             return self._conjugated_jet(center, order, precision)
         tree = self.body.tree
@@ -974,24 +927,11 @@ class AnalyticSymbol:
         return AnalyticSymbol(self.body, domain, text=self.text)
 
 
-def _normalize_generic(coeffs):
-    out = list(coeffs)
-    while len(out) > 1 and _is_zero_scalar(out[-1]):
-        out.pop()
-    return out or [Fraction(0)]
-
-
-def _is_zero_scalar(c):
-    if isinstance(c, QuadraticNumber):
-        return c.sign() == 0
-    return c == 0
-
-
 def format_polynomial(coeffs) -> str:
     terms = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
-        if _is_zero_scalar(c):
+        if c == 0:
             continue
         if isinstance(c, QuadraticNumber):
             mag, sign = str(c), "+"
@@ -1099,8 +1039,8 @@ class Diffeomorphism:
         if forward.is_polynomial() and forward.body.degree == 1:
             offset, scale = forward.body.coeffs
             self._affine = (scale, offset)  # y = scale*x + offset
-            self.increasing = _scalar_positive(scale)
-            if _is_zero_scalar(scale):
+            self.increasing = scale > 0
+            if scale == 0:
                 raise NotADiffeomorphism("affine map with zero slope")
             self.certified = True
             return
@@ -1136,7 +1076,7 @@ class Diffeomorphism:
 
     def apply(self, x, precision=None):
         precision = precision or default_precision()
-        if self._affine is not None and isinstance(x, (int, Fraction, QuadraticNumber)):
+        if self._affine is not None and is_exact(x):
             scale, offset = self._affine
             return scale * x + offset
         return self.forward.eval(x, precision=precision)
@@ -1145,8 +1085,8 @@ class Diffeomorphism:
         precision = precision or default_precision()
         if self._affine is not None:
             scale, offset = self._affine
-            if isinstance(y, (int, Fraction, QuadraticNumber)):
-                return (y - offset) * _invert_scalar(scale)
+            if is_exact(y):
+                return (y - offset) * invert(scale)
             with mpmath.workprec(precision + _GUARD_BITS):
                 return (y - to_mpf(offset)) / to_mpf(scale)
         if self.inverse_fn is not None:
@@ -1215,8 +1155,7 @@ class Diffeomorphism:
         with mpmath.workprec(precision + _GUARD_BITS):
             y = self.apply(x, precision)
             back = self.apply_inverse(y, precision)
-            if isinstance(back, (int, Fraction, QuadraticNumber)) and \
-                    isinstance(x, (int, Fraction, QuadraticNumber)):
+            if is_exact(back) and is_exact(x):
                 return back - x
             return abs(to_mpf(back) - to_mpf(x))
 
@@ -1227,50 +1166,8 @@ class Diffeomorphism:
         return f"Diffeomorphism({self.forward!r})"
 
 
-def _scalar_positive(c) -> bool:
-    if isinstance(c, QuadraticNumber):
-        return c.sign() > 0
-    return c > 0
-
-
-def _invert_scalar(c):
-    if isinstance(c, (int, Fraction)):
-        return Fraction(1) / Fraction(c)
-    return 1 / c
-
-
 def identity_diffeomorphism(domain=None) -> Diffeomorphism:
     return Diffeomorphism(identity_symbol(domain))
-
-
-def _poly_compose_generic(outer, inner):
-    """Composition of coefficient lists that may mix Fractions and
-    QuadraticNumbers."""
-    acc = [Fraction(0)]
-    for c in reversed(outer):
-        acc = _generic_mul(acc, inner)
-        acc = _generic_add(acc, [c])
-    return _normalize_generic(acc)
-
-
-def _generic_add(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else Fraction(0)
-        y = b[i] if i < len(b) else Fraction(0)
-        out.append(x + y)
-    return out
-
-
-def _generic_mul(a, b):
-    if len(a) == 1 and _is_zero_scalar(a[0]):
-        return [Fraction(0)]
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
 
 
 def conjugate(phi: AnalyticSymbol, delta: Diffeomorphism) -> AnalyticSymbol:
@@ -1283,13 +1180,11 @@ def conjugate(phi: AnalyticSymbol, delta: Diffeomorphism) -> AnalyticSymbol:
     new_domain = delta.forward.domain
     if delta._affine is not None:
         scale, offset = delta._affine
-        inv_scale = _invert_scalar(scale)
+        inv_scale = invert(scale)
         if phi.is_polynomial():
-            inner = _poly_compose_generic(list(phi.body.coeffs), [offset, scale])
-            shifted = _generic_add(inner, [-offset])
-            coeffs = [c * inv_scale for c in shifted]
-            return AnalyticSymbol(PolynomialBody(tuple(_normalize_generic(coeffs))),
-                                  new_domain)
+            inner = polylib.compose(phi.body.coeffs, [offset, scale])
+            coeffs = polylib.scale(polylib.sub(inner, [offset]), inv_scale)
+            return AnalyticSymbol(PolynomialBody(tuple(coeffs)), new_domain)
         if isinstance(phi.body, ElementaryBody) and isinstance(scale, Fraction) \
                 and isinstance(offset, Fraction):
             sub = substitute_affine(phi.body.tree, scale, offset)

@@ -18,21 +18,15 @@ import mpmath
 
 from . import sturm
 from .errors import HypothesisViolation, InvarianceFailure, UnresolvedVerdict
-from .intervals import Interval, intersect_unions, is_finite, union_covers
-from .numbers import (GaussianRational, QuadraticNumber, format_scalar,
-                      parse_scalar, to_mpf)
+from .intervals import Interval, intersect_unions, union_covers
+from .numbers import (GaussianRational, QuadraticNumber, as_exact,
+                      exact_abs_compare, format_scalar, parse_scalar, to_mpf)
 from .rootwork import (ATTRACTING, NEUTRAL_UNRESOLVED, REPELLING,
                        SUPERATTRACTING, SymbolAnalysis, analyze_symbol)
 from .symbols import (AnalyticSymbol, ConjugatedBody, NoFixedPoints,
                       normalize_quadratic)
 
 REPORT_VERSION = 1
-
-
-def _as_exact(value):
-    if isinstance(value, int):
-        return Fraction(value)
-    return value
 
 
 def _is_real_scalar(value) -> bool:
@@ -42,31 +36,7 @@ def _is_real_scalar(value) -> bool:
 def _real_part(lam):
     if isinstance(lam, GaussianRational):
         return lam.re if lam.im == 0 else None
-    return _as_exact(lam)
-
-
-def _scalar_eq(a, b) -> bool:
-    a, b = _as_exact(a), _as_exact(b)
-    if isinstance(a, GaussianRational) or isinstance(b, GaussianRational):
-        ga = a if isinstance(a, GaussianRational) else None
-        gb = b if isinstance(b, GaussianRational) else None
-        if ga is not None and gb is not None:
-            return ga == gb
-        gr, other = (ga, b) if ga is not None else (gb, a)
-        return gr == other
-    return a == b
-
-
-def _abs_cmp_one(value) -> int:
-    """Sign of |value| - 1 for an exact real scalar."""
-    v = _as_exact(value)
-    if isinstance(v, QuadraticNumber):
-        mag = abs(v)
-        if mag == 1:
-            return 0
-        return -1 if mag < 1 else 1
-    mag = abs(v)
-    return -1 if mag < 1 else (0 if mag == 1 else 1)
+    return as_exact(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +59,7 @@ class PuncturedPlane:
     kind = "punctured_plane"
 
     def contains(self, lam) -> bool:
-        return not _scalar_eq(lam, Fraction(0))
+        return lam != 0
 
     def to_json_dict(self):
         return {"kind": self.kind}
@@ -103,28 +73,28 @@ class Powers:
     include_zero: bool = False
 
     def __post_init__(self):
-        if _scalar_eq(self.ratio, Fraction(0)):
+        if self.ratio == 0:
             raise ValueError("zero ratio: use a finite set instead")
 
     kind = "powers"
 
     def contains(self, lam) -> bool:
-        if self.include_zero and _scalar_eq(lam, Fraction(0)):
+        if self.include_zero and lam == 0:
             return True
         real = _real_part(lam)
         if real is None:
             return False
-        if _scalar_eq(real, Fraction(1)):
+        if real == 1:
             return True
-        ratio = _as_exact(self.ratio)
-        side = _abs_cmp_one(ratio)
+        ratio = as_exact(self.ratio)
+        side = exact_abs_compare(ratio, Fraction(1))
         if side == 0:
-            return _scalar_eq(real, ratio)  # ratio is +-1; 1 handled above
+            return real == ratio  # ratio is +-1; 1 handled above
         power = ratio
         guard = 0
         while guard < 4096:
             cmp = _mag_compare(power, real)
-            if cmp == 0 and _scalar_eq(power, real):
+            if cmp == 0 and power == real:
                 return True
             if side > 0 and cmp > 0:
                 return False
@@ -141,11 +111,7 @@ class Powers:
 
 def _mag_compare(a, b) -> int:
     """Sign of |a| - |b| for exact real scalars."""
-    a, b = abs(_as_exact(a)), abs(_as_exact(b))
-    if isinstance(a, QuadraticNumber) or isinstance(b, QuadraticNumber):
-        if isinstance(a, QuadraticNumber):
-            return a._cmp(b)
-        return -(b._cmp(a))
+    a, b = abs(as_exact(a)), abs(as_exact(b))
     return -1 if a < b else (0 if a == b else 1)
 
 
@@ -156,7 +122,7 @@ class FiniteSet:
     kind = "finite"
 
     def contains(self, lam) -> bool:
-        return any(_scalar_eq(lam, v) for v in self.values)
+        return any(lam == v for v in self.values)
 
     def to_json_dict(self):
         return {"kind": self.kind,
@@ -170,13 +136,7 @@ class ClosedDisk:
     kind = "closed_disk"
 
     def contains(self, lam) -> bool:
-        r2 = self.radius * self.radius
-        if isinstance(lam, GaussianRational):
-            return lam.abs2() <= r2
-        lam = _as_exact(lam)
-        if isinstance(lam, QuadraticNumber):
-            return abs(lam) <= self.radius
-        return lam * lam <= r2
+        return exact_abs_compare(lam, self.radius) <= 0
 
     def to_json_dict(self):
         return {"kind": self.kind, "radius": format_scalar(self.radius)}
@@ -193,8 +153,6 @@ class RealRay:
         real = _real_part(lam)
         if real is None:
             return False
-        if isinstance(real, QuadraticNumber):
-            return real >= self.start if self.closed else real > self.start
         return real >= self.start if self.closed else real > self.start
 
     def to_json_dict(self):
@@ -313,13 +271,13 @@ class EigenRule:
     def matches(self, lam) -> bool:
         tag = self.matcher[0]
         if tag == "equals":
-            return _scalar_eq(lam, self.matcher[1])
+            return lam == self.matcher[1]
         if tag == "in_set":
-            return any(_scalar_eq(lam, v) for v in self.matcher[1])
+            return any(lam == v for v in self.matcher[1])
         if tag == "power_of":
             return Powers(self.matcher[1]).contains(lam)
         if tag == "nonzero":
-            return not _scalar_eq(lam, Fraction(0))
+            return lam != 0
         return True
 
     def to_json_dict(self):
@@ -467,12 +425,12 @@ def point_spectrum(analysis: SymbolAnalysis):
             raise UnresolvedVerdict("multiplier enclosure straddles modulus one")
         exact = _is_real_scalar(m)
         if kind == ATTRACTING and exact:
-            return (Powers(_as_exact(m), include_zero=False),
-                    EigenDim([EigenRule(("power_of", _as_exact(m)), DimFinite(1)),
+            return (Powers(as_exact(m), include_zero=False),
+                    EigenDim([EigenRule(("power_of", as_exact(m)), DimFinite(1)),
                               EigenRule(("otherwise",), DimZero())]))
         if kind == REPELLING and exact and not analysis.critical_points:
-            return (Powers(_as_exact(m), include_zero=False),
-                    EigenDim([EigenRule(("power_of", _as_exact(m)), DimFinite(1)),
+            return (Powers(as_exact(m), include_zero=False),
+                    EigenDim([EigenRule(("power_of", as_exact(m)), DimFinite(1)),
                               EigenRule(("otherwise",), DimZero())]))
         if kind in (ATTRACTING, REPELLING) and not exact:
             raise UnresolvedVerdict("multiplier known only as an enclosure")
@@ -498,8 +456,8 @@ def spectrum_lower_bound(analysis: SymbolAnalysis):
         m = record.multiplier
         if not _is_real_scalar(m):
             continue
-        m = _as_exact(m)
-        if _scalar_eq(m, Fraction(0)) or _abs_cmp_one(m) == 0:
+        m = as_exact(m)
+        if m == 0 or exact_abs_compare(m, Fraction(1)) == 0:
             continue
         candidate = Powers(m)
         if not any(candidate == p for p in parts):
@@ -603,9 +561,9 @@ def _unique_fixed_point_leaf(analysis, certified) -> ClassificationReport:
     if kind == NEUTRAL_UNRESOLVED or not exact:
         return _fallback_leaf(analysis, certified,
                               note="multiplier undecided at modulus one")
-    m = _as_exact(m)
-    side = _abs_cmp_one(m) if not _scalar_eq(m, Fraction(0)) else -1
-    if kind == SUPERATTRACTING or _scalar_eq(m, Fraction(0)):
+    m = as_exact(m)
+    side = exact_abs_compare(m, Fraction(1)) if m != 0 else -1
+    if kind == SUPERATTRACTING or m == 0:
         sigma = FiniteSet((Fraction(1), Fraction(0)))
         return ClassificationReport(
             case_id="Cor 3.6", sigma_p=FiniteSet((Fraction(1),)), sigma=sigma,
@@ -663,7 +621,7 @@ def quadratic_spectrum(mu, *, certified=True) -> ClassificationReport:
     """Classification of the normal form -x^2 + mu*x by parameter ranges:
     the parabolic case (partial ray), the full-plane band 1 < mu <= 2, and
     the partial disk-and-powers superset for mu > 2."""
-    mu = _as_exact(mu)
+    mu = as_exact(mu)
     if mu < 1:
         raise ValueError("normal form parameter must be at least 1")
     is_one, le_two = mu == 1, mu <= 2
@@ -701,8 +659,8 @@ def _several_fixed_points_leaf(analysis, certified) -> ClassificationReport:
     diffeo = analysis.is_diffeo.value
     multipliers_ok = all(
         _is_real_scalar(r.multiplier)
-        and not _scalar_eq(_as_exact(r.multiplier), Fraction(0))
-        and _abs_cmp_one(_as_exact(r.multiplier)) != 0
+        and r.multiplier != 0
+        and exact_abs_compare(r.multiplier, Fraction(1)) != 0
         for r in analysis.fixed_points)
     if diffeo is True and len(analysis.fixed_points) > 1 and multipliers_ok:
         return ClassificationReport(
@@ -765,16 +723,10 @@ def _check_invariant_interval(phi: AnalyticSymbol, targets: list[Interval],
     with mpmath.workprec(64):
         for x in _sample_grid(source, 256):
             y = to_mpf(phi.eval(x, 64))
-            if not any(_numeric_in(y, t) for t in targets):
+            if not any(t.contains(y) for t in targets):
                 raise InvarianceFailure(f"sampled image point leaves the piece",
                                         witness=x)
     return False
-
-
-def _numeric_in(y, interval: Interval) -> bool:
-    lo_ok = not is_finite(interval.lower) or y > to_mpf(Fraction(interval.lower))
-    hi_ok = not is_finite(interval.upper) or y < to_mpf(Fraction(interval.upper))
-    return lo_ok and hi_ok
 
 
 def kernel_dim(phi: AnalyticSymbol, region: Interval, lam) -> KernelDimLabel:
@@ -783,13 +735,13 @@ def kernel_dim(phi: AnalyticSymbol, region: Interval, lam) -> KernelDimLabel:
     _check_invariant_interval(phi, [region], region)
     restricted = phi.with_domain(region)
     analysis = analyze_symbol(restricted)
-    if _scalar_eq(lam, Fraction(0)):
+    if lam == 0:
         m, kind = _base_multiplier(analysis)
         if kind == SUPERATTRACTING:
             return KernelDimLabel.of_finite(1)
         return KernelDimLabel.of_finite(0)
     if analysis.is_identity:
-        return KernelDimLabel.of_infinite("A(J)") if _scalar_eq(lam, Fraction(1)) \
+        return KernelDimLabel.of_infinite("A(J)") if lam == 1 \
             else KernelDimLabel.of_finite(0)
     sigma_p, eigen = point_spectrum(analysis)
     dim = eigen.dimension(lam)

@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from compspec.cli import main
+from compspec.continuation import evaluate, globalize
+from compspec.symbols import parse_rhs, parse_symbol
 from compspec.taxonomy import ClassificationReport
 
 
@@ -90,6 +93,17 @@ class TestEval:
                             "--precision", "256")
         assert code == 0
         assert "f(10) =" in out
+
+    def test_value_printed_at_the_working_precision(self, capsys):
+        code, out = run_cli(capsys, "eval", "--symbol", "1/2*arctan(x)",
+                            "--lambda", "2", "--gamma", "x", "--at", "10",
+                            "--precision", "256", "--format", "json")
+        assert code == 0
+        sol = globalize(parse_symbol("1/2*arctan(x)"), F(0), F(2),
+                        parse_rhs("x"), order=24, precision=256)
+        value, _ = evaluate(sol, F(10), precision=256)
+        with mpmath.workprec(256):
+            assert json.loads(out)["value"] == mpmath.nstr(value, 30)
 
     def test_basin_escape_exit_code(self, capsys):
         code = main(["eval", "--symbol", "x^2", "--lambda", "5",

@@ -1,10 +1,12 @@
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from compspec.errors import ExpressionSyntaxError
 from compspec.intervals import (NEG_INF, POS_INF, Interval, intersect_unions,
                                 union_covers)
+from compspec.numbers import to_mpf
 from compspec.sturm import complement_blocks
 
 
@@ -15,6 +17,32 @@ def test_parse_and_membership():
     assert not iv.contains(F(3))
     whole = Interval.parse("(-inf,inf)")
     assert whole.contains(F(10 ** 12))
+
+
+@pytest.mark.parametrize("prec", [53, 256])
+def test_membership_of_mpf_points(prec):
+    bounded = Interval(F(1, 3), F(2))
+    below = Interval(NEG_INF, F(1, 3))
+    above = Interval(F(-1), POS_INF)
+    with mpmath.workprec(prec):
+        edge = to_mpf(F(1, 3))
+        step = mpmath.mpf(2) ** -(prec - 8)
+        assert not bounded.contains(edge) and not below.contains(edge)
+        assert bounded.contains(edge + step) and below.contains(edge - step)
+        assert not bounded.contains(mpmath.mpf(2))
+        assert above.contains(mpmath.mpf(10) ** 300)
+        assert not above.contains(mpmath.mpf(-1))
+        assert Interval.real_line().contains(-mpmath.mpf(10) ** 300)
+
+
+def test_mpf_membership_rounds_bounds_at_the_working_precision():
+    # The 53-bit image of 1/3 lies below 1/3 and the 256-bit image above.
+    fine = to_mpf(F(1, 3), 256)
+    ray = Interval(F(1, 3), POS_INF)
+    with mpmath.workprec(53):
+        assert ray.contains(fine)
+    with mpmath.workprec(256):
+        assert not ray.contains(fine)
 
 
 def test_parse_rejects_garbage():

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from compspec import polynomials as polylib
-from compspec import sturm
-from compspec.errors import HypothesisViolation
+from compspec import rootwork, sturm
+from compspec.errors import DomainError, HypothesisViolation
 from compspec.intervals import Interval
 from compspec.rootwork import (AllFixed, analyze_symbol,
                                attraction_basin_check,
@@ -13,7 +13,8 @@ from compspec.rootwork import (AllFixed, analyze_symbol,
                                find_fixed_points,
                                find_fixed_points_second_iterate,
                                is_diffeomorphism)
-from compspec.symbols import conjugate, parse_change, parse_symbol
+from compspec.symbols import (AnalyticSymbol, conjugate, parse_change,
+                              parse_symbol)
 
 
 def locations(records):
@@ -171,6 +172,64 @@ class TestBasin:
     def test_hypothesis_violation(self):
         with pytest.raises(HypothesisViolation):
             attraction_basin_check(parse_symbol("2*x"), Interval(-1, 1))
+
+    # 1/2*x fixes the lower core edge 0, so the certified path declines and
+    # the sampled orbits run through AnalyticSymbol.eval.
+
+    def test_typed_error_in_sampled_orbit_is_not_a_proof(self, monkeypatch):
+        phi = parse_symbol("1/2*x")
+        monkeypatch.setattr(AnalyticSymbol, "eval", _raise(DomainError))
+        verdict = attraction_basin_check(phi, Interval(0, 1))
+        assert verdict.status == "false"
+        assert verdict.certified is False
+
+    def test_untyped_error_in_sampled_orbit_propagates(self, monkeypatch):
+        phi = parse_symbol("1/2*x")
+        monkeypatch.setattr(AnalyticSymbol, "eval", _raise(RuntimeError))
+        with pytest.raises(RuntimeError):
+            attraction_basin_check(phi, Interval(0, 1))
+
+    def test_untyped_error_in_fixed_point_scan_propagates(self, monkeypatch):
+        phi = parse_symbol("1/2*arctan(x)")
+        monkeypatch.setattr(AnalyticSymbol, "eval", _raise(RuntimeError))
+        with pytest.raises(RuntimeError):
+            find_fixed_points(phi)
+
+
+def _raise(error_type):
+    def failing_eval(self, x, precision=None):
+        raise error_type(f"eval failed at {x}")
+    return failing_eval
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestComputedOnce:
+    @pytest.mark.parametrize("text", ["sin(x)", "exp(1/2*x)"])
+    def test_analysis_finds_critical_points_once(self, monkeypatch, text):
+        phi = parse_symbol(text)
+        calls = _counting(monkeypatch, rootwork, "find_critical_points")
+        analyze_symbol(phi)
+        assert len(calls) == 1
+
+    def test_multiplier_certificates_once_per_polynomial(self, monkeypatch):
+        # Three certificate gcds (multiplier 0, 1, -1) plus the gcds of root
+        # isolation, however many enclosure roots the second iterate has.
+        phi = parse_symbol("x^5-3*x^3+1/2*x")
+        calls = _counting(monkeypatch, sturm, "poly_gcd")
+        records = find_fixed_points_second_iterate(phi)
+        assert sum(isinstance(r.location, sturm.Enclosure) for r in records) > 3
+        assert len(calls) <= 14
 
 
 class TestSturmProperties:

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from compspec.errors import (NeutralOrSuperattracting, ResonantEigenvalue,
@@ -48,6 +49,16 @@ class TestSolveFormal:
         assert all(c == 0 for c in residual.coeffs)
         # f(0) = gamma(0)/(1 - i) = (1 + i)/2
         assert sol.series.coeffs[0] == GaussianRational(F(1, 2), F(1, 2))
+
+    def test_gaussian_lambda_with_numeric_jets(self):
+        # sin is expanded off zero at the fixed point 1, so the jets are
+        # numeric and the eigenvalue is carried as an mpc.
+        phi = parse_symbol("1/2*x + 1/2 + 1/8*sin(x) - 1/8*sin(1)")
+        sol = solve_formal(phi, F(1), GaussianRational(3, 1), parse_rhs("x"), 8)
+        # f(1) = gamma(1)/(1 - (3 + i)) = (-2 + i)/5
+        assert abs(sol.series.coeffs[0] - mpmath.mpc(-0.4, 0.2)) < 1e-15
+        residual = sol.residual_series()
+        assert max(abs(c) for c in residual.coeffs) < mpmath.mpf(2) ** -40
 
     def test_randomized_exact_residual_suite(self):
         # Polynomial symbols with a rational attracting fixed point at 0,

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from compspec.errors import (ConstantSymbolError, DomainError,
+from compspec.errors import (ConstantSymbolError, DegreeOverflow, DomainError,
                              ExpressionSyntaxError, NotADiffeomorphism,
                              OrbitEscape)
 from compspec.intervals import Interval
@@ -51,6 +51,10 @@ class TestParser:
             parse_symbol("cos(x)")
         with pytest.raises(ExpressionSyntaxError):
             parse_symbol("x^(1/2)")
+
+    def test_folding_respects_the_degree_cap(self):
+        with pytest.raises(DegreeOverflow):
+            parse_symbol("x^5000")
 
     def test_division_only_in_rational_literals(self):
         with pytest.raises(ExpressionSyntaxError):
@@ -240,9 +244,7 @@ class TestNormalizeQuadratic:
         assert nf.mu == quadratic(1, 1, 5)
         assert nf.mu > 2
         psi = conjugate(parse_symbol("x^2-1"), nf.delta)
-        coeffs = psi.poly_coeffs()
-        assert coeffs[2] == F(-1) and coeffs[0] == 0
-        assert coeffs[1] == nf.mu
+        assert psi.body.coeffs == (0, nf.mu, -1)
 
     def test_mu_at_least_one(self):
         import random
