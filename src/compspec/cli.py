@@ -23,7 +23,7 @@ from .intervals import Interval
 from .numbers import (GaussianRational, format_scalar, is_exact, parse_gaussian,
                       to_mpf)
 from .power_series import TruncatedSeries
-from .rootwork import analyze_symbol
+from .rootwork import find_fixed_points
 from .solver import eigenfunction, koenigs, solve_formal
 from .symbols import (AnalyticSymbol, ElementaryBody, Mul, Poly, PolynomialBody,
                       parse_rhs, parse_symbol)
@@ -142,8 +142,7 @@ def _load_equation(args):
 def _detect_center(phi: AnalyticSymbol, requested):
     if requested is not None:
         return Fraction(requested)
-    analysis = analyze_symbol(phi)
-    records = analysis.fixed_points
+    records = [] if phi.is_identity() else find_fixed_points(phi)
     if not records:
         raise CompspecError("the symbol has no fixed point to expand at")
     attracting = [r for r in records

@@ -19,14 +19,13 @@ import mpmath
 from .config import default_precision
 from .errors import (BasinEscape, BranchDomain, HypothesisViolation,
                      PrecisionLoss, ReflectedUncovered)
-from .intervals import Interval, is_finite
+from .intervals import NEG_INF, POS_INF, Interval, is_finite
 from .numbers import (GaussianRational, as_exact, exact_abs_compare, is_exact,
                       to_mpf, to_numeric)
 from .power_series import Converges
 from .rootwork import attraction_basin_check
 from .solver import LocalSolution, solve_formal
 from .symbols import AnalyticSymbol
-from . import sturm
 
 _MAX_PRECISION = 4096
 _HARD_FLOOR = Fraction(1, 2 ** 16)
@@ -158,26 +157,10 @@ def globalize(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
 
 
 def _core_invariant(phi: AnalyticSymbol, core: Interval, u, parabolic: bool) -> bool:
-    if parabolic:
-        right = Interval(Fraction(u), core.upper)
-        if phi.is_rational_polynomial():
-            ok, _ = sturm.poly_maps_into(phi.rational_coeffs(), right, [right])
-            return ok
-        return _sampled_invariant(phi, right, right)
-    if phi.is_rational_polynomial():
-        ok, _ = sturm.poly_maps_into(phi.rational_coeffs(), core, [core])
-        return ok
-    return _sampled_invariant(phi, core, core)
-
-
-def _sampled_invariant(phi: AnalyticSymbol, source: Interval,
-                       target: Interval) -> bool:
-    from .symbols import _sample_grid
-    with mpmath.workprec(96):
-        for x in _sample_grid(source, 128):
-            if not target.contains(to_mpf(phi.eval(x, 96))):
-                return False
-    return True
+    # A parabolic core only needs its attracting right half invariant.
+    source = Interval(Fraction(u), core.upper) if parabolic else core
+    ok, _, _ = phi.maps_into(source, [source], 128)
+    return ok
 
 
 def standard_parabolic_rules(phi: AnalyticSymbol, max_depth: int = 10_000):
@@ -193,7 +176,6 @@ def standard_parabolic_rules(phi: AnalyticSymbol, max_depth: int = 10_000):
         # The monotone inverse of x - x^2 on (-inf, 1/2).
         return (1 - mpmath.sqrt(1 - 4 * y)) / 2
 
-    from .intervals import NEG_INF, POS_INF
     return (ForwardOrbitRule(Interval(Fraction(0), Fraction(1)), max_depth),
             InverseBranchRule(Interval(NEG_INF, Fraction(0)), branch,
                               Interval(NEG_INF, Fraction(0)), max_depth),

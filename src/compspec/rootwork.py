@@ -277,6 +277,8 @@ def _bisect_numeric(g, a: Fraction, b: Fraction, va):
     sign_lo = va < 0
     for _ in range(200):
         mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            break  # adjacent floats: the bracket cannot shrink any more
         v = g(mid)
         if v == 0:
             return mid
@@ -496,18 +498,9 @@ def attraction_basin_check(phi: AnalyticSymbol, core: Interval,
 def _require_core_hypothesis(phi: AnalyticSymbol, core: Interval):
     if not phi.domain.contains_interval(core):
         raise HypothesisViolation("core closure must sit inside the domain")
-    if phi.is_rational_polynomial():
-        ok, witness = sturm.poly_maps_into(phi.rational_coeffs(), core, [core])
-        if not ok:
-            raise HypothesisViolation(f"core is not invariant (witness x={witness})")
-        return
-    with mpmath.workprec(64):
-        for x in _sample_grid(core, 128):
-            y = to_mpf(phi.eval(x, 64))
-            if is_finite(core.lower) and y < to_mpf(Fraction(core.lower)):
-                raise HypothesisViolation(f"core is not invariant (witness x={x})")
-            if is_finite(core.upper) and y > to_mpf(Fraction(core.upper)):
-                raise HypothesisViolation(f"core is not invariant (witness x={x})")
+    ok, witness, _ = phi.maps_into(core, [core], 128)
+    if not ok:
+        raise HypothesisViolation(f"core is not invariant (witness x={witness})")
 
 
 def _certified_basin(phi: AnalyticSymbol, core: Interval):
@@ -537,7 +530,7 @@ def _certified_basin(phi: AnalyticSymbol, core: Interval):
         # far side of the core (and must stay inside the domain).
         target_lo = core.lower if side == "upper" else domain.lower
         target_hi = domain.upper if side == "upper" else core.upper
-        ok, _ = sturm.poly_maps_into(p, region, [Interval(target_lo, target_hi)])
+        ok, _, _ = phi.maps_into(region, [Interval(target_lo, target_hi)], 128)
         if not ok:
             return None
     return BasinVerdict("certified", certified=True,

@@ -18,8 +18,8 @@ import mpmath
 from .config import default_precision
 from .errors import (HypothesisViolation, NeutralOrSuperattracting,
                      ResonantEigenvalue, ZeroLambda)
-from .numbers import (GaussianRational, as_exact, exact_abs_compare, invert,
-                      is_exact, to_mpf, to_numeric)
+from .numbers import (as_exact, exact_abs_compare, invert, is_exact, to_mpf,
+                      to_numeric)
 from .power_series import (Converges, Diverges, Inconclusive, TruncatedSeries,
                            estimate_radius)
 from .symbols import AnalyticSymbol
@@ -119,24 +119,24 @@ def solve_formal(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
     phi_jet = phi.jet(u, order, precision=precision)
     gamma_jet = gamma.jet(u, order, precision=precision)
     m = phi_jet.coeffs[1] if order >= 1 else phi.derivative_at(u, precision)
-    if isinstance(lam, GaussianRational) and not (
-            phi_jet.is_exact() and gamma_jet.is_exact()):
-        lam = to_numeric(lam)
-
-    powers = _composition_matrix(phi_jet, order)
-    coeffs = []
-    m_pow = _one_like(m)
-    for n in range(order + 1):
-        if _powers_equal(m_pow, lam):
-            raise ResonantEigenvalue(n)
-        rhs = gamma_jet.coeffs[n]
-        for j in range(n):
-            a = powers[j].coeffs[n]
-            if a == 0:
-                continue
-            rhs = rhs - coeffs[j] * a
-        coeffs.append(rhs / (m_pow - lam))
-        m_pow = m_pow * m
+    with mpmath.workprec(precision):
+        if not (phi_jet.is_exact() and gamma_jet.is_exact()):
+            lam = to_numeric(lam)
+            gamma_jet = gamma_jet.map_coefficients(to_numeric)
+        powers = _composition_matrix(phi_jet, order)
+        coeffs = []
+        m_pow = _one_like(m)
+        for n in range(order + 1):
+            if _powers_equal(m_pow, lam):
+                raise ResonantEigenvalue(n)
+            rhs = gamma_jet.coeffs[n]
+            for j in range(n):
+                a = powers[j].coeffs[n]
+                if a == 0:
+                    continue
+                rhs = rhs - coeffs[j] * a
+            coeffs.append(rhs / (m_pow - lam))
+            m_pow = m_pow * m
     series = TruncatedSeries(u, coeffs)
     verdict = None
     if estimate and order >= 16:

@@ -326,7 +326,8 @@ def _enclosure_multiplicity(p, enc: Enclosure) -> int:
 
 
 def _isolate_by_bisection(sf, interval: Interval):
-    """Isolation for a squarefree polynomial of degree >= 3."""
+    """Roots of a squarefree polynomial in the interval, unordered: exact
+    rationals hit by a bisection midpoint, else sign-change enclosures."""
     bound = cauchy_bound(sf)
     lo = interval.lower if is_finite(interval.lower) else -bound - 1
     hi = interval.upper if is_finite(interval.upper) else bound + 1
@@ -430,10 +431,9 @@ def poly_maps_into(p, source: Interval, targets: list[Interval]):
 
 
 def _crossing_witness(shifted, source: Interval) -> Fraction:
-    roots = isolate_roots(shifted, source)
-    root = roots[0][0] if roots else None
-    if isinstance(root, Enclosure):
-        return root.midpoint()
-    if isinstance(root, QuadraticNumber):
-        return source.midpoint()
-    return root if root is not None else source.midpoint()
+    """The leftmost root of ``shifted`` in the source when it is rational,
+    else the midpoint of its sign-change enclosure.  Bisection on the
+    square-free part only: no rational-root search and no exact quadratic
+    roots, whose radicands can be too large to split."""
+    roots = _isolate_by_bisection(squarefree_part(shifted), source)
+    return min(r.midpoint() if isinstance(r, Enclosure) else r for r in roots)

@@ -21,7 +21,7 @@ from . import polynomials as polylib
 from . import sturm
 from .config import default_precision
 from .errors import (ConstantSymbolError, DomainError, ExpressionSyntaxError,
-                     NotADiffeomorphism, OrbitEscape)
+                     InvarianceFailure, NotADiffeomorphism, OrbitEscape)
 from .intervals import NEG_INF, POS_INF, Interval, is_finite
 from .numbers import (QuadraticNumber, as_exact, format_rational, invert,
                       is_exact, parse_rational, to_mpf)
@@ -474,11 +474,10 @@ def _poly_limit(coeffs, end):
 
 
 def tree_limit(node, end):
+    """Limit of a folded tree toward an infinite end; ``limit_at``
+    evaluates finite ends directly."""
     if isinstance(node, Poly):
         return _poly_limit(node.coeffs, end)
-    if isinstance(node, (Add, Mul)) and isinstance(end, Fraction):
-        with mpmath.workprec(96):
-            return Limit("finite", approx=eval_tree(node, to_mpf(end)))
     if isinstance(node, Add):
         finite_exact = Fraction(0)
         finite_ok = True
@@ -666,14 +665,10 @@ class AnalyticSymbol:
     __slots__ = ("body", "domain", "invariance_certified", "text")
 
     def __init__(self, body, domain: Interval, *, text=None,
-                 require_self_map=True, require_nonconstant=True,
-                 _trusted=False):
+                 require_self_map=True, require_nonconstant=True):
         self.body = body
         self.domain = domain
         self.text = text
-        if _trusted:
-            self.invariance_certified = False
-            return
         if require_nonconstant:
             self._check_nonconstant()
         self.invariance_certified = self._check_self_map() if require_self_map else False
@@ -704,34 +699,40 @@ class AnalyticSymbol:
                     raise ConstantSymbolError("expression is numerically constant")
 
     def _check_self_map(self) -> bool:
-        if isinstance(self.body, PolynomialBody) and self.body.is_rational():
-            rational = [Fraction(c) for c in self.body.coeffs]
-            ok, witness = sturm.poly_maps_into(rational, self.domain, [self.domain])
-            if not ok:
-                raise DomainError(
-                    f"not a self-map: image leaves the interval near x={witness}")
-            return True
         if isinstance(self.body, ConjugatedBody):
             return False
-        # Sampled verification for elementary (and irrational-coefficient)
-        # bodies; never certified.
-        grid = _sample_grid(self.domain, 1024)
-        lo, hi = self.domain.lower, self.domain.upper
-        with mpmath.workprec(64):
-            slack = mpmath.mpf(2) ** -32
-            for x in grid:
-                y = to_mpf(self.eval(x, precision=64))
-                if is_finite(lo) and y < to_mpf(Fraction(lo)) - slack:
-                    raise DomainError(f"not a self-map: value below interval at x={x}")
-                if is_finite(hi) and y > to_mpf(Fraction(hi)) + slack:
-                    raise DomainError(f"not a self-map: value above interval at x={x}")
-        for end in (lo, hi):
-            lim = self.limit_at(end)
-            if lim.kind == "pos_inf" and is_finite(hi):
-                raise DomainError("not a self-map: diverges inside a bounded interval")
-            if lim.kind == "neg_inf" and is_finite(lo):
-                raise DomainError("not a self-map: diverges inside a bounded interval")
-        return False
+        ok, witness, certified = self.maps_into(self.domain, [self.domain], 1024)
+        if not ok:
+            raise DomainError(
+                f"not a self-map: image leaves the interval near x={witness}")
+        if not certified and self._diverges_inside(self.domain):
+            raise DomainError("not a self-map: diverges inside a bounded interval")
+        return certified
+
+    def maps_into(self, source: Interval, targets: list[Interval], samples: int):
+        """Whether phi maps the source interval into the union of the open
+        targets: (ok, witness, certified).
+
+        Rational polynomials get the exact Sturm certificate.  Every other
+        body checks the images of ``samples`` grid points of the source at
+        96 bits, each strictly inside some target, and is never certified.
+        The witness is a source point whose image leaves the union, or None.
+        """
+        if self.is_rational_polynomial():
+            ok, witness = sturm.poly_maps_into(self.rational_coeffs(), source, targets)
+            return ok, witness, True
+        with mpmath.workprec(96):
+            for x in _sample_grid(source, samples):
+                y = self.eval(x, 96)
+                if not any(t.contains(y) for t in targets):
+                    return False, x, False
+        return True, None, False
+
+    def _diverges_inside(self, domain: Interval) -> bool:
+        """Whether phi tends to an infinity on a side where the domain is bounded."""
+        kinds = {self.limit_at(domain.lower).kind, self.limit_at(domain.upper).kind}
+        return (("pos_inf" in kinds and is_finite(domain.upper))
+                or ("neg_inf" in kinds and is_finite(domain.lower)))
 
     # -- basic structure ----------------------------------------------------
 
@@ -923,8 +924,18 @@ class AnalyticSymbol:
         return hash((self.body, self.domain))
 
     def with_domain(self, domain: Interval) -> "AnalyticSymbol":
-        """The same map restricted to a smaller invariant interval."""
-        return AnalyticSymbol(self.body, domain, text=self.text)
+        """The same map restricted to a smaller invariant interval; raises
+        InvarianceFailure, with a witness, when the image leaves it."""
+        ok, witness, certified = self.maps_into(domain, [domain], 1024)
+        if not ok:
+            raise InvarianceFailure(f"image of {domain} leaves the interval",
+                                    witness=witness)
+        if not certified and self._diverges_inside(domain):
+            raise InvarianceFailure(f"image of {domain} diverges inside the interval")
+        restricted = AnalyticSymbol(self.body, domain, text=self.text,
+                                    require_self_map=False, require_nonconstant=False)
+        restricted.invariance_certified = certified
+        return restricted
 
 
 def format_polynomial(coeffs) -> str:
@@ -1193,7 +1204,7 @@ def conjugate(phi: AnalyticSymbol, delta: Diffeomorphism) -> AnalyticSymbol:
             if isinstance(folded, Poly):
                 return AnalyticSymbol(PolynomialBody(folded.coeffs), new_domain)
             return AnalyticSymbol(ElementaryBody(folded), new_domain)
-    return AnalyticSymbol(ConjugatedBody(phi, delta), new_domain, _trusted=True)
+    return AnalyticSymbol(ConjugatedBody(phi, delta), new_domain)
 
 
 def _require_image_matches(delta: Diffeomorphism, target: Interval):

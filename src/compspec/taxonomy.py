@@ -14,13 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import mpmath
-
-from . import sturm
 from .errors import HypothesisViolation, InvarianceFailure, UnresolvedVerdict
 from .intervals import Interval, intersect_unions, union_covers
 from .numbers import (GaussianRational, QuadraticNumber, as_exact,
-                      exact_abs_compare, format_scalar, parse_scalar, to_mpf)
+                      exact_abs_compare, format_scalar, parse_scalar)
 from .rootwork import (ATTRACTING, NEUTRAL_UNRESOLVED, REPELLING,
                        SUPERATTRACTING, SymbolAnalysis, analyze_symbol)
 from .symbols import (AnalyticSymbol, ConjugatedBody, NoFixedPoints,
@@ -711,28 +708,9 @@ class KernelDimLabel:
         return f"Finite({self.value})" if self.finite else f"Infinite({self.value})"
 
 
-def _check_invariant_interval(phi: AnalyticSymbol, targets: list[Interval],
-                              source: Interval):
-    if phi.is_rational_polynomial():
-        ok, witness = sturm.poly_maps_into(phi.rational_coeffs(), source, targets)
-        if not ok:
-            raise InvarianceFailure(
-                f"image of {source} leaves the piece", witness=witness)
-        return True
-    from .symbols import _sample_grid
-    with mpmath.workprec(64):
-        for x in _sample_grid(source, 256):
-            y = to_mpf(phi.eval(x, 64))
-            if not any(t.contains(y) for t in targets):
-                raise InvarianceFailure(f"sampled image point leaves the piece",
-                                        witness=x)
-    return False
-
-
 def kernel_dim(phi: AnalyticSymbol, region: Interval, lam) -> KernelDimLabel:
     """dim ker(C - lam I) on real analytic functions over the invariant
     region, per the fixed-point taxonomy of the restricted symbol."""
-    _check_invariant_interval(phi, [region], region)
     restricted = phi.with_domain(region)
     analysis = analyze_symbol(restricted)
     if lam == 0:
@@ -815,8 +793,11 @@ def covering_obstruction(phi: AnalyticSymbol, lam, pieces) -> CoveringObstructio
     certified = True
     for piece in pieces:
         for component in piece.intervals:
-            certified &= _check_invariant_interval(phi, list(piece.intervals),
-                                                   component)
+            ok, witness, sure = phi.maps_into(component, list(piece.intervals), 256)
+            if not ok:
+                raise InvarianceFailure(f"image of {component} leaves the piece",
+                                        witness=witness)
+            certified &= sure
     piece_kernels = tuple(kernel_dim(phi, p.determining, lam) for p in pieces)
     inter_kernels = []
     for i in range(len(pieces)):

@@ -77,6 +77,20 @@ class TestSolve:
         assert [F(c) for c in doc["series"]["coeffs"]] == [-5 * c for c in base]
 
 
+    def test_center_detection_asks_only_for_fixed_points(self, capsys,
+                                                         monkeypatch):
+        from compspec import rootwork
+
+        def refuse(phi, *args):
+            raise AssertionError("critical-point scan")
+
+        monkeypatch.setattr(rootwork, "find_critical_points", refuse)
+        code = main(["solve", "--symbol", "1/2*x", "--lambda", "5",
+                     "--gamma", "1+x^2", "--order", "2"])
+        assert code == 0
+        assert "fixed point: 0" in capsys.readouterr().out
+
+
 class TestEval:
     def test_exact_value_and_residual(self, capsys):
         code, out = run_cli(capsys, "eval", "--symbol", "1/2*x",

@@ -74,6 +74,15 @@ class TestForwardExtension:
         with pytest.raises(HypothesisViolation):
             globalize(parse_symbol("x^2"), F(0), F(5), parse_rhs("1"), order=20)
 
+    @pytest.mark.parametrize("text,center", [("-x^2+3/2*x", F(1, 2)),
+                                             ("1/2*x-x^2", F(0))])
+    def test_basin_check_rejects_escaping_quadratics(self, text, center):
+        # Orbits of x < 0 escape to -inf; the certified basin check says so
+        # without computing exact roots of huge quadratic radicands.
+        with pytest.raises(HypothesisViolation, match="not attracted"):
+            globalize(parse_symbol(text), center, F(2), parse_rhs("x"),
+                      order=24, precision=256)
+
 
 class TestInverseBranch:
     def test_branch_values(self, parabolic_solution):

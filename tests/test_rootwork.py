@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from compspec import polynomials as polylib
 from compspec import rootwork, sturm
 from compspec.errors import DomainError, HypothesisViolation
 from compspec.intervals import Interval
+from compspec.numbers import to_mpf
 from compspec.rootwork import (AllFixed, analyze_symbol,
                                attraction_basin_check,
                                critical_set_bounded_away, find_critical_points,
@@ -230,6 +232,32 @@ class TestComputedOnce:
         records = find_fixed_points_second_iterate(phi)
         assert sum(isinstance(r.location, sturm.Enclosure) for r in records) > 3
         assert len(calls) <= 14
+
+
+class TestBisection:
+    def test_stops_when_the_bracket_stalls(self):
+        # At 96 bits the bracket around pi/2 reaches adjacent floats well
+        # before 200 halvings; the result is the one a full 200-step loop
+        # gives.
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return mpmath.cos(x)
+
+        with mpmath.workprec(96):
+            a, b = F(3, 2), F(8, 5)
+            root = rootwork._bisect_numeric(g, a, b, mpmath.cos(to_mpf(a)))
+            lo, hi = to_mpf(a), to_mpf(b)
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if mpmath.cos(mid) > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            assert root == (lo + hi) / 2
+            assert abs(root - mpmath.pi / 2) < mpmath.mpf(2) ** -90
+        assert len(calls) <= 110
 
 
 class TestSturmProperties:

@@ -60,6 +60,16 @@ class TestSolveFormal:
         residual = sol.residual_series()
         assert max(abs(c) for c in residual.coeffs) < mpmath.mpf(2) ** -40
 
+    @pytest.mark.parametrize("lam", [F(3), GaussianRational(3, 1)])
+    def test_numeric_jets_solve_at_the_requested_precision(self, lam):
+        # Numeric jets with an exact eigenvalue and right-hand side: the
+        # triangular solve runs at 256 bits, not at the caller's 53.
+        phi = parse_symbol("1/2*x + 1/2 + 1/8*sin(x) - 1/8*sin(1)")
+        sol = solve_formal(phi, 1, lam, parse_rhs("x"), 8, precision=256)
+        with mpmath.workprec(256):
+            residual = sol.residual_series()
+            assert max(abs(c) for c in residual.coeffs) < mpmath.mpf(2) ** -200
+
     def test_randomized_exact_residual_suite(self):
         # Polynomial symbols with a rational attracting fixed point at 0,
         # polynomial right-hand sides, rational lambda off the resonance

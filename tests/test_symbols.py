@@ -3,11 +3,12 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from compspec import sturm
 from compspec.errors import (ConstantSymbolError, DegreeOverflow, DomainError,
-                             ExpressionSyntaxError, NotADiffeomorphism,
-                             OrbitEscape)
+                             ExpressionSyntaxError, InvarianceFailure,
+                             NotADiffeomorphism, OrbitEscape)
 from compspec.intervals import Interval
-from compspec.numbers import QuadraticNumber, quadratic
+from compspec.numbers import QuadraticNumber, quadratic, to_mpf
 from compspec.symbols import (NoFixedPoints, conjugate,
                               identity_diffeomorphism, normalize_quadratic,
                               parse_change, parse_rhs, parse_symbol)
@@ -294,3 +295,74 @@ class TestSelfMapChecks:
     def test_exp_diverges_on_bounded_interval(self):
         with pytest.raises(DomainError):
             parse_symbol("exp(x)", Interval(0, 1))
+
+
+class TestMapsInto:
+    def test_rational_polynomial_certified(self):
+        phi = parse_symbol("x^3")
+        assert phi.maps_into(Interval(-1, 1), [Interval(-1, 1)], 16) == (True, None, True)
+        # x^3 leaves (0, 1) exactly where it crosses 1.
+        assert phi.maps_into(Interval(0, 2), [Interval(0, 1)], 16) == (False, F(1), True)
+
+    def test_elementary_sampled(self):
+        phi = parse_symbol("1/2*arctan(x)")
+        assert phi.maps_into(Interval(-1, 1), [Interval(-1, 1)], 64) == (True, None, False)
+        ok, witness, certified = phi.maps_into(Interval(0, 4), [Interval(0, F(1, 2))], 64)
+        assert not ok and not certified
+        # 1/2*arctan(x) >= 1/2 exactly from x = tan(1) on.
+        assert mpmath.tan(1) <= to_mpf(witness) < 4
+
+    @pytest.mark.parametrize("text,source", [("2*x-1/2", Interval(0, 1)),
+                                             ("arctan(x)", Interval(-1, 1))])
+    def test_two_interval_target_union(self, text, source):
+        # The image (-1/2, 3/2), resp. (-0.79, 0.79), needs both targets.
+        phi = parse_symbol(text)
+        union = [Interval(-1, F(1, 2)), Interval(0, 2)]
+        assert phi.maps_into(source, union, 64)[0]
+        assert not phi.maps_into(source, union[:1], 64)[0]
+        assert not phi.maps_into(source, union[1:], 64)[0]
+        ok, witness, _ = phi.maps_into(source, [Interval(-1, F(1, 2)),
+                                                Interval(1, 2)], 64)
+        assert not ok and source.contains(witness)
+
+    def test_sampled_images_are_strict(self):
+        # One sample, at 0, whose image 0 is the lower end of the target.
+        phi = parse_symbol("1/2*arctan(x)")
+        assert phi.maps_into(Interval(-1, 1), [Interval(0, 1)], 1) == (False, F(0), False)
+        assert phi.maps_into(Interval(-1, 1), [Interval(-1, 1)], 1) == (True, None, False)
+
+    def test_with_domain_records_the_certificate(self):
+        assert parse_symbol("x^3").with_domain(Interval(-1, 1)).invariance_certified
+        restricted = parse_symbol("1/2*arctan(x)").with_domain(Interval(-1, 1))
+        assert restricted.domain == Interval(-1, 1)
+        assert not restricted.invariance_certified
+        with pytest.raises(InvarianceFailure) as info:
+            parse_symbol("x^3").with_domain(Interval(0, 2))
+        assert info.value.witness == F(1)
+
+    def test_kernel_dim_checks_its_region_once(self, monkeypatch):
+        from compspec.taxonomy import kernel_dim
+        phi = parse_symbol("x^3")
+        calls = []
+        original = sturm.poly_maps_into
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sturm, "poly_maps_into", counting)
+        kernel_dim(phi, Interval(-1, 1), F(2))
+        assert len(calls) == 1
+
+    def test_crossing_witness_skips_exact_quadratic_roots(self, monkeypatch):
+        # 3/2*x - x^2 crosses 1/3 at an irrational point; the witness comes
+        # from bisection, without splitting the radicand.
+        from compspec import numbers
+
+        def refuse(n):
+            raise AssertionError("radicand split")
+
+        monkeypatch.setattr(numbers, "_squarefree_split", refuse)
+        ok, witness = sturm.poly_maps_into([F(0), F(3, 2), F(-1)], Interval(0, 1),
+                                           [Interval(F(1, 3), 2)])
+        assert not ok and 0 < witness < 1
