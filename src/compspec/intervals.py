@@ -157,9 +157,6 @@ class Interval:
             return hi - 1
         return Fraction(0)
 
-    def is_bounded(self) -> bool:
-        return is_finite(self.lower) and is_finite(self.upper)
-
     def __eq__(self, other):
         return (isinstance(other, Interval)
                 and self.lower == other.lower and self.upper == other.upper)

@@ -272,6 +272,11 @@ class QuadraticNumber:
             return QuadraticNumber(Fraction(other), Fraction(0), self.d)
         return None
 
+    def _in_field(self, p: Fraction, q: Fraction):
+        """p + q*sqrt(d) in this field; d is already squarefree, so unlike
+        quadratic() this never splits the radicand."""
+        return p if q == 0 else QuadraticNumber(p, q, self.d)
+
     def sign(self) -> int:
         """Exact sign of p + q*sqrt(d)."""
         p, q = self.p, self.q
@@ -296,7 +301,7 @@ class QuadraticNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return quadratic(self.p + o.p, self.q + o.q, self.d)
+        return self._in_field(self.p + o.p, self.q + o.q)
 
     __radd__ = __add__
 
@@ -307,7 +312,7 @@ class QuadraticNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return quadratic(self.p - o.p, self.q - o.q, self.d)
+        return self._in_field(self.p - o.p, self.q - o.q)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -316,8 +321,8 @@ class QuadraticNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return quadratic(self.p * o.p + self.q * o.q * self.d,
-                         self.p * o.q + self.q * o.p, self.d)
+        return self._in_field(self.p * o.p + self.q * o.q * self.d,
+                              self.p * o.q + self.q * o.p)
 
     __rmul__ = __mul__
 
@@ -337,7 +342,7 @@ class QuadraticNumber:
         num = self * o.conjugate()
         if isinstance(num, Fraction):
             return num / n
-        return quadratic(num.p / n, num.q / n, self.d)
+        return self._in_field(num.p / n, num.q / n)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -359,11 +364,14 @@ class QuadraticNumber:
         return -self if self.sign() < 0 else self
 
     def _cmp(self, other) -> int:
-        # Sign of the difference; d is already squarefree, so skip quadratic().
+        """Sign of the difference."""
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare QuadraticNumber with {other!r}")
-        return QuadraticNumber(self.p - o.p, self.q - o.q, self.d).sign()
+        diff = self._in_field(self.p - o.p, self.q - o.q)
+        if isinstance(diff, QuadraticNumber):
+            return diff.sign()
+        return (diff > 0) - (diff < 0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QuadraticNumber)):

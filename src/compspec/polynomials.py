@@ -2,10 +2,10 @@
 
 Coefficients are Fractions (ints are promoted) or QuadraticNumbers; the
 ring operations, composition, derivative and evaluation work on both.
-Division-based routines (``content_free``, ``pseudo_rem``) need rational
-coefficients.  Coefficient lists are ascending (index = degree) with a
-nonzero leading entry unless the polynomial is zero (empty list is not
-used; the zero polynomial is ``[Fraction(0)]``).
+``content_free`` needs rational coefficients.  Coefficient lists are
+ascending (index = degree) with a nonzero leading entry unless the
+polynomial is zero (empty list is not used; the zero polynomial is
+``[Fraction(0)]``).
 """
 
 from __future__ import annotations
@@ -118,17 +118,25 @@ def content_free(p):
     return [Fraction(c) for c in ints]
 
 
-def pseudo_rem(p, q):
-    """Remainder of p by q over the rationals (exact)."""
-    p = list(p)
-    dq = degree(q)
-    if dq == 0:
-        return [Fraction(0)]
-    lead = q[-1]
-    while degree(p) >= dq and not is_zero(p):
-        factor = p[-1] / lead
-        k = degree(p) - dq
-        for i, c in enumerate(q):
-            p[i + k] -= factor * c
-        p = normalize(p[:-1]) if len(p) > 1 else [Fraction(0)]
-    return normalize(p)
+def div_rem(p, q):
+    """Quotient and remainder of p by q, so p = quotient*q + remainder with
+    degree(remainder) < degree(q); a constant q leaves remainder [0].
+
+    Both inputs are normalized (nonzero lead unless zero); q is not zero.
+    """
+    lead, dq = as_exact(q[-1]), len(q) - 1
+    rem = list(p)
+    if len(rem) <= dq:
+        return [Fraction(0)], rem
+    monic = lead == 1
+    quotient = [Fraction(0)] * (len(rem) - dq)
+    for k in range(len(quotient) - 1, -1, -1):
+        f = rem[k + dq] if monic else rem[k + dq] / lead
+        quotient[k] = f
+        if f:
+            for i in range(dq):
+                rem[i + k] -= f * q[i]
+    rem = rem[:dq]
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    return quotient, rem or [Fraction(0)]

@@ -129,9 +129,6 @@ class TruncatedSeries:
             out.append(-inv0 * acc)
         return TruncatedSeries(self.center, out)
 
-    def divide(self, other):
-        return self * other.reciprocal()
-
     def differentiate(self):
         if self.order == 0:
             return TruncatedSeries(self.center, [Fraction(0)])

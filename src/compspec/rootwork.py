@@ -152,18 +152,20 @@ def _fixed_point_records(p, domain: Interval) -> list[FixedPointRecord]:
 
     An exact root gets its exact multiplier.  For an enclosure root,
     membership of the multiplier in {0, 1, -1} is decided by the gcd of
-    p(x) - x with p'(x) - s, computed once per polynomial; otherwise the
-    enclosure refines until the multiplier interval separates from those
-    circles.
+    p(x) - x with p'(x) - s, computed with its Sturm chain once per
+    polynomial: the gcd vanishes in the enclosure exactly when the enclosed
+    fixed point is one of its roots.  Otherwise the enclosure refines until
+    the multiplier interval separates from those circles.
     """
     p_fix = polylib.sub(p, [Fraction(0), Fraction(1)])
     dp = polylib.derivative(p)
     roots = sturm.isolate_roots(p_fix, domain)
     certificates = []
     if any(isinstance(root, Enclosure) for root, _ in roots):
-        certificates = [
-            (special, kind, sturm.poly_gcd(p_fix, polylib.sub(dp, [special])))
-            for special, kind in _SPECIAL_MULTIPLIERS]
+        for special, kind in _SPECIAL_MULTIPLIERS:
+            g = sturm.poly_gcd(p_fix, polylib.sub(dp, [special]))
+            if polylib.degree(g) >= 1:
+                certificates.append((special, kind, sturm.sturm_chain(g)))
     return [_root_record(dp, certificates, root, mult) for root, mult in roots]
 
 
@@ -172,9 +174,8 @@ def _root_record(dp, certificates, root, mult) -> FixedPointRecord:
     if not isinstance(root, Enclosure):
         m = polylib.eval_at(dp, root)
         return FixedPointRecord(root, m, _kind_from_exact(m), mult, True)
-    segment = Interval(root.lo, root.hi)
-    for special, kind, g in certificates:
-        if polylib.degree(g) >= 1 and sturm.count_roots_open(g, segment) >= 1:
+    for special, kind, chain in certificates:
+        if root.holds_root_of(chain):
             return FixedPointRecord(root, special, kind, mult, True)
     current, width = root, root.hi - root.lo
     while True:

@@ -15,7 +15,7 @@ import mpmath
 
 from . import polynomials as poly
 from .intervals import NEG_INF, POS_INF, Interval, ext_lt, is_finite
-from .numbers import QuadraticNumber, quadratic, to_mpf
+from .numbers import quadratic, to_mpf
 
 
 def eval_sign_at_infinity(p, positive: bool) -> int:
@@ -43,7 +43,7 @@ def sturm_chain(p) -> list[list[Fraction]]:
     p = poly.content_free(poly.normalize(p))
     chain = [p, poly.content_free(poly.derivative(p))]
     while poly.degree(chain[-1]) > 0:
-        r = poly.pseudo_rem(chain[-2], chain[-1])
+        _, r = poly.div_rem(chain[-2], chain[-1])
         if poly.is_zero(r):
             break
         chain.append(poly.content_free(poly.neg(r)))
@@ -55,16 +55,12 @@ def sign_variations(chain, x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def deflate_rational_root(p, r: Fraction):
-    """Divide out (x - r) once; r must be a root."""
-    out = []
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * r + c
-        out.append(acc)
-    if acc != 0:
-        raise ValueError("deflation at a non-root")
-    return poly.normalize(list(reversed(out[:-1])))
+def _deflate(p, r: Fraction):
+    """(p with every factor x - r divided out, the number divided out)."""
+    k = 0
+    while poly.degree(p) >= 1 and poly.eval_at(p, r) == 0:
+        p, k = poly.div_rem(p, [-r, Fraction(1)])[0], k + 1
+    return p, k
 
 
 def poly_gcd(p, q):
@@ -73,40 +69,26 @@ def poly_gcd(p, q):
         return b
     a, b = poly.content_free(a), poly.content_free(b)
     while not poly.is_zero(b) and poly.degree(b) > 0:
-        a, b = b, poly.content_free(poly.pseudo_rem(a, b))
+        a, b = b, poly.content_free(poly.div_rem(a, b)[1])
     if not poly.is_zero(b):
         return [Fraction(1)]
     return poly.scale(a, Fraction(1) / a[-1])
 
 
-def squarefree_part(p):
-    p = poly.normalize(p)
-    if poly.degree(p) <= 1:
-        return p
-    g = poly_gcd(p, poly.derivative(p))
-    if poly.degree(g) == 0:
-        return p
-    quotient, rem = divmod_poly(p, g)
-    if not poly.is_zero(rem):
-        raise ArithmeticError("gcd does not divide its polynomial")
-    return quotient
+def squarefree_decomposition(w):
+    """(w / g1, [g1, g2, ...]) for a nonconstant normalized w, where
+    g1 = gcd(w, w') and g(k+1) = gcd(gk, gk') down to a constant.
 
-
-def divmod_poly(p, q):
-    p = list(poly.normalize(p))
-    q = poly.normalize(q)
-    dq, lead = poly.degree(q), q[-1]
-    quotient = [Fraction(0)] * max(len(p) - dq, 1)
-    while poly.degree(p) >= dq and not poly.is_zero(p):
-        k = poly.degree(p) - dq
-        f = p[-1] / lead
-        quotient[k] = f
-        for i, c in enumerate(q):
-            p[i + k] -= f * c
-        p = poly.normalize(p[:-1]) if len(p) > 1 else [Fraction(0)]
-        if dq == 0:
+    The first entry is the square-free part of w; a root of w of
+    multiplicity m is a root of exactly g1, ..., g(m-1).
+    """
+    chain, g = [], w
+    while poly.degree(g) >= 2:
+        g = poly_gcd(g, poly.derivative(g))
+        if poly.degree(g) == 0:
             break
-    return poly.normalize(quotient), poly.normalize(p)
+        chain.append(g)
+    return (poly.div_rem(w, chain[0])[0] if chain else w), chain
 
 
 def count_roots_open(p, interval: Interval) -> int:
@@ -121,8 +103,7 @@ def count_roots_open(p, interval: Interval) -> int:
     # over (lo, hi] needs no further adjustment.
     for endpoint in (lo, hi):
         if is_finite(endpoint) and isinstance(endpoint, Fraction):
-            while poly.degree(p) >= 1 and poly.eval_at(p, endpoint) == 0:
-                p = deflate_rational_root(p, endpoint)
+            p = _deflate(p, endpoint)[0]
     if poly.degree(p) == 0:
         return 0
     chain = sturm_chain(p)
@@ -166,6 +147,12 @@ class Enclosure:
     def has_sign_change(self) -> bool:
         return sign_at(list(self.p), self.lo) * sign_at(list(self.p), self.hi) < 0
 
+    def holds_root_of(self, chain) -> bool:
+        """Whether the polynomial with this Sturm chain has a root in the
+        enclosure.  It must have none at lo or hi, which holds for every
+        divisor of the polynomial isolate_roots returned the enclosure for."""
+        return sign_variations(chain, self.lo) > sign_variations(chain, self.hi)
+
     def to_mpf(self):
         return (to_mpf(self.lo) + to_mpf(self.hi)) / 2
 
@@ -183,13 +170,18 @@ def cauchy_bound(p) -> Fraction:
 
 
 _DIVISOR_BUDGET = 4096
+_DIVISOR_STEPS = 2 ** 16
 
 
 def _divisors(n: int):
+    """The positive divisors of n, or None past the divisor budget or after
+    _DIVISOR_STEPS trial divisions."""
     n = abs(n)
     out = set()
     d = 1
     while d * d <= n:
+        if d > _DIVISOR_STEPS:
+            return None
         if n % d == 0:
             out.add(d)
             out.add(n // d)
@@ -238,91 +230,67 @@ def solve_quadratic_exact(p):
         return []
     if disc == 0:
         return [-b / (2 * a)]
-    # sqrt(num/den) = sqrt(num*den)/den
-    radicand = disc.numerator * disc.denominator
-    spread = Fraction(1, disc.denominator) / (2 * a)
-    roots = [quadratic(-b / (2 * a), -spread, radicand),
-             quadratic(-b / (2 * a), spread, radicand)]
-    return sorted(roots, key=_approx_key)
+    # sqrt(num/den) = sqrt(num*den)/den; the second root is the conjugate
+    # of the first, so the radicand is split once.
+    center = -b / (2 * a)
+    first = quadratic(center, Fraction(1, disc.denominator) / (2 * a),
+                      disc.numerator * disc.denominator)
+    return sorted([first, 2 * center - first], key=_approx_key)
 
 
 def _approx_key(r):
     with mpmath.workprec(128):
-        if isinstance(r, Enclosure):
-            return r.to_mpf()
-        if isinstance(r, QuadraticNumber):
-            return r.to_mpf()
-        return to_mpf(r)
-
-
-def root_multiplicity(p, r) -> int:
-    """Multiplicity of an exact rational/quadratic root of p."""
-    p = poly.normalize(p)
-    k = 0
-    while poly.degree(p) >= 1 and _is_exact_root(p, r):
-        p = _deflate_exact(p, r)
-        k += 1
-    return k
-
-
-def _is_exact_root(p, r) -> bool:
-    v = poly.eval_at(p, r)
-    if isinstance(v, QuadraticNumber):
-        return v.sign() == 0
-    return v == 0
-
-
-def _deflate_exact(p, r):
-    if isinstance(r, QuadraticNumber):
-        minimal = poly.normalize([r.norm(), -2 * r.p, Fraction(1)])
-        quotient, rem = divmod_poly(p, minimal)
-        if not poly.is_zero(rem):
-            raise ValueError("quadratic number is not a root")
-        return quotient
-    return deflate_rational_root(p, Fraction(r))
+        return r.to_mpf() if isinstance(r, Enclosure) else to_mpf(r)
 
 
 def isolate_roots(p, interval: Interval):
     """Distinct real roots of p in the open interval, with multiplicities.
 
     Returns [(root, multiplicity)] ascending, where root is a Fraction, a
-    QuadraticNumber, or an Enclosure (sign-change certificate).
+    QuadraticNumber, or an Enclosure (sign-change certificate) of a root of
+    p that contains no other root of p.
     """
     p = poly.normalize(p)
     if poly.is_zero(p):
         raise ValueError("zero polynomial")
     results = []
-    work = list(p)
-    for r in rational_roots(p):
-        k = 0
-        while poly.degree(work) >= 1 and poly.eval_at(work, r) == 0:
-            work = deflate_rational_root(work, r)
-            k += 1
-        if k and interval.contains(r):
+    work = p
+    rationals = rational_roots(p)
+    for r in rationals:
+        work, k = _deflate(work, r)
+        if interval.contains(r):
             results.append((r, k))
     if poly.degree(work) >= 1:
-        sf = squarefree_part(work)
+        sf, gcds = squarefree_decomposition(work)
         if poly.degree(sf) <= 2:
-            for r in solve_quadratic_exact(sf):
-                if interval.contains(r):
-                    results.append((r, root_multiplicity(work, r)))
+            roots = [r for r in solve_quadratic_exact(sf) if interval.contains(r)]
         else:
-            for enc in _isolate_by_bisection(sf, interval):
-                if isinstance(enc, Fraction):
-                    results.append((enc, root_multiplicity(work, enc)))
-                else:
-                    results.append((enc, _enclosure_multiplicity(work, enc)))
+            roots = [_clear_of(enc, rationals) if isinstance(enc, Enclosure) else enc
+                     for enc in _isolate_by_bisection(sf, interval)]
+        chains = ([sturm_chain(g) for g in gcds]
+                  if any(isinstance(r, Enclosure) for r in roots) else [])
+        results += [(r, 1 + _gcds_vanishing_at(gcds, chains, r)) for r in roots]
     return sorted(results, key=lambda rm: _approx_key(rm[0]))
 
 
-def _enclosure_multiplicity(p, enc: Enclosure) -> int:
-    mult = 1
-    g = poly_gcd(p, poly.derivative(p))
-    seg = Interval(enc.lo, enc.hi)
-    while poly.degree(g) >= 1 and count_roots_open(g, seg) >= 1:
-        mult += 1
-        g = poly_gcd(g, poly.derivative(g))
-    return mult
+def _clear_of(enc: Enclosure, points) -> Enclosure:
+    """The enclosure refined until no point lies in [lo, hi]; the points
+    are not roots of its polynomial, so the halving stops."""
+    for r in points:
+        while enc.lo <= r <= enc.hi:
+            enc = enc.refine(enc.width() / 2)
+    return enc
+
+
+def _gcds_vanishing_at(gcds, chains, root) -> int:
+    """How many of the nested gcds (with their Sturm chains when the root is
+    an enclosure) have the root among their roots."""
+    for k, g in enumerate(gcds):
+        hit = (root.holds_root_of(chains[k]) if isinstance(root, Enclosure)
+               else poly.eval_at(g, root) == 0)
+        if not hit:
+            return k
+    return len(gcds)
 
 
 def _isolate_by_bisection(sf, interval: Interval):
@@ -332,13 +300,21 @@ def _isolate_by_bisection(sf, interval: Interval):
     lo = interval.lower if is_finite(interval.lower) else -bound - 1
     hi = interval.upper if is_finite(interval.upper) else bound + 1
     lo, hi = Fraction(lo), Fraction(hi)
+    chain = sturm_chain(sf)
+
+    def count(a, b):
+        # Roots in (a, b]; the chain of a square-free polynomial counts a
+        # root at b but not one at a.
+        n = sign_variations(chain, a) - sign_variations(chain, b)
+        return n - 1 if poly.eval_at(sf, b) == 0 else n
+
     found = []
     stack = [(lo, hi)]
     while stack:
         a, b = stack.pop()
         if not a < b:
             continue
-        n = count_roots_open(sf, Interval(a, b))
+        n = count(a, b)
         if n == 0:
             continue
         if n > 1:
@@ -359,7 +335,7 @@ def _isolate_by_bisection(sf, interval: Interval):
             if poly.eval_at(sf, mid) == 0:
                 found.append(mid)
                 break
-            if count_roots_open(sf, Interval(aa, mid)) == 1:
+            if count(aa, mid) == 1:
                 bb = mid
             else:
                 aa = mid
@@ -435,5 +411,5 @@ def _crossing_witness(shifted, source: Interval) -> Fraction:
     else the midpoint of its sign-change enclosure.  Bisection on the
     square-free part only: no rational-root search and no exact quadratic
     roots, whose radicands can be too large to split."""
-    roots = _isolate_by_bisection(squarefree_part(shifted), source)
+    roots = _isolate_by_bisection(squarefree_decomposition(shifted)[0], source)
     return min(r.midpoint() if isinstance(r, Enclosure) else r for r in roots)

@@ -1037,15 +1037,14 @@ def identity_symbol(domain=None) -> AnalyticSymbol:
 class Diffeomorphism:
     """An invertible analytic coordinate change with a usable inverse.
 
-    The inverse is exact (affine forward maps), a caller-supplied closed
-    form, or a bracketed numeric root solve against the forward map.
+    The inverse is exact (affine forward maps) or a bracketed numeric root
+    solve against the forward map.
     """
 
-    __slots__ = ("forward", "inverse_fn", "increasing", "certified", "_affine")
+    __slots__ = ("forward", "increasing", "certified", "_affine")
 
-    def __init__(self, forward: AnalyticSymbol, inverse_fn=None):
+    def __init__(self, forward: AnalyticSymbol):
         self.forward = forward
-        self.inverse_fn = inverse_fn
         self._affine = None
         if forward.is_polynomial() and forward.body.degree == 1:
             offset, scale = forward.body.coeffs
@@ -1100,9 +1099,6 @@ class Diffeomorphism:
                 return (y - offset) * invert(scale)
             with mpmath.workprec(precision + _GUARD_BITS):
                 return (y - to_mpf(offset)) / to_mpf(scale)
-        if self.inverse_fn is not None:
-            with mpmath.workprec(precision + _GUARD_BITS):
-                return self.inverse_fn(to_mpf(y))
         return self._numeric_inverse(y, precision)
 
     def _numeric_inverse(self, y, precision):

@@ -71,6 +71,25 @@ def test_quadratic_sign_and_abs():
     assert b > 0
 
 
+def test_arithmetic_does_not_split_the_radicand_again(monkeypatch):
+    from compspec import numbers
+    a = quadratic(1, 1, 10 ** 12 + 39)
+    d = a.d
+
+    def refuse(n):
+        raise AssertionError("radicand split again")
+
+    monkeypatch.setattr(numbers, "_squarefree_split", refuse)
+    assert a + 1 == QuadraticNumber(F(2), F(1), d)
+    assert a - a == 0 and isinstance(a - a, F)
+    assert a * a == QuadraticNumber(F(1 + d), F(2), d)
+    assert a * a.conjugate() == 1 - d
+    assert (a * 3) / a == 3
+    assert a / 2 == QuadraticNumber(F(1, 2), F(1, 2), d)
+    assert 1 < a < 10 ** 7 and a > 0 and a != 1
+    assert a ** 2 - 2 * a == d - 1
+
+
 def test_scalar_round_trip():
     values = [F(3, 7), F(-2), GaussianRational(F(1, 2), F(-3, 4)),
               quadratic(1, 1, 5), quadratic(0, F(-1, 2), 2)]

@@ -35,6 +35,19 @@ class TestFixedPoints:
         assert locations(recs) == [-1, 0, 1]
         assert [r.multiplier for r in recs] == [2, F(1, 2), 2]
 
+    def test_enclosure_does_not_borrow_a_rational_root_multiplier(self):
+        # Fixed points: the double root 0 and the real root near -0.4534 of
+        # x^3 + 2x + 1, whose multiplier 1 - 5x^4 - 6x^2 - 2x is about 0.462.
+        recs = find_fixed_points(parse_symbol("x - x^5 - 2*x^3 - x^2"))
+        assert [r.multiplicity for r in recs] == [1, 2]
+        first = recs[0]
+        assert isinstance(first.location, sturm.Enclosure)
+        assert first.location.hi < 0
+        assert first.kind == "attracting"
+        mlo, mhi = first.multiplier
+        assert F(46, 100) < mlo <= mhi < F(47, 100)
+        assert (recs[1].location, recs[1].kind) == (0, "neutral")
+
     def test_arctan_heuristic(self):
         recs = find_fixed_points(parse_symbol("1/2*arctan(x)"))
         assert len(recs) == 1

@@ -127,6 +127,15 @@ class TestSpectrumCatalog:
             report = spectrum(parse_symbol(text))
             assert isinstance(report, ClassificationReport)
 
+    def test_large_prime_coefficient(self):
+        # The second iterate's constant-term divisors would take ~10^10
+        # trial divisions; bounded, the rational-root search falls back to
+        # small candidates and bisection finds the rest.
+        report = spectrum(parse_symbol("1/100003*x^3+1/2*x"))
+        assert report.case_id == "Prop 3.9"
+        assert report.sigma == PuncturedPlane()
+        assert report.sigma_p == FiniteSet((F(1),))
+
     def test_unresolved_reports_use_superset(self):
         report = spectrum(parse_symbol("x - x^3"))
         if not report.resolved:
