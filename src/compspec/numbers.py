@@ -107,10 +107,6 @@ class GaussianRational:
             return cls(int(value.real), 0)
         raise TypeError(f"cannot convert {value!r} to GaussianRational")
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def abs2(self) -> Fraction:
         """|z|^2 as an exact rational."""
         return self.re * self.re + self.im * self.im

@@ -15,7 +15,7 @@ import mpmath
 
 from .errors import CenterMismatch
 from .numbers import (GaussianRational, as_exact, format_rational, invert,
-                      is_exact, to_mpc, to_mpf)
+                      is_exact, to_mpf)
 
 
 class TruncatedSeries:
@@ -81,8 +81,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.center, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -154,35 +152,46 @@ class TruncatedSeries:
             result = result * shifted + c
         return result
 
+    def solve_composition(self, lam, rhs, head=()) -> list:
+        """Coefficients of the series c with c(self(x)) - lam*c(x) = rhs(x)
+        through self's order, all expanded in powers of (x - center).
+
+        With s = self - self(center), the table [t**n] s**j is built once
+        and row n is solved with pivot [t**n] s**n - lam (multiplier**n -
+        lam), skipping zero table entries.  ``head`` fixes the leading
+        coefficients the caller already knows; a zero pivot raises
+        ZeroDivisionError.
+        """
+        n = self.order
+        s = TruncatedSeries(self.center, (Fraction(0),) + self.coeffs[1:])
+        # The int 1 keeps the n = 0 pivot 1 - lam valid for an mpf lam.
+        powers = [TruncatedSeries(self.center, [1] + [Fraction(0)] * n)]
+        for _ in range(n):
+            powers.append(powers[-1] * s)
+        coeffs = list(head)
+        for k in range(len(coeffs), n + 1):
+            acc = rhs[k]
+            for j in range(k):
+                a = powers[j].coeffs[k]
+                if a == 0:
+                    continue
+                acc = acc - coeffs[j] * a
+            coeffs.append(acc / (powers[k].coeffs[k] - lam))
+        return coeffs
+
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse: series g at self(center) with g(self(x)) = x.
 
         Requires an invertible linear coefficient.
         """
-        c1 = self.coeffs[1] if self.order >= 1 else Fraction(0)
+        c1 = self.coefficient(1)
         if is_exact(c1) and c1 == 0:
             raise ZeroDivisionError("linear coefficient vanishes; not invertible")
-        n = self.order
-        # Work with t = x - center and s = y - self(center).
-        f = (Fraction(0),) + self.coeffs[1:]
-        # Powers of f up to needed order.
-        powers = [None] * (n + 1)
-        one = TruncatedSeries(0, [Fraction(1)] + [Fraction(0)] * n)
-        fs = TruncatedSeries(0, f)
-        powers[0] = one
-        for k in range(1, n + 1):
-            powers[k] = powers[k - 1] * fs
-        g = [Fraction(0)] * (n + 1)
-        if n >= 1:
-            g[1] = invert(c1)
-        for m in range(2, n + 1):
-            acc = Fraction(0)
-            for k in range(1, m):
-                acc = acc + g[k] * powers[k].coeffs[m]
-            g[m] = -acc * invert(powers[m].coeffs[m])  # denominator = c1**m
-        new_center = self.coeffs[0]
-        out = [self.center if m == 0 else g[m] for m in range(n + 1)]
-        return TruncatedSeries(new_center, out)
+        # g(self(x)) = center + (x - center).  Int coefficients keep the
+        # right-hand side valid against mpf jets (Fraction - mpf raises).
+        x = [self.center, 1] + [0] * (self.order - 1)
+        g = self.solve_composition(0, x, head=(self.center,))
+        return TruncatedSeries(self.coeffs[0], g)
 
     def eval(self, x):
         """Horner evaluation of the Taylor polynomial at x."""
@@ -194,15 +203,6 @@ class TruncatedSeries:
 
     def map_coefficients(self, fn):
         return TruncatedSeries(self.center, [fn(c) for c in self.coeffs])
-
-    def to_numeric(self, prec):
-        with mpmath.workprec(prec):
-            center = self.center if not is_exact(self.center) else to_mpf(self.center)
-            if any(isinstance(c, GaussianRational) and c.im != 0 for c in self.coeffs):
-                coeffs = [to_mpc(c) if is_exact(c) else c for c in self.coeffs]
-            else:
-                coeffs = [to_mpf(c) if is_exact(c) else c for c in self.coeffs]
-        return TruncatedSeries(center, coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedSeries)

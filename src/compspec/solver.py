@@ -73,29 +73,15 @@ def radius_verdict_json(verdict):
 
 
 def _check_fixed_point(phi: AnalyticSymbol, u, precision):
-    if is_exact(u):
-        value = phi.eval(u, precision=precision)
-        if is_exact(value):
-            if not value == u:
-                raise HypothesisViolation(f"{u} is not a fixed point")
-            return
-        if abs(to_mpf(value) - to_mpf(u)) > mpmath.mpf(2) ** (-precision // 2):
-            raise HypothesisViolation(f"{u} is not a fixed point")
-        return
     with mpmath.workprec(precision):
         value = phi.eval(u, precision=precision)
-        if abs(to_mpf(value) - to_mpf(u)) > mpmath.mpf(2) ** (-precision // 2):
-            raise HypothesisViolation(f"{u} is not a fixed point")
-
-
-def _composition_matrix(phi_jet: TruncatedSeries, order: int):
-    """Rows of [t**n] (phi(u+t) - u)**j for j = 0..order."""
-    shifted = TruncatedSeries(0, (Fraction(0),) + phi_jet.coeffs[1:order + 1])
-    one = TruncatedSeries(0, [Fraction(1)] + [Fraction(0)] * order)
-    powers = [one]
-    for _ in range(order):
-        powers.append(powers[-1] * shifted)
-    return powers
+        if is_exact(u) and is_exact(value):
+            fixed = value == u
+        else:
+            fixed = (abs(to_mpf(value) - to_mpf(u))
+                     <= mpmath.mpf(2) ** (-precision // 2))
+    if not fixed:
+        raise HypothesisViolation(f"{u} is not a fixed point")
 
 
 def _powers_equal(m_pow, lam) -> bool:
@@ -120,23 +106,15 @@ def solve_formal(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
     gamma_jet = gamma.jet(u, order, precision=precision)
     m = phi_jet.coeffs[1] if order >= 1 else phi.derivative_at(u, precision)
     with mpmath.workprec(precision):
+        flags = smajdor_condition(lam, m, order)
+        if not all(flags):
+            raise ResonantEigenvalue(flags.index(False))
+        jet = phi_jet
         if not (phi_jet.is_exact() and gamma_jet.is_exact()):
             lam = to_numeric(lam)
+            jet = phi_jet.map_coefficients(to_numeric)
             gamma_jet = gamma_jet.map_coefficients(to_numeric)
-        powers = _composition_matrix(phi_jet, order)
-        coeffs = []
-        m_pow = _one_like(m)
-        for n in range(order + 1):
-            if _powers_equal(m_pow, lam):
-                raise ResonantEigenvalue(n)
-            rhs = gamma_jet.coeffs[n]
-            for j in range(n):
-                a = powers[j].coeffs[n]
-                if a == 0:
-                    continue
-                rhs = rhs - coeffs[j] * a
-            coeffs.append(rhs / (m_pow - lam))
-            m_pow = m_pow * m
+        coeffs = jet.solve_composition(lam, gamma_jet.coeffs)
     series = TruncatedSeries(u, coeffs)
     verdict = None
     if estimate and order >= 16:
@@ -204,18 +182,10 @@ def koenigs(phi: AnalyticSymbol, u, order: int, precision=None) -> TruncatedSeri
         raise ValueError("order must be at least 1")
     m = phi_jet.coeffs[1]
     _require_strictly_attracting(m)
-    powers = _composition_matrix(phi_jet, order)
-    coeffs = [_zero_like(m), _one_like(m)]
-    m_pow = m
-    for n in range(2, order + 1):
-        m_pow = m_pow * m  # m**n
-        rhs = 0
-        for j in range(1, n):
-            a = powers[j].coeffs[n]
-            if a == 0:
-                continue
-            rhs = rhs + coeffs[j] * a
-        coeffs.append(-rhs / (m_pow - m))
+    with mpmath.workprec(precision):
+        coeffs = phi_jet.solve_composition(
+            m, [_zero_like(m)] * (order + 1),
+            head=(_zero_like(m), _one_like(m)))
     return TruncatedSeries(u, coeffs)
 
 

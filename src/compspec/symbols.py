@@ -755,17 +755,6 @@ class AnalyticSymbol:
     def is_identity(self) -> bool:
         return self.is_polynomial() and tuple(self.body.coeffs) == (Fraction(0), Fraction(1))
 
-    def pure_power_exponent(self):
-        """s when the symbol is x**s with s >= 2 on the whole line, else None."""
-        if not self.is_rational_polynomial() or self.domain != Interval.real_line():
-            return None
-        coeffs = self.rational_coeffs()
-        if len(coeffs) < 3 or coeffs[-1] != 1:
-            return None
-        if any(c != 0 for c in coeffs[:-1]):
-            return None
-        return len(coeffs) - 1
-
     def affine_power_exponent(self):
         """s when the symbol is affinely conjugate to x**s with s >= 2 on the
         whole line, else None.

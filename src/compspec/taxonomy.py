@@ -186,9 +186,6 @@ class SupersetOf:
         return {"kind": self.kind, "parts": [p.to_json_dict() for p in self.parts]}
 
 
-_SET_KINDS = {}
-
-
 def set_expr_from_json(doc):
     kind = doc["kind"]
     if kind == "all_plane":

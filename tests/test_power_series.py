@@ -94,6 +94,26 @@ def test_reversion_shifted_center():
     assert g.compose(f).coeffs == (F(1), F(1), F(0))
 
 
+def test_solve_composition_residual():
+    # c(s(x)) - 3*c(x) = 1 + x^2 for s = x/2 + x^2
+    s = TruncatedSeries(F(0), [F(0), F(1, 2), F(1), F(0), F(0)])
+    rhs = [F(1), F(0), F(1), F(0), F(0)]
+    c = TruncatedSeries(F(0), s.solve_composition(F(3), rhs))
+    residual = c.compose(s) - c * F(3)
+    assert residual.coeffs == tuple(rhs)
+
+
+def test_solve_composition_head_skips_its_rows():
+    # Row 1 has pivot m - m = 0: the head fixes it instead.
+    s = TruncatedSeries(F(0), [F(0), F(1, 2), F(-1), F(0)])
+    c = s.solve_composition(F(1, 2), [F(0)] * 4, head=(F(0), F(1)))
+    assert c[:2] == [F(0), F(1)]
+    sigma = TruncatedSeries(F(0), c)
+    assert (sigma.compose(s) - sigma * F(1, 2)).coeffs == (F(0),) * 4
+    with pytest.raises(ZeroDivisionError):
+        s.solve_composition(F(1, 2), [F(0)] * 4)
+
+
 def test_integrate_differentiate():
     f = TruncatedSeries(F(0), [F(1), F(2), F(3)])
     assert f.integrate().differentiate().coeffs == f.coeffs

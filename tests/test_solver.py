@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from compspec.errors import (NeutralOrSuperattracting, ResonantEigenvalue,
-                             ZeroLambda)
+from compspec.errors import (HypothesisViolation, NeutralOrSuperattracting,
+                             ResonantEigenvalue, ZeroLambda)
 from compspec.numbers import GaussianRational
 from compspec.power_series import Diverges
 from compspec.solver import (eigenfunction, koenigs, quadratic_id_recurrence,
@@ -69,6 +69,25 @@ class TestSolveFormal:
         with mpmath.workprec(256):
             residual = sol.residual_series()
             assert max(abs(c) for c in residual.coeffs) < mpmath.mpf(2) ** -200
+
+    @pytest.mark.parametrize("symbol, rhs", [("1/2*x", "exp(x+1)"),
+                                             ("-x^2+x", "sin(x+1)")])
+    def test_exact_phi_jet_with_numeric_gamma_jet(self, symbol, rhs):
+        # The phi jet is exact and the gamma jet numeric: the solve runs on
+        # the numeric image of both.
+        sol = solve_formal(parse_symbol(symbol), 0, 3, parse_rhs(rhs), 8,
+                           precision=256)
+        with mpmath.workprec(256):
+            residual = sol.residual_series()
+            assert max(abs(c) for c in residual.coeffs) < mpmath.mpf(2) ** -200
+
+    def test_fixed_point_checked_at_the_requested_precision(self):
+        # |phi(u) - u| is about 4e-21: invisible at 53 bits, far above the
+        # 2**-128 bound at 256.
+        phi = parse_symbol("1/2*x + 1/2 + 1/8*sin(x) - 1/8*sin(1)")
+        with pytest.raises(HypothesisViolation):
+            solve_formal(phi, 1 + F(1, 10 ** 20), F(3), parse_rhs("x"), 8,
+                         precision=256)
 
     def test_randomized_exact_residual_suite(self):
         # Polynomial symbols with a rational attracting fixed point at 0,
@@ -190,6 +209,15 @@ class TestKoenigs:
             koenigs(parse_symbol("x^2"), F(0), 6)          # multiplier 0
         with pytest.raises(NeutralOrSuperattracting):
             koenigs(parse_symbol("-x^2+4*x"), F(0), 6)     # multiplier 4
+
+    def test_numeric_jets_at_the_requested_precision(self):
+        phi = parse_symbol("1/2*x + 1/2 + 1/8*sin(x) - 1/8*sin(1)")
+        sigma = koenigs(phi, 1, 12, precision=256)
+        assert not sigma.is_exact()
+        with mpmath.workprec(256):
+            m = phi.jet(1, 1, precision=256).coeffs[1]
+            res = schroeder_residual(phi, sigma, m, precision=256)
+            assert max(abs(c) for c in res.coeffs) < mpmath.mpf(2) ** -200
 
     def test_radius_verdict_positive(self):
         from compspec.power_series import Converges, estimate_radius

@@ -208,6 +208,20 @@ class TestConjugate:
             expected = (phi.eval(2 * x + 1, 80) - 1) / 2
             assert abs(psi.eval(x, 80) - expected) < mpmath.mpf(2) ** -70
 
+    def test_nonaffine_conjugate_jet(self):
+        # psi = delta^-1 o phi o delta: the psi jet runs through a numeric
+        # reversion of the delta jet, so delta o psi and phi o delta agree.
+        phi = parse_symbol("1/2*x")
+        delta = parse_change("exp(x) - exp(-x)")
+        psi = conjugate(phi, delta)
+        with mpmath.workprec(256):
+            psi_jet = psi.jet(0, 12, 256)
+            delta_jet = delta.forward.jet(0, 12, 256)
+            lhs = delta.forward.jet(psi_jet.coeffs[0], 12, 256).compose(psi_jet)
+            rhs = phi.jet(delta_jet.coeffs[0], 12, 256).compose(delta_jet)
+            gap = max(abs(a - b) for a, b in zip(lhs.coeffs, rhs.coeffs))
+            assert gap < mpmath.mpf(2) ** -200
+
     def test_round_trip(self):
         phi = parse_symbol("-x^2+3*x")
         delta = parse_change("1/3*x - 2")
