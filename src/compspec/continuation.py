@@ -144,7 +144,8 @@ def globalize(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
         raise HypothesisViolation("could not certify an invariant core")
     basin = None
     if check_basin and not parabolic:
-        basin = attraction_basin_check(phi, core, max_depth=max_depth)
+        basin = attraction_basin_check(phi, core, max_depth=max_depth,
+                                       invariant_core=True)
         if basin.status == "false":
             raise HypothesisViolation(
                 f"domain is not attracted to the core (witness {basin.witness})")

@@ -60,6 +60,17 @@ def to_numeric(value):
     return to_mpf(value)
 
 
+def same_point(a, b) -> bool:
+    """a == b when both are exact; otherwise |a - b| <= 2**(-prec // 2) at
+    the working precision, so an exact point and its numeric image agree."""
+    if a == b:
+        return True
+    if is_exact(a) and is_exact(b):
+        return False
+    return (abs(to_numeric(a) - to_numeric(b))
+            <= mpmath.mpf(2) ** (-mpmath.mp.prec // 2))
+
+
 def invert(value):
     """1/value, exact for exact scalars (an int gives a Fraction)."""
     return 1 / as_exact(value)

@@ -15,7 +15,7 @@ import mpmath
 
 from .errors import CenterMismatch
 from .numbers import (GaussianRational, as_exact, format_rational, invert,
-                      is_exact, to_mpf)
+                      is_exact, same_point, to_mpf)
 
 
 class TruncatedSeries:
@@ -59,7 +59,7 @@ class TruncatedSeries:
 
     def _check_center(self, other):
         if isinstance(other, TruncatedSeries):
-            if other.center != self.center:
+            if not same_point(other.center, self.center):
                 raise CenterMismatch(
                     f"centers differ: {self.center} vs {other.center}")
             return other
@@ -87,16 +87,40 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product through the lower order.  Only the nonzero terms of both
+        operands are walked, so the cost is (nonzeros of self) x (nonzeros
+        of other) whichever side is sparse; each coefficient is still summed
+        in ascending index of self."""
         o = self._check_center(other)
         if o is None:
             return TruncatedSeries(self.center, [c * other for c in self.coeffs])
         n = min(self.order, o.order)
+        terms, zeros = [], []
+        for j, b in enumerate(o.coeffs[:n + 1]):
+            if _is_rational_zero(b):
+                zeros.append(j)
+            else:
+                terms.append((j, b))
         out = [Fraction(0)] * (n + 1)
+        promoted = set()
         for i, a in enumerate(self.coeffs[:n + 1]):
             if is_exact(a) and a == 0:
                 continue
-            for j in range(0, n - i + 1):
-                out[i + j] = out[i + j] + a * o.coeffs[j]
+            for j, b in terms:
+                if i + j > n:
+                    break
+                out[i + j] = out[i + j] + a * b
+            if not isinstance(a, (int, Fraction)) and type(a) not in promoted:
+                # a times a skipped zero is a zero of a's class (mpf, mpc,
+                # GaussianRational): adding it turns an exact rational sum
+                # into that class where the full product would, rounding it
+                # there.  Every sum from i on then has the class, so later
+                # terms of the same class have nothing left to convert.
+                promoted.add(type(a))
+                for j in zeros:
+                    if i + j > n:
+                        break
+                    out[i + j] = out[i + j] + a * o.coeffs[j]
         return TruncatedSeries(self.center, out)
 
     __rmul__ = __mul__
@@ -114,16 +138,32 @@ class TruncatedSeries:
         return result
 
     def reciprocal(self):
-        """1/f; requires a nonzero constant term."""
+        """1/f; requires a nonzero constant term.  The inner sums walk only
+        the nonzero coefficients of f."""
         c0 = self.coeffs[0]
         if is_exact(c0) and c0 == 0:
             raise ZeroDivisionError("series has zero constant term")
         inv0 = invert(c0)
+        terms = [(j, c) for j, c in enumerate(self.coeffs)
+                 if j and not _is_rational_zero(c)]
         out = [inv0]
+        class_zeros = {}  # a zero of each non-rational class out has taken
+        live = 0
         for n in range(1, self.order + 1):
+            last = out[-1]
+            if not isinstance(last, (int, Fraction)):
+                class_zeros.setdefault(type(last), last * 0)
+            while live < len(terms) and terms[live][0] <= n:
+                live += 1
             acc = 0
-            for k in range(0, n):
-                acc = acc + out[k] * self.coefficient(n - k)
+            for j, c in reversed(terms[:live]):
+                acc = acc + out[n - j] * c
+            # A skipped term out[k] * 0 is a zero of out[k]'s class.  The
+            # classes of out only widen with k and every kept term after the
+            # first such k already has that class, so joining the class at
+            # the end rounds as joining it in place would.
+            for z in class_zeros.values():
+                acc = acc + z
             out.append(-inv0 * acc)
         return TruncatedSeries(self.center, out)
 
@@ -140,8 +180,9 @@ class TruncatedSeries:
         return TruncatedSeries(self.center, out[:self.order + 2])
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(x)): inner's constant term must equal self's center."""
-        if inner.coeffs[0] != self.center:
+        """self(inner(x)): inner's constant term must equal self's center
+        (to half the working precision when either is numeric)."""
+        if not same_point(inner.coeffs[0], self.center):
             raise CenterMismatch(
                 f"inner constant term {inner.coeffs[0]} != outer center {self.center}")
         n = min(self.order, inner.order)
@@ -225,6 +266,10 @@ class TruncatedSeries:
     def from_json_dict(cls, doc):
         return cls(_coeff_from_json(doc["center"]),
                    [_coeff_from_json(c) for c in doc["coeffs"]])
+
+
+def _is_rational_zero(c) -> bool:
+    return isinstance(c, (int, Fraction)) and c == 0
 
 
 def _coeff_to_json(c):

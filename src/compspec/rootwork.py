@@ -473,15 +473,18 @@ def critical_set_bounded_away(phi: AnalyticSymbol, end: str, critical=None):
 
 
 def attraction_basin_check(phi: AnalyticSymbol, core: Interval,
-                           max_depth: int = 10_000, samples: int = 64) -> BasinVerdict:
+                           max_depth: int = 10_000, samples: int = 64, *,
+                           invariant_core: bool = False) -> BasinVerdict:
     """Certify (or sample) that the whole domain is attracted into the core.
 
     Hypothesis: the core is invariant with closure inside the domain.
-    The certified path needs a rational polynomial symbol, no fixed points
-    outside the core, inward-pointing displacement signs, and image bounds
-    that prevent jumping across the core.
+    ``invariant_core`` says the caller has already asked
+    ``phi.maps_into(core, [core], 128)`` and got yes, so it is not asked
+    again.  The certified path needs a rational polynomial symbol, no fixed
+    points outside the core, inward-pointing displacement signs, and image
+    bounds that prevent jumping across the core.
     """
-    _require_core_hypothesis(phi, core)
+    _require_core_hypothesis(phi, core, invariant_core)
     if phi.is_rational_polynomial():
         verdict = _certified_basin(phi, core)
         if verdict is not None:
@@ -496,9 +499,11 @@ def attraction_basin_check(phi: AnalyticSymbol, core: Interval,
                         else "orbit failed to enter the core")
 
 
-def _require_core_hypothesis(phi: AnalyticSymbol, core: Interval):
+def _require_core_hypothesis(phi: AnalyticSymbol, core: Interval, invariant: bool):
     if not phi.domain.contains_interval(core):
         raise HypothesisViolation("core closure must sit inside the domain")
+    if invariant:
+        return
     ok, witness, _ = phi.maps_into(core, [core], 128)
     if not ok:
         raise HypothesisViolation(f"core is not invariant (witness x={witness})")

@@ -18,8 +18,8 @@ import mpmath
 from .config import default_precision
 from .errors import (HypothesisViolation, NeutralOrSuperattracting,
                      ResonantEigenvalue, ZeroLambda)
-from .numbers import (as_exact, exact_abs_compare, invert, is_exact, to_mpf,
-                      to_numeric)
+from .numbers import (as_exact, exact_abs_compare, invert, is_exact,
+                      same_point, to_mpf, to_numeric)
 from .power_series import (Converges, Diverges, Inconclusive, TruncatedSeries,
                            estimate_radius)
 from .symbols import AnalyticSymbol
@@ -74,12 +74,7 @@ def radius_verdict_json(verdict):
 
 def _check_fixed_point(phi: AnalyticSymbol, u, precision):
     with mpmath.workprec(precision):
-        value = phi.eval(u, precision=precision)
-        if is_exact(u) and is_exact(value):
-            fixed = value == u
-        else:
-            fixed = (abs(to_mpf(value) - to_mpf(u))
-                     <= mpmath.mpf(2) ** (-precision // 2))
+        fixed = same_point(phi.eval(u, precision=precision), u)
     if not fixed:
         raise HypothesisViolation(f"{u} is not a fixed point")
 
@@ -214,8 +209,10 @@ def eigenfunction(phi: AnalyticSymbol, u, n: int, order: int,
         raise ValueError("power must be nonnegative")
     if n == 0:
         return TruncatedSeries(u, [Fraction(1)] + [Fraction(0)] * order)
+    precision = precision or default_precision()
     sigma = koenigs(phi, u, order, precision=precision)
-    return sigma.power(n)
+    with mpmath.workprec(precision):
+        return sigma.power(n)
 
 
 def schroeder_residual(phi: AnalyticSymbol, sigma: TruncatedSeries,

@@ -10,7 +10,7 @@ from compspec.continuation import (evaluate, extend_forward,
 from compspec.errors import BasinEscape, BranchDomain, HypothesisViolation
 from compspec.intervals import Interval
 from compspec.numbers import to_mpf
-from compspec.symbols import parse_rhs, parse_symbol
+from compspec.symbols import AnalyticSymbol, parse_rhs, parse_symbol
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,20 @@ class TestForwardExtension:
     def test_globalize_refuses_non_attracted_domain(self):
         with pytest.raises(HypothesisViolation):
             globalize(parse_symbol("x^2"), F(0), F(5), parse_rhs("1"), order=20)
+
+    def test_globalize_asks_core_invariance_once(self, monkeypatch):
+        calls = []
+        original = AnalyticSymbol.maps_into
+
+        def counting(self, source, targets, samples):
+            calls.append((source, tuple(targets), samples))
+            return original(self, source, targets, samples)
+
+        monkeypatch.setattr(AnalyticSymbol, "maps_into", counting)
+        sol = globalize(parse_symbol("1/2*arctan(x)"), F(0), F(2),
+                        parse_rhs("x"), order=20)
+        assert sol.basin.status == "sampled-true"
+        assert calls.count((sol.core, (sol.core,), 128)) == 1
 
     @pytest.mark.parametrize("text,center", [("-x^2+3/2*x", F(1, 2)),
                                              ("1/2*x-x^2", F(0))])

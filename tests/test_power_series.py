@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compspec.errors import CenterMismatch
+from compspec.numbers import GaussianRational, is_exact
 from compspec.power_series import (Converges, Diverges, Inconclusive,
                                    TruncatedSeries, estimate_radius)
 
@@ -159,3 +163,119 @@ def test_json_round_trip():
     doc = series.to_json_dict()
     back = TruncatedSeries.from_json_dict(doc)
     assert back == series
+
+
+# ---------------------------------------------------------------------------
+# The sparse product against the dense loop it replaced
+
+
+def schoolbook_product(a, b):
+    """Every j for every i, skipping only the exact zeros of the left
+    operand: the term-by-term loop whose results the product keeps."""
+    n = min(len(a), len(b)) - 1
+    out = [F(0)] * (n + 1)
+    for i in range(n + 1):
+        if is_exact(a[i]) and a[i] == 0:
+            continue
+        for j in range(n - i + 1):
+            out[i + j] = out[i + j] + a[i] * b[j]
+    return out
+
+
+def schoolbook_reciprocal(c):
+    inv0 = 1 / (F(c[0]) if isinstance(c[0], int) else c[0])
+    out = [inv0]
+    for n in range(1, len(c)):
+        acc = 0
+        for k in range(n):
+            acc = acc + out[k] * c[n - k]
+        out.append(-inv0 * acc)
+    return out
+
+
+def same_terms(got, want):
+    return (len(got) == len(want)
+            and all(type(g) is type(w) and g == w for g, w in zip(got, want)))
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# Most draws are exact zeros, so the series are sparse.
+_rational = st.one_of(st.just(F(0)), st.just(F(0)), st.just(0), _small)
+_gaussian = st.one_of(st.just(GaussianRational(0)),
+                      st.builds(GaussianRational, _small, _small))
+_numeric = st.one_of(st.just(mpmath.mpf(0)),
+                     _small.map(lambda q: mpmath.mpf(q.numerator) / q.denominator),
+                     st.builds(lambda x, y: mpmath.mpc(x, y),
+                               st.integers(-3, 3), st.integers(-3, 3)))
+_CLASSES = {
+    "rational": _rational,
+    "gaussian": st.one_of(_rational, _gaussian),
+    "numeric": _numeric,
+    "mixed": st.one_of(_rational, _rational, _numeric),
+}
+
+
+@st.composite
+def _operands(draw):
+    coeff = _CLASSES[draw(st.sampled_from(sorted(_CLASSES)))]
+    a = draw(st.lists(coeff, min_size=1, max_size=12))
+    b = draw(st.lists(coeff, min_size=1, max_size=12))
+    return a, b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_operands(), st.sampled_from([53, 113]))
+def test_product_matches_schoolbook_value_and_type(operands, prec):
+    a, b = operands
+    with mpmath.workprec(prec):
+        got = (TruncatedSeries(F(0), a) * TruncatedSeries(F(0), b)).coeffs
+        want = schoolbook_product(a, b)
+    assert same_terms(got, want), (a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_operands(), st.sampled_from([53, 113]))
+def test_reciprocal_matches_schoolbook_value_and_type(operands, prec):
+    c = operands[0]
+    if c[0] == 0:
+        c = [F(1)] + c[1:]
+    with mpmath.workprec(prec):
+        got = TruncatedSeries(F(0), c).reciprocal().coeffs
+        want = schoolbook_reciprocal(c)
+    assert same_terms(got, want), c
+
+
+def test_numeric_zero_times_exact_zero_stays_numeric():
+    # [t^1]: 1/3 * 1/3 is exact, and mpf(2) times the skipped exact zero
+    # only makes the sum an mpf, as in the dense loop.
+    a = TruncatedSeries(F(0), [F(1, 3), mpmath.mpf(2)])
+    b = TruncatedSeries(F(0), [F(0), F(1, 3)])
+    got = (a * b).coeffs[1]
+    assert type(got) is mpmath.mpf and got == mpmath.mpf(1) / 9
+
+
+class _Counted(F):
+    """A rational that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return F.__mul__(self, other)
+
+    def __rmul__(self, other):
+        _Counted.products += 1
+        return F.__rmul__(self, other)
+
+
+def test_power_table_costs_degree_times_order_squared():
+    # x - x^2 at order 200: the table [t^n] s^j walks two nonzeros of s per
+    # nonzero of each power: 20,100 products (the dense loop made 681,750).
+    order = 200
+    s = TruncatedSeries(F(0), [_Counted(0), _Counted(1), _Counted(-1)]
+                        + [_Counted(0)] * (order - 2))
+    _Counted.products = 0
+    coeffs = s.solve_composition(F(3), [F(0), F(1)] + [F(0)] * (order - 1))
+    assert _Counted.products <= order * order
+    c = TruncatedSeries(F(0), coeffs)
+    assert (c.compose(s) - c * F(3)).coeffs == (F(0), F(1)) + (F(0),) * (order - 1)

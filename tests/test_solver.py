@@ -81,6 +81,16 @@ class TestSolveFormal:
             residual = sol.residual_series()
             assert max(abs(c) for c in residual.coeffs) < mpmath.mpf(2) ** -200
 
+    def test_residual_at_a_non_dyadic_exact_center(self):
+        # The numeric phi jet is centred at the mpf image of 1/3, the
+        # solution series at 1/3 itself.
+        phi = parse_symbol("1/2*x + 1/6 + 1/8*sin(x) - 1/8*sin(1/3)")
+        sol = solve_formal(phi, F(1, 3), 3, parse_rhs("x"), 8)
+        assert sol.center == F(1, 3)
+        with mpmath.workprec(256):
+            residual = sol.residual_series()
+            assert max(abs(c) for c in residual.coeffs) < mpmath.mpf(2) ** -200
+
     def test_fixed_point_checked_at_the_requested_precision(self):
         # |phi(u) - u| is about 4e-21: invisible at 53 bits, far above the
         # 2**-128 bound at 256.
@@ -247,6 +257,14 @@ class TestEigenfunction:
     def test_power_zero_is_constant(self):
         e0 = eigenfunction(parse_symbol("1/2*arctan(x)"), F(0), 0, 5)
         assert e0.coeffs == (F(1),) + (F(0),) * 5
+
+    def test_numeric_power_at_the_requested_precision(self):
+        phi = parse_symbol("1/2*x + 1/2 + 1/8*sin(x) - 1/8*sin(1)")
+        e = eigenfunction(phi, 1, 2, 12, precision=256)
+        with mpmath.workprec(256):
+            m = phi.jet(1, 1, precision=256).coeffs[1]
+            res = schroeder_residual(phi, e, m ** 2, precision=256)
+            assert max(abs(c) for c in res.coeffs) < mpmath.mpf(2) ** -200
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_arctan_eigenfunction_residuals(self, n):
