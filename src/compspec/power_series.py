@@ -272,6 +272,11 @@ def _is_rational_zero(c) -> bool:
     return isinstance(c, (int, Fraction)) and c == 0
 
 
+# Significant digits of numeric coefficients in JSON.  Complex ones are
+# read back at this many digits, so a document survives a round trip.
+_JSON_DIGITS = 30
+
+
 def _coeff_to_json(c):
     if isinstance(c, GaussianRational):
         if c.im == 0:
@@ -279,7 +284,10 @@ def _coeff_to_json(c):
         return [format_rational(c.re), format_rational(c.im)]
     if isinstance(c, (int, Fraction)):
         return format_rational(Fraction(c))
-    return ["float", mpmath.nstr(mpmath.mpf(c), 30)]
+    if isinstance(c, mpmath.mpc):
+        return ["complex", mpmath.nstr(c.real, _JSON_DIGITS),
+                mpmath.nstr(c.imag, _JSON_DIGITS)]
+    return ["float", mpmath.nstr(mpmath.mpf(c), _JSON_DIGITS)]
 
 
 def _coeff_from_json(doc):
@@ -287,6 +295,9 @@ def _coeff_from_json(doc):
         return Fraction(doc)
     if isinstance(doc, list) and len(doc) == 2 and doc[0] == "float":
         return mpmath.mpf(doc[1])
+    if isinstance(doc, list) and len(doc) == 3 and doc[0] == "complex":
+        with mpmath.workdps(_JSON_DIGITS):
+            return mpmath.mpc(doc[1], doc[2])
     if isinstance(doc, list) and len(doc) == 2:
         return GaussianRational(Fraction(doc[0]), Fraction(doc[1]))
     raise ValueError(f"bad coefficient document: {doc!r}")

@@ -14,8 +14,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import mpmath
+from mpmath.libmp import (from_int, from_rational, mpf_add, mpf_atan, mpf_div,
+                          mpf_exp, mpf_lt, mpf_mul, mpf_pos, mpf_pow_int,
+                          mpf_sin, round_nearest)
 
 from . import polynomials as polylib
 from . import sturm
@@ -298,34 +302,71 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Numeric tree evaluation and jets
+# Compiled tree evaluation and jets
+
+# Every mpf operation below rounds like mpmath's object arithmetic does
+# under the default context rounding.
+_RND = round_nearest
+_CALLS = {"exp": mpf_exp, "arctan": mpf_atan, "sin": mpf_sin}
 
 
-def eval_tree(node, x):
-    """Evaluate a folded tree at an mpf point, inside a workprec context."""
+def _raw_ratio(num, den, prec):
+    """``to_mpf(Fraction(num, den))._mpf_`` at ``prec`` bits for a reduced
+    pair: ``mpf(num)`` rounded to nearest, then divided by ``den``."""
+    return mpf_div(from_int(num, prec, _RND), from_int(den), prec, _RND)
+
+
+def _raw_point(x, prec):
+    """``to_mpf(x)._mpf_`` at ``prec`` bits, without entering workprec for
+    Fraction and mpf points."""
+    if isinstance(x, Fraction):
+        return _raw_ratio(x.numerator, x.denominator, prec)
+    if isinstance(x, mpmath.mpf):
+        return mpf_pos(x._mpf_, prec, _RND)
+    return to_mpf(x, prec)._mpf_
+
+
+def _raw_addend(c, prec):
+    """The raw value mpmath adds for ``acc + c``: ints exactly, Fractions
+    through ``convert``, i.e. ``from_rational`` at its default rounding."""
+    if isinstance(c, int):
+        return from_int(c)
+    return from_rational(c.numerator, c.denominator, prec)
+
+
+def compile_tree(node, prec):
+    """A folded tree as a function of one raw mpf tuple, at ``prec`` bits.
+
+    Coefficients are converted once, here.  Each step rounds exactly as
+    the object-level expression ``to_mpf`` / ``acc * x + c`` / ``+`` /
+    ``*`` / ``**`` / ``mpmath.exp|atan|sin`` does inside ``workprec(prec)``,
+    so the results are bit-identical to mpmath's object arithmetic.
+    """
     if isinstance(node, Poly):
-        acc = None
-        for c in reversed(node.coeffs):
-            acc = (to_mpf(c) if acc is None else acc * x + c)
-        return acc
-    if isinstance(node, Add):
-        total = mpmath.mpf(0)
-        for p in node.parts:
-            total += eval_tree(p, x)
-        return total
-    if isinstance(node, Mul):
-        total = mpmath.mpf(1)
-        for p in node.parts:
-            total *= eval_tree(p, x)
-        return total
+        lead = _raw_point(node.coeffs[-1], prec)
+        rest = tuple(_raw_addend(c, prec) for c in reversed(node.coeffs[:-1]))
+
+        def poly(x):
+            acc = lead
+            for c in rest:
+                acc = mpf_add(mpf_mul(acc, x, prec, _RND), c, prec, _RND)
+            return acc
+        return poly
+    if isinstance(node, (Add, Mul)):
+        first, *others = [compile_tree(p, prec) for p in node.parts]
+        op = mpf_add if isinstance(node, Add) else mpf_mul
+
+        def combine(x):
+            total = first(x)
+            for part in others:
+                total = op(total, part(x), prec, _RND)
+            return total
+        return combine
     if isinstance(node, Pow):
-        return eval_tree(node.base, x) ** node.exponent
-    value = eval_tree(node.arg, x)
-    if node.fn == "exp":
-        return mpmath.exp(value)
-    if node.fn == "arctan":
-        return mpmath.atan(value)
-    return mpmath.sin(value)
+        base, n = compile_tree(node.base, prec), node.exponent
+        return lambda x: mpf_pow_int(base(x), n, prec, _RND)
+    arg, fn = compile_tree(node.arg, prec), _CALLS[node.fn]
+    return lambda x: fn(arg(x), prec, _RND)
 
 
 class _NeedNumeric(Exception):
@@ -627,31 +668,36 @@ class ConjugatedBody:
     change: "Diffeomorphism"
 
 
-def _sample_grid(domain: Interval, count: int) -> list[Fraction]:
+def _grid_pairs(domain: Interval, count: int) -> list[tuple[int, int]]:
+    """``count`` interior points of the domain as reduced (numerator,
+    denominator) pairs: evenly spaced on a bounded interval, through
+    t/(1-t) on a half-line and t/(1-t^2) on the real line."""
     lo, hi = domain.lower, domain.upper
-    points = []
+    m = count + 1
     if is_finite(lo) and is_finite(hi):
         lo, hi = Fraction(lo), Fraction(hi)
-        step = (hi - lo) / (count + 1)
-        points = [lo + step * k for k in range(1, count + 1)]
+        a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        den = b * d * m
+        raw = [(a * d * m + (c * b - a * d) * k, den) for k in range(1, m)]
     elif is_finite(lo):
         lo = Fraction(lo)
-        for k in range(1, count + 1):
-            t = Fraction(k, count + 1)
-            points.append(lo + t / (1 - t))
+        a, b = lo.numerator, lo.denominator
+        raw = [(a * (m - k) + b * k, b * (m - k)) for k in range(1, m)]
     elif is_finite(hi):
         hi = Fraction(hi)
-        for k in range(1, count + 1):
-            t = Fraction(k, count + 1)
-            points.append(hi - t / (1 - t))
+        c, d = hi.numerator, hi.denominator
+        raw = [(c * (m - k) - d * k, d * (m - k)) for k in range(1, m)]
     else:
-        for k in range(1, count + 1):
-            t = Fraction(2 * k, count + 1) - 1
-            if t == 0:
-                points.append(Fraction(0))
-            else:
-                points.append(t / (1 - t * t))
-    return points
+        raw = [((2 * k - m) * m, m * m - (2 * k - m) ** 2) for k in range(1, m)]
+    pairs = []
+    for num, den in raw:
+        g = gcd(num, den)
+        pairs.append((num // g, den // g))
+    return pairs
+
+
+def _sample_grid(domain: Interval, count: int) -> list[Fraction]:
+    return [Fraction(num, den) for num, den in _grid_pairs(domain, count)]
 
 
 class AnalyticSymbol:
@@ -662,13 +708,14 @@ class AnalyticSymbol:
     ``require_self_map=False`` since they map one interval onto another.
     """
 
-    __slots__ = ("body", "domain", "invariance_certified", "text")
+    __slots__ = ("body", "domain", "invariance_certified", "text", "_kernels")
 
     def __init__(self, body, domain: Interval, *, text=None,
                  require_self_map=True, require_nonconstant=True):
         self.body = body
         self.domain = domain
         self.text = text
+        self._kernels = {}  # working precision -> compile_tree closure
         if require_nonconstant:
             self._check_nonconstant()
         self.invariance_certified = self._check_self_map() if require_self_map else False
@@ -691,8 +738,9 @@ class AnalyticSymbol:
             if not tree_has_variable(self.body.tree):
                 raise ConstantSymbolError("expression contains no variable")
             # Numeric backstop against disguised constants.
+            kernel = self._kernel(200)
             with mpmath.workprec(200):
-                samples = [eval_tree(self.body.tree, to_mpf(Fraction(k, 7)))
+                samples = [mpmath.mp.make_mpf(kernel(_raw_point(Fraction(k, 7), 200)))
                            for k in (-9, -3, 1, 2, 5, 8, 13)]
                 spread = max(samples) - min(samples)
                 if spread < mpmath.mpf(2) ** (-180):
@@ -721,12 +769,41 @@ class AnalyticSymbol:
         if self.is_rational_polynomial():
             ok, witness = sturm.poly_maps_into(self.rational_coeffs(), source, targets)
             return ok, witness, True
+        if isinstance(self.body, ElementaryBody):
+            return self._scan_maps_into(source, targets, samples)
+        # Polynomials with quadratic-irrational coefficients (evaluated
+        # exactly) and conjugated bodies: eval's own arithmetic.
         with mpmath.workprec(96):
             for x in _sample_grid(source, samples):
                 y = self.eval(x, 96)
                 if not any(t.contains(y) for t in targets):
                     return False, x, False
         return True, None, False
+
+    def _scan_maps_into(self, source: Interval, targets: list[Interval], samples: int):
+        """The sampled ``maps_into`` of an elementary body on raw mpf tuples:
+        each grid point goes through ``eval(x, 96)``'s exact steps, and its
+        image is compared with the target bounds rounded once at 96 bits."""
+        prec = 96 + _GUARD_BITS
+        kernel = self._kernel(prec)
+        bounds = [tuple(to_mpf(end, 96)._mpf_ if is_finite(end) else None
+                        for end in (t.lower, t.upper)) for t in targets]
+        check_domain = not self.domain.contains_interval(source)
+        for num, den in _grid_pairs(source, samples):
+            if check_domain and not self.domain.contains(Fraction(num, den)):
+                raise DomainError(f"{Fraction(num, den)} is outside the domain {self.domain}")
+            y = mpf_pos(kernel(_raw_ratio(num, den, prec)), 96, _RND)
+            if not any((lo is None or mpf_lt(lo, y)) and (hi is None or mpf_lt(y, hi))
+                       for lo, hi in bounds):
+                return False, Fraction(num, den), False
+        return True, None, False
+
+    def _kernel(self, prec):
+        """The tree compiled at ``prec`` bits, built once per precision."""
+        kernel = self._kernels.get(prec)
+        if kernel is None:
+            kernel = self._kernels[prec] = compile_tree(self.body.tree, prec)
+        return kernel
 
     def _diverges_inside(self, domain: Interval) -> bool:
         """Whether phi tends to an infinity on a side where the domain is bounded."""
@@ -811,10 +888,9 @@ class AnalyticSymbol:
                 result = change.apply_inverse(mid, precision + 2 * _GUARD_BITS)
             with mpmath.workprec(precision):
                 return +result
-        with mpmath.workprec(precision + _GUARD_BITS):
-            result = eval_tree(self.body.tree, to_mpf(x))
-        with mpmath.workprec(precision):
-            return +result
+        prec = precision + _GUARD_BITS
+        result = self._kernel(prec)(_raw_point(x, prec))
+        return mpmath.mp.make_mpf(mpf_pos(result, precision, _RND))
 
     def _point_in_domain(self, x, precision) -> bool:
         with mpmath.workprec(precision):
@@ -886,8 +962,8 @@ class AnalyticSymbol:
         if isinstance(self.body, ConjugatedBody):
             return _UNKNOWN
         if isinstance(end, Fraction):
-            with mpmath.workprec(96):
-                return Limit("finite", approx=eval_tree(self.body.tree, to_mpf(end)))
+            approx = self._kernel(96)(_raw_point(end, 96))
+            return Limit("finite", approx=mpmath.mp.make_mpf(approx))
         return tree_limit(self.body.tree, end)
 
     # -- display ---------------------------------------------------------------
@@ -924,6 +1000,7 @@ class AnalyticSymbol:
         restricted = AnalyticSymbol(self.body, domain, text=self.text,
                                     require_self_map=False, require_nonconstant=False)
         restricted.invariance_certified = certified
+        restricted._kernels = self._kernels  # same body, same compiled trees
         return restricted
 
 

@@ -208,9 +208,33 @@ class TestEnvironment:
         monkeypatch.setenv("COMPSPEC_PRECISION", "512")
         assert default_precision() == 512
         monkeypatch.setenv("COMPSPEC_PRECISION", "banana")
-        assert default_precision() == 256
+        with pytest.raises(ValueError, match="COMPSPEC_PRECISION='banana'"):
+            default_precision()
         monkeypatch.delenv("COMPSPEC_PRECISION")
         assert default_precision() == 256
+
+    @pytest.mark.parametrize("value", ["abc", "8", "-256", "1.5"])
+    def test_bad_precision_env_is_a_usage_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("COMPSPEC_PRECISION", value)
+        code = main(["eval", "--symbol", "1/2*x", "--lambda", "3", "--gamma", "x",
+                     "--at", "1/10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"COMPSPEC_PRECISION={value!r}" in err
+
+
+class TestComplexSolve:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_complex_lambda_with_numeric_gamma(self, capsys, fmt):
+        # The solution series has mpc coefficients.
+        code, out = run_cli(capsys, "solve", "--symbol", "1/2*x", "--lambda", "3+i",
+                            "--gamma", "exp(x+1)", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            coeffs = json.loads(out)["series"]["coeffs"]
+            assert coeffs[0][0] == "complex"
+        else:
+            assert "f_0 = (" in out
 
 
 class TestEnclosureSerialization:

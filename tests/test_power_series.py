@@ -165,6 +165,20 @@ def test_json_round_trip():
     assert back == series
 
 
+def test_json_round_trip_numeric_coefficients():
+    with mpmath.workprec(256):
+        coeffs = [mpmath.mpc(1, 2) / 3, mpmath.mpf(1) / 7, mpmath.mpc(-5, 0) / 7,
+                  mpmath.mpc(0, 1) * mpmath.pi * 10**-8]
+    doc = TruncatedSeries(F(0), coeffs).to_json_dict()
+    assert [c[0] for c in doc["coeffs"]] == ["complex", "float", "complex", "complex"]
+    back = TruncatedSeries.from_json_dict(doc)
+    assert back.to_json_dict() == doc
+    assert [type(c) for c in back.coeffs] == [type(c) for c in coeffs]
+    with mpmath.workprec(256):
+        for k in (0, 2, 3):
+            assert abs(back.coeffs[k] - coeffs[k]) <= abs(coeffs[k]) * mpmath.mpf(10) ** -29
+
+
 # ---------------------------------------------------------------------------
 # The sparse product against the dense loop it replaced
 

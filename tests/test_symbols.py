@@ -1,17 +1,48 @@
 from fractions import Fraction as F
+from math import gcd
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
 
-from compspec import sturm
+from compspec import sturm, symbols
 from compspec.errors import (ConstantSymbolError, DegreeOverflow, DomainError,
                              ExpressionSyntaxError, InvarianceFailure,
                              NotADiffeomorphism, OrbitEscape)
-from compspec.intervals import Interval
+from compspec.intervals import Interval, is_finite
 from compspec.numbers import QuadraticNumber, quadratic, to_mpf
-from compspec.symbols import (NoFixedPoints, conjugate,
-                              identity_diffeomorphism, normalize_quadratic,
-                              parse_change, parse_rhs, parse_symbol)
+from compspec.symbols import (Add, AnalyticSymbol, Call, Mul, NoFixedPoints,
+                              Poly, Pow, _grid_pairs, _raw_point, compile_tree,
+                              conjugate, fold, identity_diffeomorphism,
+                              normalize_quadratic, parse_change, parse_rhs,
+                              parse_symbol)
+
+
+def reference_eval(node, x):
+    """Object-level mpmath evaluation of a folded tree at an mpf or mpc
+    point, inside the caller's workprec: the reference the compiled
+    kernel must match bit for bit on real points."""
+    if isinstance(node, Poly):
+        acc = None
+        for c in reversed(node.coeffs):
+            acc = to_mpf(c) if acc is None else acc * x + c
+        return acc
+    if isinstance(node, Add):
+        total = mpmath.mpf(0)
+        for p in node.parts:
+            total += reference_eval(p, x)
+        return total
+    if isinstance(node, Mul):
+        total = mpmath.mpf(1)
+        for p in node.parts:
+            total *= reference_eval(p, x)
+        return total
+    if isinstance(node, Pow):
+        return reference_eval(node.base, x) ** node.exponent
+    fn = {"exp": mpmath.exp, "arctan": mpmath.atan, "sin": mpmath.sin}[node.fn]
+    return fn(reference_eval(node.arg, x))
 
 
 class TestParser:
@@ -111,12 +142,11 @@ class TestJet:
     def test_jets_against_cauchy_quadrature_oracle(self, text, center, order):
         # Independent oracle: Taylor coefficients through Cauchy-integral
         # quadrature over pointwise tree evaluation (no series recurrences).
-        from compspec.symbols import eval_tree
         sym = parse_symbol(text, require_self_map=False)
         jet = sym.jet(center, order, precision=128)
         with mpmath.workprec(128):
             def fn(z):
-                return eval_tree(sym.body.tree, z)
+                return reference_eval(sym.body.tree, z)
             c = mpmath.mpf(center.numerator) / center.denominator
             oracle = mpmath.taylor(fn, c, order, method="quad", radius=0.25)
             for ours, theirs in zip(jet.coeffs, oracle):
@@ -380,3 +410,142 @@ class TestMapsInto:
         ok, witness = sturm.poly_maps_into([F(0), F(3, 2), F(-1)], Interval(0, 1),
                                            [Interval(F(1, 3), 2)])
         assert not ok and 0 < witness < 1
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator
+
+
+_COEFFS = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=1000),
+    st.builds(F, st.integers(-10**45, 10**45), st.integers(10**44, 10**45)))
+_POLYS = st.lists(_COEFFS, min_size=1, max_size=4).map(lambda cs: Poly(tuple(cs)))
+_BOUNDED_FNS = st.sampled_from(["arctan", "sin"])
+
+
+def _trees(depth):
+    """Trees over the grammar's nodes; ``exp`` only of a polynomial or of a
+    bounded call, so values stay of a size mpmath computes quickly."""
+    if depth == 0:
+        return _POLYS
+    sub = _trees(depth - 1)
+    return st.one_of(
+        _POLYS,
+        st.lists(sub, min_size=2, max_size=3).map(lambda ps: Add(tuple(ps))),
+        st.lists(sub, min_size=2, max_size=3).map(lambda ps: Mul(tuple(ps))),
+        st.builds(Pow, sub, st.integers(2, 3)),
+        st.builds(Call, _BOUNDED_FNS, sub),
+        st.builds(Call, st.just("exp"), _POLYS | st.builds(Call, _BOUNDED_FNS, sub)))
+
+
+_POINTS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=10**6),
+    st.builds(F, st.integers(-4 * 10**40, 4 * 10**40), st.integers(10**40, 10**41)),
+    # mpf points carrying up to 300 bits, more than some precisions keep
+    st.builds(lambda m, e: mpmath.mp.make_mpf(from_man_exp(m, e)),
+              st.integers(-2**300, 2**300), st.integers(-310, -298)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=_trees(3), point=_POINTS, prec=st.sampled_from([53, 96, 120, 280]))
+def test_compiled_tree_is_bit_identical_to_object_arithmetic(raw, point, prec):
+    for tree in (raw, fold(raw)):
+        with mpmath.workprec(prec):
+            expected = reference_eval(tree, to_mpf(point))._mpf_
+        assert compile_tree(tree, prec)(_raw_point(point, prec)) == expected
+
+
+def _fraction_grid(domain, count):
+    """The sample grid computed in Fraction arithmetic, point by point."""
+    lo, hi = domain.lower, domain.upper
+    ts = [F(k, count + 1) for k in range(1, count + 1)]
+    if is_finite(lo) and is_finite(hi):
+        return [lo + (hi - lo) * t for t in ts]
+    if is_finite(lo):
+        return [lo + t / (1 - t) for t in ts]
+    if is_finite(hi):
+        return [hi - t / (1 - t) for t in ts]
+    return [(2 * t - 1) / (1 - (2 * t - 1) ** 2) for t in ts]
+
+
+class TestCompiledKernel:
+    @pytest.mark.parametrize("domain", [Interval(-1, 1), Interval(F(-7, 3), F(5, 11)),
+                                        Interval.parse("(1/3,inf)"),
+                                        Interval.parse("(-inf,-2/9)"),
+                                        Interval.real_line()])
+    @pytest.mark.parametrize("count", [1, 2, 63, 1024])
+    def test_grid_pairs_are_the_reduced_grid(self, domain, count):
+        pairs = _grid_pairs(domain, count)
+        assert all(den > 0 and gcd(num, den) == 1 for num, den in pairs)
+        assert [F(num, den) for num, den in pairs] == _fraction_grid(domain, count)
+
+    @staticmethod
+    def _count_compiles(monkeypatch):
+        """Record the precision of each outermost compile_tree call."""
+        calls, depth = [], [0]
+        original = symbols.compile_tree
+
+        def counting(node, prec):
+            if depth[0] == 0:
+                calls.append(prec)
+            depth[0] += 1
+            try:
+                return original(node, prec)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(symbols, "compile_tree", counting)
+        return calls
+
+    def test_parse_compiles_once_per_precision(self, monkeypatch):
+        calls = self._count_compiles(monkeypatch)
+        phi = parse_symbol("1/2*arctan(x)")
+        # The constant backstop runs at 200 bits; the whole 1024-point
+        # self-map scan shares one kernel at 96 + 24 bits.
+        assert sorted(calls) == [120, 200]
+        phi.eval(F(1, 3), 96)
+        phi.maps_into(Interval(-1, 1), [Interval(-1, 1)], 256)
+        assert len(calls) == 2
+
+    def test_with_domain_reuses_the_parent_kernels(self, monkeypatch):
+        phi = parse_symbol("1/2*arctan(x)")
+        calls = self._count_compiles(monkeypatch)
+        restricted = phi.with_domain(Interval(-1, 1))
+        # Only the limits at the new finite ends compile (once, at 96 bits).
+        assert calls == [96]
+        for prec in (96, 120, 200):
+            assert restricted._kernel(prec) is phi._kernel(prec)
+        assert calls == [96]
+
+    def test_sampled_maps_into_does_not_call_eval(self, monkeypatch):
+        phi = parse_symbol("1/2*arctan(x)")
+        calls = []
+        original = AnalyticSymbol.eval
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnalyticSymbol, "eval", counting)
+        assert phi.maps_into(Interval(-1, 1), [Interval(-1, 1)], 1024) == (True, None, False)
+        assert not phi.maps_into(Interval(0, 4), [Interval(0, F(1, 2))], 64)[0]
+        assert calls == []
+
+    def test_maps_into_checks_the_domain(self):
+        phi = parse_symbol("1/2*arctan(x)", Interval(-1, 1))
+        # Grid points 2k/17 of (0, 2); the first outside (-1, 1) is 18/17.
+        with pytest.raises(DomainError, match=r"18/17 is outside the domain \(-1,1\)"):
+            phi.maps_into(Interval(0, 2), [Interval(-1, 1)], 16)
+
+    def test_witness_is_the_exact_grid_point(self):
+        phi = parse_symbol("1/2*arctan(x)")
+        source = Interval(0, 4)
+        ok, witness, _ = phi.maps_into(source, [Interval(0, F(1, 2))], 64)
+        assert not ok and type(witness) is F
+        grid = symbols._sample_grid(source, 64)
+        assert witness in grid
+        # The first grid point whose 96-bit image reaches 1/2.
+        first, half = grid.index(witness), mpmath.mpf(0.5)
+        assert all(phi.eval(x, 96) < half for x in grid[:first])
+        assert not phi.eval(witness, 96) < half
