@@ -2,10 +2,9 @@
 
 Coefficients are Fractions (ints are promoted) or QuadraticNumbers; the
 ring operations, composition, derivative and evaluation work on both.
-``content_free`` needs rational coefficients.  Coefficient lists are
-ascending (index = degree) with a nonzero leading entry unless the
-polynomial is zero (empty list is not used; the zero polynomial is
-``[Fraction(0)]``).
+Coefficient lists are ascending (index = degree) with a nonzero leading
+entry unless the polynomial is zero (empty list is not used; the zero
+polynomial is ``[Fraction(0)]``).
 """
 
 from __future__ import annotations
@@ -102,20 +101,6 @@ def eval_at(p, x):
     for c in reversed(p):
         result = c if result is None else result * x + c
     return result
-
-
-def content_free(p):
-    """Clear denominators and integer content; preserves roots and signs up
-    to a positive factor, which keeps Sturm-sequence sign data intact."""
-    from math import gcd, lcm
-    den = lcm(*(c.denominator for c in p)) if len(p) > 1 else p[0].denominator
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    return [Fraction(c) for c in ints]
 
 
 def div_rem(p, q):

@@ -1,6 +1,8 @@
 """Exact real-root certificates for rational polynomials.
 
-Everything here is Fraction arithmetic: Sturm chains, open-interval root
+Sturm chains, gcds and signs at rational points run on Python integers:
+every chain member is a primitive integer polynomial, and the sign of p at
+n/d is the sign of d^k p(n/d).  On top of that kernel: open-interval root
 counts, isolation into exact roots (rational, quadratic) or sign-change
 enclosures, refinement, and certified range containment.  No floating
 point enters any certificate.
@@ -10,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from math import gcd, lcm
 
 from . import polynomials as poly
 from .intervals import NEG_INF, POS_INF, Interval, ext_lt, is_finite
@@ -28,25 +29,62 @@ def eval_sign_at_infinity(p, positive: bool) -> int:
 
 
 def sign_at(p, x) -> int:
+    """Sign of p at x.  At a rational x = n/d it is the sign of d^k p(n/d),
+    k = degree(p), by Horner on integers for an integer p; other exact
+    points (a QuadraticNumber) are evaluated in their own field."""
     if x is POS_INF:
         return eval_sign_at_infinity(p, True)
     if x is NEG_INF:
         return eval_sign_at_infinity(p, False)
-    v = poly.eval_at(p, x)
+    if isinstance(x, (int, Fraction)):
+        n, d = x.numerator, x.denominator
+        v, scale = 0, 1
+        for c in reversed(p):
+            v = v * n + c * scale
+            scale *= d
+    else:
+        v = poly.eval_at(p, x)
     return -1 if v < 0 else (0 if v == 0 else 1)
 
 
-def sturm_chain(p) -> list[list[Fraction]]:
-    # Each remainder is divided by its positive content: scaling by a
-    # positive rational preserves every sign in the chain, and keeps the
-    # coefficient bit-length from exploding along the remainder sequence.
-    p = poly.content_free(poly.normalize(p))
-    chain = [p, poly.content_free(poly.derivative(p))]
-    while poly.degree(chain[-1]) > 0:
-        _, r = poly.div_rem(chain[-2], chain[-1])
-        if poly.is_zero(r):
+def _primitive(p) -> list[int]:
+    """The integer polynomial with content 1 that is a positive multiple of
+    the rational polynomial p: it has p's roots and p's signs."""
+    den = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _pseudo_remainder(a, b) -> list[int]:
+    """|lead(b)|^k times the remainder of a by b, for integer a and b, where
+    k is the number of nonzero reduction steps: a positive multiple of the
+    rational remainder, computed without a division."""
+    lead, db = b[-1], len(b) - 1
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    r = list(a)
+    while len(r) > db:
+        top = r.pop()
+        if top:
+            f, shift = sign * top, len(r) - db
+            r = ([scale * c for c in r[:shift]]
+                 + [scale * c - f * e for c, e in zip(r[shift:], b)])
+    while len(r) > 1 and r[-1] == 0:
+        r.pop()
+    return r or [0]
+
+
+def sturm_chain(p) -> list[list[int]]:
+    # Each pseudo-remainder is a positive multiple of the rational remainder,
+    # so negated and divided by its positive content it keeps every sign in
+    # the chain, with the coefficient bit-length kept down by the division.
+    p = _primitive(poly.normalize(p))
+    chain = [p, _primitive([i * c for i, c in enumerate(p)][1:] or [0])]
+    while len(chain[-1]) > 1:
+        r = _pseudo_remainder(chain[-2], chain[-1])
+        if not any(r):
             break
-        chain.append(poly.content_free(poly.neg(r)))
+        chain.append(_primitive([-c for c in r]))
     return chain
 
 
@@ -58,21 +96,23 @@ def sign_variations(chain, x) -> int:
 def _deflate(p, r: Fraction):
     """(p with every factor x - r divided out, the number divided out)."""
     k = 0
-    while poly.degree(p) >= 1 and poly.eval_at(p, r) == 0:
+    while poly.degree(p) >= 1 and sign_at(_primitive(p), r) == 0:
         p, k = poly.div_rem(p, [-r, Fraction(1)])[0], k + 1
     return p, k
 
 
 def poly_gcd(p, q):
+    """Monic gcd of two rational polynomials (q itself when p is zero), by
+    primitive pseudo-remainders over the integers."""
     a, b = poly.normalize(p), poly.normalize(q)
     if poly.is_zero(a):
         return b
-    a, b = poly.content_free(a), poly.content_free(b)
-    while not poly.is_zero(b) and poly.degree(b) > 0:
-        a, b = b, poly.content_free(poly.div_rem(a, b)[1])
-    if not poly.is_zero(b):
+    a, b = _primitive(a), _primitive(b)
+    while any(b) and len(b) > 1:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    if any(b):
         return [Fraction(1)]
-    return poly.scale(a, Fraction(1) / a[-1])
+    return [Fraction(c, a[-1]) for c in a]
 
 
 def squarefree_decomposition(w):
@@ -108,22 +148,22 @@ def count_roots_open(p, interval: Interval) -> int:
         return 0
     chain = sturm_chain(p)
     n = sign_variations(chain, lo) - sign_variations(chain, hi)
-    if is_finite(hi) and poly.eval_at(p, hi) == 0:
+    if is_finite(hi) and sign_at(chain[0], hi) == 0:
         n -= 1  # (lo, hi] counted the endpoint root
     return n
 
 
 @dataclass(frozen=True)
 class Enclosure:
-    """Certified isolating interval: p carries a sign change over [lo, hi]."""
+    """Certified isolating interval: p, a primitive integer polynomial,
+    carries a sign change over [lo, hi]."""
 
     lo: Fraction
     hi: Fraction
     p: tuple
 
     def refine(self, width: Fraction) -> "Enclosure":
-        lo, hi = self.lo, self.hi
-        p = list(self.p)
+        lo, hi, p = self.lo, self.hi, self.p
         s_lo = sign_at(p, lo)
         while hi - lo > width:
             mid = (lo + hi) / 2
@@ -145,7 +185,7 @@ class Enclosure:
         return (self.lo + self.hi) / 2
 
     def has_sign_change(self) -> bool:
-        return sign_at(list(self.p), self.lo) * sign_at(list(self.p), self.hi) < 0
+        return sign_at(self.p, self.lo) * sign_at(self.p, self.hi) < 0
 
     def holds_root_of(self, chain) -> bool:
         """Whether the polynomial with this Sturm chain has a root in the
@@ -194,7 +234,7 @@ def _divisors(n: int):
 def rational_roots(p) -> list[Fraction]:
     """All rational roots by divisor search; may miss roots only when the
     search space exceeds the budget (callers must tolerate that)."""
-    q = poly.content_free(poly.normalize(p))
+    q = _primitive(poly.normalize(p))
     roots = []
     while len(q) > 1 and q[0] == 0:
         q = q[1:]
@@ -202,8 +242,8 @@ def rational_roots(p) -> list[Fraction]:
             roots.append(Fraction(0))
     if poly.degree(q) == 0:
         return roots
-    nums = _divisors(int(q[0]))
-    dens = _divisors(int(q[-1]))
+    nums = _divisors(q[0])
+    dens = _divisors(q[-1])
     if nums is None or dens is None or len(nums) * len(dens) > _DIVISOR_BUDGET:
         candidates = {Fraction(k) for k in range(-8, 9)}
         candidates |= {Fraction(1, k) for k in range(2, 9)}
@@ -211,7 +251,7 @@ def rational_roots(p) -> list[Fraction]:
     else:
         candidates = {Fraction(s * n, d) for n in nums for d in dens for s in (1, -1)}
     for cand in candidates:
-        if poly.eval_at(q, cand) == 0 and cand not in roots:
+        if sign_at(q, cand) == 0 and cand not in roots:
             roots.append(cand)
     return sorted(roots)
 
@@ -235,12 +275,7 @@ def solve_quadratic_exact(p):
     center = -b / (2 * a)
     first = quadratic(center, Fraction(1, disc.denominator) / (2 * a),
                       disc.numerator * disc.denominator)
-    return sorted([first, 2 * center - first], key=_approx_key)
-
-
-def _approx_key(r):
-    with mpmath.workprec(128):
-        return r.to_mpf() if isinstance(r, Enclosure) else to_mpf(r)
+    return sorted([first, 2 * center - first])
 
 
 def isolate_roots(p, interval: Interval):
@@ -270,7 +305,13 @@ def isolate_roots(p, interval: Interval):
         chains = ([sturm_chain(g) for g in gcds]
                   if any(isinstance(r, Enclosure) for r in roots) else [])
         results += [(r, 1 + _gcds_vanishing_at(gcds, chains, r)) for r in roots]
-    return sorted(results, key=lambda rm: _approx_key(rm[0]))
+    return sorted(results, key=lambda rm: _position(rm[0]))
+
+
+def _position(root):
+    """Exact sort key of an isolated root: its value, or the lower end of its
+    enclosure.  Enclosures are disjoint and clear of the exact roots."""
+    return root.lo if isinstance(root, Enclosure) else root
 
 
 def _clear_of(enc: Enclosure, points) -> Enclosure:
@@ -287,7 +328,7 @@ def _gcds_vanishing_at(gcds, chains, root) -> int:
     an enclosure) have the root among their roots."""
     for k, g in enumerate(gcds):
         hit = (root.holds_root_of(chains[k]) if isinstance(root, Enclosure)
-               else poly.eval_at(g, root) == 0)
+               else sign_at(_primitive(g), root) == 0)
         if not hit:
             return k
     return len(gcds)
@@ -295,18 +336,31 @@ def _gcds_vanishing_at(gcds, chains, root) -> int:
 
 def _isolate_by_bisection(sf, interval: Interval):
     """Roots of a squarefree polynomial in the interval, unordered: exact
-    rationals hit by a bisection midpoint, else sign-change enclosures."""
+    rationals hit by a bisection midpoint, else sign-change enclosures of
+    the chain's primitive chain[0]."""
     bound = cauchy_bound(sf)
     lo = interval.lower if is_finite(interval.lower) else -bound - 1
     hi = interval.upper if is_finite(interval.upper) else bound + 1
     lo, hi = Fraction(lo), Fraction(hi)
     chain = sturm_chain(sf)
+    p = chain[0]
+    # Every point is an endpoint of several subintervals: its sign
+    # variations and its sign of p are computed once each.
+    variations, signs = {}, {}
+
+    def sign(x):
+        if x not in signs:
+            signs[x] = sign_at(p, x)
+        return signs[x]
 
     def count(a, b):
         # Roots in (a, b]; the chain of a square-free polynomial counts a
         # root at b but not one at a.
-        n = sign_variations(chain, a) - sign_variations(chain, b)
-        return n - 1 if poly.eval_at(sf, b) == 0 else n
+        for x in (a, b):
+            if x not in variations:
+                variations[x] = sign_variations(chain, x)
+        n = variations[a] - variations[b]
+        return n - 1 if sign(b) == 0 else n
 
     found = []
     stack = [(lo, hi)]
@@ -319,7 +373,7 @@ def _isolate_by_bisection(sf, interval: Interval):
             continue
         if n > 1:
             mid = (a + b) / 2
-            if poly.eval_at(sf, mid) == 0:
+            if sign(mid) == 0:
                 found.append(mid)
             stack.append((a, mid))
             stack.append((mid, b))
@@ -327,12 +381,12 @@ def _isolate_by_bisection(sf, interval: Interval):
         # Exactly one (simple) root: narrow to a sign-change bracket.
         aa, bb = a, b
         while True:
-            sa, sb = sign_at(sf, aa), sign_at(sf, bb)
+            sa, sb = sign(aa), sign(bb)
             if sa != 0 and sb != 0 and sa != sb:
-                found.append(Enclosure(aa, bb, tuple(sf)))
+                found.append(Enclosure(aa, bb, tuple(p)))
                 break
             mid = (aa + bb) / 2
-            if poly.eval_at(sf, mid) == 0:
+            if sign(mid) == 0:
                 found.append(mid)
                 break
             if count(aa, mid) == 1:

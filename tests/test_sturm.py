@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compspec import polynomials as polylib
 from compspec import sturm
-from compspec.intervals import Interval
+from compspec.intervals import NEG_INF, POS_INF, Interval
 from compspec.numbers import QuadraticNumber, quadratic
 
 
@@ -107,3 +110,180 @@ class TestRationalRoots:
         # (x - 1/2)(x - (10^12 + 39)): the small root is still found.
         p = polylib.mul([F(-1, 2), F(1)], [F(-(10 ** 12 + 39)), F(1)])
         assert F(1, 2) in sturm.rational_roots(p)
+
+
+class TestIsolationOrder:
+    def test_enclosures_with_equal_approximations_come_out_ascending(self):
+        # (x^3 - 2)(x^3 - 2 - 2^-200 x): two real roots 2^-200/3 apart, so
+        # any rounded key of fewer than ~200 bits ties them.
+        p = polylib.mul([F(-2), F(0), F(0), F(1)], [F(-2), -F(1, 2 ** 200), F(0), F(1)])
+        (left, _), (right, _) = sturm.isolate_roots(p, Interval.real_line())
+        assert isinstance(left, sturm.Enclosure) and isinstance(right, sturm.Enclosure)
+        assert left.hi <= right.lo
+
+    def test_quadratic_and_rational_roots_interleave_exactly(self):
+        # (x - 7/5)(x^2 - 2): -sqrt(2) < 7/5 < sqrt(2).
+        p = polylib.mul([F(-7, 5), F(1)], [F(-2), F(0), F(1)])
+        roots = [r for r, _ in sturm.isolate_roots(p, Interval.real_line())]
+        assert roots == [quadratic(0, -1, 2), F(7, 5), quadratic(0, 1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the rational remainder sequence it replaces
+
+
+def _content_free(p):
+    den = lcm(*(c.denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = gcd(*ints)
+    return [F(c // g) if g > 1 else F(c) for c in ints]
+
+
+def _reference_sturm_chain(p):
+    p = _content_free(polylib.normalize(p))
+    chain = [p, _content_free(polylib.derivative(p))]
+    while polylib.degree(chain[-1]) > 0:
+        _, r = polylib.div_rem(chain[-2], chain[-1])
+        if polylib.is_zero(r):
+            break
+        chain.append(_content_free(polylib.neg(r)))
+    return chain
+
+
+def _reference_gcd(p, q):
+    a, b = polylib.normalize(p), polylib.normalize(q)
+    if polylib.is_zero(a):
+        return b
+    a, b = _content_free(a), _content_free(b)
+    while not polylib.is_zero(b) and polylib.degree(b) > 0:
+        a, b = b, _content_free(polylib.div_rem(a, b)[1])
+    if not polylib.is_zero(b):
+        return [F(1)]
+    return polylib.scale(a, F(1) / a[-1])
+
+
+def _reference_sign_at(p, x):
+    if x is POS_INF or x is NEG_INF:
+        return sturm.eval_sign_at_infinity(p, x is POS_INF)
+    v = polylib.eval_at(p, x)
+    return -1 if v < 0 else (0 if v == 0 else 1)
+
+
+def _reference_variations(chain, x):
+    signs = [s for s in (_reference_sign_at(q, x) for q in chain) if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+_SMALL = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+_WIDE = st.builds(F, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200))
+_RADICANDS = st.sampled_from([2, 3, 5, 6, 7, 10])
+
+
+@st.composite
+def _factor(draw):
+    """(factor, its exact real roots) for one kind of factor."""
+    kind = draw(st.sampled_from(["rational", "quadratic", "wide", "small"]))
+    if kind == "rational":
+        r = draw(_SMALL)
+        return [-r, F(1)], [r]
+    if kind == "quadratic":
+        # (x - c)^2 - d has the roots c -+ sqrt(d).
+        c, d = draw(_SMALL), draw(_RADICANDS)
+        return [c * c - d, -2 * c, F(1)], [quadratic(c, -1, d), quadratic(c, 1, d)]
+    coeff = _WIDE if kind == "wide" else _SMALL
+    coeffs = draw(st.lists(coeff, min_size=2, max_size=4))
+    return polylib.normalize(coeffs[:-1] + [coeffs[-1] or F(1)]), []
+
+
+@st.composite
+def _polynomial(draw):
+    """(p, exact roots of p): repeated factors of each kind times a
+    rational constant, up to 200-bit coefficients."""
+    p, roots = [draw(st.one_of(_SMALL, _WIDE).filter(bool))], []
+    for _ in range(draw(st.integers(1, 4))):
+        f, f_roots = draw(_factor())
+        p = polylib.mul(p, polylib.power(f, draw(st.integers(1, 3))))
+        roots += f_roots
+    return p, roots
+
+
+_POINTS = st.one_of(
+    st.integers(-40, 40),
+    _SMALL,
+    st.builds(F, st.integers(-2 ** 300, 2 ** 300), st.integers(2 ** 256, 2 ** 300)),
+    st.sampled_from([POS_INF, NEG_INF]),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_polynomial(), _polynomial(), st.lists(_POINTS, max_size=6))
+def test_integer_kernel_matches_rational_remainders(pr, qr, points):
+    (p, roots), (q, _) = pr, qr
+    chain, ref = sturm.sturm_chain(p), _reference_sturm_chain(p)
+    assert chain == ref
+    assert all(type(c) is int for member in chain for c in member)
+    for other in (polylib.derivative(p), q, polylib.mul(p, q)):
+        g = sturm.poly_gcd(p, other)
+        assert g == _reference_gcd(p, other)
+        assert all(type(c) is F for c in g)
+    for x in points + roots:
+        assert [sturm.sign_at(a, x) for a in chain] == [_reference_sign_at(b, x) for b in ref]
+        assert sturm.sign_variations(chain, x) == _reference_variations(ref, x)
+
+
+def _second_iterate_fixed_points():
+    # p(p(x)) - x for p = -2+x-x^2+x^3+x^6-x^7, of degree 49.
+    p = [F(-2), F(1), F(-1), F(1), F(0), F(0), F(1), F(-1)]
+    return polylib.sub(polylib.compose(p, p), [F(0), F(1)])
+
+
+def _described(roots):
+    return [(str(r.lo), str(r.hi), m) if isinstance(r, sturm.Enclosure) else (str(r), m)
+            for r, m in roots]
+
+
+_X = [F(0), F(1)]
+
+_ISOLATED = [
+    (_second_iterate_fixed_points(), Interval.real_line(),
+     [("-647405/524288", "-1286615/1048576", 1), ("-1286615/1048576", "-319605/262144", 1),
+      ("-155705/131072", "-73755/65536", 1), ("0", "8195/8192", 1),
+      ("8195/8192", "8195/4096", 1)]),
+    (polylib.mul(_X, polylib.power([F(-2), F(0), F(0), F(1)], 2)), Interval.real_line(),
+     [("0", 1), ("1", "2", 2)]),
+    (polylib.mul(polylib.power([F(-2), F(0), F(1)], 2), polylib.power([F(-1, 3), F(1)], 3)),
+     Interval.real_line(), [("-sqrt(2)", 2), ("1/3", 3), ("sqrt(2)", 2)]),
+    ([F(0), F(0), F(-1), F(-2), F(0), F(-1)], Interval.real_line(),
+     [("-1/2", "-1/4", 1), ("0", 2)]),
+    ([F(1, 7), F(4), F(0), F(-5), F(0), F(1)], Interval(F(-1), F(3)),
+     [("-1", "-1/2", 1), ("-1/2", "0", 1), ("1", "3/2", 1), ("3/2", "2", 1)]),
+]
+
+
+@pytest.mark.parametrize("p, interval, expected", _ISOLATED)
+def test_isolation_is_unchanged_on_fixed_examples(p, interval, expected):
+    # Expected: the output of the rational-remainder kernel.
+    assert _described(sturm.isolate_roots(p, interval)) == expected
+
+
+def test_sign_at_a_quadratic_point():
+    # (x^2 - 2)(x - 1) at 1 + sqrt(2), -1 - sqrt(2) and sqrt(2).
+    p = [2, -2, -1, 1]
+    assert sturm.sign_at(p, quadratic(1, 1, 2)) == 1
+    assert sturm.sign_at(p, quadratic(-1, -1, 2)) == -1
+    assert sturm.sign_at(p, quadratic(0, 1, 2)) == 0
+
+
+def test_bisection_evaluates_each_point_once(monkeypatch):
+    points = []
+    sign_variations = sturm.sign_variations
+
+    def recording(chain, x):
+        points.append(x)
+        return sign_variations(chain, x)
+
+    monkeypatch.setattr(sturm, "sign_variations", recording)
+    sf = sturm.squarefree_decomposition(_second_iterate_fixed_points())[0]
+    roots = sturm._isolate_by_bisection(sf, Interval.real_line())
+    assert len(roots) == 5
+    assert len(points) == len(set(points))
