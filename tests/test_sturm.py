@@ -114,8 +114,8 @@ class TestRationalRoots:
 
 class TestIsolationOrder:
     def test_enclosures_with_equal_approximations_come_out_ascending(self):
-        # (x^3 - 2)(x^3 - 2 - 2^-200 x): two real roots 2^-200/3 apart, so
-        # any rounded key of fewer than ~200 bits ties them.
+        # (x^3 - 2)(x^3 - 2 - 2^-200 x): two real roots about 2^-202 apart,
+        # so any rounded key of fewer than ~200 bits ties them.
         p = polylib.mul([F(-2), F(0), F(0), F(1)], [F(-2), -F(1, 2 ** 200), F(0), F(1)])
         (left, _), (right, _) = sturm.isolate_roots(p, Interval.real_line())
         assert isinstance(left, sturm.Enclosure) and isinstance(right, sturm.Enclosure)
@@ -182,7 +182,12 @@ _RADICANDS = st.sampled_from([2, 3, 5, 6, 7, 10])
 @st.composite
 def _factor(draw):
     """(factor, its exact real roots) for one kind of factor."""
-    kind = draw(st.sampled_from(["rational", "quadratic", "wide", "small"]))
+    kind = draw(st.sampled_from(["rational", "quadratic", "binomial", "wide", "small"]))
+    if kind == "binomial":
+        # c + lead x^n: its remainders skip degrees, so a pseudo-division
+        # step count is odd and a negative lead would flip a chain sign.
+        n, c = draw(st.integers(2, 5)), draw(_SMALL)
+        return [c] + [F(0)] * (n - 1) + [F(draw(st.sampled_from([-3, -1, 1, 2])))], []
     if kind == "rational":
         r = draw(_SMALL)
         return [-r, F(1)], [r]
