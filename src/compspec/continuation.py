@@ -4,9 +4,10 @@ A trusted local series at an attracting (or parabolic quadratic) fixed
 point extends along dynamics: forward orbits fall into the core and the
 value unwinds through f(x) = (f(phi(x)) - gamma(x)) / lambda; a monotone
 inverse branch handles regions the forward orbit leaves; a mirror identity
-reflects across the symmetry axis of quadratic symbols.  Every returned
-value is spot-checked against the functional equation, with doubling
-precision escalation.
+reflects across the symmetry axis of quadratic symbols.  The engines
+share one walk into the core and one push-forward sum, and each reports
+the rules and orbit depth it used.  Only evaluate checks its value against
+the functional equation, with doubling precision escalation.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from .solver import LocalSolution, solve_formal
 from .symbols import AnalyticSymbol
 
 _MAX_PRECISION = 4096
+_MAX_DEPTH = 10_000         # orbit steps before BasinEscape
 _HARD_FLOOR = Fraction(1, 2 ** 16)
 
 
 @dataclass(frozen=True)
 class ForwardOrbitRule:
     region: Interval
-    max_depth: int = 10_000
 
     name = "forward-orbit"
 
@@ -43,8 +44,6 @@ class ForwardOrbitRule:
 class InverseBranchRule:
     region: Interval
     branch: object          # callable y -> psi(y) in mpf arithmetic
-    branch_range: Interval  # where psi lands
-    max_depth: int = 10_000
 
     name = "inverse-branch"
 
@@ -110,8 +109,7 @@ def _half(r_est, domain: Interval, center) -> Fraction:
 
 
 def globalize(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
-              order: int = 24, precision=None, rules=None,
-              check_basin: bool = True, max_depth: int = 10_000,
+              order: int = 24, precision=None, check_basin: bool = True,
               core_radius=None) -> GlobalSolution:
     """Build a global solution from a convergent local one.
 
@@ -144,17 +142,14 @@ def globalize(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
         raise HypothesisViolation("could not certify an invariant core")
     basin = None
     if check_basin and not parabolic:
-        basin = attraction_basin_check(phi, core, max_depth=max_depth,
+        basin = attraction_basin_check(phi, core, max_depth=_MAX_DEPTH,
                                        invariant_core=True)
         if basin.status == "false":
             raise HypothesisViolation(
                 f"domain is not attracted to the core (witness {basin.witness})")
-    if rules is None:
-        if parabolic:
-            rules = standard_parabolic_rules(phi, max_depth)
-        else:
-            rules = (ForwardOrbitRule(phi.domain, max_depth),)
-    return GlobalSolution(local=local, core=core, rules=tuple(rules), basin=basin)
+    rules = standard_parabolic_rules(phi) if parabolic \
+        else (ForwardOrbitRule(phi.domain),)
+    return GlobalSolution(local=local, core=core, rules=rules, basin=basin)
 
 
 def _core_invariant(phi: AnalyticSymbol, core: Interval, u, parabolic: bool) -> bool:
@@ -164,7 +159,7 @@ def _core_invariant(phi: AnalyticSymbol, core: Interval, u, parabolic: bool) -> 
     return ok
 
 
-def standard_parabolic_rules(phi: AnalyticSymbol, max_depth: int = 10_000):
+def standard_parabolic_rules(phi: AnalyticSymbol):
     """Extension rules for the parabolic quadratic x - x**2: forward orbits
     on (0, 1), the decreasing inverse branch on the negative axis, and the
     mirror identity across the critical axis 1/2."""
@@ -177,18 +172,14 @@ def standard_parabolic_rules(phi: AnalyticSymbol, max_depth: int = 10_000):
         # The monotone inverse of x - x^2 on (-inf, 1/2).
         return (1 - mpmath.sqrt(1 - 4 * y)) / 2
 
-    return (ForwardOrbitRule(Interval(Fraction(0), Fraction(1)), max_depth),
-            InverseBranchRule(Interval(NEG_INF, Fraction(0)), branch,
-                              Interval(NEG_INF, Fraction(0)), max_depth),
+    return (ForwardOrbitRule(Interval(Fraction(0), Fraction(1))),
+            InverseBranchRule(Interval(NEG_INF, Fraction(0)), branch),
             MirrorRule(Fraction(1, 2), Interval(Fraction(1, 2), POS_INF)))
 
 
 # ---------------------------------------------------------------------------
-# Rule engines
-
-
-def _series_value(sol: GlobalSolution, x):
-    return sol.local.series.eval(x)
+# Rule engines: each walks into the core, reads the series and carries the
+# value back, returning (value, EvalTrace); extend_* drop the trace.
 
 
 def _exact_mode(sol: GlobalSolution, x) -> bool:
@@ -198,6 +189,31 @@ def _exact_mode(sol: GlobalSolution, x) -> bool:
             and is_exact(sol.lam))
 
 
+def _orbit_to_core(sol: GlobalSolution, x, start, step, escape=None):
+    """The orbit start, step(start), ... up to and including its first
+    point in the core; BasinEscape at _MAX_DEPTH steps or once a point has
+    |point| > escape."""
+    orbit = [start]
+    while not sol.core.contains(orbit[-1]):
+        depth = len(orbit) - 1
+        if depth == _MAX_DEPTH or (escape is not None
+                                   and abs(to_mpf(orbit[-1])) > escape):
+            raise BasinEscape(depth, x)
+        orbit.append(step(orbit[-1]))
+    return orbit
+
+
+def _push(sol: GlobalSolution, value, points, lam, work):
+    """Carry f along points by f(phi(p)) = lam*f(p) + gamma(p)."""
+    for p in points:
+        value = lam * value + sol.gamma.eval(p, precision=work)
+    return value
+
+
+def _trace(rule: str, depth: int) -> EvalTrace:
+    return EvalTrace(("series",) if depth == 0 else (rule,), depth, "")
+
+
 def extend_forward(sol: GlobalSolution, x, precision=None):
     """Value at x through the forward orbit into the core.
 
@@ -205,8 +221,7 @@ def extend_forward(sol: GlobalSolution, x, precision=None):
     of the caller.  Points already inside the core evaluate the series at
     depth zero.
     """
-    value, _ = _extend_forward_trace(sol, x, precision or default_precision())
-    return value
+    return _extend_forward_trace(sol, x, precision or default_precision())[0]
 
 
 def _escape_bound(sol: GlobalSolution, x):
@@ -216,31 +231,17 @@ def _escape_bound(sol: GlobalSolution, x):
 
 
 def _extend_forward_trace(sol: GlobalSolution, x, precision):
-    rule = next((r for r in sol.rules if isinstance(r, ForwardOrbitRule)), None)
-    max_depth = rule.max_depth if rule else 10_000
     exact = _exact_mode(sol, x)
     work = precision + 32
     with mpmath.workprec(work):
-        bound = _escape_bound(sol, x)
-        current = x if exact else to_mpf(x)
-        orbit = [current]
-        depth = None
-        for k in range(max_depth + 1):
-            if sol.core.contains(current):
-                depth = k
-                break
-            if abs(to_mpf(current)) > bound:
-                raise BasinEscape(k, x)
-            current = sol.phi.eval(current, precision=work)
-            orbit.append(current)
-        if depth is None:
-            raise BasinEscape(max_depth, x)
-        value = _series_value(sol, orbit[depth])
+        orbit = _orbit_to_core(sol, x, x if exact else to_mpf(x),
+                               lambda p: sol.phi.eval(p, precision=work),
+                               escape=_escape_bound(sol, x))
+        value = sol.local.series.eval(orbit[-1])
         lam = sol.lam if exact else to_numeric(sol.lam)
-        for k in range(depth - 1, -1, -1):
-            value = (value - sol.gamma.eval(orbit[k], precision=work)) / lam
-        return value, EvalTrace(("series",) if depth == 0 else ("forward-orbit",),
-                                depth, "")
+        for p in reversed(orbit[:-1]):
+            value = (value - sol.gamma.eval(p, precision=work)) / lam
+        return value, _trace("forward-orbit", len(orbit) - 1)
 
 
 def extend_inverse_branch(sol: GlobalSolution, x, precision=None):
@@ -249,7 +250,10 @@ def extend_inverse_branch(sol: GlobalSolution, x, precision=None):
     Uses the identity f(y) = lambda*f(psi(y)) + gamma(psi(y)) along the
     branch orbit, the transformed equation of the inverse symbol.
     """
-    precision = precision or default_precision()
+    return _extend_inverse_trace(sol, x, precision or default_precision())[0]
+
+
+def _extend_inverse_trace(sol: GlobalSolution, x, precision):
     rule = next((r for r in sol.rules if isinstance(r, InverseBranchRule)), None)
     if rule is None:
         raise BranchDomain("no inverse-branch rule configured")
@@ -257,29 +261,22 @@ def extend_inverse_branch(sol: GlobalSolution, x, precision=None):
         raise BranchDomain(f"{x} outside the inverse branch region {rule.region}")
     work = precision + 32
     with mpmath.workprec(work):
-        current = to_mpf(x)
-        orbit = [current]
-        depth = None
-        for k in range(rule.max_depth + 1):
-            if sol.core.contains(current):
-                depth = k
-                break
-            current = rule.branch(current)
-            orbit.append(current)
-        if depth is None:
-            raise BasinEscape(rule.max_depth, x)
-        value = _series_value(sol, orbit[depth])
+        orbit = _orbit_to_core(sol, x, to_mpf(x), rule.branch)
         lam = to_numeric(sol.lam) if isinstance(sol.lam, GaussianRational) \
             else sol.lam
-        for k in range(depth - 1, -1, -1):
-            value = lam * value + sol.gamma.eval(orbit[k + 1], precision=work)
-        return value
+        # psi(orbit[k]) = orbit[k+1], so f(orbit[k]) = f(phi(orbit[k+1])).
+        value = _push(sol, sol.local.series.eval(orbit[-1]), orbit[:0:-1],
+                      lam, work)
+        return value, _trace("inverse-branch", len(orbit) - 1)
 
 
 def extend_mirror(sol: GlobalSolution, y, precision=None):
     """Value at y by reflecting across the symmetry axis:
     f(y) = f(2*axis - y) + (gamma(2*axis - y) - gamma(y)) / lambda."""
-    precision = precision or default_precision()
+    return _extend_mirror_trace(sol, y, precision or default_precision())[0]
+
+
+def _extend_mirror_trace(sol: GlobalSolution, y, precision):
     rule = next((r for r in sol.rules if isinstance(r, MirrorRule)), None)
     if rule is None:
         raise ReflectedUncovered("no mirror rule configured")
@@ -289,56 +286,59 @@ def extend_mirror(sol: GlobalSolution, y, precision=None):
         y_val = y if exact else to_mpf(y)
         reflected = 2 * rule.axis - y_val if exact else 2 * to_mpf(rule.axis) - y_val
         try:
-            base = _dispatch(sol, reflected, work, allow_mirror=False)
+            base, trace = _dispatch(sol, reflected, work, allow_mirror=False)
         except (BranchDomain, BasinEscape) as exc:
             raise ReflectedUncovered(
                 f"reflected point {reflected} not covered") from exc
         lam = sol.lam if exact else to_numeric(sol.lam)
         correction = (sol.gamma.eval(reflected, precision=work)
                       - sol.gamma.eval(y_val, precision=work)) / lam
-        return base + correction
+        return base + correction, EvalTrace(("mirror",) + trace.rule_chain,
+                                            trace.depth, "")
 
 
 def _dispatch(sol: GlobalSolution, x, work, allow_mirror=True):
     if sol.core.contains(x):
-        return _series_value(sol, x if _exact_mode(sol, x) else to_mpf(x))
+        point = x if _exact_mode(sol, x) else to_mpf(x)
+        return sol.local.series.eval(point), _trace("series", 0)
     for rule in sol.rules:
         if isinstance(rule, ForwardOrbitRule) and rule.region.contains(x):
-            value, _ = _extend_forward_trace(sol, x, work)
-            return value
+            return _extend_forward_trace(sol, x, work)
         if isinstance(rule, InverseBranchRule) and rule.region.contains(x):
-            return extend_inverse_branch(sol, x, precision=work)
+            return _extend_inverse_trace(sol, x, work)
         if allow_mirror and isinstance(rule, MirrorRule) \
                 and rule.region.contains(x):
-            return extend_mirror(sol, x, precision=work)
+            return _extend_mirror_trace(sol, x, work)
     raise BranchDomain(f"{x} is not covered by any extension rule")
 
 
 def evaluate(sol: GlobalSolution, x, precision=None):
     """Value of the global solution with a residual certificate.
 
-    Returns (value, trace).  The residual of the functional equation at x
+    Returns (value, trace), the trace naming the rules and orbit depth
+    that produced the value.  The residual of the functional equation at x
     must sit below 2**-(precision-32); otherwise precision escalates by
     doubling up to the 4096-bit ceiling before PrecisionLoss.
     """
     precision = precision or default_precision()
     if _exact_mode(sol, x):
-        value = _dispatch(sol, x, precision)
+        value, trace = _dispatch(sol, x, precision)
         if is_exact(value):
             residual = _residual_exact(sol, x, value)
             if is_exact(residual):
                 if residual != 0:
                     raise PrecisionLoss("exact path produced a nonzero residual")
-                return value, EvalTrace(("exact",), 0, "0")
+                return value, EvalTrace(("exact",) + trace.rule_chain,
+                                        trace.depth, "0")
     work = precision
     while work <= _MAX_PRECISION:
         with mpmath.workprec(work + 32):
-            value = _dispatch(sol, x, work)
+            value, trace = _dispatch(sol, x, work)
             residual = _residual_numeric(sol, x, value, work)
             bound = mpmath.mpf(2) ** (-(precision - 32))
             if abs(residual) < bound:
                 with mpmath.workprec(precision):
-                    return +value, EvalTrace(("dispatch",), 0,
+                    return +value, EvalTrace(trace.rule_chain, trace.depth,
                                              mpmath.nstr(abs(residual), 8))
         work *= 2
     raise PrecisionLoss(f"residual above tolerance at {_MAX_PRECISION} bits")
@@ -346,7 +346,7 @@ def evaluate(sol: GlobalSolution, x, precision=None):
 
 def _residual_exact(sol: GlobalSolution, x, value):
     phi_x = sol.phi.eval(x)
-    f_phi = _dispatch(sol, phi_x, default_precision())
+    f_phi, _ = _dispatch(sol, phi_x, default_precision())
     return f_phi - sol.lam * value - sol.gamma.eval(x)
 
 
@@ -354,7 +354,7 @@ def _residual_numeric(sol: GlobalSolution, x, value, work):
     with mpmath.workprec(work + 32):
         x_val = to_mpf(x)
         phi_x = sol.phi.eval(x_val, precision=work + 32)
-        f_phi = _dispatch(sol, phi_x, work)
+        f_phi, _ = _dispatch(sol, phi_x, work)
         lam = to_numeric(sol.lam)
         gamma_x = sol.gamma.eval(x_val, precision=work + 32)
         return f_phi - lam * value - gamma_x
@@ -376,11 +376,9 @@ def orbit_sum_check(sol: GlobalSolution, x, n: int, precision=None):
         orbit = [point]
         for _ in range(n):
             orbit.append(sol.phi.eval(orbit[-1], precision=work))
-        lhs = _dispatch(sol, orbit[-1], work)
-        acc = _dispatch(sol, point, work)
-        for k in range(n):
-            acc = lam * acc + sol.gamma.eval(orbit[k], precision=work)
-        residual = lhs - acc
+        lhs, _ = _dispatch(sol, orbit[-1], work)
+        residual = lhs - _push(sol, _dispatch(sol, point, work)[0], orbit[:-1],
+                               lam, work)
         if exact:
             return residual
         return abs(residual)
@@ -420,12 +418,9 @@ def telescoping_check(sol: GlobalSolution, mu, n: int, precision=None):
         lam = to_numeric(sol.lam)
         fixed = to_mpf(mu) - 1
         lhs = sol.gamma.eval(fixed, precision=work) / (1 - lam)
-        x_n = orbit[-1]
-        acc = _dispatch(sol, x_n, work)
-        for k in range(n):
-            point = orbit[n - 1 - k]
-            acc = lam * acc + sol.gamma.eval(point, precision=work)
-        # acc now equals lam^n f(x_n) + sum lam^(n-1-i) gamma(x_(n-i))
+        # f(x_n) pushed along x_n, ..., x_1 lands on f(phi(x_1)) = f(mu - 1)
+        acc = _push(sol, _dispatch(sol, orbit[-1], work)[0], orbit[::-1],
+                    lam, work)
         return abs(lhs - acc)
 
 

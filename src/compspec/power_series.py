@@ -272,8 +272,8 @@ def _is_rational_zero(c) -> bool:
     return isinstance(c, (int, Fraction)) and c == 0
 
 
-# Significant digits of numeric coefficients in JSON.  Complex ones are
-# read back at this many digits, so a document survives a round trip.
+# Significant digits of numeric coefficients in JSON.  They are read back
+# at this many digits, so a document survives a round trip.
 _JSON_DIGITS = 30
 
 
@@ -287,14 +287,17 @@ def _coeff_to_json(c):
     if isinstance(c, mpmath.mpc):
         return ["complex", mpmath.nstr(c.real, _JSON_DIGITS),
                 mpmath.nstr(c.imag, _JSON_DIGITS)]
-    return ["float", mpmath.nstr(mpmath.mpf(c), _JSON_DIGITS)]
+    if not isinstance(c, mpmath.mpf):
+        c = mpmath.mpf(c)
+    return ["float", mpmath.nstr(c, _JSON_DIGITS)]
 
 
 def _coeff_from_json(doc):
     if isinstance(doc, str):
         return Fraction(doc)
     if isinstance(doc, list) and len(doc) == 2 and doc[0] == "float":
-        return mpmath.mpf(doc[1])
+        with mpmath.workdps(_JSON_DIGITS):
+            return mpmath.mpf(doc[1])
     if isinstance(doc, list) and len(doc) == 3 and doc[0] == "complex":
         with mpmath.workdps(_JSON_DIGITS):
             return mpmath.mpc(doc[1], doc[2])

@@ -119,6 +119,12 @@ class TestEval:
         with mpmath.workprec(256):
             assert json.loads(out)["value"] == mpmath.nstr(value, 30)
 
+    def test_rule_chain_and_depth_printed(self, capsys):
+        code, out = run_cli(capsys, "eval", "--symbol", "1/2*arctan(x)",
+                            "--lambda", "2", "--gamma", "1", "--at", "1000")
+        assert code == 0
+        assert "rules: forward-orbit (depth 1)" in out.splitlines()
+
     def test_basin_escape_exit_code(self, capsys):
         code = main(["eval", "--symbol", "x^2", "--lambda", "5",
                      "--gamma", "1", "--at", "2"])

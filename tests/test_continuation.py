@@ -61,8 +61,22 @@ class TestForwardExtension:
         diverging = parse_symbol("x^2")
         local = dataclasses.replace(sol.local, phi=diverging)
         fake = GlobalSolution(local=local, core=Interval(F(-1, 2), F(1, 2)),
-                              rules=(ForwardOrbitRule(diverging.domain, 50),))
+                              rules=(ForwardOrbitRule(diverging.domain),))
         with pytest.raises(BasinEscape):
+            extend_forward(fake, F(2))
+
+    def test_depth_cap_raises(self):
+        # -x keeps the orbit of 2 bounded and outside the core forever, so
+        # only the depth cap stops the walk.
+        import dataclasses
+        from compspec.continuation import ForwardOrbitRule, GlobalSolution
+        sol = globalize(parse_symbol("1/2*x"), F(0), F(5), parse_rhs("1"),
+                        order=20)
+        flipping = parse_symbol("-x")
+        local = dataclasses.replace(sol.local, phi=flipping)
+        fake = GlobalSolution(local=local, core=Interval(F(-1, 2), F(1, 2)),
+                              rules=(ForwardOrbitRule(flipping.domain),))
+        with pytest.raises(BasinEscape, match="within 10000 steps"):
             extend_forward(fake, F(2))
 
     def test_globalize_refuses_divergent_series(self):
@@ -172,6 +186,31 @@ class TestOrbitSum:
     def test_numeric_residual_small(self, arctan_solution):
         residual = orbit_sum_check(arctan_solution, F(3), 6, precision=256)
         assert residual < mpmath.mpf(2) ** -200
+
+
+class TestTraces:
+    @staticmethod
+    def chain(sol, x, precision=256):
+        trace = evaluate(sol, x, precision=precision)[1]
+        return trace.rule_chain, trace.depth
+
+    def test_core_point(self, arctan_solution):
+        assert self.chain(arctan_solution, F(1, 10)) == (("series",), 0)
+
+    def test_forward_orbit(self, arctan_solution):
+        assert self.chain(arctan_solution, F(1000)) == (("forward-orbit",), 1)
+
+    def test_inverse_branch(self, parabolic_solution):
+        assert self.chain(parabolic_solution, F(-2)) == (("inverse-branch",), 2)
+
+    def test_mirror(self, parabolic_solution):
+        assert self.chain(parabolic_solution, F(3)) == (
+            ("mirror", "inverse-branch"), 2)
+
+    def test_exact_answer(self, halving_solution):
+        assert self.chain(halving_solution, F(100)) == (
+            ("exact", "forward-orbit"), 7)
+        assert self.chain(halving_solution, F(1, 3)) == (("exact", "series"), 0)
 
 
 class TestPreimageOrbit:

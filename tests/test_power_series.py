@@ -293,3 +293,12 @@ def test_power_table_costs_degree_times_order_squared():
     assert _Counted.products <= order * order
     c = TruncatedSeries(F(0), coeffs)
     assert (c.compose(s) - c * F(3)).coeffs == (F(0), F(1)) + (F(0),) * (order - 1)
+
+
+def test_json_float_coefficients_carry_30_digits():
+    # Printed from the coefficient itself, not from a 53-bit copy of it.
+    with mpmath.workprec(256):
+        coeffs = [-mpmath.e / 2, mpmath.mpf(1) / 7]
+    doc = TruncatedSeries(F(0), coeffs).to_json_dict()
+    assert doc["coeffs"] == [["float", "-1.35914091422952261768014373568"],
+                             ["float", "0.142857142857142857142857142857"]]
