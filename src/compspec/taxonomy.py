@@ -533,6 +533,14 @@ def _no_fixed_point_leaf(analysis, certified) -> ClassificationReport:
                             EigenRule(("otherwise",), DimZero())]),
             resolved=True, open_problem=None, certified=certified,
             citations=("Cor 3.1(b)", "Thm 2.2(a)", "Prop 2.1(1)"), notes=())
+    if analysis.critical_bounded_away is True:
+        sigma_p, eigen = point_spectrum(analysis)
+        return ClassificationReport(
+            case_id="Cor 3.1", sigma_p=sigma_p, sigma=SupersetOf((PuncturedPlane(),)),
+            eigen=eigen, resolved=False, open_problem=None, certified=certified,
+            citations=("Cor 3.1", "Thm 2.2(a)", "Prop 2.1(1)"),
+            notes=("diffeomorphism verdict undecided: whether 0 lies in the "
+                   "spectrum is open",))
     if analysis.critical_bounded_away is False:
         sigma_p = FiniteSet((Fraction(1),))
         note = "critical set not bounded away from the relevant end"

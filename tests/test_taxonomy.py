@@ -320,3 +320,19 @@ class TestCoveringObstruction:
                   CoverPiece((Interval(F(-1), F(1)),))]
         obstruction = covering_obstruction(phi, F(3), pieces)
         assert obstruction.verdict == "NotSurjective"
+
+
+class TestOneDecision:
+    def test_fixed_point_free_with_undecided_diffeomorphism(self):
+        # No fixed points and no critical points, but the endpoint limits
+        # leave the diffeomorphism verdict open: only 0 is undecided.
+        analysis = analyze_symbol(parse_symbol("x+1+exp(x)-exp(1/2*x)"))
+        assert analysis.is_diffeo.value is None
+        assert analysis.critical_points == []
+        report = spectrum(analysis)
+        assert report.case_id == "Cor 3.1"
+        assert (report.sigma_p, report.eigen) == point_spectrum(analysis)
+        assert report.sigma_p == PuncturedPlane()
+        assert report.sigma == SupersetOf((PuncturedPlane(),))
+        assert report.resolved is False
+        assert "undecided" in report.notes[0]
