@@ -24,12 +24,11 @@ from .intervals import NEG_INF, POS_INF, Interval, is_finite
 from .numbers import (GaussianRational, as_exact, exact_abs_compare, is_exact,
                       to_mpf, to_numeric)
 from .power_series import Converges
-from .rootwork import attraction_basin_check
+from .rootwork import MAX_ORBIT_STEPS, attraction_basin_check
 from .solver import LocalSolution, solve_formal
 from .symbols import AnalyticSymbol
 
 _MAX_PRECISION = 4096
-_MAX_DEPTH = 10_000         # orbit steps before BasinEscape
 _HARD_FLOOR = Fraction(1, 2 ** 16)
 
 
@@ -142,8 +141,7 @@ def globalize(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
         raise HypothesisViolation("could not certify an invariant core")
     basin = None
     if check_basin and not parabolic:
-        basin = attraction_basin_check(phi, core, max_depth=_MAX_DEPTH,
-                                       invariant_core=True)
+        basin = attraction_basin_check(phi, core, invariant_core=True)
         if basin.status == "false":
             raise HypothesisViolation(
                 f"domain is not attracted to the core (witness {basin.witness})")
@@ -191,14 +189,15 @@ def _exact_mode(sol: GlobalSolution, x) -> bool:
 
 def _orbit_to_core(sol: GlobalSolution, x, start, step, escape=None):
     """The orbit start, step(start), ... up to and including its first
-    point in the core; BasinEscape at _MAX_DEPTH steps or once a point has
-    |point| > escape."""
+    point in the core; BasinEscape at MAX_ORBIT_STEPS steps or once a point
+    has |point| > escape."""
     orbit = [start]
     while not sol.core.contains(orbit[-1]):
         depth = len(orbit) - 1
-        if depth == _MAX_DEPTH or (escape is not None
-                                   and abs(to_mpf(orbit[-1])) > escape):
+        if depth == MAX_ORBIT_STEPS:
             raise BasinEscape(depth, x)
+        if escape is not None and abs(to_mpf(orbit[-1])) > escape:
+            raise BasinEscape(depth, x, escaped=True)
         orbit.append(step(orbit[-1]))
     return orbit
 

@@ -64,10 +64,13 @@ class CenterMismatch(CompspecError):
 
 
 class BasinEscape(CompspecError):
-    """The orbit failed to enter the trusted core within the depth budget."""
+    """The orbit failed to enter the trusted core: it used up the depth
+    budget, or (``escaped``) it passed the escape bound first."""
 
-    def __init__(self, depth, point=None):
-        super().__init__(f"orbit did not reach the core within {depth} steps")
+    def __init__(self, depth, point=None, escaped=False):
+        super().__init__(f"orbit passed the escape bound after {depth} steps"
+                         if escaped else
+                         f"orbit did not reach the core within {depth} steps")
         self.depth = depth
         self.point = point
 

@@ -29,6 +29,7 @@ REPELLING = "repelling"
 NEUTRAL_UNRESOLVED = "neutral?"
 
 _REFINE_LIMIT = Fraction(1, 2 ** 512)
+MAX_ORBIT_STEPS = 10_000    # orbit steps before a walk gives up on the core
 
 
 @dataclass(frozen=True)
@@ -346,13 +347,13 @@ def find_critical_points(phi: AnalyticSymbol):
     with mpmath.workprec(96):
         deriv = lambda x: to_mpf(phi.derivative_at(x, 96))
         values = [deriv(to_mpf(x)) for x in grid]
-        for i in range(len(grid) - 1):
-            va, vb = values[i], values[i + 1]
+        # Every exact grid zero once; bisect only brackets whose two ends
+        # are nonzero with opposite signs.
+        for i, (a, va) in enumerate(zip(grid, values)):
             if va == 0:
-                roots.append(to_mpf(grid[i]))
-                continue
-            if (va < 0) != (vb < 0):
-                roots.append(_bisect_numeric(deriv, grid[i], grid[i + 1], va))
+                roots.append(to_mpf(a))
+            elif i + 1 < len(grid) and va * values[i + 1] < 0:
+                roots.append(_bisect_numeric(deriv, a, grid[i + 1], va))
     return roots
 
 
@@ -472,8 +473,7 @@ def critical_set_bounded_away(phi: AnalyticSymbol, end: str, critical=None):
 # Attraction basins
 
 
-def attraction_basin_check(phi: AnalyticSymbol, core: Interval,
-                           max_depth: int = 10_000, samples: int = 64, *,
+def attraction_basin_check(phi: AnalyticSymbol, core: Interval, *,
                            invariant_core: bool = False) -> BasinVerdict:
     """Certify (or sample) that the whole domain is attracted into the core.
 
@@ -489,10 +489,10 @@ def attraction_basin_check(phi: AnalyticSymbol, core: Interval,
         verdict = _certified_basin(phi, core)
         if verdict is not None:
             return verdict
-    witness = _sampled_basin_witness(phi, core, max_depth, samples)
+    witness = _sampled_basin_witness(phi, core)
     if witness is None:
         return BasinVerdict("sampled-true", certified=False,
-                            note=f"all {samples} samples entered the core")
+                            note="all 64 samples entered the core")
     point, proven = witness
     return BasinVerdict("false", witness=point, certified=proven,
                         note="orbit provably escapes" if proven
@@ -593,16 +593,15 @@ def _escape_witness(phi: AnalyticSymbol, displacement, region: Interval, side: s
     return None
 
 
-def _sampled_basin_witness(phi: AnalyticSymbol, core: Interval,
-                           max_depth: int, samples: int):
-    grid = _sample_grid(phi.domain, samples)
+def _sampled_basin_witness(phi: AnalyticSymbol, core: Interval):
+    grid = _sample_grid(phi.domain, 64)
     extra = [Fraction(k) for k in (-2, -1, 1, 2) if phi.domain.contains(Fraction(k))]
     with mpmath.workprec(64):
         big = mpmath.mpf(2) ** 256
         for start in list(grid) + extra:
             x = to_mpf(start)
             entered = False
-            for _ in range(max_depth):
+            for _ in range(MAX_ORBIT_STEPS):
                 if core.contains(x):
                     entered = True
                     break

@@ -1,12 +1,12 @@
 """Spectral classification of composition operators from a symbol analysis.
 
 The decision tree routes through the fixed-point taxonomy: identity,
-fixed-point-free maps, involutions, pure powers, unique second-iterate
-fixed points (attracting / repelling), the quadratic family, and multiple
+fixed-point-free maps, involutions, unique second-iterate fixed points by
+their certified kind, pure powers, the quadratic family, and multiple
 fixed points.  Every leaf reports structured set expressions for the
-spectrum and point spectrum, eigenspace dimension rules, and the case
-label with its source citations.  Unresolvable branches return explicit
-supersets rather than guessing.
+spectrum, the point spectrum and eigenspace dimension rules of
+point_spectrum, and the case label with its source citations.
+Unresolvable branches return explicit supersets rather than guessing.
 """
 
 from __future__ import annotations
@@ -14,14 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import mpmath
+
 from .errors import HypothesisViolation, InvarianceFailure, UnresolvedVerdict
 from .intervals import Interval, intersect_unions, union_covers
 from .numbers import (GaussianRational, QuadraticNumber, as_exact,
-                      exact_abs_compare, format_scalar, parse_scalar)
-from .rootwork import (ATTRACTING, NEUTRAL_UNRESOLVED, REPELLING,
+                      exact_abs_compare, format_scalar, parse_scalar, to_mpf)
+from .rootwork import (ATTRACTING, NEUTRAL, NEUTRAL_UNRESOLVED, REPELLING,
                        SUPERATTRACTING, SymbolAnalysis, analyze_symbol)
-from .symbols import (AnalyticSymbol, ConjugatedBody, NoFixedPoints,
-                      normalize_quadratic)
+from .symbols import AnalyticSymbol, ConjugatedBody, normalize_quadratic
 
 REPORT_VERSION = 1
 
@@ -76,40 +77,45 @@ class Powers:
     kind = "powers"
 
     def contains(self, lam) -> bool:
-        if self.include_zero and lam == 0:
-            return True
+        if lam == 0:
+            return self.include_zero
         real = _real_part(lam)
         if real is None:
             return False
-        if real == 1:
-            return True
         ratio = as_exact(self.ratio)
-        side = exact_abs_compare(ratio, Fraction(1))
-        if side == 0:
-            return real == ratio  # ratio is +-1; 1 handled above
-        power = ratio
-        guard = 0
-        while guard < 4096:
-            cmp = _mag_compare(power, real)
-            if cmp == 0 and power == real:
-                return True
-            if side > 0 and cmp > 0:
-                return False
-            if side < 0 and cmp < 0:
-                return False
-            power = power * ratio
-            guard += 1
-        return False
+        if real == 1 or exact_abs_compare(ratio, Fraction(1)) == 0:
+            return real == 1 or real == ratio  # ratio is +-1
+        # |ratio|**n = |real| pins n to within one of the 64-bit log ratio;
+        # an n too large for the digits of real is rejected unpowered.
+        with mpmath.workprec(64):
+            t = _log_abs(real) / _log_abs(ratio)
+        return any(0 < n <= 2 * _bits(real) + 2 and ratio ** n == real
+                   for n in {int(mpmath.floor(t)), int(mpmath.ceil(t))})
 
     def to_json_dict(self):
         return {"kind": self.kind, "ratio": format_scalar(self.ratio),
                 "include_zero": self.include_zero}
 
 
-def _mag_compare(a, b) -> int:
-    """Sign of |a| - |b| for exact real scalars."""
-    a, b = abs(as_exact(a)), abs(as_exact(b))
-    return -1 if a < b else (0 if a == b else 1)
+def _log_abs(x):
+    """log|x| to 64 good bits: log1p near |x| = 1, and a quadratic number
+    read off the larger of itself and its conjugate (their product is its
+    norm), so that no digits cancel."""
+    x = abs(x)
+    if isinstance(x, QuadraticNumber) and x < abs(x.conjugate()):
+        return mpmath.log(abs(to_mpf(x.norm()))) - _log_abs(x.conjugate())
+    if Fraction(1, 2) < x < 2:
+        return mpmath.log1p(to_mpf(x - 1))
+    return mpmath.log(to_mpf(x))
+
+
+def _bits(x) -> int:
+    """Bit length of the rational coordinates of x.  ratio**n == x forces
+    n <= 2 * _bits(x) + 2: the norm or denominators of ratio**n grow with n,
+    unless ratio is a unit, whose modulus lies outside (1/phi, phi)."""
+    if isinstance(x, QuadraticNumber):
+        return _bits(x.p) + _bits(x.q) + x.d.bit_length()
+    return x.numerator.bit_length() + x.denominator.bit_length()
 
 
 @dataclass(frozen=True)
@@ -408,27 +414,30 @@ def point_spectrum(analysis: SymbolAnalysis):
         if analysis.critical_bounded_away is None:
             raise UnresolvedVerdict("critical-set tail behaviour undecided")
         return (FiniteSet((Fraction(1),)), _eigen_constants_only())
-    if analysis.is_involution and not analysis.is_identity:
+    if analysis.is_involution:
         values = (Fraction(-1), Fraction(1))
         return (FiniteSet(values),
                 EigenDim([EigenRule(("in_set", values), DimInfinite("A_+(R)")),
                           EigenRule(("otherwise",), DimZero())]))
     m, kind = _base_multiplier(analysis)
-    if m is not None:
-        if kind == NEUTRAL_UNRESOLVED:
-            raise UnresolvedVerdict("multiplier enclosure straddles modulus one")
-        exact = _is_real_scalar(m)
-        if kind == ATTRACTING and exact:
-            return (Powers(as_exact(m), include_zero=False),
-                    EigenDim([EigenRule(("power_of", as_exact(m)), DimFinite(1)),
-                              EigenRule(("otherwise",), DimZero())]))
-        if kind == REPELLING and exact and not analysis.critical_points:
-            return (Powers(as_exact(m), include_zero=False),
-                    EigenDim([EigenRule(("power_of", as_exact(m)), DimFinite(1)),
-                              EigenRule(("otherwise",), DimZero())]))
-        if kind in (ATTRACTING, REPELLING) and not exact:
+    if kind == NEUTRAL_UNRESOLVED:
+        raise UnresolvedVerdict("multiplier enclosure straddles modulus one")
+    if kind in (ATTRACTING, REPELLING):
+        if not _is_real_scalar(m):
             raise UnresolvedVerdict("multiplier known only as an enclosure")
+        if kind == ATTRACTING or not analysis.critical_points:
+            return (Powers(as_exact(m), include_zero=False),
+                    EigenDim([EigenRule(("power_of", as_exact(m)), DimFinite(1)),
+                              EigenRule(("otherwise",), DimZero())]))
     return (FiniteSet((Fraction(1),)), _eigen_constants_only())
+
+
+def _decided_point_spectrum(analysis: SymbolAnalysis):
+    """point_spectrum, or None where the taxonomy leaves it undecided."""
+    try:
+        return point_spectrum(analysis)
+    except UnresolvedVerdict:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -436,26 +445,18 @@ def point_spectrum(analysis: SymbolAnalysis):
 
 
 def spectrum_lower_bound(analysis: SymbolAnalysis):
-    """Union of {0} (non-diffeomorphism), the point spectrum, and the
-    multiplier power sets at fixed points with non-neutral multipliers."""
+    """Union of {0} (non-diffeomorphism), the point spectrum ({1} where it is
+    undecided), and the multiplier power sets at hyperbolic fixed points."""
     parts = []
     if analysis.is_diffeo.value is not True:
         parts.append(FiniteSet((Fraction(0),)))
-    try:
-        sigma_p, _ = point_spectrum(analysis)
-        parts.append(sigma_p)
-    except UnresolvedVerdict:
-        parts.append(FiniteSet((Fraction(1),)))
+    decided = _decided_point_spectrum(analysis)
+    parts.append(decided[0] if decided else FiniteSet((Fraction(1),)))
     for record in analysis.fixed_points:
-        m = record.multiplier
-        if not _is_real_scalar(m):
-            continue
-        m = as_exact(m)
-        if m == 0 or exact_abs_compare(m, Fraction(1)) == 0:
-            continue
-        candidate = Powers(m)
-        if not any(candidate == p for p in parts):
-            parts.append(candidate)
+        if record.kind in (ATTRACTING, REPELLING) and _is_real_scalar(record.multiplier):
+            candidate = Powers(as_exact(record.multiplier))
+            if candidate not in parts:
+                parts.append(candidate)
     return SetUnion(tuple(parts))
 
 
@@ -467,22 +468,19 @@ def spectrum(target) -> ClassificationReport:
     """Full classification of a symbol (or precomputed analysis).
 
     Total: every branch returns a report; branches the sources leave open
-    return explicit supersets with resolved=False.
+    return explicit supersets with resolved=False.  Every leaf reports the
+    point spectrum of point_spectrum and branches on the certified kind of
+    the fixed point, never on the size of its multiplier.
     """
-    if isinstance(target, AnalyticSymbol):
-        if isinstance(target.body, ConjugatedBody):
-            inner = spectrum(target.body.inner)
-            return replace(inner, certified=False)
-        analysis = analyze_symbol(target)
-    else:
-        analysis = target
-        if isinstance(analysis.symbol.body, ConjugatedBody):
-            inner = spectrum(analysis.symbol.body.inner)
-            return replace(inner, certified=False)
+    symbol = target if isinstance(target, AnalyticSymbol) else target.symbol
+    if isinstance(symbol.body, ConjugatedBody):
+        return replace(spectrum(symbol.body.inner), certified=False)
+    analysis = analyze_symbol(symbol) if target is symbol else target
     certified = analysis.certified
+    decided = _decided_point_spectrum(analysis)
 
     if analysis.is_identity:
-        sigma_p, eigen = point_spectrum(analysis)
+        sigma_p, eigen = decided
         return ClassificationReport(
             case_id="Thm 2.2(b3)", sigma_p=sigma_p, sigma=FiniteSet((Fraction(1),)),
             eigen=eigen, resolved=True, open_problem=None, certified=certified,
@@ -490,10 +488,10 @@ def spectrum(target) -> ClassificationReport:
             notes=("identity symbol: the operator is the identity",))
 
     if not analysis.fixed_points:
-        return _no_fixed_point_leaf(analysis, certified)
+        return _no_fixed_point_leaf(analysis, decided, certified)
 
     if analysis.is_involution:
-        sigma_p, eigen = point_spectrum(analysis)
+        sigma_p, eigen = decided
         return ClassificationReport(
             case_id="Thm 2.2(b2)", sigma_p=sigma_p, sigma=sigma_p, eigen=eigen,
             resolved=True, open_problem=None, certified=certified,
@@ -501,99 +499,38 @@ def spectrum(target) -> ClassificationReport:
             notes=("derived rule: (C - lam)(C + lam) = (1 - lam^2) I inverts "
                    "the resolvent for lam outside {-1, 1}",))
 
-    power = analysis.symbol.affine_power_exponent()
-    if power is not None:
-        return ClassificationReport(
-            case_id="Prop 3.12", sigma_p=FiniteSet((Fraction(1),)),
-            sigma=AllPlane(), eigen=_eigen_constants_only(), resolved=True,
-            open_problem=None, certified=certified,
-            citations=("Prop 3.12", "Lemma 3.13", "Prop 2.1", "Thm 3.11"),
-            notes=(f"affinely equivalent to the power map with exponent {power}",))
-
-    unique_sq = analysis.unique_sq_fixed_point()
-    if unique_sq is not None:
-        return _unique_fixed_point_leaf(analysis, certified)
-
-    return _several_fixed_points_leaf(analysis, certified)
-
-
-def _no_fixed_point_leaf(analysis, certified) -> ClassificationReport:
-    diffeo = analysis.is_diffeo.value
-    if diffeo is True:
-        return ClassificationReport(
-            case_id="Cor 3.1(a)", sigma_p=PuncturedPlane(), sigma=PuncturedPlane(),
-            eigen=EigenDim([EigenRule(("nonzero",), DimInfinite("A(T)")),
-                            EigenRule(("otherwise",), DimZero())]),
-            resolved=True, open_problem=None, certified=certified,
-            citations=("Cor 3.1(a)", "Thm 2.2(a)"), notes=())
-    if diffeo is False and analysis.critical_bounded_away is True:
-        return ClassificationReport(
-            case_id="Cor 3.1(b)", sigma_p=PuncturedPlane(), sigma=AllPlane(),
-            eigen=EigenDim([EigenRule(("nonzero",), DimInfinite("A(T)")),
-                            EigenRule(("otherwise",), DimZero())]),
-            resolved=True, open_problem=None, certified=certified,
-            citations=("Cor 3.1(b)", "Thm 2.2(a)", "Prop 2.1(1)"), notes=())
-    if analysis.critical_bounded_away is True:
-        sigma_p, eigen = point_spectrum(analysis)
-        return ClassificationReport(
-            case_id="Cor 3.1", sigma_p=sigma_p, sigma=SupersetOf((PuncturedPlane(),)),
-            eigen=eigen, resolved=False, open_problem=None, certified=certified,
-            citations=("Cor 3.1", "Thm 2.2(a)", "Prop 2.1(1)"),
-            notes=("diffeomorphism verdict undecided: whether 0 lies in the "
-                   "spectrum is open",))
-    if analysis.critical_bounded_away is False:
-        sigma_p = FiniteSet((Fraction(1),))
-        note = "critical set not bounded away from the relevant end"
-    else:
-        sigma_p = SupersetOf((FiniteSet((Fraction(1),)),))
-        note = "critical-set tail behaviour undecided"
-    return ClassificationReport(
-        case_id="Problem 3.2", sigma_p=sigma_p,
-        sigma=SupersetOf((FiniteSet((Fraction(0), Fraction(1))),)),
-        eigen=_eigen_constants_only(),
-        resolved=False, open_problem="Problem 3.2", certified=certified,
-        citations=("Problem 3.2", "Thm 2.2(c)", "Prop 2.1(1)"),
-        notes=(note,))
-
-
-def _unique_fixed_point_leaf(analysis, certified) -> ClassificationReport:
     m, kind = _base_multiplier(analysis)
-    diffeo = analysis.is_diffeo.value
-    exact = _is_real_scalar(m)
-    if kind == NEUTRAL_UNRESOLVED or not exact:
-        return _fallback_leaf(analysis, certified,
+    mu = _quadratic_mu(analysis.symbol)
+    if m is None:
+        return _several_fixed_points_leaf(analysis, mu, decided, certified)
+    if kind == NEUTRAL_UNRESOLVED or not _is_real_scalar(m):
+        return _fallback_leaf(analysis, decided, certified,
                               note="multiplier undecided at modulus one")
-    m = as_exact(m)
-    side = exact_abs_compare(m, Fraction(1)) if m != 0 else -1
-    if kind == SUPERATTRACTING or m == 0:
-        sigma = FiniteSet((Fraction(1), Fraction(0)))
+    sigma_p, eigen = decided
+    diffeo = analysis.is_diffeo.value
+    if kind == SUPERATTRACTING:
         return ClassificationReport(
-            case_id="Cor 3.6", sigma_p=FiniteSet((Fraction(1),)), sigma=sigma,
-            eigen=_eigen_constants_only(), resolved=True, open_problem=None,
+            case_id="Cor 3.6", sigma_p=sigma_p, sigma=FiniteSet((Fraction(1), Fraction(0))),
+            eigen=eigen, resolved=True, open_problem=None,
             certified=certified, citations=("Cor 3.6", "Thm 2.2(c)", "Prop 2.1(1)"),
             notes=("superattracting fixed point: powers collapse to {1, 0}",))
-    if side < 0:
-        include_zero = diffeo is not True
-        sigma_p, eigen = point_spectrum(analysis)
+    if kind == ATTRACTING:
         return ClassificationReport(
             case_id="Cor 3.6", sigma_p=sigma_p,
-            sigma=Powers(m, include_zero=include_zero), eigen=eigen,
+            sigma=Powers(as_exact(m), include_zero=diffeo is not True), eigen=eigen,
             resolved=True, open_problem=None,
             certified=certified and diffeo is not None,
             citations=("Cor 3.6", "Thm 2.2(b1)", "Prop 2.1(1)"), notes=())
-    if side == 0:
-        quad = _quadratic_data(analysis.symbol)
-        if quad is not None:
-            return _quadratic_from_symbol(analysis, certified)
-        return _fallback_leaf(analysis, certified, note="neutral multiplier")
-    # repelling
-    sigma_p, eigen = point_spectrum(analysis)
+    if kind == NEUTRAL:
+        if mu is not None:
+            return quadratic_spectrum(mu, certified=certified)
+        return _fallback_leaf(analysis, decided, certified, note="neutral multiplier")
     if diffeo is True:
         return ClassificationReport(
-            case_id="Cor 3.7", sigma_p=sigma_p, sigma=Powers(m), eigen=eigen,
+            case_id="Cor 3.7", sigma_p=sigma_p, sigma=Powers(as_exact(m)), eigen=eigen,
             resolved=True, open_problem=None, certified=certified,
             citations=("Cor 3.7", "Thm 2.2(b1)"), notes=())
-    parts = (FiniteSet((Fraction(0),)), Powers(m))
+    parts = (FiniteSet((Fraction(0),)), Powers(as_exact(m)))
     return ClassificationReport(
         case_id="Problem 3.8", sigma_p=sigma_p, sigma=SupersetOf(parts),
         eigen=eigen, resolved=False, open_problem="Problem 3.8",
@@ -601,22 +538,45 @@ def _unique_fixed_point_leaf(analysis, certified) -> ClassificationReport:
         citations=("Problem 3.8", "Prop 2.1", "Thm 2.2"), notes=())
 
 
-def _quadratic_data(symbol: AnalyticSymbol):
-    if not symbol.is_rational_polynomial():
-        return None
-    coeffs = symbol.rational_coeffs()
-    if len(coeffs) != 3:
-        return None
-    c, b, a = coeffs
-    return a, b, c
+def _no_fixed_point_leaf(analysis, decided, certified) -> ClassificationReport:
+    if analysis.critical_bounded_away is not True:
+        sigma_p, eigen = decided or (SupersetOf((FiniteSet((Fraction(1),)),)),
+                                     _eigen_constants_only())
+        return ClassificationReport(
+            case_id="Problem 3.2", sigma_p=sigma_p,
+            sigma=SupersetOf((FiniteSet((Fraction(0), Fraction(1))),)),
+            eigen=eigen, resolved=False, open_problem="Problem 3.2",
+            certified=certified,
+            citations=("Problem 3.2", "Thm 2.2(c)", "Prop 2.1(1)"),
+            notes=("critical-set tail behaviour undecided" if decided is None
+                   else "critical set not bounded away from the relevant end",))
+    sigma_p, eigen = decided
+    diffeo = analysis.is_diffeo.value
+    if diffeo is True:
+        return ClassificationReport(
+            case_id="Cor 3.1(a)", sigma_p=sigma_p, sigma=PuncturedPlane(),
+            eigen=eigen, resolved=True, open_problem=None, certified=certified,
+            citations=("Cor 3.1(a)", "Thm 2.2(a)"), notes=())
+    if diffeo is False:
+        return ClassificationReport(
+            case_id="Cor 3.1(b)", sigma_p=sigma_p, sigma=AllPlane(),
+            eigen=eigen, resolved=True, open_problem=None, certified=certified,
+            citations=("Cor 3.1(b)", "Thm 2.2(a)", "Prop 2.1(1)"), notes=())
+    return ClassificationReport(
+        case_id="Cor 3.1", sigma_p=sigma_p, sigma=SupersetOf((PuncturedPlane(),)),
+        eigen=eigen, resolved=False, open_problem=None, certified=certified,
+        citations=("Cor 3.1", "Thm 2.2(a)", "Prop 2.1(1)"),
+        notes=("diffeomorphism verdict undecided: whether 0 lies in the "
+               "spectrum is open",))
 
 
-def _quadratic_from_symbol(analysis, certified) -> ClassificationReport:
-    a, b, c = _quadratic_data(analysis.symbol)
-    normal = normalize_quadratic(a, b, c)
-    if isinstance(normal, NoFixedPoints):
-        return _no_fixed_point_leaf(analysis, certified)
-    return quadratic_spectrum(normal.mu, certified=certified)
+def _quadratic_mu(symbol: AnalyticSymbol):
+    """mu of the normal form -x^2 + mu*x of a rational quadratic symbol that
+    has a fixed point, else None."""
+    if not symbol.is_rational_polynomial() or len(symbol.rational_coeffs()) != 3:
+        return None
+    c, b, a = symbol.rational_coeffs()
+    return normalize_quadratic(a, b, c).mu
 
 
 def quadratic_spectrum(mu, *, certified=True) -> ClassificationReport:
@@ -626,9 +586,8 @@ def quadratic_spectrum(mu, *, certified=True) -> ClassificationReport:
     mu = as_exact(mu)
     if mu < 1:
         raise ValueError("normal form parameter must be at least 1")
-    is_one, le_two = mu == 1, mu <= 2
     eigen = _eigen_constants_only()
-    if is_one:
+    if mu == 1:
         sigma = SupersetOf((FiniteSet((Fraction(0),)), RealRay(Fraction(1), True)))
         return ClassificationReport(
             case_id="Prop 4.1", sigma_p=FiniteSet((Fraction(1),)), sigma=sigma,
@@ -637,7 +596,7 @@ def quadratic_spectrum(mu, *, certified=True) -> ClassificationReport:
             citations=("Prop 4.1", "Prop 2.1(1)", "Thm 2.2(c)"),
             notes=("divergence certificate available for real lam > 1 with "
                    "identity right-hand side",))
-    if le_two:
+    if mu <= 2:
         return ClassificationReport(
             case_id="Prop 4.4", sigma_p=FiniteSet((Fraction(1),)), sigma=AllPlane(),
             eigen=eigen, resolved=True, open_problem=None, certified=certified,
@@ -654,36 +613,34 @@ def quadratic_spectrum(mu, *, certified=True) -> ClassificationReport:
         notes=("power sets with neutral ratio stay inside the closed disk",))
 
 
-def _several_fixed_points_leaf(analysis, certified) -> ClassificationReport:
-    quad = _quadratic_data(analysis.symbol)
-    if quad is not None:
-        return _quadratic_from_symbol(analysis, certified)
-    diffeo = analysis.is_diffeo.value
-    multipliers_ok = all(
-        _is_real_scalar(r.multiplier)
-        and r.multiplier != 0
-        and exact_abs_compare(r.multiplier, Fraction(1)) != 0
-        for r in analysis.fixed_points)
-    if diffeo is True and len(analysis.fixed_points) > 1 and multipliers_ok:
+def _several_fixed_points_leaf(analysis, mu, decided, certified) -> ClassificationReport:
+    sigma_p, eigen = decided
+    power = analysis.symbol.affine_power_exponent()
+    if power is not None:
         return ClassificationReport(
-            case_id="Prop 3.9", sigma_p=FiniteSet((Fraction(1),)),
-            sigma=PuncturedPlane(), eigen=_eigen_constants_only(),
+            case_id="Prop 3.12", sigma_p=sigma_p, sigma=AllPlane(), eigen=eigen,
+            resolved=True, open_problem=None, certified=certified,
+            citations=("Prop 3.12", "Lemma 3.13", "Prop 2.1", "Thm 3.11"),
+            notes=(f"affinely equivalent to the power map with exponent {power}",))
+    if mu is not None:
+        return quadratic_spectrum(mu, certified=certified)
+    hyperbolic = all(r.kind in (ATTRACTING, REPELLING) and _is_real_scalar(r.multiplier)
+                     for r in analysis.fixed_points)
+    if analysis.is_diffeo.value is True and len(analysis.fixed_points) > 1 and hyperbolic:
+        return ClassificationReport(
+            case_id="Prop 3.9", sigma_p=sigma_p, sigma=PuncturedPlane(), eigen=eigen,
             resolved=True, open_problem=None, certified=certified,
             citations=("Prop 3.9", "Thm 2.2(c)", "Prop 2.1(1)"), notes=())
-    return _fallback_leaf(analysis, certified,
+    return _fallback_leaf(analysis, decided, certified,
                           note="no classification leaf applies")
 
 
-def _fallback_leaf(analysis, certified, note) -> ClassificationReport:
-    lower = spectrum_lower_bound(analysis)
-    try:
-        sigma_p, eigen = point_spectrum(analysis)
-    except UnresolvedVerdict:
-        sigma_p, eigen = FiniteSet((Fraction(1),)), _eigen_constants_only()
+def _fallback_leaf(analysis, decided, certified, note) -> ClassificationReport:
+    sigma_p, eigen = decided or (FiniteSet((Fraction(1),)), _eigen_constants_only())
     return ClassificationReport(
         case_id="partial lower bound", sigma_p=sigma_p,
-        sigma=SupersetOf(tuple(lower.parts)), eigen=eigen, resolved=False,
-        open_problem=None, certified=certified,
+        sigma=SupersetOf(spectrum_lower_bound(analysis).parts), eigen=eigen,
+        resolved=False, open_problem=None, certified=certified,
         citations=("Prop 2.1", "Thm 2.2"), notes=(note,))
 
 
@@ -716,16 +673,10 @@ class KernelDimLabel:
 def kernel_dim(phi: AnalyticSymbol, region: Interval, lam) -> KernelDimLabel:
     """dim ker(C - lam I) on real analytic functions over the invariant
     region, per the fixed-point taxonomy of the restricted symbol."""
-    restricted = phi.with_domain(region)
-    analysis = analyze_symbol(restricted)
+    analysis = analyze_symbol(phi.with_domain(region))
     if lam == 0:
-        m, kind = _base_multiplier(analysis)
-        if kind == SUPERATTRACTING:
-            return KernelDimLabel.of_finite(1)
-        return KernelDimLabel.of_finite(0)
-    if analysis.is_identity:
-        return KernelDimLabel.of_infinite("A(J)") if lam == 1 \
-            else KernelDimLabel.of_finite(0)
+        _, kind = _base_multiplier(analysis)
+        return KernelDimLabel.of_finite(1 if kind == SUPERATTRACTING else 0)
     sigma_p, eigen = point_spectrum(analysis)
     dim = eigen.dimension(lam)
     if isinstance(dim, DimZero):

@@ -79,6 +79,12 @@ class TestForwardExtension:
         with pytest.raises(BasinEscape, match="within 10000 steps"):
             extend_forward(fake, F(2))
 
+    def test_escape_names_its_cause(self, parabolic_solution):
+        # -x^2+x sends 10^6 to about -10^12, past the escape bound.
+        with pytest.raises(BasinEscape,
+                           match="passed the escape bound after 1 steps"):
+            extend_forward(parabolic_solution, F(10 ** 6))
+
     def test_globalize_refuses_divergent_series(self):
         with pytest.raises(HypothesisViolation):
             globalize(parse_symbol("-x^2+x"), F(0), F(2), parse_rhs("x"),

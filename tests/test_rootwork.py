@@ -161,6 +161,12 @@ class TestCriticalSet:
     def test_vacuous_translation(self):
         assert critical_set_bounded_away(parse_symbol("x+1"), "upper") is True
 
+    def test_grid_zero_counted_once(self):
+        # 0 is a grid point of (-2, 511) and the derivative's only zero; the
+        # bracket that ends there is not bisected a second time.
+        critical = find_critical_points(parse_symbol("arctan(x^2)", "(-2,511)"))
+        assert critical == [0]
+
 
 class TestBasin:
     def test_linear_contraction_certified(self):

@@ -1,11 +1,15 @@
+import importlib.util
 import json
+import pathlib
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from compspec.errors import HypothesisViolation
+from compspec.errors import HypothesisViolation, UnresolvedVerdict
 from compspec.intervals import NEG_INF, POS_INF, Interval
-from compspec.numbers import GaussianRational
+from compspec.numbers import GaussianRational, parse_gaussian, quadratic
 from compspec.rootwork import analyze_symbol
 from compspec.symbols import conjugate, parse_change, parse_symbol
 from compspec.taxonomy import (AllPlane, ClassificationReport, ClosedDisk,
@@ -322,6 +326,68 @@ class TestCoveringObstruction:
         assert obstruction.verdict == "NotSurjective"
 
 
+class TestPowersMembership:
+    def test_exponent_past_4096(self):
+        arctan = parse_symbol("1/2*arctan(x)")
+        for n in (4096, 4097):
+            label = kernel_dim(arctan, Interval.real_line(), F(1, 2) ** n)
+            assert label.finite and label.value == 1
+
+    def test_ratio_near_one(self):
+        r = F(10001, 10000)
+        start = time.perf_counter()
+        assert Powers(r).contains(r ** 5000)
+        assert not Powers(r).contains(r ** 5000 + F(1, 10 ** 9))
+        assert time.perf_counter() - start < 1
+
+    def test_golden_ratio_powers(self):
+        golden = quadratic(F(1, 2), F(1, 2), 5)
+        assert Powers(golden).contains(golden ** 200)
+        assert not Powers(golden).contains(golden ** 200 + 1)
+        assert Powers(golden - 1).contains((golden - 1) ** 60)
+        assert Powers(-golden).contains((-golden) ** 7)
+        assert not Powers(-golden).contains(golden ** 7)
+
+    def test_candidate_longer_than_lambda_rejected(self):
+        # log 2 / log(1 + 2^-200) is about 2^199.5: far more digits than 2.
+        assert not Powers(1 + F(1, 2 ** 200)).contains(F(2))
+        # Norm 1 and modulus within 2^-28 of 1: the norm does not grow, the
+        # denominators of the powers do.
+        t = F(1, 2 ** 30)
+        near_one = quadratic((1 + 2 * t * t) / (1 - 2 * t * t), 2 * t / (1 - 2 * t * t), 2)
+        assert near_one.norm() == 1
+        assert not Powers(near_one).contains(F(2))
+        assert Powers(near_one).contains(near_one ** 5)
+
+    def test_signs_and_closure_point(self):
+        assert Powers(F(-2)).contains(F(-8))
+        assert not Powers(F(-2)).contains(F(8))
+        assert not Powers(F(2)).contains(F(1, 2))
+        assert Powers(F(2), include_zero=True).contains(F(0))
+        assert not Powers(F(2)).contains(F(0))
+        assert not Powers(F(2)).contains(GaussianRational(8, 1))
+
+
+ELEMENTARY = ["sin(x)", "exp(1/2*x)", "1/2*arctan(x)", "1/2*sin(x)",
+              "x+1+exp(x)-exp(1/2*x)", "1/2*x+1/8*sin(x)", "exp(x)-1",
+              "1/2*x + 1/2 + 1/8*sin(x) - 1/8*sin(1)"]
+
+
+def _benchmark_inputs():
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _seeded_polynomials(count):
+    inputs = _benchmark_inputs()
+    rng = random.Random(12345)
+    return [inputs.poly_text(inputs.random_poly(rng, rng.randint(2, 5)))
+            for _ in range(count)]
+
+
 class TestOneDecision:
     def test_fixed_point_free_with_undecided_diffeomorphism(self):
         # No fixed points and no critical points, but the endpoint limits
@@ -336,3 +402,39 @@ class TestOneDecision:
         assert report.sigma == SupersetOf((PuncturedPlane(),))
         assert report.resolved is False
         assert "undecided" in report.notes[0]
+
+    def test_leaves_report_point_spectrum(self):
+        texts = [text for text, *_ in CATALOG] + _seeded_polynomials(40) + ELEMENTARY
+        for text in texts:
+            analysis = analyze_symbol(parse_symbol(text))
+            report = spectrum(analysis)
+            try:
+                decided = point_spectrum(analysis)
+            except UnresolvedVerdict:
+                continue
+            assert (report.sigma_p, report.eigen) == decided, text
+
+
+class TestReferenceReports:
+    """The recorded benchmark reports, read only."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
+        return json.loads(path.read_text())
+
+    def test_classify_entries(self, reference):
+        for text, recorded in reference["classify"].items():
+            report = spectrum(parse_symbol(text))
+            assert json.dumps(report.to_json_dict(), sort_keys=True) == recorded, text
+
+    def test_obstruct_entries(self, reference):
+        for op_id, text, lam, pieces in _benchmark_inputs().OBSTRUCTIONS:
+            value = parse_gaussian(lam)
+            cover = [CoverPiece(tuple(Interval.parse(t) for t in intervals),
+                                determining=Interval.parse(det) if det else None)
+                     for intervals, det in pieces]
+            result = covering_obstruction(parse_symbol(text),
+                                          value.re if value.im == 0 else value, cover)
+            assert json.dumps(result.to_json_dict(), sort_keys=True) == \
+                reference["obstruct"][op_id], op_id
