@@ -20,8 +20,8 @@ from .continuation import (evaluate, globalize, preimage_orbit,
                            prop45_witness_demo)
 from .errors import CompspecError, ExpressionSyntaxError
 from .intervals import Interval
-from .numbers import (GaussianRational, format_scalar, is_exact, parse_gaussian,
-                      to_mpf)
+from .numbers import (format_numeric, format_scalar, is_exact, is_rational,
+                      parse_gaussian)
 from .power_series import TruncatedSeries
 from .rootwork import find_fixed_points
 from .solver import eigenfunction, koenigs, solve_formal
@@ -132,7 +132,7 @@ def _load_equation(args):
     lam = _parse_lambda(args.lam)
     gamma = parse_rhs(args.gamma, domain)
     if args.orientation == "section1":
-        if isinstance(lam, GaussianRational):
+        if not is_rational(lam):
             raise ExpressionSyntaxError(
                 "section1 orientation needs a real rational eigenvalue", 0)
         gamma = _scale_rhs(gamma, Fraction(-lam))
@@ -149,7 +149,7 @@ def _detect_center(phi: AnalyticSymbol, requested):
                   if r.kind in ("attracting", "superattracting", "neutral")]
     pick = attracting[0] if attracting else records[0]
     location = pick.location
-    if isinstance(location, Fraction):
+    if is_rational(location):
         return location
     raise CompspecError("fixed point is not rational; pass --center explicitly")
 
@@ -212,8 +212,8 @@ def _cmd_eval(args) -> int:
     point = Fraction(args.at)
     value, trace = evaluate(sol, point, precision=precision)
     with mpmath.workprec(precision):
-        value_text = format_scalar(value) if isinstance(value, (int, Fraction)) \
-            else mpmath.nstr(to_mpf(value), 30)
+        value_text = format_scalar(value) if is_exact(value) \
+            else format_numeric(value, 30)
     doc = {"at": format_scalar(point), "value": value_text,
            "trace": trace.to_json_dict(),
            "core": str(sol.core)}

@@ -21,8 +21,7 @@ from .config import default_precision
 from .errors import (BasinEscape, BranchDomain, HypothesisViolation,
                      PrecisionLoss, ReflectedUncovered)
 from .intervals import NEG_INF, POS_INF, Interval, is_finite
-from .numbers import (GaussianRational, as_exact, exact_abs_compare, is_exact,
-                      to_mpf, to_numeric)
+from .numbers import as_exact, exact_abs_compare, is_exact, to_mpf, to_numeric
 from .power_series import Converges
 from .rootwork import MAX_ORBIT_STEPS, attraction_basin_check
 from .solver import LocalSolution, solve_formal
@@ -261,11 +260,9 @@ def _extend_inverse_trace(sol: GlobalSolution, x, precision):
     work = precision + 32
     with mpmath.workprec(work):
         orbit = _orbit_to_core(sol, x, to_mpf(x), rule.branch)
-        lam = to_numeric(sol.lam) if isinstance(sol.lam, GaussianRational) \
-            else sol.lam
         # psi(orbit[k]) = orbit[k+1], so f(orbit[k]) = f(phi(orbit[k+1])).
         value = _push(sol, sol.local.series.eval(orbit[-1]), orbit[:0:-1],
-                      lam, work)
+                      sol.lam, work)
         return value, _trace("inverse-branch", len(orbit) - 1)
 
 

@@ -3,8 +3,9 @@
 Endpoints are ``Fraction`` or the module-level ``NEG_INF`` / ``POS_INF``
 sentinels; membership tests for exact points are exact, and mpf points
 are compared with the endpoints rounded at the working precision.  Also
-provides the small amount of interval-set algebra the covering machinery
-needs (intersection, union coverage, reflection).
+provides the interval-set algebra of the covering machinery and of the
+certified image containment (intersection, merged unions, complement
+blocks, union coverage, reflection).
 """
 
 from __future__ import annotations
@@ -174,30 +175,45 @@ class Interval:
 
 
 def union_covers(pieces: list[Interval], target: Interval) -> bool:
-    """Whether a finite union of open intervals covers the open target.
+    """Whether a finite union of open intervals covers the open target:
+    no closed block of its complement meets the target.
 
     Open endpoints matter: (a,b) and (b,c) together do not cover b.
     """
-    parts = [p.intersect(target) for p in pieces]
-    parts = [p for p in parts if p is not None]
-    if not parts:
-        return False
-    parts.sort(key=_lower_key)
-    covered_to = None  # exclusive frontier: we have covered (target.lower, covered_to)
-    for part in parts:
-        start = part.lower
-        if covered_to is None:
-            if ext_lt(target.lower, start):
-                return False
-            covered_to = part.upper
+    return not any(ext_lt(lo, target.upper) and ext_lt(target.lower, hi)
+                   for lo, hi in complement_blocks(pieces))
+
+
+def merge_open_union(union: list[Interval]) -> list[Interval]:
+    """A finite open union as disjoint intervals in ascending order."""
+    if not union:
+        return []
+    parts = sorted(union, key=_lower_key)
+    merged = [parts[0]]
+    for iv in parts[1:]:
+        last = merged[-1]
+        if ext_lt(iv.lower, last.upper):
+            if ext_lt(last.upper, iv.upper):
+                merged[-1] = Interval(last.lower, iv.upper)
         else:
-            # the next piece must strictly overlap the frontier (open sets)
-            if not ext_lt(start, covered_to):
-                return False
-            covered_to = ext_max(covered_to, part.upper)
-        if not ext_lt(covered_to, target.upper):
-            return True
-    return not ext_lt(covered_to, target.upper)
+            merged.append(iv)
+    return merged
+
+
+def complement_blocks(union: list[Interval]):
+    """Closed complement of a finite open union, as (lo, hi) blocks on the
+    extended line; lo == hi encodes a single missing point."""
+    merged = merge_open_union(union)
+    if not merged:
+        return [(NEG_INF, POS_INF)]
+    blocks = []
+    if is_finite(merged[0].lower):
+        blocks.append((NEG_INF, merged[0].lower))
+    for a, b in zip(merged, merged[1:]):
+        blocks.append((a.upper, b.lower))
+    if is_finite(merged[-1].upper):
+        blocks.append((merged[-1].upper, POS_INF))
+    return blocks
 
 
 def _lower_key(p: Interval):

@@ -1,21 +1,33 @@
-"""Exact scalar types: Gaussian rationals and real quadratic irrationals.
+"""The scalar layer: exact rationals, Gaussian rationals and real quadratic
+irrationals, their numeric images, and the one place that tells them apart.
 
-All spectral membership predicates in this package are decided over these
-types, never over floats.  ``GaussianRational`` models eigenvalue probes
+All spectral membership predicates in this package are decided over exact
+scalars, never over floats.  ``GaussianRational`` models eigenvalue probes
 a + b*i with rational a, b; ``QuadraticNumber`` models fixed points and
-multipliers of quadratic symbols, kept exactly as p + q*sqrt(d).
+multipliers of quadratic symbols, kept exactly as p + q*sqrt(d).  Every
+other module asks this one about a scalar's class (``is_exact``,
+``is_rational``, ``is_real_exact``) and goes through its conversions.
+
+Mixing rule: an element of an exact field combined with an mpf, an mpc or
+an element of another exact field gives the numeric result
+``to_numeric(self) op other``, with ``other`` converted too when it is
+exact, as a Fraction already does with an mpf.  ``==`` and ordering stay
+exact-only.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import from_int, from_rational, mpf_div, mpf_pos, round_nearest
 
 
 def to_mpf(value, prec=None):
-    """Convert an exact scalar (int/Fraction/mpf) to mpf at ``prec`` bits."""
+    """Convert an exact real scalar (int/Fraction/QuadraticNumber) or an mpf
+    to mpf at ``prec`` bits."""
     ctx = mpmath.mp
     if prec is not None:
         with mpmath.workprec(prec):
@@ -23,25 +35,28 @@ def to_mpf(value, prec=None):
     if isinstance(value, Fraction):
         return ctx.mpf(value.numerator) / value.denominator
     if isinstance(value, QuadraticNumber):
-        return value.to_mpf()
+        return to_mpf(value.p) + to_mpf(value.q) * mpmath.sqrt(value.d)
     return ctx.mpf(value)
-
-
-def to_mpc(value, prec=None):
-    if prec is not None:
-        with mpmath.workprec(prec):
-            return to_mpc(value)
-    if isinstance(value, GaussianRational):
-        return mpmath.mpc(to_mpf(value.re), to_mpf(value.im))
-    if isinstance(value, mpmath.mpc):
-        return value
-    return mpmath.mpc(to_mpf(value))
 
 
 def is_exact(value) -> bool:
     """Whether value is an exact scalar: int, Fraction, GaussianRational or
     QuadraticNumber.  Everything else (mpf, mpc) is numeric."""
-    return isinstance(value, (int, Fraction, GaussianRational, QuadraticNumber))
+    return isinstance(value, (int, Fraction, _FieldElement))
+
+
+def is_rational(value) -> bool:
+    """Whether value is an int or a Fraction."""
+    return isinstance(value, (int, Fraction))
+
+
+def is_real_exact(value) -> bool:
+    """Whether value is an int, a Fraction or a QuadraticNumber."""
+    return isinstance(value, (int, Fraction, QuadraticNumber))
+
+
+def _is_numeric(value) -> bool:
+    return isinstance(value, (mpmath.mpf, mpmath.mpc))
 
 
 def as_exact(value):
@@ -49,15 +64,33 @@ def as_exact(value):
     return Fraction(value) if isinstance(value, int) else value
 
 
+def real_part(value):
+    """An exact real scalar as itself (an int as a Fraction), a Gaussian
+    rational on the real axis as its real part, any other as None."""
+    if isinstance(value, GaussianRational):
+        return value.re if value.im == 0 else None
+    return as_exact(value)
+
+
 def to_numeric(value):
     """Numeric image of a scalar at the working precision: mpf for real
     values (a GaussianRational with zero imaginary part included), mpc for
     non-real ones."""
     if isinstance(value, GaussianRational):
-        return to_mpf(value.re) if value.im == 0 else to_mpc(value)
+        if value.im == 0:
+            return to_mpf(value.re)
+        return mpmath.mpc(to_mpf(value.re), to_mpf(value.im))
     if isinstance(value, mpmath.mpc):
         return value
     return to_mpf(value)
+
+
+def abs_mpf(value):
+    """|value| as an mpf at the working precision; a Gaussian rational's
+    through its exact norm."""
+    if isinstance(value, GaussianRational):
+        return mpmath.sqrt(to_mpf(value.norm()))
+    return abs(to_numeric(value))
 
 
 def same_point(a, b) -> bool:
@@ -74,6 +107,69 @@ def same_point(a, b) -> bool:
 def invert(value):
     """1/value, exact for exact scalars (an int gives a Fraction)."""
     return 1 / as_exact(value)
+
+
+def exact_abs_compare(value, bound: Fraction) -> int:
+    """Sign of |value| - bound for exact real/Gaussian value, rational bound."""
+    if isinstance(value, GaussianRational):
+        value, bound = value.norm(), bound * bound
+    mag = abs(value)
+    return -1 if mag < bound else (0 if mag == bound else 1)
+
+
+def log_abs(x):
+    """log|x| of an exact real scalar to 64 good bits: log1p near |x| = 1,
+    and a quadratic number read off the larger of itself and its conjugate
+    (their product is its norm), so that no digits cancel."""
+    x = abs(x)
+    if isinstance(x, QuadraticNumber) and x < abs(x.conjugate()):
+        return mpmath.log(abs(to_mpf(x.norm()))) - log_abs(x.conjugate())
+    if Fraction(1, 2) < x < 2:
+        return mpmath.log1p(to_mpf(x - 1))
+    return mpmath.log(to_mpf(x))
+
+
+def bit_size(x) -> int:
+    """Bit length of the rational coordinates of an exact real x.
+    ratio**n == x forces n <= 2 * bit_size(x) + 2: the norm or denominators
+    of ratio**n grow with n, unless ratio is a unit, whose modulus lies
+    outside (1/phi, phi)."""
+    if isinstance(x, QuadraticNumber):
+        return bit_size(x.p) + bit_size(x.q) + x.d.bit_length()
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
+# ---------------------------------------------------------------------------
+# Raw mpf tuples for compiled evaluation
+
+
+def raw_ratio(num, den, prec):
+    """``to_mpf(Fraction(num, den))._mpf_`` at ``prec`` bits for a reduced
+    pair: ``mpf(num)`` rounded to nearest, then divided by ``den``."""
+    return mpf_div(from_int(num, prec, round_nearest), from_int(den), prec,
+                   round_nearest)
+
+
+def raw_point(x, prec):
+    """``to_mpf(x)._mpf_`` at ``prec`` bits, without entering workprec for
+    Fraction and mpf points."""
+    if isinstance(x, Fraction):
+        return raw_ratio(x.numerator, x.denominator, prec)
+    if isinstance(x, mpmath.mpf):
+        return mpf_pos(x._mpf_, prec, round_nearest)
+    return to_mpf(x, prec)._mpf_
+
+
+def raw_addend(c, prec):
+    """The raw value mpmath adds for ``acc + c``: ints exactly, Fractions
+    through ``convert``, i.e. ``from_rational`` at its default rounding."""
+    if isinstance(c, int):
+        return from_int(c)
+    return from_rational(c.numerator, c.denominator, prec)
+
+
+# ---------------------------------------------------------------------------
+# Text forms
 
 
 def format_rational(q: Fraction) -> str:
@@ -99,93 +195,154 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+def format_numeric(value, digits: int) -> str:
+    """A numeric value to ``digits`` significant digits per part, rounded
+    at the working precision; a complex one as 're+imi', the form
+    parse_gaussian reads."""
+    if isinstance(value, mpmath.mpc):
+        re_text, im_text = (mpmath.nstr(to_mpf(part), digits)
+                            for part in (value.real, value.imag))
+        return f"{re_text}{'' if im_text.startswith('-') else '+'}{im_text}i"
+    return mpmath.nstr(to_mpf(value), digits)
 
-    __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+# ---------------------------------------------------------------------------
+# Exact fields
 
-    @classmethod
-    def convert(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value, 0)
-        if isinstance(value, complex) and value.imag == 0 and value.real == int(value.real):
-            return cls(int(value.real), 0)
-        raise TypeError(f"cannot convert {value!r} to GaussianRational")
 
-    def abs2(self) -> Fraction:
-        """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+def _numeric_op(op, a, b):
+    """op on a and b with each exact operand replaced by its numeric image;
+    NotImplemented when either operand is not a scalar."""
+    if not (is_exact(a) or _is_numeric(a)) or not (is_exact(b) or _is_numeric(b)):
+        return NotImplemented
+    return op(to_numeric(a) if is_exact(a) else a,
+              to_numeric(b) if is_exact(b) else b)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+
+class _FieldElement:
+    """x + y*w with rational x, y in the field Q(w), w*w = d.
+
+    The arithmetic both exact fields share: GaussianRational is Q(sqrt(-1))
+    and QuadraticNumber is Q(sqrt(d)) for a squarefree d > 1.  Ints,
+    Fractions and elements of the same field give exact results through
+    ``_make``; any other scalar follows the module's mixing rule.
+    """
+
+    __slots__ = ("x", "y")
+
+    def _coords(self, other):
+        """(x, y) of other in this field, or None when it lies outside."""
+        if isinstance(other, (int, Fraction)):
+            return other, 0
+        if isinstance(other, _FieldElement) and other.d == self.d:
+            return other.x, other.y
+        return None
 
     def __add__(self, other):
-        o = GaussianRational.convert(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = self._coords(other)
+        if o is None:
+            return _numeric_op(operator.add, self, other)
+        return self._make(self.x + o[0], self.y + o[1])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return self._make(-self.x, -self.y)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.convert(other))
+        o = self._coords(other)
+        if o is None:
+            return _numeric_op(operator.sub, self, other)
+        return self._make(self.x - o[0], self.y - o[1])
 
     def __rsub__(self, other):
-        return GaussianRational.convert(other) + (-self)
+        o = self._coords(other)
+        if o is None:
+            return _numeric_op(operator.sub, other, self)
+        return self._make(o[0] - self.x, o[1] - self.y)
 
     def __mul__(self, other):
-        o = GaussianRational.convert(other)
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        o = self._coords(other)
+        if o is None:
+            return _numeric_op(operator.mul, self, other)
+        return self._make(self.x * o[0] + self.y * o[1] * self.d,
+                          self.x * o[1] + self.y * o[0])
 
     __rmul__ = __mul__
 
+    def _quotient(self, nx, ny, dx, dy):
+        """(nx + ny*w) / (dx + dy*w): times the conjugate over the norm."""
+        n = dx * dx - dy * dy * self.d
+        if n == 0:
+            raise ZeroDivisionError(f"division by zero {type(self).__name__}")
+        return self._make((nx * dx - ny * dy * self.d) / n, (ny * dx - nx * dy) / n)
+
     def __truediv__(self, other):
-        o = GaussianRational.convert(other)
-        d = o.abs2()
-        if d == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        num = self * o.conjugate()
-        return GaussianRational(num.re / d, num.im / d)
+        o = self._coords(other)
+        if o is None:
+            return _numeric_op(operator.truediv, self, other)
+        return self._quotient(self.x, self.y, o[0], o[1])
 
     def __rtruediv__(self, other):
-        return GaussianRational.convert(other) / self
+        o = self._coords(other)
+        if o is None:
+            return _numeric_op(operator.truediv, other, self)
+        return self._quotient(o[0], o[1], self.x, self.y)
 
     def __pow__(self, n: int):
         if n < 0:
-            return GaussianRational(1) / self ** (-n)
-        result = GaussianRational(1)
+            return 1 / self ** (-n)
+        result = self._make(Fraction(1), Fraction(0))
         base = self
         while n:
             if n & 1:
-                result = result * base
+                result = base * result
             base = base * base
             n >>= 1
         return result
 
+    def conjugate(self):
+        return self._make(self.x, -self.y)
+
+    def norm(self) -> Fraction:
+        """(x + y*w)(x - y*w) = x^2 - d*y^2 as an exact rational."""
+        return self.x * self.x - self.y * self.y * self.d
+
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, QuadraticNumber):
-            return self.im == 0 and other == self.re
-        return NotImplemented
+        o = self._coords(other)
+        if o is None:
+            return NotImplemented
+        return self.x == o[0] and self.y == o[1]
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        return hash(self.x) if self.y == 0 else hash((self.x, self.y, self.d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.x != 0 or self.y != 0
+
+
+class GaussianRational(_FieldElement):
+    """Exact complex number with rational real and imaginary parts."""
+
+    __slots__ = ()
+    d = -1
+
+    def __init__(self, re=0, im=0):
+        self.x = Fraction(re)
+        self.y = Fraction(im)
+
+    def _make(self, x, y):
+        return GaussianRational(x, y)
+
+    @property
+    def re(self) -> Fraction:
+        return self.x
+
+    @property
+    def im(self) -> Fraction:
+        return self.y
+
+    abs2 = _FieldElement.norm
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -200,10 +357,6 @@ class GaussianRational:
         if self.re == 0:
             return f"-{im}i"
         return f"{format_rational(self.re)}{sign}{im}i"
-
-
-_GAUSSIAN_RE = re.compile(
-    r"^(?P<re>[+-]?[^+-]+?)?(?P<im>[+-][^+-]*)?i$", re.VERBOSE)
 
 
 def parse_gaussian(text: str) -> GaussianRational:
@@ -260,130 +413,58 @@ def quadratic(p, q, d):
     return QuadraticNumber(p, q * s, d0)
 
 
-class QuadraticNumber:
+def _sign(p: Fraction, q: Fraction, d: int) -> int:
+    """Exact sign of p + q*sqrt(d)."""
+    if q == 0:
+        return -1 if p < 0 else (0 if p == 0 else 1)
+    if p == 0:
+        return -1 if q < 0 else 1
+    if p > 0 and q > 0:
+        return 1
+    if p < 0 and q < 0:
+        return -1
+    # Opposite signs: compare p^2 with q^2 d.
+    lhs, rhs = p * p, q * q * d
+    if lhs == rhs:
+        return 0
+    bigger_rational = lhs > rhs
+    if p > 0:
+        return 1 if bigger_rational else -1
+    return -1 if bigger_rational else 1
+
+
+class QuadraticNumber(_FieldElement):
     """Exact element p + q*sqrt(d) of a real quadratic field, q != 0."""
 
-    __slots__ = ("p", "q", "d")
+    __slots__ = ("d",)
 
     def __init__(self, p: Fraction, q: Fraction, d: int):
-        self.p = Fraction(p)
-        self.q = Fraction(q)
+        self.x = Fraction(p)
+        self.y = Fraction(q)
         self.d = int(d)
 
-    def _coerce(self, other):
-        if isinstance(other, QuadraticNumber):
-            if other.d != self.d:
-                raise ValueError("mixing distinct quadratic fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(Fraction(other), Fraction(0), self.d)
-        return None
-
-    def _in_field(self, p: Fraction, q: Fraction):
-        """p + q*sqrt(d) in this field; d is already squarefree, so unlike
+    def _make(self, x, y):
+        """x + y*sqrt(d) in this field; d is already squarefree, so unlike
         quadratic() this never splits the radicand."""
-        return p if q == 0 else QuadraticNumber(p, q, self.d)
+        return x if y == 0 else QuadraticNumber(x, y, self.d)
 
-    def sign(self) -> int:
-        """Exact sign of p + q*sqrt(d)."""
-        p, q = self.p, self.q
-        if q == 0:
-            return -1 if p < 0 else (0 if p == 0 else 1)
-        if p == 0:
-            return -1 if q < 0 else 1
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # Opposite signs: compare p^2 with q^2 d.
-        lhs, rhs = p * p, q * q * self.d
-        if lhs == rhs:
-            return 0
-        bigger_rational = lhs > rhs
-        if p > 0:
-            return 1 if bigger_rational else -1
-        return -1 if bigger_rational else 1
+    @property
+    def p(self) -> Fraction:
+        return self.x
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._in_field(self.p + o.p, self.q + o.q)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadraticNumber(-self.p, -self.q, self.d)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._in_field(self.p - o.p, self.q - o.q)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._in_field(self.p * o.p + self.q * o.q * self.d,
-                              self.p * o.q + self.q * o.p)
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        return QuadraticNumber(self.p, -self.q, self.d)
-
-    def norm(self) -> Fraction:
-        return self.p * self.p - self.q * self.q * self.d
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero quadratic number")
-        num = self * o.conjugate()
-        if isinstance(num, Fraction):
-            return num / n
-        return self._in_field(num.p / n, num.q / n)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return 1 / self ** (-n)
-        result = Fraction(1)
-        base = self
-        while n:
-            if n & 1:
-                result = base * result
-            base = base * base
-            n >>= 1
-        return result
+    @property
+    def q(self) -> Fraction:
+        return self.y
 
     def __abs__(self):
-        return -self if self.sign() < 0 else self
+        return -self if _sign(self.x, self.y, self.d) < 0 else self
 
     def _cmp(self, other) -> int:
         """Sign of the difference."""
-        o = self._coerce(other)
+        o = self._coords(other)
         if o is None:
             raise TypeError(f"cannot compare QuadraticNumber with {other!r}")
-        diff = self._in_field(self.p - o.p, self.q - o.q)
-        if isinstance(diff, QuadraticNumber):
-            return diff.sign()
-        return (diff > 0) - (diff < 0)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QuadraticNumber)):
-            return self._cmp(other) == 0
-        return NotImplemented
+        return _sign(self.x - o[0], self.y - o[1], self.d)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -396,12 +477,6 @@ class QuadraticNumber:
 
     def __ge__(self, other):
         return self._cmp(other) >= 0
-
-    def __hash__(self):
-        return hash((self.p, self.q, self.d))
-
-    def to_mpf(self):
-        return to_mpf(self.p) + to_mpf(self.q) * mpmath.sqrt(self.d)
 
     def __repr__(self):
         return f"QuadraticNumber({self.p!r}, {self.q!r}, {self.d})"
@@ -421,11 +496,7 @@ _QUAD_RE = re.compile(
 
 def format_scalar(value) -> str:
     """Stable text form for exact scalars, used in JSON payloads."""
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return str(value)
+    return format_rational(value) if is_rational(value) else str(value)
 
 
 def parse_scalar(text: str):
@@ -446,12 +517,40 @@ def parse_scalar(text: str):
     return parse_rational(text)
 
 
-def exact_abs_compare(value, bound: Fraction) -> int:
-    """Sign of |value| - bound for exact real/Gaussian value, rational bound."""
-    if isinstance(value, GaussianRational):
-        lhs, rhs = value.abs2(), bound * bound
-        return -1 if lhs < rhs else (0 if lhs == rhs else 1)
-    mag = abs(value)
-    if isinstance(mag, QuadraticNumber):
-        return mag._cmp(bound)
-    return -1 if mag < bound else (0 if mag == bound else 1)
+# ---------------------------------------------------------------------------
+# JSON codec
+
+# Significant digits of numeric scalars in JSON.  They are read back at
+# this many digits, so a document survives a round trip.
+_JSON_DIGITS = 30
+
+
+def scalar_to_json(c):
+    """A scalar as JSON: an exact real as its format_scalar string, a
+    non-real Gaussian rational as [re, im], an mpf as ["float", x] and an
+    mpc as ["complex", re, im] with _JSON_DIGITS significant digits."""
+    if isinstance(c, GaussianRational) and c.im != 0:
+        return [format_rational(c.re), format_rational(c.im)]
+    if is_exact(c):
+        return format_scalar(c)
+    if isinstance(c, mpmath.mpc):
+        return ["complex", mpmath.nstr(c.real, _JSON_DIGITS),
+                mpmath.nstr(c.imag, _JSON_DIGITS)]
+    if not isinstance(c, mpmath.mpf):
+        c = mpmath.mpf(c)
+    return ["float", mpmath.nstr(c, _JSON_DIGITS)]
+
+
+def scalar_from_json(doc):
+    """Inverse of scalar_to_json."""
+    if isinstance(doc, str):
+        return parse_scalar(doc)
+    if isinstance(doc, list) and len(doc) == 2 and doc[0] == "float":
+        with mpmath.workdps(_JSON_DIGITS):
+            return mpmath.mpf(doc[1])
+    if isinstance(doc, list) and len(doc) == 3 and doc[0] == "complex":
+        with mpmath.workdps(_JSON_DIGITS):
+            return mpmath.mpc(doc[1], doc[2])
+    if isinstance(doc, list) and len(doc) == 2:
+        return GaussianRational(Fraction(doc[0]), Fraction(doc[1]))
+    raise ValueError(f"bad coefficient document: {doc!r}")

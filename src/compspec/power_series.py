@@ -1,8 +1,8 @@
 """Truncated power series with exact coefficient arithmetic.
 
 ``TruncatedSeries`` is immutable; all operations return new series and are
-closed over the coefficient exactness class: exact in (Fraction /
-GaussianRational) gives exact out, and mpf/mpc coefficients stay numeric.
+closed over the coefficient exactness class: exact in gives exact out,
+and mpf/mpc coefficients stay numeric.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from fractions import Fraction
 import mpmath
 
 from .errors import CenterMismatch
-from .numbers import (GaussianRational, as_exact, format_rational, invert,
-                      is_exact, same_point, to_mpf)
+from .numbers import (abs_mpf, as_exact, exact_abs_compare, invert, is_exact,
+                      is_rational, same_point, scalar_from_json, scalar_to_json)
 
 
 class TruncatedSeries:
@@ -110,7 +110,7 @@ class TruncatedSeries:
                 if i + j > n:
                     break
                 out[i + j] = out[i + j] + a * b
-            if not isinstance(a, (int, Fraction)) and type(a) not in promoted:
+            if not is_rational(a) and type(a) not in promoted:
                 # a times a skipped zero is a zero of a's class (mpf, mpc,
                 # GaussianRational): adding it turns an exact rational sum
                 # into that class where the full product would, rounding it
@@ -151,7 +151,7 @@ class TruncatedSeries:
         live = 0
         for n in range(1, self.order + 1):
             last = out[-1]
-            if not isinstance(last, (int, Fraction)):
+            if not is_rational(last):
                 class_zeros.setdefault(type(last), last * 0)
             while live < len(terms) and terms[live][0] <= n:
                 live += 1
@@ -257,53 +257,19 @@ class TruncatedSeries:
 
     def to_json_dict(self):
         return {
-            "center": _coeff_to_json(self.center),
+            "center": scalar_to_json(self.center),
             "order": self.order,
-            "coeffs": [_coeff_to_json(c) for c in self.coeffs],
+            "coeffs": [scalar_to_json(c) for c in self.coeffs],
         }
 
     @classmethod
     def from_json_dict(cls, doc):
-        return cls(_coeff_from_json(doc["center"]),
-                   [_coeff_from_json(c) for c in doc["coeffs"]])
+        return cls(scalar_from_json(doc["center"]),
+                   [scalar_from_json(c) for c in doc["coeffs"]])
 
 
 def _is_rational_zero(c) -> bool:
-    return isinstance(c, (int, Fraction)) and c == 0
-
-
-# Significant digits of numeric coefficients in JSON.  They are read back
-# at this many digits, so a document survives a round trip.
-_JSON_DIGITS = 30
-
-
-def _coeff_to_json(c):
-    if isinstance(c, GaussianRational):
-        if c.im == 0:
-            return format_rational(c.re)
-        return [format_rational(c.re), format_rational(c.im)]
-    if isinstance(c, (int, Fraction)):
-        return format_rational(Fraction(c))
-    if isinstance(c, mpmath.mpc):
-        return ["complex", mpmath.nstr(c.real, _JSON_DIGITS),
-                mpmath.nstr(c.imag, _JSON_DIGITS)]
-    if not isinstance(c, mpmath.mpf):
-        c = mpmath.mpf(c)
-    return ["float", mpmath.nstr(c, _JSON_DIGITS)]
-
-
-def _coeff_from_json(doc):
-    if isinstance(doc, str):
-        return Fraction(doc)
-    if isinstance(doc, list) and len(doc) == 2 and doc[0] == "float":
-        with mpmath.workdps(_JSON_DIGITS):
-            return mpmath.mpf(doc[1])
-    if isinstance(doc, list) and len(doc) == 3 and doc[0] == "complex":
-        with mpmath.workdps(_JSON_DIGITS):
-            return mpmath.mpc(doc[1], doc[2])
-    if isinstance(doc, list) and len(doc) == 2:
-        return GaussianRational(Fraction(doc[0]), Fraction(doc[1]))
-    raise ValueError(f"bad coefficient document: {doc!r}")
+    return is_rational(c) and c == 0
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +295,6 @@ class Inconclusive:
     reason: str
 
     kind = "inconclusive"
-
-
-def _abs_mpf(c):
-    if isinstance(c, GaussianRational):
-        return mpmath.sqrt(to_mpf(c.abs2()))
-    if isinstance(c, (int, Fraction)):
-        return abs(to_mpf(c))
-    return abs(mpmath.mpf(c)) if not isinstance(c, mpmath.mpc) else abs(c)
-
-
-def _exact_abs2(c) -> Fraction:
-    if isinstance(c, GaussianRational):
-        return c.abs2()
-    f = Fraction(c)
-    return f * f
 
 
 def estimate_radius(series: TruncatedSeries):
@@ -374,7 +325,7 @@ def estimate_radius(series: TruncatedSeries):
                 ok = False
                 break
             bound = Fraction(math.factorial(n - 1), 2 ** n)
-            if _exact_abs2(c) < bound * bound:
+            if exact_abs_compare(c, bound) < 0:
                 ok = False
                 break
         if ok:
@@ -391,7 +342,7 @@ def estimate_radius(series: TruncatedSeries):
     with mpmath.workprec(64):
         estimates = []
         for n, c in nonzero:
-            a = _abs_mpf(c)
+            a = abs_mpf(c)
             if a == 0:
                 continue
             estimates.append(a ** (mpmath.mpf(-1) / n))

@@ -18,7 +18,7 @@ from . import polynomials as polylib
 from . import sturm
 from .errors import CompspecError, HypothesisViolation
 from .intervals import NEG_INF, POS_INF, Interval, is_finite
-from .numbers import QuadraticNumber, exact_abs_compare, is_exact, to_mpf
+from .numbers import abs_mpf, exact_abs_compare, is_exact, is_rational, to_mpf
 from .sturm import Enclosure
 from .symbols import AnalyticSymbol, ConjugatedBody, _sample_grid
 
@@ -56,13 +56,13 @@ class FixedPointRecord:
             return _exact_in_enclosure(b, a)
         if isinstance(b, Enclosure):
             return _exact_in_enclosure(a, b)
-        if isinstance(a, mpmath.mpf) or isinstance(b, mpmath.mpf):
+        if not (is_exact(a) and is_exact(b)):
             return abs(to_mpf(a) - to_mpf(b)) < mpmath.mpf(2) ** -40
         return a == b
 
 
 def _exact_in_enclosure(value, enc: Enclosure) -> bool:
-    if isinstance(value, mpmath.mpf):
+    if not is_exact(value):
         return to_mpf(enc.lo) <= value <= to_mpf(enc.hi)
     lo_ok = not (value < enc.lo)
     hi_ok = not (enc.hi < value)
@@ -134,13 +134,24 @@ def _interval_eval(p, lo: Fraction, hi: Fraction):
     return alo, ahi
 
 
-def _kind_from_exact(m) -> str:
-    if m == 0:
+def multiplier_kind(m) -> str:
+    """The kind of a fixed point with multiplier m: decided exactly for an
+    exact m; for a numeric m, within 2**-40 of modulus zero counts as
+    superattracting and within 2**-40 of modulus one stays unresolved."""
+    if is_exact(m):
+        if m == 0:
+            return SUPERATTRACTING
+        side = exact_abs_compare(m, Fraction(1))
+        if side == 0:
+            return NEUTRAL
+        return ATTRACTING if side < 0 else REPELLING
+    mag = abs_mpf(m)
+    tol = mpmath.mpf(2) ** -40
+    if mag < tol:
         return SUPERATTRACTING
-    side = exact_abs_compare(m, Fraction(1))
-    if side == 0:
-        return NEUTRAL
-    return ATTRACTING if side < 0 else REPELLING
+    if abs(mag - 1) < tol:
+        return NEUTRAL_UNRESOLVED
+    return ATTRACTING if mag < 1 else REPELLING
 
 
 _SPECIAL_MULTIPLIERS = ((Fraction(0), SUPERATTRACTING),
@@ -174,7 +185,7 @@ def _root_record(dp, certificates, root, mult) -> FixedPointRecord:
     """The record of one isolated root: its location, multiplier and kind."""
     if not isinstance(root, Enclosure):
         m = polylib.eval_at(dp, root)
-        return FixedPointRecord(root, m, _kind_from_exact(m), mult, True)
+        return FixedPointRecord(root, m, multiplier_kind(m), mult, True)
     for special, kind, chain in certificates:
         if root.holds_root_of(chain):
             return FixedPointRecord(root, special, kind, mult, True)
@@ -316,20 +327,8 @@ def _heuristic_record(phi: AnalyticSymbol, location, second_iterate_of=None):
         jet = phi.jet(location, 1, precision=prec)
         m = jet.coeffs[1]
     return FixedPointRecord(location=location, multiplier=m,
-                            kind=_heuristic_kind(m), multiplicity=1,
+                            kind=multiplier_kind(m), multiplicity=1,
                             exact=False)
-
-
-def _heuristic_kind(m) -> str:
-    if is_exact(m):
-        return _kind_from_exact(m)
-    mag = abs(to_mpf(m))
-    tol = mpmath.mpf(2) ** -40
-    if mag < tol:
-        return SUPERATTRACTING
-    if abs(mag - 1) < tol:
-        return NEUTRAL_UNRESOLVED
-    return ATTRACTING if mag < 1 else REPELLING
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +547,9 @@ def _rational_bound_beyond(root, side: str) -> Fraction:
     """A rational point strictly past an exact or enclosed root."""
     if isinstance(root, Enclosure):
         return root.hi if side == "upper" else root.lo
-    if isinstance(root, QuadraticNumber):
+    if not is_rational(root):
         with mpmath.workprec(64):
-            seed = int(mpmath.floor(root.to_mpf()))
+            seed = int(mpmath.floor(to_mpf(root)))
         cand = Fraction(seed if side == "lower" else seed + 1)
         step = Fraction(1 if side == "upper" else -1)
         while (cand <= root) if side == "upper" else (cand >= root):
@@ -617,7 +616,7 @@ def _sampled_basin_witness(phi: AnalyticSymbol, core: Interval):
 
 
 def _escape_is_certain(phi: AnalyticSymbol, start) -> bool:
-    if not phi.is_rational_polynomial() or not isinstance(start, (int, Fraction)):
+    if not phi.is_rational_polynomial() or not is_rational(start):
         return False
     displacement = polylib.sub(phi.rational_coeffs(), [Fraction(0), Fraction(1)])
     v = polylib.eval_at(displacement, Fraction(start))

@@ -18,10 +18,10 @@ import mpmath
 from .config import default_precision
 from .errors import (HypothesisViolation, NeutralOrSuperattracting,
                      ResonantEigenvalue, ZeroLambda)
-from .numbers import (as_exact, exact_abs_compare, invert, is_exact,
-                      same_point, to_mpf, to_numeric)
+from .numbers import as_exact, invert, is_exact, same_point, to_numeric
 from .power_series import (Converges, Diverges, Inconclusive, TruncatedSeries,
                            estimate_radius)
+from .rootwork import ATTRACTING, multiplier_kind
 from .symbols import AnalyticSymbol
 
 
@@ -82,7 +82,7 @@ def _check_fixed_point(phi: AnalyticSymbol, u, precision):
 def _powers_equal(m_pow, lam) -> bool:
     if is_exact(m_pow) and is_exact(lam):
         return m_pow == lam
-    return abs(to_mpf(m_pow) - to_numeric(lam)) < mpmath.mpf(2) ** -48
+    return abs(to_numeric(m_pow) - to_numeric(lam)) < mpmath.mpf(2) ** -48
 
 
 def solve_formal(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
@@ -121,10 +121,6 @@ def solve_formal(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
                          phi_jet=phi_jet, gamma_jet=gamma_jet)
 
 
-def _one_like(m):
-    return Fraction(1) if is_exact(m) else mpmath.mpf(1)
-
-
 def smajdor_condition(lam, m, order: int) -> list[bool]:
     """Entry n: the uniqueness condition 1 - (1/lam) m**n != 0 holds, i.e.
     lam != m**n.  All-true through the order guarantees the triangular
@@ -132,7 +128,7 @@ def smajdor_condition(lam, m, order: int) -> list[bool]:
     if lam == 0:
         raise ZeroLambda("eigenvalue parameter must be nonzero")
     out = []
-    m_pow = _one_like(m)
+    m_pow = m ** 0
     for _ in range(order + 1):
         out.append(not _powers_equal(m_pow, lam))
         m_pow = m_pow * m
@@ -176,29 +172,12 @@ def koenigs(phi: AnalyticSymbol, u, order: int, precision=None) -> TruncatedSeri
     if order < 1:
         raise ValueError("order must be at least 1")
     m = phi_jet.coeffs[1]
-    _require_strictly_attracting(m)
+    if multiplier_kind(m) != ATTRACTING:
+        raise NeutralOrSuperattracting(f"multiplier {m} not in 0 < |m| < 1")
     with mpmath.workprec(precision):
         coeffs = phi_jet.solve_composition(
-            m, [_zero_like(m)] * (order + 1),
-            head=(_zero_like(m), _one_like(m)))
+            m, [m * 0] * (order + 1), head=(m * 0, m ** 0))
     return TruncatedSeries(u, coeffs)
-
-
-def _require_strictly_attracting(m):
-    if is_exact(m):
-        if m == 0 or exact_abs_compare(m, Fraction(1)) >= 0:
-            raise NeutralOrSuperattracting(f"multiplier {m} not in 0 < |m| < 1")
-        return
-    mag = abs(to_mpf(m))
-    tol = mpmath.mpf(2) ** -40
-    if mag < tol or abs(mag - 1) < tol:
-        raise NeutralOrSuperattracting("multiplier too close to zero or one")
-    if mag > 1:
-        raise NeutralOrSuperattracting("multiplier modulus exceeds one")
-
-
-def _zero_like(m):
-    return Fraction(0) if is_exact(m) else mpmath.mpf(0)
 
 
 def eigenfunction(phi: AnalyticSymbol, u, n: int, order: int,

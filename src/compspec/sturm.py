@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import polynomials as poly
-from .intervals import NEG_INF, POS_INF, Interval, ext_lt, is_finite
-from .numbers import quadratic, to_mpf
+from .intervals import NEG_INF, POS_INF, Interval, complement_blocks, is_finite
+from .numbers import format_rational, is_rational, quadratic, to_mpf
 
 
 def eval_sign_at_infinity(p, positive: bool) -> int:
@@ -36,7 +36,7 @@ def sign_at(p, x) -> int:
         return eval_sign_at_infinity(p, True)
     if x is NEG_INF:
         return eval_sign_at_infinity(p, False)
-    if isinstance(x, (int, Fraction)):
+    if is_rational(x):
         n, d = x.numerator, x.denominator
         v, scale = 0, 1
         for c in reversed(p):
@@ -142,7 +142,7 @@ def count_roots_open(p, interval: Interval) -> int:
     # Deflate roots sitting exactly on finite endpoints so the Sturm count
     # over (lo, hi] needs no further adjustment.
     for endpoint in (lo, hi):
-        if is_finite(endpoint) and isinstance(endpoint, Fraction):
+        if is_rational(endpoint):
             p = _deflate(p, endpoint)[0]
     if poly.degree(p) == 0:
         return 0
@@ -198,7 +198,6 @@ class Enclosure:
 
     def to_json_pair(self):
         """Exact rational endpoint pair."""
-        from .numbers import format_rational
         return [format_rational(self.lo), format_rational(self.hi)]
 
 
@@ -398,38 +397,6 @@ def _isolate_by_bisection(sf, interval: Interval):
 
 # ---------------------------------------------------------------------------
 # Certified containment of polynomial images
-
-
-def merge_open_union(union: list[Interval]) -> list[Interval]:
-    if not union:
-        return []
-    parts = sorted(union, key=lambda iv: (is_finite(iv.lower),
-                                          iv.lower if is_finite(iv.lower) else Fraction(0)))
-    merged = [parts[0]]
-    for iv in parts[1:]:
-        last = merged[-1]
-        if ext_lt(iv.lower, last.upper):
-            if ext_lt(last.upper, iv.upper):
-                merged[-1] = Interval(last.lower, iv.upper)
-        else:
-            merged.append(iv)
-    return merged
-
-
-def complement_blocks(union: list[Interval]):
-    """Closed complement of a finite open union, as (lo, hi) blocks on the
-    extended line; lo == hi encodes a single missing point."""
-    merged = merge_open_union(union)
-    if not merged:
-        return [(NEG_INF, POS_INF)]
-    blocks = []
-    if is_finite(merged[0].lower):
-        blocks.append((NEG_INF, merged[0].lower))
-    for a, b in zip(merged, merged[1:]):
-        blocks.append((a.upper, b.lower))
-    if is_finite(merged[-1].upper):
-        blocks.append((merged[-1].upper, POS_INF))
-    return blocks
 
 
 def poly_maps_into(p, source: Interval, targets: list[Interval]):

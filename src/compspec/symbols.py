@@ -17,18 +17,18 @@ from fractions import Fraction
 from math import gcd
 
 import mpmath
-from mpmath.libmp import (from_int, from_rational, mpf_add, mpf_atan, mpf_div,
-                          mpf_exp, mpf_lt, mpf_mul, mpf_pos, mpf_pow_int,
-                          mpf_sin, round_nearest)
+from mpmath.libmp import (mpf_add, mpf_atan, mpf_exp, mpf_lt, mpf_mul, mpf_pos,
+                          mpf_pow_int, mpf_sin, round_nearest)
 
 from . import polynomials as polylib
 from . import sturm
 from .config import default_precision
 from .errors import (ConstantSymbolError, DomainError, ExpressionSyntaxError,
-                     InvarianceFailure, NotADiffeomorphism, OrbitEscape)
+                     HypothesisViolation, InvarianceFailure, NotADiffeomorphism,
+                     OrbitEscape)
 from .intervals import NEG_INF, POS_INF, Interval, is_finite
-from .numbers import (QuadraticNumber, as_exact, format_rational, invert,
-                      is_exact, parse_rational, to_mpf)
+from .numbers import (as_exact, format_rational, invert, is_exact, is_rational,
+                      parse_rational, raw_addend, raw_point, raw_ratio, to_mpf)
 from .power_series import TruncatedSeries
 
 _GUARD_BITS = 24
@@ -310,30 +310,6 @@ _RND = round_nearest
 _CALLS = {"exp": mpf_exp, "arctan": mpf_atan, "sin": mpf_sin}
 
 
-def _raw_ratio(num, den, prec):
-    """``to_mpf(Fraction(num, den))._mpf_`` at ``prec`` bits for a reduced
-    pair: ``mpf(num)`` rounded to nearest, then divided by ``den``."""
-    return mpf_div(from_int(num, prec, _RND), from_int(den), prec, _RND)
-
-
-def _raw_point(x, prec):
-    """``to_mpf(x)._mpf_`` at ``prec`` bits, without entering workprec for
-    Fraction and mpf points."""
-    if isinstance(x, Fraction):
-        return _raw_ratio(x.numerator, x.denominator, prec)
-    if isinstance(x, mpmath.mpf):
-        return mpf_pos(x._mpf_, prec, _RND)
-    return to_mpf(x, prec)._mpf_
-
-
-def _raw_addend(c, prec):
-    """The raw value mpmath adds for ``acc + c``: ints exactly, Fractions
-    through ``convert``, i.e. ``from_rational`` at its default rounding."""
-    if isinstance(c, int):
-        return from_int(c)
-    return from_rational(c.numerator, c.denominator, prec)
-
-
 def compile_tree(node, prec):
     """A folded tree as a function of one raw mpf tuple, at ``prec`` bits.
 
@@ -343,8 +319,8 @@ def compile_tree(node, prec):
     so the results are bit-identical to mpmath's object arithmetic.
     """
     if isinstance(node, Poly):
-        lead = _raw_point(node.coeffs[-1], prec)
-        rest = tuple(_raw_addend(c, prec) for c in reversed(node.coeffs[:-1]))
+        lead = raw_point(node.coeffs[-1], prec)
+        rest = tuple(raw_addend(c, prec) for c in reversed(node.coeffs[:-1]))
 
         def poly(x):
             acc = lead
@@ -495,7 +471,7 @@ def _poly_limit(coeffs, end):
     if end is POS_INF or end is NEG_INF:
         if len(coeffs) == 1:
             value = coeffs[0]
-            if isinstance(value, (int, Fraction)):
+            if is_rational(value):
                 return Limit("finite", value=Fraction(value))
             return Limit("finite", approx=to_mpf(value))
         lead = coeffs[-1]
@@ -504,7 +480,7 @@ def _poly_limit(coeffs, end):
             lead_sign = -lead_sign
         return Limit("pos_inf") if lead_sign > 0 else Limit("neg_inf")
     end = as_exact(end)
-    if all(isinstance(c, (int, Fraction)) for c in coeffs) and isinstance(end, Fraction):
+    if all(is_rational(c) for c in coeffs) and is_rational(end):
         return Limit("finite",
                      value=polylib.eval_at([Fraction(c) for c in coeffs], end))
     with mpmath.workprec(96):
@@ -654,7 +630,7 @@ class PolynomialBody:
         return len(self.coeffs) - 1
 
     def is_rational(self):
-        return all(isinstance(c, (int, Fraction)) for c in self.coeffs)
+        return all(is_rational(c) for c in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -740,7 +716,7 @@ class AnalyticSymbol:
             # Numeric backstop against disguised constants.
             kernel = self._kernel(200)
             with mpmath.workprec(200):
-                samples = [mpmath.mp.make_mpf(kernel(_raw_point(Fraction(k, 7), 200)))
+                samples = [mpmath.mp.make_mpf(kernel(raw_point(Fraction(k, 7), 200)))
                            for k in (-9, -3, 1, 2, 5, 8, 13)]
                 spread = max(samples) - min(samples)
                 if spread < mpmath.mpf(2) ** (-180):
@@ -792,7 +768,7 @@ class AnalyticSymbol:
         for num, den in _grid_pairs(source, samples):
             if check_domain and not self.domain.contains(Fraction(num, den)):
                 raise DomainError(f"{Fraction(num, den)} is outside the domain {self.domain}")
-            y = mpf_pos(kernel(_raw_ratio(num, den, prec)), 96, _RND)
+            y = mpf_pos(kernel(raw_ratio(num, den, prec)), 96, _RND)
             if not any((lo is None or mpf_lt(lo, y)) and (hi is None or mpf_lt(y, hi))
                        for lo, hi in bounds):
                 return False, Fraction(num, den), False
@@ -889,7 +865,7 @@ class AnalyticSymbol:
             with mpmath.workprec(precision):
                 return +result
         prec = precision + _GUARD_BITS
-        result = self._kernel(prec)(_raw_point(x, prec))
+        result = self._kernel(prec)(raw_point(x, prec))
         return mpmath.mp.make_mpf(mpf_pos(result, precision, _RND))
 
     def _point_in_domain(self, x, precision) -> bool:
@@ -915,7 +891,7 @@ class AnalyticSymbol:
         if isinstance(self.body, ConjugatedBody):
             return self._conjugated_jet(center, order, precision)
         tree = self.body.tree
-        if isinstance(center, (int, Fraction)):
+        if is_rational(center):
             try:
                 return tree_jet(tree, Fraction(center), order, exact=True)
             except _NeedNumeric:
@@ -961,8 +937,8 @@ class AnalyticSymbol:
             return _poly_limit(self.body.coeffs, end)
         if isinstance(self.body, ConjugatedBody):
             return _UNKNOWN
-        if isinstance(end, Fraction):
-            approx = self._kernel(96)(_raw_point(end, 96))
+        if is_rational(end):
+            approx = self._kernel(96)(raw_point(end, 96))
             return Limit("finite", approx=mpmath.mp.make_mpf(approx))
         return tree_limit(self.body.tree, end)
 
@@ -990,7 +966,12 @@ class AnalyticSymbol:
 
     def with_domain(self, domain: Interval) -> "AnalyticSymbol":
         """The same map restricted to a smaller invariant interval; raises
-        InvarianceFailure, with a witness, when the image leaves it."""
+        InvarianceFailure, with a witness, when the image leaves it.  A
+        conjugated symbol is analysed through its inner symbol on the whole
+        domain, so it cannot be restricted (HypothesisViolation)."""
+        if isinstance(self.body, ConjugatedBody) and domain != self.domain:
+            raise HypothesisViolation(
+                f"a conjugated symbol cannot be restricted to {domain}")
         ok, witness, certified = self.maps_into(domain, [domain], 1024)
         if not ok:
             raise InvarianceFailure(f"image of {domain} leaves the interval",
@@ -1010,7 +991,7 @@ def format_polynomial(coeffs) -> str:
         c = coeffs[k]
         if c == 0:
             continue
-        if isinstance(c, QuadraticNumber):
+        if not is_rational(c):
             mag, sign = str(c), "+"
             body = f"({mag})"
         else:
@@ -1021,7 +1002,7 @@ def format_polynomial(coeffs) -> str:
             term = body
         else:
             xpow = "x" if k == 1 else f"x^{k}"
-            term = xpow if (not isinstance(c, QuadraticNumber) and mag == 1) \
+            term = xpow if (is_rational(c) and mag == 1) \
                 else f"{body}*{xpow}"
         terms.append((sign, term))
     if not terms:
@@ -1258,8 +1239,8 @@ def conjugate(phi: AnalyticSymbol, delta: Diffeomorphism) -> AnalyticSymbol:
             inner = polylib.compose(phi.body.coeffs, [offset, scale])
             coeffs = polylib.scale(polylib.sub(inner, [offset]), inv_scale)
             return AnalyticSymbol(PolynomialBody(tuple(coeffs)), new_domain)
-        if isinstance(phi.body, ElementaryBody) and isinstance(scale, Fraction) \
-                and isinstance(offset, Fraction):
+        if isinstance(phi.body, ElementaryBody) and is_rational(scale) \
+                and is_rational(offset):
             sub = substitute_affine(phi.body.tree, scale, offset)
             folded = fold(Mul((Poly((inv_scale,)),
                                Add((sub, Poly((-offset,)))))))

@@ -18,23 +18,13 @@ import mpmath
 
 from .errors import HypothesisViolation, InvarianceFailure, UnresolvedVerdict
 from .intervals import Interval, intersect_unions, union_covers
-from .numbers import (GaussianRational, QuadraticNumber, as_exact,
-                      exact_abs_compare, format_scalar, parse_scalar, to_mpf)
+from .numbers import (as_exact, bit_size, exact_abs_compare, format_scalar,
+                      is_real_exact, log_abs, parse_scalar, real_part)
 from .rootwork import (ATTRACTING, NEUTRAL, NEUTRAL_UNRESOLVED, REPELLING,
                        SUPERATTRACTING, SymbolAnalysis, analyze_symbol)
 from .symbols import AnalyticSymbol, ConjugatedBody, normalize_quadratic
 
 REPORT_VERSION = 1
-
-
-def _is_real_scalar(value) -> bool:
-    return isinstance(value, (int, Fraction, QuadraticNumber))
-
-
-def _real_part(lam):
-    if isinstance(lam, GaussianRational):
-        return lam.re if lam.im == 0 else None
-    return as_exact(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +69,7 @@ class Powers:
     def contains(self, lam) -> bool:
         if lam == 0:
             return self.include_zero
-        real = _real_part(lam)
+        real = real_part(lam)
         if real is None:
             return False
         ratio = as_exact(self.ratio)
@@ -88,34 +78,13 @@ class Powers:
         # |ratio|**n = |real| pins n to within one of the 64-bit log ratio;
         # an n too large for the digits of real is rejected unpowered.
         with mpmath.workprec(64):
-            t = _log_abs(real) / _log_abs(ratio)
-        return any(0 < n <= 2 * _bits(real) + 2 and ratio ** n == real
+            t = log_abs(real) / log_abs(ratio)
+        return any(0 < n <= 2 * bit_size(real) + 2 and ratio ** n == real
                    for n in {int(mpmath.floor(t)), int(mpmath.ceil(t))})
 
     def to_json_dict(self):
         return {"kind": self.kind, "ratio": format_scalar(self.ratio),
                 "include_zero": self.include_zero}
-
-
-def _log_abs(x):
-    """log|x| to 64 good bits: log1p near |x| = 1, and a quadratic number
-    read off the larger of itself and its conjugate (their product is its
-    norm), so that no digits cancel."""
-    x = abs(x)
-    if isinstance(x, QuadraticNumber) and x < abs(x.conjugate()):
-        return mpmath.log(abs(to_mpf(x.norm()))) - _log_abs(x.conjugate())
-    if Fraction(1, 2) < x < 2:
-        return mpmath.log1p(to_mpf(x - 1))
-    return mpmath.log(to_mpf(x))
-
-
-def _bits(x) -> int:
-    """Bit length of the rational coordinates of x.  ratio**n == x forces
-    n <= 2 * _bits(x) + 2: the norm or denominators of ratio**n grow with n,
-    unless ratio is a unit, whose modulus lies outside (1/phi, phi)."""
-    if isinstance(x, QuadraticNumber):
-        return _bits(x.p) + _bits(x.q) + x.d.bit_length()
-    return x.numerator.bit_length() + x.denominator.bit_length()
 
 
 @dataclass(frozen=True)
@@ -153,7 +122,7 @@ class RealRay:
     kind = "real_ray"
 
     def contains(self, lam) -> bool:
-        real = _real_part(lam)
+        real = real_part(lam)
         if real is None:
             return False
         return real >= self.start if self.closed else real > self.start
@@ -423,7 +392,7 @@ def point_spectrum(analysis: SymbolAnalysis):
     if kind == NEUTRAL_UNRESOLVED:
         raise UnresolvedVerdict("multiplier enclosure straddles modulus one")
     if kind in (ATTRACTING, REPELLING):
-        if not _is_real_scalar(m):
+        if not is_real_exact(m):
             raise UnresolvedVerdict("multiplier known only as an enclosure")
         if kind == ATTRACTING or not analysis.critical_points:
             return (Powers(as_exact(m), include_zero=False),
@@ -453,7 +422,7 @@ def spectrum_lower_bound(analysis: SymbolAnalysis):
     decided = _decided_point_spectrum(analysis)
     parts.append(decided[0] if decided else FiniteSet((Fraction(1),)))
     for record in analysis.fixed_points:
-        if record.kind in (ATTRACTING, REPELLING) and _is_real_scalar(record.multiplier):
+        if record.kind in (ATTRACTING, REPELLING) and is_real_exact(record.multiplier):
             candidate = Powers(as_exact(record.multiplier))
             if candidate not in parts:
                 parts.append(candidate)
@@ -503,7 +472,7 @@ def spectrum(target) -> ClassificationReport:
     mu = _quadratic_mu(analysis.symbol)
     if m is None:
         return _several_fixed_points_leaf(analysis, mu, decided, certified)
-    if kind == NEUTRAL_UNRESOLVED or not _is_real_scalar(m):
+    if kind == NEUTRAL_UNRESOLVED or not is_real_exact(m):
         return _fallback_leaf(analysis, decided, certified,
                               note="multiplier undecided at modulus one")
     sigma_p, eigen = decided
@@ -624,7 +593,7 @@ def _several_fixed_points_leaf(analysis, mu, decided, certified) -> Classificati
             notes=(f"affinely equivalent to the power map with exponent {power}",))
     if mu is not None:
         return quadratic_spectrum(mu, certified=certified)
-    hyperbolic = all(r.kind in (ATTRACTING, REPELLING) and _is_real_scalar(r.multiplier)
+    hyperbolic = all(r.kind in (ATTRACTING, REPELLING) and is_real_exact(r.multiplier)
                      for r in analysis.fixed_points)
     if analysis.is_diffeo.value is True and len(analysis.fixed_points) > 1 and hyperbolic:
         return ClassificationReport(

@@ -6,6 +6,7 @@ import pytest
 
 from compspec.cli import main
 from compspec.continuation import evaluate, globalize
+from compspec.numbers import GaussianRational, parse_gaussian
 from compspec.symbols import parse_rhs, parse_symbol
 from compspec.taxonomy import ClassificationReport
 
@@ -241,6 +242,37 @@ class TestComplexSolve:
             assert coeffs[0][0] == "complex"
         else:
             assert "f_0 = (" in out
+
+
+class TestComplexEval:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_numeric_complex_value(self, capsys, fmt):
+        code, out = run_cli(capsys, "eval", "--symbol", "1/2*arctan(x)",
+                            "--lambda", "2+i", "--gamma", "x", "--at", "5",
+                            "--format", fmt)
+        assert code == 0
+        text = json.loads(out)["value"] if fmt == "json" \
+            else out.splitlines()[0].removeprefix("f(5) = ")
+        sol = globalize(parse_symbol("1/2*arctan(x)"), F(0), GaussianRational(2, 1),
+                        parse_rhs("x"), order=24, precision=256)
+        value, _ = evaluate(sol, F(5), precision=256)
+        with mpmath.workprec(256):
+            real, imag = mpmath.nstr(value.real, 30), mpmath.nstr(value.imag, 30)
+        assert text == f"{real}+{imag}i" or text == f"{real}{imag}i"
+        # The printed form is one --lambda accepts.
+        back = parse_gaussian(text)
+        assert abs(complex(float(back.re), float(back.im)) - complex(value)) < 1e-12
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_exact_gaussian_value(self, capsys, fmt):
+        # f = c*x^2 with c/4 - (2+i)*c = 1, so f(5) = -140/13 + 80/13 i.
+        code, out = run_cli(capsys, "eval", "--symbol", "1/2*x", "--lambda", "2+i",
+                            "--gamma", "x^2", "--at", "5", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["value"] == "-140/13+80/13i"
+        else:
+            assert out.splitlines()[0] == "f(5) = -140/13+80/13i"
 
 
 class TestEnclosureSerialization:

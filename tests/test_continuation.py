@@ -9,7 +9,7 @@ from compspec.continuation import (evaluate, extend_forward,
                                    prop45_witness_demo, telescoping_check)
 from compspec.errors import BasinEscape, BranchDomain, HypothesisViolation
 from compspec.intervals import Interval
-from compspec.numbers import to_mpf
+from compspec.numbers import GaussianRational, to_mpf
 from compspec.symbols import AnalyticSymbol, parse_rhs, parse_symbol
 
 
@@ -116,6 +116,23 @@ class TestForwardExtension:
         with pytest.raises(HypothesisViolation, match="not attracted"):
             globalize(parse_symbol(text), center, F(2), parse_rhs("x"),
                       order=24, precision=256)
+
+
+class TestComplexLambda:
+    @pytest.mark.parametrize("x", [F(3, 2), F(5), F(-40)])
+    def test_gaussian_lambda_evaluates(self, x):
+        # Real phi and gamma: the solution for the conjugate lambda is the
+        # complex conjugate of the solution for lambda.
+        values = []
+        for lam in (GaussianRational(2, 1), GaussianRational(2, -1)):
+            sol = globalize(parse_symbol("1/2*arctan(x)"), F(0), lam,
+                            parse_rhs("x"), order=24, precision=256)
+            value, trace = evaluate(sol, x, precision=256)
+            assert float(trace.residual or 0) < 1e-60
+            values.append(value)
+        with mpmath.workprec(256):
+            assert values[0].imag != 0
+            assert abs(values[0] - mpmath.conj(values[1])) < mpmath.mpf(2) ** -200
 
 
 class TestInverseBranch:

@@ -2,10 +2,12 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from compspec.errors import ExpressionSyntaxError
 from compspec.intervals import (NEG_INF, POS_INF, Interval, intersect_unions,
-                                union_covers)
+                                is_finite, union_covers)
 from compspec.numbers import to_mpf
 from compspec.sturm import complement_blocks
 
@@ -84,3 +86,31 @@ def test_complement_blocks():
     assert blocks == [(NEG_INF, F(0)), (F(1), POS_INF)]
     assert complement_blocks([Interval.real_line()]) == []
     assert complement_blocks([]) == [(NEG_INF, POS_INF)]
+
+
+_ENDS = st.one_of(st.fractions(min_value=-4, max_value=4, max_denominator=2),
+                  st.sampled_from([NEG_INF, POS_INF]))
+
+
+def _interval(ends):
+    lo, hi = sorted(ends, key=lambda e: (e is not NEG_INF, e is POS_INF,
+                                         e if is_finite(e) else 0))
+    assume(lo is not POS_INF and hi is not NEG_INF and lo != hi)
+    return Interval(lo, hi)
+
+
+_INTERVALS = st.tuples(_ENDS, _ENDS).map(_interval)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_INTERVALS, max_size=4), _INTERVALS)
+def test_union_covers_matches_brute_force(pieces, target):
+    # Open-interval membership changes only at endpoints, so the endpoints,
+    # the midpoints between them and one point beyond each side decide it.
+    ends = sorted({e for iv in pieces + [target] for e in (iv.lower, iv.upper)
+                   if is_finite(e)}) or [F(0)]
+    probes = ends + [(a + b) / 2 for a, b in zip(ends, ends[1:])] \
+        + [ends[0] - 1, ends[-1] + 1]
+    expected = all(any(p.contains(t) for p in pieces)
+                   for t in probes if target.contains(t))
+    assert union_covers(pieces, target) == expected

@@ -1,10 +1,17 @@
+import ast
+import operator
+import pathlib
 from fractions import Fraction as F
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import compspec
 from compspec.numbers import (GaussianRational, QuadraticNumber, format_scalar,
-                              parse_gaussian, parse_rational, parse_scalar,
-                              quadratic, to_mpf)
+                              is_exact, parse_gaussian, parse_rational,
+                              parse_scalar, quadratic, to_mpf, to_numeric)
 
 
 def test_parse_rational_decimal_is_exact():
@@ -102,3 +109,100 @@ def test_to_mpf_precision():
     with mpmath.workprec(80):
         x = to_mpf(F(1, 3))
         assert abs(x * 3 - 1) < mpmath.mpf(2) ** -75
+
+
+# ---------------------------------------------------------------------------
+# The mixing rule
+
+_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=64)
+_NONZERO = _RATIONALS.filter(lambda q: q != 0)
+_FLOATS = st.floats(min_value=-100, max_value=100, allow_nan=False)
+_FIELD_ELEMENTS = st.one_of(
+    st.builds(GaussianRational, _RATIONALS, _RATIONALS),
+    st.builds(lambda p, q: quadratic(p, q, 2), _RATIONALS, _NONZERO),
+    st.builds(lambda p, q: quadratic(p, q, 3), _RATIONALS, _NONZERO),
+)
+_SCALARS = st.one_of(
+    st.integers(-20, 20), _RATIONALS, _FIELD_ELEMENTS,
+    _FLOATS.map(mpmath.mpf), st.builds(mpmath.mpc, _FLOATS, _FLOATS),
+)
+_OPS = [operator.add, operator.sub, operator.mul, operator.truediv]
+
+
+def _field(value):
+    """The exact field a scalar lies in; None for a numeric one."""
+    if isinstance(value, (int, F)):
+        return "Q"
+    if isinstance(value, GaussianRational):
+        return "Q(i)"
+    if isinstance(value, QuadraticNumber):
+        return f"Q(sqrt({value.d}))"
+    return None
+
+
+def _image(value):
+    return to_numeric(value) if is_exact(value) else value
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FIELD_ELEMENTS, _SCALARS, st.sampled_from(_OPS), st.booleans())
+def test_mixing_table(element, other, op, element_first):
+    """A field element against every scalar class, on either side.  Pairs
+    without a field element are Python's and mpmath's own arithmetic (there
+    Fraction - mpf raises TypeError and Fraction + mpf rounds the Fraction
+    toward zero), so the table leaves them out."""
+    a, b = (element, other) if element_first else (other, element)
+    assume(op is not operator.truediv or b != 0)
+    with mpmath.workprec(200):
+        result = op(a, b)
+        expected = op(_image(a), _image(b))
+        if None not in {_field(a), _field(b)} and len({_field(a), _field(b)} - {"Q"}) <= 1:
+            assert is_exact(result)
+            assert abs(_image(result) - expected) <= 2 ** -150 * (1 + abs(expected))
+        else:
+            assert result == expected
+
+
+@given(st.one_of(st.builds(GaussianRational, _RATIONALS, _RATIONALS),
+                 st.builds(lambda p, q: quadratic(p, q, 5), _RATIONALS, _NONZERO)))
+def test_field_element_never_equals_its_numeric_image(value):
+    image = to_numeric(value)
+    assert not value == image and not image == value
+    assert value != image
+
+
+def test_distinct_quadratic_fields_mix_numerically():
+    a, b = quadratic(0, 1, 2), quadratic(0, 1, 3)
+    assert a * b == to_numeric(a) * to_numeric(b)
+    assert a != b
+
+
+# ---------------------------------------------------------------------------
+# Only numbers.py knows the scalar classes
+
+_SCALAR_CLASSES = {"Fraction", "GaussianRational", "QuadraticNumber", "mpf", "mpc"}
+_FIELD_CLASSES = {"GaussianRational", "QuadraticNumber"}
+
+
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_only_numbers_names_scalar_classes():
+    package = pathlib.Path(compspec.__file__).parent
+    offences = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "numbers.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                named = _names(node.args[1]) & _SCALAR_CLASSES
+                if named:
+                    offences.append(f"{path.name}:{node.lineno} isinstance {sorted(named)}")
+            if isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                named = {alias.name for alias in node.names} & _FIELD_CLASSES
+                if named:
+                    offences.append(f"{path.name}:{node.lineno} imports {sorted(named)}")
+    assert offences == []

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compspec.errors import CenterMismatch
-from compspec.numbers import GaussianRational, is_exact
+from compspec.numbers import GaussianRational, is_exact, quadratic
 from compspec.power_series import (Converges, Diverges, Inconclusive,
                                    TruncatedSeries, estimate_radius)
 
@@ -163,6 +163,16 @@ def test_json_round_trip():
     doc = series.to_json_dict()
     back = TruncatedSeries.from_json_dict(doc)
     assert back == series
+
+
+def test_json_round_trip_quadratic_coefficients():
+    u = quadratic(2, -1, 6)
+    series = TruncatedSeries(u, [u, F(1), quadratic(F(-1, 2), F(-1, 6), 6),
+                                 GaussianRational(F(1, 3), -2)])
+    doc = series.to_json_dict()
+    assert doc["center"] == "2-sqrt(6)"
+    assert doc["coeffs"] == ["2-sqrt(6)", "1", "-1/2-1/6*sqrt(6)", ["1/3", "-2"]]
+    assert TruncatedSeries.from_json_dict(doc) == series
 
 
 def test_json_round_trip_numeric_coefficients():

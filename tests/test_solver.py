@@ -7,8 +7,8 @@ import pytest
 
 from compspec.errors import (HypothesisViolation, NeutralOrSuperattracting,
                              ResonantEigenvalue, ZeroLambda)
-from compspec.numbers import GaussianRational
-from compspec.power_series import Diverges
+from compspec.numbers import GaussianRational, quadratic
+from compspec.power_series import Diverges, TruncatedSeries
 from compspec.solver import (eigenfunction, koenigs, quadratic_id_recurrence,
                              schroeder_residual, smajdor_condition,
                              solve_formal)
@@ -132,6 +132,36 @@ def _poly_text(coeffs) -> str:
         parts.append(term.replace("-", "- ") if False else term)
     text = " + ".join(parts) if parts else "0"
     return text.replace("+ -", "- ")
+
+
+class TestQuadraticIrrationalCentre:
+    """1/4*x^2 - 1/2 has the attracting fixed point u = 2 - sqrt(6)."""
+
+    phi = parse_symbol("1/4*x^2-1/2")
+    u = quadratic(2, -1, 6)
+
+    @pytest.mark.parametrize("order", [16, 24])
+    def test_radius_verdict_past_order_fifteen(self, order):
+        sol = solve_formal(self.phi, self.u, F(3), parse_rhs("x"), order)
+        assert sol.series.is_exact()
+        assert not any(sol.residual_series().coeffs)
+        assert sol.radius_verdict is not None
+
+    def test_gaussian_lambda(self):
+        lam = GaussianRational(3, 1)
+        sol = solve_formal(self.phi, self.u, lam, parse_rhs("x"), 10,
+                           precision=256)
+        assert not sol.series.is_exact()
+        with mpmath.workprec(256):
+            assert all(abs(c) < mpmath.mpf(2) ** -240
+                       for c in sol.residual_series().coeffs)
+
+    def test_koenigs_series_json(self):
+        sigma = koenigs(self.phi, self.u, 8)
+        doc = sigma.to_json_dict()
+        assert doc["center"] == "2-sqrt(6)"
+        assert doc["coeffs"][2] == "-1/2-1/6*sqrt(6)"
+        assert TruncatedSeries.from_json_dict(doc) == sigma
 
 
 class TestQuadraticRecurrence:

@@ -13,11 +13,13 @@ from compspec.errors import (ConstantSymbolError, DegreeOverflow, DomainError,
                              NotADiffeomorphism, OrbitEscape)
 from compspec.intervals import Interval, is_finite
 from compspec.numbers import QuadraticNumber, quadratic, to_mpf
+from compspec.numbers import raw_point as _raw_point
 from compspec.symbols import (Add, AnalyticSymbol, Call, Mul, NoFixedPoints,
-                              Poly, Pow, _grid_pairs, _raw_point, compile_tree,
+                              Poly, Pow, _grid_pairs, compile_tree,
                               conjugate, fold, identity_diffeomorphism,
                               normalize_quadratic, parse_change, parse_rhs,
                               parse_symbol)
+from compspec.taxonomy import spectrum
 
 
 def reference_eval(node, x):
@@ -264,6 +266,20 @@ class TestConjugate:
     def test_non_diffeo_rejected(self):
         with pytest.raises(NotADiffeomorphism):
             parse_change("x^2")
+
+    def test_quadratic_irrational_change_at_numeric_points(self):
+        # delta(x) = u - x with u = (1 + sqrt(5))/2: its coefficients are
+        # quadratic irrationals, evaluated against an mpf point.
+        nf = normalize_quadratic(1, 0, -1)
+        with mpmath.workprec(128):
+            x = mpmath.mpf("0.3")
+            value = nf.delta.apply(x, 128)
+            assert abs(value - (to_mpf(nf.fixed_u) - x)) < mpmath.mpf(2) ** -120
+
+    def test_conjugate_by_quadratic_irrational_change_classifies(self):
+        phi = parse_symbol("1/4*x^2-1/2")
+        psi = conjugate(phi, normalize_quadratic(F(1, 4), 0, F(-1, 2)).delta)
+        assert spectrum(psi).certified is False
 
 
 class TestNormalizeQuadratic:

@@ -243,6 +243,25 @@ class TestConjugationInvariance:
                     backward.sigma.contains(inv), (forward_text, lam)
 
 
+class TestRestrictedConjugate:
+    """A conjugated symbol is analysed through its inner symbol on the whole
+    domain, so a restriction to a smaller interval is refused."""
+
+    psi = conjugate(parse_symbol("1/2*x^3+1/2*x"), parse_change("exp(x) - exp(-x)"))
+    small = Interval(F(-1, 5), F(1, 5))
+
+    def test_kernel_dim_refuses(self):
+        with pytest.raises(HypothesisViolation):
+            kernel_dim(self.psi, self.small, F(1, 4))
+
+    def test_with_domain_refuses(self):
+        with pytest.raises(HypothesisViolation):
+            spectrum(self.psi.with_domain(self.small))
+
+    def test_whole_domain_still_allowed(self):
+        assert self.psi.with_domain(self.psi.domain).domain == self.psi.domain
+
+
 class TestKernelDim:
     def test_arctan_power(self):
         label = kernel_dim(parse_symbol("1/2*arctan(x)"), Interval.real_line(),
