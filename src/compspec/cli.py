@@ -21,7 +21,7 @@ from .continuation import (evaluate, globalize, preimage_orbit,
 from .errors import CompspecError, ExpressionSyntaxError
 from .intervals import Interval
 from .numbers import (format_numeric, format_scalar, is_exact, is_rational,
-                      parse_gaussian)
+                      is_real_exact, parse_gaussian, parse_scalar)
 from .power_series import TruncatedSeries
 from .rootwork import find_fixed_points
 from .solver import eigenfunction, koenigs, solve_formal
@@ -141,17 +141,17 @@ def _load_equation(args):
 
 def _detect_center(phi: AnalyticSymbol, requested):
     if requested is not None:
-        return Fraction(requested)
+        return parse_scalar(requested)
     records = [] if phi.is_identity() else find_fixed_points(phi)
     if not records:
         raise CompspecError("the symbol has no fixed point to expand at")
     attracting = [r for r in records
                   if r.kind in ("attracting", "superattracting", "neutral")]
     pick = attracting[0] if attracting else records[0]
-    location = pick.location
-    if is_rational(location):
-        return location
-    raise CompspecError("fixed point is not rational; pass --center explicitly")
+    if is_real_exact(pick.location):
+        return pick.location
+    raise CompspecError("fixed point is known only as an enclosure or numerically; "
+                        "pass --center explicitly")
 
 
 def _emit(args, text_lines, doc):

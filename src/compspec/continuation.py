@@ -21,7 +21,8 @@ from .config import default_precision
 from .errors import (BasinEscape, BranchDomain, HypothesisViolation,
                      PrecisionLoss, ReflectedUncovered)
 from .intervals import NEG_INF, POS_INF, Interval, is_finite
-from .numbers import as_exact, exact_abs_compare, is_exact, to_mpf, to_numeric
+from .numbers import (as_exact, exact_abs_compare, is_exact, is_rational, to_mpf,
+                      to_numeric)
 from .power_series import Converges
 from .rootwork import MAX_ORBIT_STEPS, attraction_basin_check
 from .solver import LocalSolution, solve_formal
@@ -124,14 +125,18 @@ def globalize(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
     if not isinstance(verdict, Converges):
         raise HypothesisViolation(
             f"local series is not usable for extension: {verdict}")
-    r_safe = _half(verdict.radius_estimate, phi.domain, u)
+    # Every core radius r below is at least the floor, so (c - r, c + r)
+    # contains u.
+    floor = min(_HARD_FLOOR, Fraction(core_radius or _HARD_FLOOR))
+    c = _rational_near(u, floor / 4)
+    r_safe = _half(verdict.radius_estimate, phi.domain, c)
     if core_radius is not None:
         r_safe = min(r_safe, Fraction(core_radius))
     m = local.multiplier
     parabolic = is_exact(m) and m == 1
     for _ in range(64):
-        core = Interval(Fraction(u) - r_safe, Fraction(u) + r_safe)
-        if _core_invariant(phi, core, u, parabolic):
+        core = Interval(c - r_safe, c + r_safe)
+        if _core_invariant(phi, core, c, parabolic):
             break
         r_safe = r_safe / 2
         if r_safe < _HARD_FLOOR:
@@ -149,9 +154,22 @@ def globalize(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
     return GlobalSolution(local=local, core=core, rules=rules, basin=basin)
 
 
-def _core_invariant(phi: AnalyticSymbol, core: Interval, u, parabolic: bool) -> bool:
+def _rational_near(u, tol: Fraction) -> Fraction:
+    """u when it is rational, else a decimal rational closer to u than tol."""
+    digits = 20
+    while not is_rational(u):
+        with mpmath.workprec(4 * digits):
+            c = Fraction(mpmath.nstr(to_mpf(u), digits))
+        if abs(c - u) < tol:
+            return c
+        digits *= 2
+    return Fraction(u)
+
+
+def _core_invariant(phi: AnalyticSymbol, core: Interval, c: Fraction,
+                    parabolic: bool) -> bool:
     # A parabolic core only needs its attracting right half invariant.
-    source = Interval(Fraction(u), core.upper) if parabolic else core
+    source = Interval(c, core.upper) if parabolic else core
     ok, _, _ = phi.maps_into(source, [source], 128)
     return ok
 

@@ -1,6 +1,6 @@
-"""Certified dynamics analysis of a symbol: fixed points of the map and
-its second iterate, multipliers, critical points, diffeomorphism and
-attraction-basin certificates.
+"""Certified dynamics analysis of a symbol: fixed points with their
+multipliers, 2-cycles, critical points, diffeomorphism and attraction-basin
+certificates.
 
 Rational polynomial symbols get exact Sturm-based certificates; elementary
 symbols get sign-scan heuristics and every derived flag records that the
@@ -9,7 +9,7 @@ result is not certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -42,31 +42,13 @@ class FixedPointRecord:
     multiplicity: int = 1
     exact: bool = True
 
-    def location_mpf(self, prec=64):
-        with mpmath.workprec(prec):
-            if isinstance(self.location, Enclosure):
-                return self.location.to_mpf()
-            return to_mpf(self.location)
 
-    def same_point(self, other: "FixedPointRecord") -> bool:
-        a, b = self.location, other.location
-        if isinstance(a, Enclosure) and isinstance(b, Enclosure):
-            return not (a.hi < b.lo or b.hi < a.lo)
-        if isinstance(a, Enclosure):
-            return _exact_in_enclosure(b, a)
-        if isinstance(b, Enclosure):
-            return _exact_in_enclosure(a, b)
-        if not (is_exact(a) and is_exact(b)):
-            return abs(to_mpf(a) - to_mpf(b)) < mpmath.mpf(2) ** -40
+def _same_location(a, b) -> bool:
+    """Whether two scanned locations (exact or mpf) are one point: equal
+    when both are exact, else closer than 2**-40."""
+    if is_exact(a) and is_exact(b):
         return a == b
-
-
-def _exact_in_enclosure(value, enc: Enclosure) -> bool:
-    if not is_exact(value):
-        return to_mpf(enc.lo) <= value <= to_mpf(enc.hi)
-    lo_ok = not (value < enc.lo)
-    hi_ok = not (enc.hi < value)
-    return lo_ok and hi_ok
+    return abs(to_mpf(a) - to_mpf(b)) < mpmath.mpf(2) ** -40
 
 
 class AllFixed:
@@ -104,7 +86,7 @@ class BasinVerdict:
 class SymbolAnalysis:
     symbol: AnalyticSymbol
     fixed_points: list
-    fixed_points_sq: object   # list | AllFixed
+    has_two_cycle: bool       # an involution has 2-cycles
     critical_points: list
     is_diffeo: DiffeoVerdict
     sign_vs_id: object        # "above" | "below" | None
@@ -113,11 +95,11 @@ class SymbolAnalysis:
     is_identity: bool = False
     is_involution: bool = False
 
-    def unique_sq_fixed_point(self):
-        if isinstance(self.fixed_points_sq, AllFixed):
-            return None
-        if len(self.fixed_points_sq) == 1:
-            return self.fixed_points_sq[0]
+    def unique_fixed_point(self):
+        """The record of the symbol's only fixed point when it has no
+        2-cycle, so that the second iterate fixes that point alone."""
+        if len(self.fixed_points) == 1 and not self.has_two_cycle:
+            return self.fixed_points[0]
         return None
 
 
@@ -216,23 +198,38 @@ def find_fixed_points(phi: AnalyticSymbol) -> list[FixedPointRecord]:
         if phi.is_identity():
             raise ValueError("the identity fixes every point")
         return _fixed_point_records(phi.rational_coeffs(), phi.domain)
-    return _scan_fixed_points(lambda x, prec: phi.eval(x, prec), phi)
+    return [_heuristic_record(phi, x)
+            for x in _scan_fixed_points(lambda x, prec: phi.eval(x, prec), phi)]
 
 
 def find_fixed_points_second_iterate(phi: AnalyticSymbol):
-    """Fixed points of the second iterate; AllFixed for involutions.
+    """AllFixed for an involution, else the number of points on 2-cycles of
+    the symbol: fixed points of its second iterate that it does not fix.
 
-    Two-cycles show up here as points not fixed by the symbol itself.
+    Exact for rational polynomial symbols (a Sturm count); for others the
+    second-iterate scan locations that the symbol moves by 2**-40 or more.
     """
     if phi.is_rational_polynomial():
-        p2 = phi.second_iterate_polynomial()
-        if p2 == [Fraction(0), Fraction(1)]:
+        identity = [Fraction(0), Fraction(1)]
+        p = phi.rational_coeffs()
+        p2 = polylib.compose(p, p)
+        if p2 == identity:
             return AllFixed()
-        return _fixed_point_records(p2, phi.domain)
+        displacement = polylib.sub(p, identity)
+        # p(p(x)) - x = (p(p(x)) - p(x)) + (p(x) - x) is divisible by
+        # p(x) - x.  The quotient is p'(u) + 1 at a fixed point u, so the
+        # two share a root only at a fixed point with multiplier -1.
+        q = polylib.div_rem(polylib.sub(p2, identity), displacement)[0]
+        shared = sturm.poly_gcd(q, displacement)
+        return (sturm.count_roots_open(q, phi.domain)
+                - sturm.count_roots_open(shared, phi.domain))
     if _looks_like_involution(phi):
         return AllFixed()
-    return _scan_fixed_points(lambda x, prec: phi.eval(phi.eval(x, prec), prec), phi,
-                              second_iterate_of=phi)
+    locations = _scan_fixed_points(
+        lambda x, prec: phi.eval(phi.eval(x, prec), prec), phi)
+    with mpmath.workprec(96):
+        return sum(not _same_location(phi.eval(to_mpf(x), 96), x)
+                   for x in locations)
 
 
 def _looks_like_involution(phi: AnalyticSymbol) -> bool:
@@ -247,10 +244,11 @@ def _looks_like_involution(phi: AnalyticSymbol) -> bool:
     return True
 
 
-def _scan_fixed_points(apply_fn, phi: AnalyticSymbol, second_iterate_of=None):
-    """Sign-change scan with bisection refinement; flagged non-exhaustive."""
+def _scan_fixed_points(apply_fn, phi: AnalyticSymbol) -> list:
+    """Locations where apply_fn(x) = x on the symbol's domain, by a
+    sign-change scan with bisection refinement; not exhaustive."""
     grid = _sample_grid(phi.domain, 1024)
-    records = []
+    locations = []
     with mpmath.workprec(96):
         values = []
         for x in grid:
@@ -259,11 +257,8 @@ def _scan_fixed_points(apply_fn, phi: AnalyticSymbol, second_iterate_of=None):
             except CompspecError:
                 values.append(None)
         for i, x in enumerate(grid):
-            v = values[i]
-            if v is None:
-                continue
-            if v == 0:
-                records.append(_heuristic_record(phi, Fraction(x), second_iterate_of))
+            if values[i] == 0:
+                locations.append(Fraction(x))
         def displacement(x):
             return to_mpf(apply_fn(x, 96)) - x
 
@@ -275,12 +270,11 @@ def _scan_fixed_points(apply_fn, phi: AnalyticSymbol, second_iterate_of=None):
             if (va < 0) != (vb < 0):
                 root = _bisect_numeric(displacement, a, b, va)
                 snapped = _snap_rational(apply_fn, root)
-                records.append(_heuristic_record(
-                    phi, snapped if snapped is not None else root, second_iterate_of))
+                locations.append(snapped if snapped is not None else root)
     deduped = []
-    for rec in records:
-        if not any(rec.same_point(r) for r in deduped):
-            deduped.append(rec)
+    for x in locations:
+        if not any(_same_location(x, y) for y in deduped):
+            deduped.append(x)
     return deduped
 
 
@@ -316,19 +310,12 @@ def _snap_rational(apply_fn, root):
     return None
 
 
-def _heuristic_record(phi: AnalyticSymbol, location, second_iterate_of=None):
-    prec = 96
-    if second_iterate_of is not None:
-        inner = second_iterate_of
-        with mpmath.workprec(prec):
-            mid = inner.eval(to_mpf(location), prec)
-            m = inner.derivative_at(mid, prec) * inner.derivative_at(to_mpf(location), prec)
-    else:
-        jet = phi.jet(location, 1, precision=prec)
-        m = jet.coeffs[1]
-    return FixedPointRecord(location=location, multiplier=m,
-                            kind=multiplier_kind(m), multiplicity=1,
-                            exact=False)
+def _heuristic_record(phi: AnalyticSymbol, location) -> FixedPointRecord:
+    with mpmath.workprec(96):
+        m = phi.jet(location, 1, precision=96).coeffs[1]
+        return FixedPointRecord(location=location, multiplier=m,
+                                kind=multiplier_kind(m), multiplicity=1,
+                                exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -641,14 +628,14 @@ def analyze_symbol(phi: AnalyticSymbol) -> SymbolAnalysis:
         return _conjugated_analysis(phi)
     is_identity = phi.is_identity()
     if is_identity:
-        return SymbolAnalysis(symbol=phi, fixed_points=[], fixed_points_sq=AllFixed(),
+        return SymbolAnalysis(symbol=phi, fixed_points=[], has_two_cycle=False,
                               critical_points=[],
                               is_diffeo=DiffeoVerdict(True, "identity", True),
                               sign_vs_id=None, critical_bounded_away=None,
                               certified=True, is_identity=True, is_involution=False)
     fixed = find_fixed_points(phi)
-    fixed_sq = find_fixed_points_second_iterate(phi)
-    involution = isinstance(fixed_sq, AllFixed)
+    two_cycles = find_fixed_points_second_iterate(phi)
+    involution = isinstance(two_cycles, AllFixed)
     critical = find_critical_points(phi)
     diffeo = is_diffeomorphism(phi, critical)
     sign_vs_id = None
@@ -659,9 +646,9 @@ def analyze_symbol(phi: AnalyticSymbol) -> SymbolAnalysis:
         bounded_away = critical_set_bounded_away(phi, end, critical)
     certified = (phi.invariance_certified and diffeo.certified
                  and phi.is_rational_polynomial()
-                 and all(r.exact for r in fixed)
-                 and (involution or all(r.exact for r in fixed_sq)))
-    return SymbolAnalysis(symbol=phi, fixed_points=fixed, fixed_points_sq=fixed_sq,
+                 and all(r.exact for r in fixed))
+    return SymbolAnalysis(symbol=phi, fixed_points=fixed,
+                          has_two_cycle=involution or two_cycles > 0,
                           critical_points=critical, is_diffeo=diffeo,
                           sign_vs_id=sign_vs_id,
                           critical_bounded_away=bounded_away,
@@ -686,21 +673,16 @@ def _conjugated_analysis(phi: AnalyticSymbol) -> SymbolAnalysis:
     change = body.change
     prec = 96
 
-    def pull_back(record: FixedPointRecord) -> FixedPointRecord:
-        with mpmath.workprec(prec):
-            loc = change.apply_inverse(record.location_mpf(prec), prec)
-        return FixedPointRecord(location=loc, multiplier=record.multiplier,
-                                kind=record.kind, multiplicity=record.multiplicity,
-                                exact=False)
+    def pull_back(x):
+        return change.apply_inverse(
+            x.to_mpf() if isinstance(x, Enclosure) else to_mpf(x), prec)
 
-    fixed = [pull_back(r) for r in inner.fixed_points]
-    fixed_sq = inner.fixed_points_sq if isinstance(inner.fixed_points_sq, AllFixed) \
-        else [pull_back(r) for r in inner.fixed_points_sq]
     with mpmath.workprec(prec):
-        critical = [change.apply_inverse(
-            c.to_mpf() if isinstance(c, Enclosure) else to_mpf(c), prec)
-            for c in inner.critical_points]
-    return SymbolAnalysis(symbol=phi, fixed_points=fixed, fixed_points_sq=fixed_sq,
+        fixed = [replace(r, location=pull_back(r.location), exact=False)
+                 for r in inner.fixed_points]
+        critical = [pull_back(c) for c in inner.critical_points]
+    return SymbolAnalysis(symbol=phi, fixed_points=fixed,
+                          has_two_cycle=inner.has_two_cycle,
                           critical_points=critical,
                           is_diffeo=DiffeoVerdict(inner.is_diffeo.value,
                                                   "conjugation-invariant", False),

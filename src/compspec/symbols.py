@@ -834,10 +834,6 @@ class AnalyticSymbol:
     def derivative_polynomial(self) -> list[Fraction]:
         return polylib.derivative(self.rational_coeffs())
 
-    def second_iterate_polynomial(self) -> list[Fraction]:
-        p = self.rational_coeffs()
-        return polylib.compose(p, p)
-
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, x, precision=None):

@@ -1,8 +1,8 @@
 """Spectral classification of composition operators from a symbol analysis.
 
 The decision tree routes through the fixed-point taxonomy: identity,
-fixed-point-free maps, involutions, unique second-iterate fixed points by
-their certified kind, pure powers, the quadratic family, and multiple
+fixed-point-free maps, involutions, a unique fixed point without 2-cycles
+by its certified kind, pure powers, the quadratic family, and multiple
 fixed points.  Every leaf reports structured set expressions for the
 spectrum, the point spectrum and eigenspace dimension rules of
 point_spectrum, and the case label with its source citations.
@@ -357,14 +357,10 @@ class ClassificationReport:
 
 
 def _base_multiplier(analysis: SymbolAnalysis):
-    """Multiplier of the symbol at the unique second-iterate fixed point."""
-    sq = analysis.unique_sq_fixed_point()
-    if sq is None:
-        return None, None
-    for record in analysis.fixed_points:
-        if record.same_point(sq):
-            return record.multiplier, record.kind
-    return sq.multiplier, sq.kind
+    """Multiplier and kind of the symbol's unique fixed point when it has no
+    2-cycle, else (None, None)."""
+    record = analysis.unique_fixed_point()
+    return (None, None) if record is None else (record.multiplier, record.kind)
 
 
 def point_spectrum(analysis: SymbolAnalysis):

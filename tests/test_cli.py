@@ -286,3 +286,28 @@ class TestEnclosureSerialization:
         assert enclosures
         pair = enclosures[0].to_json_pair()
         assert F(pair[0]) < F(pair[1])
+
+
+class TestIrrationalCentre:
+    # 1/4*x^2 - 1/2 fixes 2 -+ sqrt(6); the attracting one, 2 - sqrt(6), is
+    # the detected centre.
+    @pytest.mark.parametrize("centre", [(), ("--center", "2-sqrt(6)")])
+    def test_solve(self, capsys, centre):
+        code, out = run_cli(capsys, "solve", "--symbol", "1/4*x^2-1/2", "--lambda", "3",
+                            "--gamma", "x", "--order", "4", *centre)
+        assert code == 0
+        assert out.splitlines()[0] == "fixed point: 2-sqrt(6)"
+
+    @pytest.mark.parametrize("centre", [(), ("--center", "2-sqrt(6)")])
+    def test_koenigs(self, capsys, centre):
+        code, out = run_cli(capsys, "koenigs", "--symbol", "1/4*x^2-1/2",
+                            "--order", "4", *centre)
+        assert code == 0
+        assert out.splitlines()[0] == "linearizer at 2-sqrt(6):"
+
+    def test_enclosure_fixed_point_needs_a_centre(self, capsys):
+        # x^3 + x^2 + x - 1/3 has one real root, neither rational nor quadratic.
+        code = main(["solve", "--symbol", "x^3+x^2+2*x-1/3", "--lambda", "3",
+                     "--gamma", "x", "--order", "4"])
+        assert code == 2
+        assert "known only as an enclosure" in capsys.readouterr().err

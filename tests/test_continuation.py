@@ -9,7 +9,7 @@ from compspec.continuation import (evaluate, extend_forward,
                                    prop45_witness_demo, telescoping_check)
 from compspec.errors import BasinEscape, BranchDomain, HypothesisViolation
 from compspec.intervals import Interval
-from compspec.numbers import GaussianRational, to_mpf
+from compspec.numbers import GaussianRational, is_rational, quadratic, to_mpf
 from compspec.symbols import AnalyticSymbol, parse_rhs, parse_symbol
 
 
@@ -116,6 +116,26 @@ class TestForwardExtension:
         with pytest.raises(HypothesisViolation, match="not attracted"):
             globalize(parse_symbol(text), center, F(2), parse_rhs("x"),
                       order=24, precision=256)
+
+
+class TestIrrationalCentre:
+    # 1/4*x^2 - 1/2 fixes 2 -+ sqrt(6); 2 - sqrt(6) is attracting and orbits
+    # beyond 2 + sqrt(6) escape.
+    def test_core_has_rational_ends_around_the_centre(self):
+        domain = Interval(F(-4), F(4))
+        phi = parse_symbol("1/4*x^2-1/2", domain)
+        u = quadratic(2, -1, 6)
+        core = globalize(phi, u, F(3), parse_rhs("x", domain)).core
+        assert is_rational(core.lower) and is_rational(core.upper)
+        assert core.contains(u)
+        assert phi.maps_into(core, [core], 128)[0]
+
+    def test_escape_on_the_real_line(self):
+        with pytest.raises(HypothesisViolation, match="not attracted") as info:
+            globalize(parse_symbol("1/4*x^2-1/2"), quadratic(2, -1, 6), F(3),
+                      parse_rhs("x"))
+        witness = F(str(info.value).rsplit("witness ", 1)[1].rstrip(")"))
+        assert abs(witness) > quadratic(2, 1, 6)
 
 
 class TestComplexLambda:

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compspec import polynomials as polylib
 from compspec import rootwork, sturm
@@ -79,41 +81,77 @@ class TestFixedPoints:
                 assert rec.location.has_sign_change()
 
 
+def _two_cycle_oracle(p, domain):
+    """Distinct roots of p(p(x)) - x in the domain, less those of p(x) - x."""
+    identity = [F(0), F(1)]
+    both = sturm.isolate_roots(polylib.sub(polylib.compose(p, p), identity), domain)
+    fixed = sturm.isolate_roots(polylib.sub(p, identity), domain)
+    return len(both) - len(fixed)
+
+
+@st.composite
+def _map_on_domain(draw):
+    """A polynomial of degree 2 to 5 with numerators in [-2, 2] and
+    denominators 1 or 2 on the real line; the same divided by the sum of
+    its |coefficients| on the invariant interval (-1, 1); or -x^2 + mu*x
+    on the invariant interval (0, mu) for mu in (1, 4), which has a 2-cycle
+    for mu > 3 and a fixed point of multiplier -1 at mu = 3."""
+    family = draw(st.sampled_from(("line", "scaled", "logistic")))
+    if family == "logistic":
+        mu = F(draw(st.integers(9, 31)), 8)
+        return parse_symbol(f"-x^2+{mu}*x", Interval(F(0), mu))
+    degree = draw(st.integers(2, 5))
+    coeffs = [F(draw(st.integers(-2, 2)), draw(st.sampled_from((1, 2))))
+              for _ in range(degree)]
+    coeffs.append(F(draw(st.sampled_from((-2, -1, 1, 2))), draw(st.sampled_from((1, 2)))))
+    if family == "line":
+        return AnalyticSymbol.from_coefficients(coeffs)
+    norm = sum(abs(c) for c in coeffs)
+    return AnalyticSymbol.from_coefficients([c / norm for c in coeffs],
+                                            Interval(F(-1), F(1)))
+
+
 class TestSecondIterate:
     def test_involution_sentinel(self):
         assert find_fixed_points_second_iterate(parse_symbol("-x")) == AllFixed()
         assert find_fixed_points_second_iterate(parse_symbol("-x + 7")) == AllFixed()
 
     def test_parabolic_quadratic_unique(self):
-        recs = find_fixed_points_second_iterate(parse_symbol("-x^2+x"))
-        assert locations(recs) == [0]
+        assert find_fixed_points_second_iterate(parse_symbol("-x^2+x")) == 0
 
     def test_arctan_unique(self):
-        recs = find_fixed_points_second_iterate(parse_symbol("1/2*arctan(x)"))
-        assert locations(recs) == [0]
+        assert find_fixed_points_second_iterate(parse_symbol("1/2*arctan(x)")) == 0
 
     def test_two_cycle_detected(self):
         # mu = 7/2 > 3: the quadratic has a genuine 2-cycle.
         phi = parse_symbol("-x^2+3.5*x")
-        recs = find_fixed_points_second_iterate(phi)
-        fixed = find_fixed_points(phi)
-        assert len(recs) == 4
-        assert len(fixed) == 2
-        base = locations(fixed)
-        extras = [r for r in recs if all(
-            not r.same_point(f) for f in fixed)]
-        assert len(extras) == 2
-        # 2-cycle points swap under the symbol
-        a, b = [r.location for r in extras]
+        assert find_fixed_points_second_iterate(phi) == 2
+        assert len(find_fixed_points(phi)) == 2
+        # The 2-cycle points swap under the symbol.
+        p = phi.rational_coeffs()
+        displacement = polylib.sub(p, [F(0), F(1)])
+        roots = sturm.isolate_roots(polylib.sub(polylib.compose(p, p), [F(0), F(1)]),
+                                    phi.domain)
+        a, b = [r for r, _ in roots if polylib.eval_at(displacement, r) != 0]
         assert phi.eval(a) == b and phi.eval(b) == a
 
-    def test_containment_in_second_iterate(self):
-        for text in ("-x^2+4*x", "1/2*x^3+1/2*x", "-x^2+3.5*x", "x^2-1"):
-            phi = parse_symbol(text)
-            fixed = find_fixed_points(phi)
-            fixed_sq = find_fixed_points_second_iterate(phi)
-            for rec in fixed:
-                assert any(rec.same_point(sq) for sq in fixed_sq)
+    @pytest.mark.parametrize("text, domain, count", [
+        ("-x+x^3", "(-1/2,1/2)", 0),   # multiplier -1 at 0, no 2-cycle
+        ("-x^2+7/2*x", "(-inf,inf)", 2),
+        ("-2*arctan(x)", "(-inf,inf)", 2),
+        ("1/2*arctan(x)", "(-inf,inf)", 0),
+    ])
+    def test_named_counts(self, text, domain, count):
+        phi = parse_symbol(text, Interval.parse(domain))
+        assert find_fixed_points_second_iterate(phi) == count
+        if phi.is_rational_polynomial():
+            assert _two_cycle_oracle(phi.rational_coeffs(), phi.domain) == count
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_map_on_domain())
+    def test_count_matches_root_isolation(self, phi):
+        assert find_fixed_points_second_iterate(phi) == \
+            _two_cycle_oracle(phi.rational_coeffs(), phi.domain)
 
     def test_degree_overflow(self):
         from compspec.errors import DegreeOverflow
@@ -245,10 +283,11 @@ class TestComputedOnce:
 
     def test_multiplier_certificates_once_per_polynomial(self, monkeypatch):
         # Three certificate gcds (multiplier 0, 1, -1) plus the gcds of root
-        # isolation, however many enclosure roots the second iterate has.
-        phi = parse_symbol("x^5-3*x^3+1/2*x")
+        # isolation, however many enclosure roots the fixed points have.
+        # p(x) - x = 16x^5 - 20x^3 + 5x - 1/3 has five irrational roots.
+        phi = parse_symbol("16*x^5-20*x^3+6*x-1/3")
         calls = _counting(monkeypatch, sturm, "poly_gcd")
-        records = find_fixed_points_second_iterate(phi)
+        records = find_fixed_points(phi)
         assert sum(isinstance(r.location, sturm.Enclosure) for r in records) > 3
         assert len(calls) <= 14
 
