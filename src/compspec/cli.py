@@ -16,18 +16,14 @@ from fractions import Fraction
 import mpmath
 
 from .config import default_precision
-from .continuation import (evaluate, globalize, preimage_orbit,
-                           prop45_witness_demo)
 from .errors import CompspecError, ExpressionSyntaxError
 from .intervals import Interval
 from .numbers import (format_numeric, format_scalar, is_exact, is_rational,
                       is_real_exact, parse_gaussian, parse_scalar)
-from .power_series import TruncatedSeries
-from .rootwork import find_fixed_points
-from .solver import eigenfunction, koenigs, solve_formal
-from .symbols import (AnalyticSymbol, ElementaryBody, Mul, Poly, PolynomialBody,
-                      parse_rhs, parse_symbol)
-from .taxonomy import CoverPiece, covering_obstruction, spectrum
+
+# Each subcommand imports its own pipeline, so that a process loads only
+# the modules its command uses: classify and obstruct never load the
+# solver or continuation, solve and koenigs never load the taxonomy.
 
 _USAGE_EXIT = 1
 _MATH_EXIT = 2
@@ -116,7 +112,9 @@ def _parse_lambda(text: str):
     return lam.re if lam.im == 0 else lam
 
 
-def _scale_rhs(gamma: AnalyticSymbol, factor: Fraction) -> AnalyticSymbol:
+def _scale_rhs(gamma, factor: Fraction):
+    from .symbols import (AnalyticSymbol, ElementaryBody, Mul, Poly,
+                          PolynomialBody)
     if isinstance(gamma.body, PolynomialBody):
         coeffs = tuple(c * factor for c in gamma.body.coeffs)
         return AnalyticSymbol(PolynomialBody(coeffs), gamma.domain,
@@ -127,6 +125,7 @@ def _scale_rhs(gamma: AnalyticSymbol, factor: Fraction) -> AnalyticSymbol:
 
 
 def _load_equation(args):
+    from .symbols import parse_rhs, parse_symbol
     domain = Interval.parse(args.interval)
     phi = parse_symbol(args.symbol, domain)
     lam = _parse_lambda(args.lam)
@@ -139,9 +138,10 @@ def _load_equation(args):
     return phi, lam, gamma
 
 
-def _detect_center(phi: AnalyticSymbol, requested):
+def _detect_center(phi, requested):
     if requested is not None:
         return parse_scalar(requested)
+    from .rootwork import find_fixed_points
     records = [] if phi.is_identity() else find_fixed_points(phi)
     if not records:
         raise CompspecError("the symbol has no fixed point to expand at")
@@ -162,7 +162,7 @@ def _emit(args, text_lines, doc):
             print(line)
 
 
-def _series_text(series: TruncatedSeries) -> list[str]:
+def _series_text(series) -> list[str]:
     lines = []
     for n, c in enumerate(series.coeffs):
         if is_exact(c):
@@ -173,6 +173,8 @@ def _series_text(series: TruncatedSeries) -> list[str]:
 
 
 def _cmd_classify(args) -> int:
+    from .symbols import parse_symbol
+    from .taxonomy import spectrum
     phi = parse_symbol(args.symbol, Interval.parse(args.interval))
     report = spectrum(phi)
     doc = report.to_json_dict()
@@ -189,6 +191,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .solver import solve_formal
     phi, lam, gamma = _load_equation(args)
     center = _detect_center(phi, args.center)
     precision = args.precision or default_precision()
@@ -204,6 +207,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .continuation import evaluate, globalize
     phi, lam, gamma = _load_equation(args)
     center = _detect_center(phi, args.center)
     precision = args.precision or default_precision()
@@ -225,6 +229,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_koenigs(args) -> int:
+    from .solver import eigenfunction, koenigs
+    from .symbols import parse_symbol
     phi = parse_symbol(args.symbol, Interval.parse(args.interval))
     center = _detect_center(phi, args.center)
     precision = args.precision or default_precision()
@@ -242,6 +248,7 @@ def _cmd_koenigs(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    from .continuation import preimage_orbit
     precision = args.precision or default_precision()
     mu = Fraction(args.mu)
     orbit = preimage_orbit(mu, args.n, precision=precision)
@@ -258,6 +265,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _parse_pieces(text: str):
+    from .taxonomy import CoverPiece
     pieces = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -276,6 +284,8 @@ def _parse_pieces(text: str):
 
 
 def _cmd_obstruct(args) -> int:
+    from .symbols import parse_symbol
+    from .taxonomy import covering_obstruction
     phi = parse_symbol(args.symbol, Interval.parse(args.interval))
     lam = _parse_lambda(args.lam)
     pieces = _parse_pieces(args.pieces)
@@ -291,6 +301,7 @@ def _cmd_obstruct(args) -> int:
 
 
 def _cmd_demo45(args) -> int:
+    from .continuation import prop45_witness_demo
     precision = args.precision or default_precision()
     report = prop45_witness_demo(Fraction(args.mu), _parse_lambda(args.lam),
                                  args.k, Fraction(args.c), args.n,

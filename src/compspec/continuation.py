@@ -12,7 +12,6 @@ the functional equation, with doubling precision escalation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -24,6 +23,7 @@ from .intervals import NEG_INF, POS_INF, Interval, is_finite
 from .numbers import (as_exact, exact_abs_compare, is_exact, is_rational, to_mpf,
                       to_numeric)
 from .power_series import Converges
+from .record import Record
 from .rootwork import MAX_ORBIT_STEPS, attraction_basin_check
 from .solver import LocalSolution, solve_formal
 from .symbols import AnalyticSymbol
@@ -32,31 +32,27 @@ _MAX_PRECISION = 4096
 _HARD_FLOOR = Fraction(1, 2 ** 16)
 
 
-@dataclass(frozen=True)
-class ForwardOrbitRule:
+class ForwardOrbitRule(Record):
     region: Interval
 
     name = "forward-orbit"
 
 
-@dataclass(frozen=True)
-class InverseBranchRule:
+class InverseBranchRule(Record):
     region: Interval
     branch: object          # callable y -> psi(y) in mpf arithmetic
 
     name = "inverse-branch"
 
 
-@dataclass(frozen=True)
-class MirrorRule:
+class MirrorRule(Record):
     axis: Fraction
     region: Interval
 
     name = "mirror"
 
 
-@dataclass(frozen=True)
-class EvalTrace:
+class EvalTrace(Record):
     rule_chain: tuple
     depth: int
     residual: str
@@ -66,8 +62,7 @@ class EvalTrace:
                 "residual": self.residual}
 
 
-@dataclass(frozen=True)
-class GlobalSolution:
+class GlobalSolution(Record):
     local: LocalSolution
     core: Interval
     rules: tuple
@@ -442,8 +437,7 @@ def telescoping_check(sol: GlobalSolution, mu, n: int, precision=None):
 # The non-surjectivity witness demonstration
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record):
     mu: object
     lam: object
     exponent: int

@@ -8,7 +8,6 @@ and mpf/mpc coefficients stay numeric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -16,6 +15,7 @@ import mpmath
 from .errors import CenterMismatch
 from .numbers import (abs_mpf, as_exact, exact_abs_compare, invert, is_exact,
                       is_rational, same_point, scalar_from_json, scalar_to_json)
+from .record import Record
 
 
 class TruncatedSeries:
@@ -276,22 +276,19 @@ def _is_rational_zero(c) -> bool:
 # Radius verdicts
 
 
-@dataclass(frozen=True)
-class Converges:
+class Converges(Record):
     radius_estimate: object  # mpf, or None for entire (polynomial) solutions
 
     kind = "converges"
 
 
-@dataclass(frozen=True)
-class Diverges:
+class Diverges(Record):
     certificate: dict
 
     kind = "diverges"
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(Record):
     reason: str
 
     kind = "inconclusive"

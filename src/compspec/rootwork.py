@@ -9,7 +9,6 @@ result is not certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -19,6 +18,7 @@ from . import sturm
 from .errors import CompspecError, HypothesisViolation
 from .intervals import NEG_INF, POS_INF, Interval, is_finite
 from .numbers import abs_mpf, exact_abs_compare, is_exact, is_rational, to_mpf
+from .record import Record, replace
 from .sturm import Enclosure
 from .symbols import AnalyticSymbol, ConjugatedBody, _sample_grid
 
@@ -32,8 +32,7 @@ _REFINE_LIMIT = Fraction(1, 2 ** 512)
 MAX_ORBIT_STEPS = 10_000    # orbit steps before a walk gives up on the core
 
 
-@dataclass(frozen=True)
-class FixedPointRecord:
+class FixedPointRecord(Record):
     """A certified (or scan-based) fixed point with its multiplier."""
 
     location: object          # Fraction | QuadraticNumber | Enclosure | mpf
@@ -64,8 +63,7 @@ class AllFixed:
         return hash("AllFixed")
 
 
-@dataclass(frozen=True)
-class DiffeoVerdict:
+class DiffeoVerdict(Record):
     value: object             # True | False | None (unknown)
     certificate: str
     certified: bool
@@ -74,16 +72,14 @@ class DiffeoVerdict:
         return self.value is True
 
 
-@dataclass(frozen=True)
-class BasinVerdict:
+class BasinVerdict(Record):
     status: str               # certified | sampled-true | false
     witness: object = None
     certified: bool = False
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SymbolAnalysis:
+class SymbolAnalysis(Record):
     symbol: AnalyticSymbol
     fixed_points: list
     has_two_cycle: bool       # an involution has 2-cycles

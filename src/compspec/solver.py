@@ -10,7 +10,6 @@ error because the solution is then not unique.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -21,12 +20,12 @@ from .errors import (HypothesisViolation, NeutralOrSuperattracting,
 from .numbers import as_exact, invert, is_exact, same_point, to_numeric
 from .power_series import (Converges, Diverges, Inconclusive, TruncatedSeries,
                            estimate_radius)
+from .record import Record
 from .rootwork import ATTRACTING, multiplier_kind
 from .symbols import AnalyticSymbol
 
 
-@dataclass(frozen=True)
-class LocalSolution:
+class LocalSolution(Record):
     """Truncated formal solution at a fixed point, with its ingredients."""
 
     series: TruncatedSeries
@@ -34,7 +33,7 @@ class LocalSolution:
     gamma: AnalyticSymbol
     phi: AnalyticSymbol
     multiplier: object
-    resonances: list = field(default_factory=list)
+    resonances: tuple = ()
     radius_verdict: object = None
     phi_jet: TruncatedSeries = None
     gamma_jet: TruncatedSeries = None
@@ -117,7 +116,7 @@ def solve_formal(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
     elif estimate:
         verdict = Inconclusive("order below 16")
     return LocalSolution(series=series, lam=lam, gamma=gamma, phi=phi,
-                         multiplier=m, resonances=[], radius_verdict=verdict,
+                         multiplier=m, radius_verdict=verdict,
                          phi_jet=phi_jet, gamma_jet=gamma_jet)
 
 

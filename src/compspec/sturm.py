@@ -10,13 +10,13 @@ point enters any certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from . import polynomials as poly
 from .intervals import NEG_INF, POS_INF, Interval, complement_blocks, is_finite
 from .numbers import format_rational, is_rational, quadratic, to_mpf
+from .record import Record
 
 
 def eval_sign_at_infinity(p, positive: bool) -> int:
@@ -153,8 +153,7 @@ def count_roots_open(p, interval: Interval) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(Record):
     """Certified isolating interval: p, a primitive integer polynomial,
     carries a sign change over [lo, hi]."""
 

@@ -12,7 +12,6 @@ value of zero.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -30,6 +29,7 @@ from .intervals import NEG_INF, POS_INF, Interval, is_finite
 from .numbers import (as_exact, format_rational, invert, is_exact, is_rational,
                       parse_rational, raw_addend, raw_point, raw_ratio, to_mpf)
 from .power_series import TruncatedSeries
+from .record import Record
 
 _GUARD_BITS = 24
 
@@ -38,29 +38,24 @@ _GUARD_BITS = 24
 # Expression trees
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     coeffs: tuple
 
 
-@dataclass(frozen=True)
-class Add:
+class Add(Record):
     parts: tuple
 
 
-@dataclass(frozen=True)
-class Mul:
+class Mul(Record):
     parts: tuple
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(Record):
     base: object
     exponent: int
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
     fn: str  # exp | arctan | sin
     arg: object
 
@@ -441,8 +436,7 @@ def tree_jet(node, center, order, exact: bool):
 # Limits at interval ends
 
 
-@dataclass(frozen=True)
-class Limit:
+class Limit(Record):
     kind: str  # finite | pos_inf | neg_inf | bounded | unknown
     value: object = None   # exact Fraction when known exactly
     approx: object = None  # mpf estimate when finite but inexact
@@ -621,8 +615,7 @@ def _limit_mpf(lim: Limit):
 # Symbol bodies
 
 
-@dataclass(frozen=True)
-class PolynomialBody:
+class PolynomialBody(Record):
     coeffs: tuple  # ascending; Fraction entries, QuadraticNumber allowed
 
     @property
@@ -633,13 +626,11 @@ class PolynomialBody:
         return all(is_rational(c) for c in self.coeffs)
 
 
-@dataclass(frozen=True)
-class ElementaryBody:
+class ElementaryBody(Record):
     tree: object
 
 
-@dataclass(frozen=True)
-class ConjugatedBody:
+class ConjugatedBody(Record):
     inner: "AnalyticSymbol"
     change: "Diffeomorphism"
 
@@ -865,8 +856,13 @@ class AnalyticSymbol:
         return mpmath.mp.make_mpf(mpf_pos(result, precision, _RND))
 
     def _point_in_domain(self, x, precision) -> bool:
+        """Strict membership; a finite bound is rounded at ``precision``
+        only where an mpf point is compared against it."""
+        domain = self.domain
+        if is_exact(x) or not (is_finite(domain.lower) or is_finite(domain.upper)):
+            return domain.contains(x)
         with mpmath.workprec(precision):
-            return self.domain.contains(x)
+            return domain.contains(x)
 
     def derivative_at(self, x, precision=None):
         """phi'(x) via the order-1 jet; exact where the jet is exact."""
@@ -1279,8 +1275,7 @@ class NoFixedPoints:
         return hash("NoFixedPoints")
 
 
-@dataclass(frozen=True)
-class QuadraticNormalForm:
+class QuadraticNormalForm(Record):
     """Data of the reduction to -x**2 + mu*x: the parameter, the affine
     change achieving it, and the original fixed points (u, v)."""
 

@@ -11,7 +11,6 @@ Unresolvable branches return explicit supersets rather than guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -20,6 +19,7 @@ from .errors import HypothesisViolation, InvarianceFailure, UnresolvedVerdict
 from .intervals import Interval, intersect_unions, union_covers
 from .numbers import (as_exact, bit_size, exact_abs_compare, format_scalar,
                       is_real_exact, log_abs, parse_scalar, real_part)
+from .record import Record, replace
 from .rootwork import (ATTRACTING, NEUTRAL, NEUTRAL_UNRESOLVED, REPELLING,
                        SUPERATTRACTING, SymbolAnalysis, analyze_symbol)
 from .symbols import AnalyticSymbol, ConjugatedBody, normalize_quadratic
@@ -31,8 +31,7 @@ REPORT_VERSION = 1
 # Spectral set expressions
 
 
-@dataclass(frozen=True)
-class AllPlane:
+class AllPlane(Record):
     kind = "all_plane"
 
     def contains(self, lam) -> bool:
@@ -42,8 +41,7 @@ class AllPlane:
         return {"kind": self.kind}
 
 
-@dataclass(frozen=True)
-class PuncturedPlane:
+class PuncturedPlane(Record):
     kind = "punctured_plane"
 
     def contains(self, lam) -> bool:
@@ -53,8 +51,7 @@ class PuncturedPlane:
         return {"kind": self.kind}
 
 
-@dataclass(frozen=True)
-class Powers:
+class Powers(Record):
     """{ratio**n : n >= 0}, optionally together with 0 (closure point)."""
 
     ratio: object
@@ -87,8 +84,7 @@ class Powers:
                 "include_zero": self.include_zero}
 
 
-@dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(Record):
     values: tuple
 
     kind = "finite"
@@ -101,8 +97,7 @@ class FiniteSet:
                 "values": [format_scalar(v) for v in self.values]}
 
 
-@dataclass(frozen=True)
-class ClosedDisk:
+class ClosedDisk(Record):
     radius: Fraction
 
     kind = "closed_disk"
@@ -114,8 +109,7 @@ class ClosedDisk:
         return {"kind": self.kind, "radius": format_scalar(self.radius)}
 
 
-@dataclass(frozen=True)
-class RealRay:
+class RealRay(Record):
     start: Fraction
     closed: bool = True
 
@@ -132,8 +126,7 @@ class RealRay:
                 "closed": self.closed}
 
 
-@dataclass(frozen=True)
-class SetUnion:
+class SetUnion(Record):
     parts: tuple
 
     kind = "union"
@@ -145,8 +138,7 @@ class SetUnion:
         return {"kind": self.kind, "parts": [p.to_json_dict() for p in self.parts]}
 
 
-@dataclass(frozen=True)
-class SupersetOf:
+class SupersetOf(Record):
     """The spectrum contains the union of the parts; the rest is open."""
 
     parts: tuple
@@ -186,16 +178,14 @@ def set_expr_from_json(doc):
 # Eigenspace dimension rules
 
 
-@dataclass(frozen=True)
-class DimZero:
+class DimZero(Record):
     kind = "zero"
 
     def to_json_dict(self):
         return {"kind": self.kind}
 
 
-@dataclass(frozen=True)
-class DimFinite:
+class DimFinite(Record):
     k: int
 
     kind = "finite"
@@ -204,8 +194,7 @@ class DimFinite:
         return {"kind": self.kind, "k": self.k}
 
 
-@dataclass(frozen=True)
-class DimInfinite:
+class DimInfinite(Record):
     tag: str  # "A(T)" | "A_+(R)" | "A(J)"
 
     kind = "infinite"
@@ -214,8 +203,7 @@ class DimInfinite:
         return {"kind": self.kind, "tag": self.tag}
 
 
-@dataclass(frozen=True)
-class DimWholeSpace:
+class DimWholeSpace(Record):
     kind = "whole_space"
 
     def to_json_dict(self):
@@ -232,8 +220,7 @@ def _dim_from_json(doc):
     return DimWholeSpace()
 
 
-@dataclass(frozen=True)
-class EigenRule:
+class EigenRule(Record):
     matcher: tuple  # ("equals", value) | ("in_set", values) | ("power_of", ratio) | ("nonzero",) | ("otherwise",)
     dim: object
 
@@ -313,8 +300,7 @@ def _eigen_constants_only():
 # Classification report
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     case_id: str
     sigma_p: object
     sigma: object
@@ -389,7 +375,8 @@ def point_spectrum(analysis: SymbolAnalysis):
         raise UnresolvedVerdict("multiplier enclosure straddles modulus one")
     if kind in (ATTRACTING, REPELLING):
         if not is_real_exact(m):
-            raise UnresolvedVerdict("multiplier known only as an enclosure")
+            raise UnresolvedVerdict("multiplier known only as an enclosure "
+                                    "or numerically")
         if kind == ATTRACTING or not analysis.critical_points:
             return (Powers(as_exact(m), include_zero=False),
                     EigenDim([EigenRule(("power_of", as_exact(m)), DimFinite(1)),
@@ -613,8 +600,7 @@ def _fallback_leaf(analysis, decided, certified, note) -> ClassificationReport:
 # Kernel dimensions on invariant intervals
 
 
-@dataclass(frozen=True)
-class KernelDimLabel:
+class KernelDimLabel(Record):
     finite: bool
     value: object  # int when finite, tag string when infinite
 
@@ -657,8 +643,7 @@ def kernel_dim(phi: AnalyticSymbol, region: Interval, lam) -> KernelDimLabel:
 # Covering obstruction
 
 
-@dataclass(frozen=True)
-class CoverPiece:
+class CoverPiece(Record):
     """An invariant open piece: one interval or a union of two, with the
     interval that determines kernel elements (reflection/preimage rules
     from the construction, declared, not guessed)."""
@@ -678,8 +663,7 @@ class CoverPiece:
         return " U ".join(str(iv) for iv in self.intervals)
 
 
-@dataclass(frozen=True)
-class CoveringObstruction:
+class CoveringObstruction(Record):
     pieces: tuple
     lam: object
     piece_kernels: tuple

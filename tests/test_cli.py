@@ -181,6 +181,16 @@ class TestObstruct:
                      "--pieces", "(-inf,0);(0,inf)"])
         assert code == 2
 
+    def test_numeric_multiplier_is_named(self, capsys):
+        # The fixed point of -arctan(x)+1 comes from a scan, so its
+        # multiplier is an mpf, not an enclosure.
+        code = main(["obstruct", "--symbol", "-arctan(x)+1", "--lambda", "2",
+                     "--pieces", "(-inf,inf)"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "UnresolvedVerdict: multiplier known only as an enclosure or "
+            "numerically\n")
+
 
 class TestDemo45:
     def test_reference_margin(self, capsys):

@@ -54,12 +54,12 @@ class TestForwardExtension:
     def test_escape_raises(self):
         # Hand-build a solution object around the expanding map to check the
         # escape guard (the honest constructor would refuse it).
-        import dataclasses
         from compspec.continuation import ForwardOrbitRule, GlobalSolution
+        from compspec.record import replace
         sol = globalize(parse_symbol("1/2*x"), F(0), F(5), parse_rhs("1"),
                         order=20)
         diverging = parse_symbol("x^2")
-        local = dataclasses.replace(sol.local, phi=diverging)
+        local = replace(sol.local, phi=diverging)
         fake = GlobalSolution(local=local, core=Interval(F(-1, 2), F(1, 2)),
                               rules=(ForwardOrbitRule(diverging.domain),))
         with pytest.raises(BasinEscape):
@@ -68,12 +68,12 @@ class TestForwardExtension:
     def test_depth_cap_raises(self):
         # -x keeps the orbit of 2 bounded and outside the core forever, so
         # only the depth cap stops the walk.
-        import dataclasses
         from compspec.continuation import ForwardOrbitRule, GlobalSolution
+        from compspec.record import replace
         sol = globalize(parse_symbol("1/2*x"), F(0), F(5), parse_rhs("1"),
                         order=20)
         flipping = parse_symbol("-x")
-        local = dataclasses.replace(sol.local, phi=flipping)
+        local = replace(sol.local, phi=flipping)
         fake = GlobalSolution(local=local, core=Interval(F(-1, 2), F(1, 2)),
                               rules=(ForwardOrbitRule(flipping.domain),))
         with pytest.raises(BasinEscape, match="within 10000 steps"):

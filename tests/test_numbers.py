@@ -206,3 +206,21 @@ def test_only_numbers_names_scalar_classes():
                 if named:
                     offences.append(f"{path.name}:{node.lineno} imports {sorted(named)}")
     assert offences == []
+
+
+def test_no_module_imports_dataclasses():
+    # Value types derive from record.Record; dataclasses (and the inspect
+    # machinery it loads) stays out of every process.
+    package = pathlib.Path(compspec.__file__).parent
+    offences = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules = {node.module}
+            else:
+                continue
+            if "dataclasses" in modules:
+                offences.append(f"{path.name}:{node.lineno}")
+    assert offences == []
