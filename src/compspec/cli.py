@@ -16,7 +16,8 @@ from fractions import Fraction
 import mpmath
 
 from .config import default_precision
-from .errors import CompspecError, ExpressionSyntaxError
+from .errors import (CompspecError, DomainError, ExpressionSyntaxError,
+                     HypothesisViolation)
 from .intervals import Interval
 from .numbers import (format_numeric, format_scalar, is_exact, is_rational,
                       is_real_exact, parse_gaussian, parse_scalar)
@@ -138,10 +139,19 @@ def _load_equation(args):
     return phi, lam, gamma
 
 
-def _detect_center(phi, requested):
+# Newton steps that may refine a scanned fixed point before it is refused.
+_NEWTON_STEPS = 8
+
+
+def _detect_center(phi, requested, precision=None):
+    """The expansion point: ``--center`` when given, else the first
+    attracting (or else the first) fixed point.  A scanned location is
+    known only numerically; given a precision, Newton steps at precision +
+    24 bits refine it until the solver's fixed-point check accepts it."""
     if requested is not None:
         return parse_scalar(requested)
     from .rootwork import find_fixed_points
+    from .sturm import Enclosure
     records = [] if phi.is_identity() else find_fixed_points(phi)
     if not records:
         raise CompspecError("the symbol has no fixed point to expand at")
@@ -150,8 +160,39 @@ def _detect_center(phi, requested):
     pick = attracting[0] if attracting else records[0]
     if is_real_exact(pick.location):
         return pick.location
+    if precision is not None and not isinstance(pick.location, Enclosure):
+        center = _newton_center(phi, pick.location, precision)
+        if center is not None:
+            return center
     raise CompspecError("fixed point is known only as an enclosure or numerically; "
                         "pass --center explicitly")
+
+
+def _newton_center(phi, x, precision):
+    """x <- x - (phi(x) - x) / (phi'(x) - 1) from a scanned fixed point,
+    until ``solver._check_fixed_point`` accepts x at ``precision``; None
+    when it does not within _NEWTON_STEPS steps."""
+    from .solver import _check_fixed_point
+    work = precision + 24
+    for _ in range(_NEWTON_STEPS):
+        with mpmath.workprec(work):
+            try:
+                x = x - (phi.eval(x, work) - x) / (phi.derivative_at(x, work) - 1)
+            except (DomainError, ZeroDivisionError):
+                return None   # the step left the domain or met slope 1
+        try:
+            _check_fixed_point(phi, x, precision)
+        except HypothesisViolation:
+            continue
+        return x
+    return None
+
+
+def _center_text(center, precision) -> str:
+    if is_exact(center):
+        return format_scalar(center)
+    with mpmath.workprec(precision):
+        return format_numeric(center, 30)
 
 
 def _emit(args, text_lines, doc):
@@ -193,11 +234,11 @@ def _cmd_classify(args) -> int:
 def _cmd_solve(args) -> int:
     from .solver import solve_formal
     phi, lam, gamma = _load_equation(args)
-    center = _detect_center(phi, args.center)
     precision = args.precision or default_precision()
+    center = _detect_center(phi, args.center, precision)
     sol = solve_formal(phi, center, lam, gamma, args.order, precision=precision)
     doc = sol.to_json_dict()
-    lines = [f"fixed point: {format_scalar(center)}",
+    lines = [f"fixed point: {_center_text(center, precision)}",
              f"multiplier: {format_scalar(sol.multiplier)}"]
     lines += _series_text(sol.series)
     verdict = doc["radius"]
@@ -232,8 +273,8 @@ def _cmd_koenigs(args) -> int:
     from .solver import eigenfunction, koenigs
     from .symbols import parse_symbol
     phi = parse_symbol(args.symbol, Interval.parse(args.interval))
-    center = _detect_center(phi, args.center)
     precision = args.precision or default_precision()
+    center = _detect_center(phi, args.center, precision)
     if args.power is not None:
         series = eigenfunction(phi, center, args.power, args.order,
                                precision=precision)
@@ -242,7 +283,7 @@ def _cmd_koenigs(args) -> int:
         series = koenigs(phi, center, args.order, precision=precision)
         label = "linearizer"
     doc = {"kind": label, "series": series.to_json_dict()}
-    _emit(args, [f"{label} at {format_scalar(center)}:"] + _series_text(series),
+    _emit(args, [f"{label} at {_center_text(center, precision)}:"] + _series_text(series),
           doc)
     return 0
 

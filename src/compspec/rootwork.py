@@ -12,15 +12,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_lt, mpf_shift,
+                          mpf_sub, round_nearest)
 
 from . import polynomials as polylib
 from . import sturm
-from .errors import CompspecError, HypothesisViolation
+from .errors import CompspecError, DomainError, HypothesisViolation
 from .intervals import NEG_INF, POS_INF, Interval, is_finite
-from .numbers import abs_mpf, exact_abs_compare, is_exact, is_rational, to_mpf
+from .numbers import (abs_mpf, exact_abs_compare, is_exact, is_rational,
+                      raw_point, raw_ratio, to_mpf)
 from .record import Record, replace
 from .sturm import Enclosure
-from .symbols import AnalyticSymbol, ConjugatedBody, _sample_grid
+from .symbols import AnalyticSymbol, ConjugatedBody, _grid_pairs, _sample_grid
 
 SUPERATTRACTING = "superattracting"
 ATTRACTING = "attracting"
@@ -30,6 +33,10 @@ NEUTRAL_UNRESOLVED = "neutral?"
 
 _REFINE_LIMIT = Fraction(1, 2 ** 512)
 MAX_ORBIT_STEPS = 10_000    # orbit steps before a walk gives up on the core
+# The sampled scans run on raw mpf tuples of this many bits: each
+# application of phi is eval(x, _SCAN_BITS) and each slope is
+# derivative_at(x, _SCAN_BITS).
+_SCAN_BITS = 96
 
 
 class FixedPointRecord(Record):
@@ -194,8 +201,7 @@ def find_fixed_points(phi: AnalyticSymbol) -> list[FixedPointRecord]:
         if phi.is_identity():
             raise ValueError("the identity fixes every point")
         return _fixed_point_records(phi.rational_coeffs(), phi.domain)
-    return [_heuristic_record(phi, x)
-            for x in _scan_fixed_points(lambda x, prec: phi.eval(x, prec), phi)]
+    return [_heuristic_record(phi, x) for x in _scan_fixed_points(phi, 1)]
 
 
 def find_fixed_points_second_iterate(phi: AnalyticSymbol):
@@ -221,51 +227,83 @@ def find_fixed_points_second_iterate(phi: AnalyticSymbol):
                 - sturm.count_roots_open(shared, phi.domain))
     if _looks_like_involution(phi):
         return AllFixed()
-    locations = _scan_fixed_points(
-        lambda x, prec: phi.eval(phi.eval(x, prec), prec), phi)
-    with mpmath.workprec(96):
-        return sum(not _same_location(phi.eval(to_mpf(x), 96), x)
-                   for x in locations)
+    locations = _scan_fixed_points(phi, 2)
+    apply = _raw_iterate(phi, 1)
+    with mpmath.workprec(_SCAN_BITS):
+        images = [mpmath.mp.make_mpf(apply(raw_point(x, _SCAN_BITS))) for x in locations]
+        return sum(not _same_location(y, x) for y, x in zip(images, locations))
+
+
+def _raw_iterate(phi: AnalyticSymbol, iterations: int):
+    """x -> phi^k(x) on raw tuples of at most _SCAN_BITS bits.  Like eval,
+    each step first checks its point against the domain bounds rounded at
+    _SCAN_BITS, where the domain has a finite end, and raises DomainError
+    when the point lies outside."""
+    image = phi.raw_eval(_SCAN_BITS)
+    domain = phi.domain
+    lo, hi = (to_mpf(end, _SCAN_BITS)._mpf_ if is_finite(end) else None
+              for end in (domain.lower, domain.upper))
+
+    def apply(x):
+        for _ in range(iterations):
+            if (lo is not None and not mpf_lt(lo, x)) \
+                    or (hi is not None and not mpf_lt(x, hi)):
+                raise DomainError(f"{mpmath.mp.make_mpf(x)} is outside the domain {domain}")
+            x = image(x)
+        return x
+    return apply
 
 
 def _looks_like_involution(phi: AnalyticSymbol) -> bool:
-    with mpmath.workprec(96):
-        for x in _sample_grid(phi.domain, 32):
-            try:
-                y = phi.eval(phi.eval(x, 96), 96)
-            except CompspecError:
-                return False
-            if abs(to_mpf(y) - to_mpf(x)) > mpmath.mpf(2) ** -64:
-                return False
+    """Whether phi(phi(x)) stays within 2**-64 of x at 32 grid points.  The
+    first image is taken at the grid point rounded to eval's working
+    precision _SCAN_BITS + 24, which for an elementary body is eval at the
+    exact point."""
+    first = phi.raw_eval(_SCAN_BITS)
+    second = _raw_iterate(phi, 1)
+    tol = mpf_shift(fone, -64)
+    for num, den in _grid_pairs(phi.domain, 32):
+        try:
+            y = second(first(raw_ratio(num, den, _SCAN_BITS + 24)))
+        except CompspecError:
+            return False
+        gap = mpf_sub(y, raw_ratio(num, den, _SCAN_BITS), _SCAN_BITS, round_nearest)
+        if mpf_lt(tol, mpf_abs(gap)):
+            return False
     return True
 
 
-def _scan_fixed_points(apply_fn, phi: AnalyticSymbol) -> list:
-    """Locations where apply_fn(x) = x on the symbol's domain, by a
-    sign-change scan with bisection refinement; not exhaustive."""
-    grid = _sample_grid(phi.domain, 1024)
+def _scan_fixed_points(phi: AnalyticSymbol, iterations: int) -> list:
+    """Locations where phi^k(x) = x on the symbol's domain, k the number of
+    iterations, by a sign-change scan of the displacement phi^k(x) - x at
+    1024 grid points with bisection refinement; not exhaustive.  A grid
+    point whose iterate leaves the domain has no value."""
+    apply = _raw_iterate(phi, iterations)
+
+    def displacement(x):
+        return mpf_sub(apply(x), x, _SCAN_BITS, round_nearest)
+
+    pairs = _grid_pairs(phi.domain, 1024)
+    points = [raw_ratio(num, den, _SCAN_BITS) for num, den in pairs]
     locations = []
-    with mpmath.workprec(96):
+    with mpmath.workprec(_SCAN_BITS):
         values = []
-        for x in grid:
+        for x in points:
             try:
-                values.append(to_mpf(apply_fn(to_mpf(x), 96)) - to_mpf(x))
+                values.append(displacement(x))
             except CompspecError:
                 values.append(None)
-        for i, x in enumerate(grid):
-            if values[i] == 0:
-                locations.append(Fraction(x))
-        def displacement(x):
-            return to_mpf(apply_fn(x, 96)) - x
-
-        for i in range(len(grid) - 1):
-            a, b = grid[i], grid[i + 1]
+        for (num, den), v in zip(pairs, values):
+            if v == fzero:
+                locations.append(Fraction(num, den))
+        for i in range(len(points) - 1):
             va, vb = values[i], values[i + 1]
-            if va is None or vb is None or va == 0 or vb == 0:
+            if va is None or vb is None or va == fzero or vb == fzero:
                 continue
-            if (va < 0) != (vb < 0):
-                root = _bisect_numeric(displacement, a, b, va)
-                snapped = _snap_rational(apply_fn, root)
+            if va[0] != vb[0]:   # opposite signs
+                root = mpmath.mp.make_mpf(_bisect(
+                    lambda x: _sign(displacement(x)), points[i], points[i + 1], va[0] == 1))
+                snapped = _snap_rational(displacement, root)
                 locations.append(snapped if snapped is not None else root)
     deduped = []
     for x in locations:
@@ -274,41 +312,50 @@ def _scan_fixed_points(apply_fn, phi: AnalyticSymbol) -> list:
     return deduped
 
 
-def _bisect_numeric(g, a: Fraction, b: Fraction, va):
-    """Numeric bisection for g(x) = 0 given a sign change on [a, b]."""
-    lo, hi = to_mpf(a), to_mpf(b)
-    sign_lo = va < 0
+def _sign(value) -> int:
+    """Sign of a raw mpf tuple or an exact real scalar."""
+    if isinstance(value, tuple):
+        return 0 if value == fzero else (-1 if value[0] else 1)
+    return (value > 0) - (value < 0)
+
+
+def _bisect(sign_at, lo, hi, lo_negative):
+    """Bisection on raw _SCAN_BITS-bit points lo < hi for a sign change of
+    a function given by its sign; stops early when the bracket reaches
+    adjacent floats.  Each midpoint is (lo + hi) / 2 rounded as mpmath
+    rounds it at _SCAN_BITS bits."""
     for _ in range(200):
-        mid = (lo + hi) / 2
+        mid = mpf_shift(mpf_add(lo, hi, _SCAN_BITS, round_nearest), -1)
         if mid == lo or mid == hi:
             break  # adjacent floats: the bracket cannot shrink any more
-        v = g(mid)
-        if v == 0:
+        s = sign_at(mid)
+        if s == 0:
             return mid
-        if (v < 0) == sign_lo:
+        if (s < 0) == lo_negative:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2
+    return mpf_shift(mpf_add(lo, hi, _SCAN_BITS, round_nearest), -1)
 
 
-def _snap_rational(apply_fn, root):
-    """Try to replace a numeric root by a nearby small rational."""
+def _snap_rational(displacement, root):
+    """Try to replace a numeric root by a nearby small rational at which
+    the raw displacement function (nearly) vanishes."""
     candidates = []
     for den in (1, 2, 3, 4, 6, 8, 12, 16):
         num = mpmath.nint(root * den)
         candidates.append(Fraction(int(num), den))
     for cand in candidates:
         if abs(to_mpf(cand) - root) < mpmath.mpf(2) ** -32:
-            residual = to_mpf(apply_fn(to_mpf(cand), 96)) - to_mpf(cand)
+            residual = mpmath.mp.make_mpf(displacement(raw_point(cand, _SCAN_BITS)))
             if residual == 0 or abs(residual) < mpmath.mpf(2) ** -88:
                 return cand
     return None
 
 
 def _heuristic_record(phi: AnalyticSymbol, location) -> FixedPointRecord:
-    with mpmath.workprec(96):
-        m = phi.jet(location, 1, precision=96).coeffs[1]
+    with mpmath.workprec(_SCAN_BITS):
+        m = phi.derivative_at(location, precision=_SCAN_BITS)
         return FixedPointRecord(location=location, multiplier=m,
                                 kind=multiplier_kind(m), multiplicity=1,
                                 exact=False)
@@ -319,24 +366,27 @@ def _heuristic_record(phi: AnalyticSymbol, location) -> FixedPointRecord:
 
 
 def find_critical_points(phi: AnalyticSymbol):
+    """Critical points on the domain: the isolated roots of p' for a
+    rational polynomial p; otherwise the sign changes and zeros of the
+    slope at 512 grid points, refined by bisection (not exhaustive)."""
     if phi.is_rational_polynomial():
         dp = phi.derivative_polynomial()
         if polylib.degree(dp) == 0:
             return []
         return [root for root, _ in sturm.isolate_roots(dp, phi.domain)]
+    slope = phi.raw_slope(_SCAN_BITS)
+    points = [raw_ratio(num, den, _SCAN_BITS)
+              for num, den in _grid_pairs(phi.domain, 512)]
+    signs = [_sign(slope(x)) for x in points]
     roots = []
-    grid = _sample_grid(phi.domain, 512)
-    with mpmath.workprec(96):
-        deriv = lambda x: to_mpf(phi.derivative_at(x, 96))
-        values = [deriv(to_mpf(x)) for x in grid]
-        # Every exact grid zero once; bisect only brackets whose two ends
-        # are nonzero with opposite signs.
-        for i, (a, va) in enumerate(zip(grid, values)):
-            if va == 0:
-                roots.append(to_mpf(a))
-            elif i + 1 < len(grid) and va * values[i + 1] < 0:
-                roots.append(_bisect_numeric(deriv, a, grid[i + 1], va))
-    return roots
+    # Every exact grid zero once; bisect only brackets whose two ends are
+    # nonzero with opposite signs.
+    for i, (x, s) in enumerate(zip(points, signs)):
+        if s == 0:
+            roots.append(x)
+        elif i + 1 < len(points) and s * signs[i + 1] < 0:
+            roots.append(_bisect(lambda t: _sign(slope(t)), x, points[i + 1], s < 0))
+    return [mpmath.mp.make_mpf(x) for x in roots]
 
 
 def is_diffeomorphism(phi: AnalyticSymbol, critical=None) -> DiffeoVerdict:

@@ -16,8 +16,9 @@ from fractions import Fraction
 from math import gcd
 
 import mpmath
-from mpmath.libmp import (mpf_add, mpf_atan, mpf_exp, mpf_lt, mpf_mul, mpf_pos,
-                          mpf_pow_int, mpf_sin, round_nearest)
+from mpmath.libmp import (mpf_add, mpf_atan, mpf_cos_sin, mpf_div, mpf_exp,
+                          mpf_lt, mpf_mul, mpf_pos, mpf_pow_int, mpf_sin,
+                          round_nearest)
 
 from . import polynomials as polylib
 from . import sturm
@@ -338,6 +339,213 @@ def compile_tree(node, prec):
         return lambda x: mpf_pow_int(base(x), n, prec, _RND)
     arg, fn = compile_tree(node.arg, prec), _CALLS[node.fn]
     return lambda x: fn(arg(x), prec, _RND)
+
+
+class _Register:
+    """A raw mpf tuple that the compiled order-1 jet computes at run time."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index):
+        self.index = index
+
+
+class _SlopeProgram:
+    """Straight-line code for the order-1 jet of a folded tree.
+
+    Each method is one Python operation that ``tree_jet`` performs at order
+    1 on an mpf center, with the same operands in the same order.  Ints and
+    Fractions are exact and known when the tree is compiled, so they are
+    combined here; every other operand is a ``_Register``.  An exact
+    operand enters mpf arithmetic as mpmath converts it (``raw_addend``:
+    a Fraction through ``from_rational`` at its default rounding, an int
+    through ``from_int``).  Steps that multiply or divide by one, or add an
+    exact zero, are left out: on a value of at most ``prec`` bits they
+    return it unchanged.
+    """
+
+    def __init__(self, prec):
+        self.prec = prec
+        self.registers = [None]   # register 0 holds the point
+        self.code = []
+        self._constants = {}
+
+    def _new(self):
+        self.registers.append(None)
+        return _Register(len(self.registers) - 1)
+
+    def _raw(self, q):
+        """The register of an exact operand as mpmath converts it."""
+        key = (type(q), q)
+        reg = self._constants.get(key)
+        if reg is None:
+            reg = self._constants[key] = self._new()
+            self.registers[reg.index] = raw_addend(q, self.prec)
+        return reg
+
+    def _operand(self, v):
+        return v if isinstance(v, _Register) else self._raw(v)
+
+    def _emit(self, fn, *args):
+        """One instruction ``r[out] = fn(*args, prec, rnd)``."""
+        out, prec = self._new().index, self.prec
+        if len(args) == 1:
+            a = args[0].index
+
+            def step(r):
+                r[out] = fn(r[a], prec, _RND)
+        else:
+            a, b = args[0].index, args[1].index
+
+            def step(r):
+                r[out] = fn(r[a], r[b], prec, _RND)
+        self.code.append(step)
+        return _Register(out)
+
+    def add(self, a, b):
+        if not isinstance(a, _Register) and not isinstance(b, _Register):
+            return a + b
+        if not isinstance(a, _Register):
+            a, b = b, a   # mpf_add rounds the exact sum: the order is free
+        if not isinstance(b, _Register) and b == 0:
+            return a
+        return self._emit(mpf_add, a, self._operand(b))
+
+    def mul(self, a, b):
+        if not isinstance(a, _Register) and not isinstance(b, _Register):
+            return a * b
+        if not isinstance(a, _Register):
+            a, b = b, a
+        if not isinstance(b, _Register) and b == 1:
+            return a
+        return self._emit(mpf_mul, a, self._operand(b))
+
+    def div_int(self, a, k: int):
+        """``as_exact(a) / k``."""
+        if not isinstance(a, _Register):
+            return as_exact(a) / k
+        return a if k == 1 else self._emit(mpf_div, a, self._raw(k))
+
+    def reciprocal(self, a):
+        """``invert(a)``: 1 / a."""
+        if not isinstance(a, _Register):
+            return invert(a)
+        return self._emit(mpf_div, self._raw(1), a)
+
+    def call(self, fn, a):
+        """``mpmath.exp(a)`` and the like; an exact argument is converted."""
+        return self._emit(fn, self._operand(a))
+
+    def cos_sin(self, a):
+        """``mpmath.cos(a), mpmath.sin(a)`` in one libmp call, which rounds
+        each exactly as the two separate calls do."""
+        cos, sin, prec = self._new().index, self._new().index, self.prec
+        a = self._operand(a).index
+
+        def step(r):
+            r[cos], r[sin] = mpf_cos_sin(r[a], prec, _RND)
+        self.code.append(step)
+        return _Register(cos), _Register(sin)
+
+    # -- TruncatedSeries operations at order 1 -------------------------------
+
+    def series_mul(self, a, b, n=1):
+        """``TruncatedSeries.__mul__`` through order n: nonzero terms of b
+        in ascending index, and each new numeric class of a joined with
+        b's skipped exact zeros."""
+        terms = [(j, q) for j, q in enumerate(b[:n + 1])
+                 if isinstance(q, _Register) or q != 0]
+        zeros = [j for j, q in enumerate(b[:n + 1])
+                 if not isinstance(q, _Register) and q == 0]
+        out = [Fraction(0)] * (n + 1)
+        promoted = False
+        for i, p in enumerate(a[:n + 1]):
+            if not isinstance(p, _Register) and p == 0:
+                continue
+            for j, q in terms:
+                if i + j > n:
+                    break
+                out[i + j] = self.add(out[i + j], self.mul(p, q))
+            if isinstance(p, _Register) and not promoted:
+                promoted = True
+                for j in zeros:
+                    if i + j > n:
+                        break
+                    out[i + j] = self.add(out[i + j], self.mul(p, b[j]))
+        return out
+
+    def jet(self, node, x):
+        """[value, slope] of ``tree_jet(node, x, 1, exact=False)``."""
+        if isinstance(node, Poly):
+            ident = [x, Fraction(1)]
+            acc = [Fraction(0), Fraction(0)]
+            for c in reversed(node.coeffs):
+                acc = self.series_mul(acc, ident)
+                acc[0] = self.add(acc[0], c)
+            return acc
+        if isinstance(node, Add):
+            acc = [Fraction(0), Fraction(0)]
+            for p in node.parts:
+                acc = [self.add(u, v) for u, v in zip(acc, self.jet(p, x))]
+            return acc
+        if isinstance(node, Mul):
+            acc = None
+            for p in node.parts:
+                term = self.jet(p, x)
+                acc = term if acc is None else self.series_mul(acc, term)
+            return acc
+        if isinstance(node, Pow):
+            result = [Fraction(1), Fraction(0)]
+            base, k = self.jet(node.base, x), node.exponent
+            while k:
+                if k & 1:
+                    result = self.series_mul(result, base)
+                if k > 1:
+                    base = self.series_mul(base, base)
+                k >>= 1
+            return result
+        g0, g1 = self.jet(node.arg, x)
+        if node.fn == "exp":      # _series_exp: (0 + (1*h1)*e0) / 1
+            e0 = self.call(mpf_exp, g0)
+            return [e0, self.div_int(self.add(0, self.mul(self.mul(1, g1), e0)), 1)]
+        if node.fn == "sin":      # _series_sin: (0 + (1*h1)*cos(g0)) / 1
+            c0, s0 = self.cos_sin(g0)
+            return [s0, self.div_int(self.add(0, self.mul(self.mul(1, g1), c0)), 1)]
+        # _series_arctan: the integral of (1*g1) / (g0*g0 + 1), divided by 1
+        a0 = self.call(mpf_atan, g0)
+        denom = self.add(self.series_mul([g0, g1], [g0, g1], 0)[0], 1)
+        integrand = self.series_mul([self.mul(1, g1)], [self.reciprocal(denom)], 0)
+        return [a0, self.div_int(integrand[0], 1)]
+
+
+def compile_slope(node, prec):
+    """A folded tree's value and slope as a function of one raw mpf tuple
+    of at most ``prec`` bits: ``kernel(x) -> (value, slope)``, each an
+    exact Fraction or a raw tuple.
+
+    Bit-identical to the coefficients of ``tree_jet(node, to_mpf(x), 1,
+    exact=False)`` inside ``workprec(prec)``, classes included: which of
+    them stay exact depends on the tree alone, so it is decided here, and
+    the kernel runs only the mpf steps.
+    """
+    program = _SlopeProgram(prec)
+    value, slope = program.jet(node, _Register(0))
+    outputs = []
+    for part in (value, slope):
+        if not isinstance(part, _Register):
+            program.registers.append(part)
+            part = _Register(len(program.registers) - 1)
+        outputs.append(part.index)
+    template, code = program.registers, program.code
+    v, s = outputs
+
+    def kernel(x):
+        r = template.copy()
+        r[0] = x
+        for step in code:
+            step(r)
+        return r[v], r[s]
+    return kernel
 
 
 class _NeedNumeric(Exception):
@@ -682,7 +890,8 @@ class AnalyticSymbol:
         self.body = body
         self.domain = domain
         self.text = text
-        self._kernels = {}  # working precision -> compile_tree closure
+        # precision -> compile_tree kernel, ("slope", precision) -> compile_slope
+        self._kernels = {}
         if require_nonconstant:
             self._check_nonconstant()
         self.invariance_certified = self._check_self_map() if require_self_map else False
@@ -752,14 +961,14 @@ class AnalyticSymbol:
         each grid point goes through ``eval(x, 96)``'s exact steps, and its
         image is compared with the target bounds rounded once at 96 bits."""
         prec = 96 + _GUARD_BITS
-        kernel = self._kernel(prec)
+        image = self.raw_eval(96)
         bounds = [tuple(to_mpf(end, 96)._mpf_ if is_finite(end) else None
                         for end in (t.lower, t.upper)) for t in targets]
         check_domain = not self.domain.contains_interval(source)
         for num, den in _grid_pairs(source, samples):
             if check_domain and not self.domain.contains(Fraction(num, den)):
                 raise DomainError(f"{Fraction(num, den)} is outside the domain {self.domain}")
-            y = mpf_pos(kernel(raw_ratio(num, den, prec)), 96, _RND)
+            y = image(raw_ratio(num, den, prec))
             if not any((lo is None or mpf_lt(lo, y)) and (hi is None or mpf_lt(y, hi))
                        for lo, hi in bounds):
                 return False, Fraction(num, den), False
@@ -771,6 +980,41 @@ class AnalyticSymbol:
         if kernel is None:
             kernel = self._kernels[prec] = compile_tree(self.body.tree, prec)
         return kernel
+
+    def _slope_kernel(self, prec):
+        """The tree's (value, slope) kernel at ``prec`` bits, built once per
+        precision and kept beside the value kernels."""
+        key = ("slope", prec)
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            kernel = self._kernels[key] = compile_slope(self.body.tree, prec)
+        return kernel
+
+    def raw_eval(self, precision):
+        """``eval(x, precision)`` as a function of a raw mpf tuple x of at
+        most ``precision`` + 24 bits, returning a raw tuple; the caller
+        checks the domain.  Elementary bodies run the compiled tree; other
+        bodies go through ``eval`` itself."""
+        if isinstance(self.body, ElementaryBody):
+            kernel = self._kernel(precision + _GUARD_BITS)
+            return lambda x: mpf_pos(kernel(x), precision, _RND)
+        return lambda x: self.eval(mpmath.mp.make_mpf(x), precision)._mpf_
+
+    def raw_slope(self, precision):
+        """``derivative_at(x, precision)`` as a function of a raw mpf tuple
+        x of at most ``precision`` + 24 bits: an exact scalar or a raw
+        tuple.  Elementary bodies run the compiled (value, slope) kernel;
+        other bodies go through ``derivative_at`` at working precision
+        ``precision``.  The caller checks the domain."""
+        if isinstance(self.body, ElementaryBody):
+            kernel = self._slope_kernel(precision + _GUARD_BITS)
+            return lambda x: kernel(x)[1]
+
+        def slope(x):
+            with mpmath.workprec(precision):
+                d = self.derivative_at(mpmath.mp.make_mpf(x), precision)
+            return d if is_exact(d) else d._mpf_
+        return slope
 
     def _diverges_inside(self, domain: Interval) -> bool:
         """Whether phi tends to an infinity on a side where the domain is bounded."""
@@ -865,8 +1109,23 @@ class AnalyticSymbol:
             return domain.contains(x)
 
     def derivative_at(self, x, precision=None):
-        """phi'(x) via the order-1 jet; exact where the jet is exact."""
-        return self.jet(x, 1, precision=precision).coeffs[1]
+        """phi'(x), the slope of the order-1 jet; exact where the jet is
+        exact.  An elementary body reads the numeric slope from its compiled
+        (value, slope) kernel at ``precision`` + 24 bits, which gives the
+        jet's coefficient bit for bit without building series."""
+        if not isinstance(self.body, ElementaryBody):
+            return self.jet(x, 1, precision=precision).coeffs[1]
+        precision = precision or default_precision()
+        if not self._point_in_domain(x, precision):
+            raise DomainError(f"jet center {x} outside {self.domain}")
+        if is_rational(x):
+            try:
+                return tree_jet(self.body.tree, Fraction(x), 1, exact=True).coeffs[1]
+            except _NeedNumeric:
+                pass
+        prec = precision + _GUARD_BITS
+        slope = self._slope_kernel(prec)(raw_point(x, prec))[1]
+        return slope if is_rational(slope) else mpmath.mp.make_mpf(slope)
 
     # -- jets ----------------------------------------------------------------
 

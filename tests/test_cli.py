@@ -321,3 +321,48 @@ class TestIrrationalCentre:
                      "--gamma", "x", "--order", "4"])
         assert code == 2
         assert "known only as an enclosure" in capsys.readouterr().err
+
+
+class TestTranscendentalCentre:
+    # 1/2*arctan(x) + 1/4 has one fixed point, u = 0.4694..., found only by
+    # the sampled scan; solve and koenigs refine it by Newton steps.
+    SYMBOL = "1/2*arctan(x)+1/4"
+
+    @staticmethod
+    def oracle():
+        with mpmath.workprec(400):
+            return mpmath.findroot(lambda x: mpmath.atan(x) / 2 + mpmath.mpf(1) / 4 - x,
+                                   mpmath.mpf("0.47"))
+
+    def test_solve(self, capsys):
+        code, out = run_cli(capsys, "solve", "--symbol", self.SYMBOL, "--lambda", "3",
+                            "--gamma", "x", "--order", "4")
+        assert code == 0
+        lines = out.splitlines()
+        u = self.oracle()
+        assert lines[0] == f"fixed point: {mpmath.nstr(u, 30)}"
+        # f_0 = gamma(u) / (1 - lambda) = -u/2
+        assert lines[2].startswith("  f_0 = ")
+        assert abs(mpmath.mpf(lines[2].split("= ")[1]) + u / 2) < mpmath.mpf(10) ** -15
+        assert len([line for line in lines if line.startswith("  f_")]) == 5
+
+    def test_solve_json_series_is_numeric(self, capsys):
+        code, out = run_cli(capsys, "solve", "--symbol", self.SYMBOL, "--lambda", "3",
+                            "--gamma", "x", "--order", "4", "--format", "json")
+        assert code == 0
+        series = json.loads(out)["series"]
+        assert series["center"] == ["float", mpmath.nstr(self.oracle(), 30)]
+        assert [c[0] for c in series["coeffs"]] == ["float"] * 5
+
+    def test_koenigs(self, capsys):
+        code, out = run_cli(capsys, "koenigs", "--symbol", self.SYMBOL, "--order", "4")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == f"linearizer at {mpmath.nstr(self.oracle(), 30)}:"
+        assert lines[1:3] == ["  f_0 = 0.0", "  f_1 = 1.0"]
+
+    def test_eval_still_needs_an_exact_centre(self, capsys):
+        code = main(["eval", "--symbol", self.SYMBOL, "--lambda", "3",
+                     "--gamma", "x", "--at", "1/2"])
+        assert code == 2
+        assert "known only as an enclosure or numerically" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction as F
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from compspec import polynomials as polylib
 from compspec import rootwork, sturm
-from compspec.errors import DomainError, HypothesisViolation
+from compspec.errors import CompspecError, DomainError, HypothesisViolation
 from compspec.intervals import Interval
 from compspec.numbers import to_mpf
 from compspec.rootwork import (AllFixed, analyze_symbol,
@@ -19,6 +21,7 @@ from compspec.rootwork import (AllFixed, analyze_symbol,
                                is_diffeomorphism)
 from compspec.symbols import (AnalyticSymbol, conjugate, parse_change,
                               parse_symbol)
+from compspec.taxonomy import spectrum
 
 
 def locations(records):
@@ -250,7 +253,9 @@ class TestBasin:
 
     def test_untyped_error_in_fixed_point_scan_propagates(self, monkeypatch):
         phi = parse_symbol("1/2*arctan(x)")
-        monkeypatch.setattr(AnalyticSymbol, "eval", _raise(RuntimeError))
+        # The scan applies phi through raw_eval's raw-tuple function.
+        monkeypatch.setattr(AnalyticSymbol, "raw_eval",
+                            lambda self, precision: lambda x: _raise(RuntimeError)(self, x))
         with pytest.raises(RuntimeError):
             find_fixed_points(phi)
 
@@ -299,13 +304,14 @@ class TestBisection:
         # gives.
         calls = []
 
-        def g(x):
+        def sign_at(x):
             calls.append(x)
-            return mpmath.cos(x)
+            return rootwork._sign(mpmath.cos(mpmath.mp.make_mpf(x))._mpf_)
 
         with mpmath.workprec(96):
             a, b = F(3, 2), F(8, 5)
-            root = rootwork._bisect_numeric(g, a, b, mpmath.cos(to_mpf(a)))
+            root = mpmath.mp.make_mpf(rootwork._bisect(
+                sign_at, to_mpf(a)._mpf_, to_mpf(b)._mpf_, mpmath.cos(to_mpf(a)) < 0))
             lo, hi = to_mpf(a), to_mpf(b)
             for _ in range(200):
                 mid = (lo + hi) / 2
@@ -387,3 +393,68 @@ class TestAnalyze:
     def test_certified_flags(self):
         assert analyze_symbol(parse_symbol("-x^2+x")).certified
         assert not analyze_symbol(parse_symbol("1/2*arctan(x)")).certified
+
+
+# Scan facts of elementary symbols, recorded when every scan still read phi
+# through eval and phi' through order-1 jets; the raw-tuple scans must
+# reproduce them exactly.  Numbers print at 256 bits, enough digits to tell
+# apart any two values of the 96- and 120-bit scans.
+SCAN_FACTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "scan_facts.json").read_text())
+
+
+def scan_facts(text, domain, self_map) -> dict:
+    phi = parse_symbol(text, domain, require_self_map=self_map)
+    out = {}
+    with mpmath.workprec(256):
+        for name, fn in (("analysis", lambda: analyze_symbol(phi)),
+                         ("two_cycle_points",
+                          lambda: find_fixed_points_second_iterate(phi)),
+                         ("report", lambda: spectrum(phi).to_json_dict())):
+            try:
+                value = fn()
+            except CompspecError as exc:
+                out[name] = f"{type(exc).__name__}: {exc}"
+                continue
+            if name == "analysis":
+                for field in ("fixed_points", "critical_points", "is_diffeo",
+                              "critical_bounded_away", "has_two_cycle",
+                              "is_involution", "sign_vs_id"):
+                    out[field] = repr(getattr(value, field))
+            elif name == "report":
+                out[name] = json.dumps(value, sort_keys=True)
+            else:
+                out[name] = repr(value)
+    return out
+
+
+class TestRawScans:
+    @pytest.mark.parametrize("entry", SCAN_FACTS, ids=lambda e: e["symbol"])
+    def test_scan_facts_unchanged(self, entry):
+        assert scan_facts(entry["symbol"], entry["domain"], entry["self_map"]) \
+            == entry["facts"]
+
+    def test_catalog_covers_the_scan_paths(self):
+        facts = {e["symbol"]: e["facts"] for e in SCAN_FACTS}
+        assert len(facts) >= 15
+        # A finite domain whose second iterate leaves it, a 2-cycle count,
+        # an exact grid zero of the displacement and an exact critical point.
+        assert not next(e["self_map"] for e in SCAN_FACTS if e["symbol"] == "2*arctan(x)")
+        assert facts["sin(3*x)"]["two_cycle_points"] == "4"
+        assert "Fraction(-1048575, 4096)" in facts["x+exp(-x^2)"]["fixed_points"]
+        assert facts["1/2*x^2*exp(-x)"]["critical_points"] == "[mpf('2.0')]"
+
+    def test_elementary_analysis_reads_no_jets_or_evals(self, monkeypatch):
+        phi = parse_symbol("sin(x)")
+        jets = _counting(monkeypatch, AnalyticSymbol, "jet")
+        evals = _counting(monkeypatch, AnalyticSymbol, "eval")
+        analyze_symbol(phi)
+        assert jets == [] and evals == []
+
+    def test_second_iterate_image_outside_the_domain_has_no_value(self):
+        # 2*arctan(x) maps (-1, 1) onto (-pi/2, pi/2): beyond |x| = tan(1/2)
+        # the intermediate image leaves the domain, so only the fixed point
+        # 0 of phi itself is found, and it is not on a 2-cycle.
+        phi = parse_symbol("2*arctan(x)", "(-1,1)", require_self_map=False)
+        assert rootwork._scan_fixed_points(phi, 2) == [F(0)]
+        assert find_fixed_points_second_iterate(phi) == 0

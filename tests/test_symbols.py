@@ -12,13 +12,13 @@ from compspec.errors import (ConstantSymbolError, DegreeOverflow, DomainError,
                              ExpressionSyntaxError, InvarianceFailure,
                              NotADiffeomorphism, OrbitEscape)
 from compspec.intervals import Interval, is_finite
-from compspec.numbers import QuadraticNumber, quadratic, to_mpf
+from compspec.numbers import QuadraticNumber, quadratic, raw_ratio, to_mpf
 from compspec.numbers import raw_point as _raw_point
 from compspec.symbols import (Add, AnalyticSymbol, Call, Mul, NoFixedPoints,
-                              Poly, Pow, _grid_pairs, compile_tree,
-                              conjugate, fold, identity_diffeomorphism,
-                              normalize_quadratic, parse_change, parse_rhs,
-                              parse_symbol)
+                              Poly, Pow, _grid_pairs, compile_slope,
+                              compile_tree, conjugate, fold,
+                              identity_diffeomorphism, normalize_quadratic,
+                              parse_change, parse_rhs, parse_symbol, tree_jet)
 from compspec.taxonomy import spectrum
 
 
@@ -472,6 +472,35 @@ def test_compiled_tree_is_bit_identical_to_object_arithmetic(raw, point, prec):
         assert compile_tree(tree, prec)(_raw_point(point, prec)) == expected
 
 
+# The scans' own points: reduced grid pairs rounded to 96 bits.
+_GRID_POINTS = st.sampled_from(
+    _grid_pairs(Interval(-4, 4), 64) + _grid_pairs(Interval.real_line(), 64)
+).map(lambda pair: mpmath.mp.make_mpf(raw_ratio(*pair, 96)))
+
+
+def _coefficient_bits(c):
+    """A jet coefficient as comparable data: an exact value with its class,
+    or the raw tuple of an mpf."""
+    if isinstance(c, tuple):
+        return "mpf", c
+    if isinstance(c, mpmath.mpf):
+        return "mpf", c._mpf_
+    return type(c), c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=_trees(3), point=_GRID_POINTS | _POINTS,
+       prec=st.sampled_from([64 + 24, 96 + 24, 256 + 24]))
+def test_slope_kernel_is_bit_identical_to_the_order_1_jet(raw, point, prec):
+    x = _raw_point(point, prec)
+    for tree in (raw, fold(raw)):
+        with mpmath.workprec(prec):
+            expected = tree_jet(tree, mpmath.mp.make_mpf(x), 1, exact=False).coeffs
+        got = compile_slope(tree, prec)(x)
+        assert [_coefficient_bits(c) for c in got] == \
+            [_coefficient_bits(c) for c in expected]
+
+
 def _fraction_grid(domain, count):
     """The sample grid computed in Fraction arithmetic, point by point."""
     lo, hi = domain.lower, domain.upper
@@ -532,6 +561,7 @@ class TestCompiledKernel:
         assert calls == [96]
         for prec in (96, 120, 200):
             assert restricted._kernel(prec) is phi._kernel(prec)
+            assert restricted._slope_kernel(prec) is phi._slope_kernel(prec)
         assert calls == [96]
 
     def test_sampled_maps_into_does_not_call_eval(self, monkeypatch):
