@@ -239,7 +239,7 @@ def _cmd_solve(args) -> int:
     sol = solve_formal(phi, center, lam, gamma, args.order, precision=precision)
     doc = sol.to_json_dict()
     lines = [f"fixed point: {_center_text(center, precision)}",
-             f"multiplier: {format_scalar(sol.multiplier)}"]
+             f"multiplier: {_center_text(sol.multiplier, precision)}"]
     lines += _series_text(sol.series)
     verdict = doc["radius"]
     lines.append(f"verdict: {verdict['verdict'] if verdict else 'n/a'}")

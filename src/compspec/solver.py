@@ -17,7 +17,8 @@ import mpmath
 from .config import default_precision
 from .errors import (HypothesisViolation, NeutralOrSuperattracting,
                      ResonantEigenvalue, ZeroLambda)
-from .numbers import as_exact, invert, is_exact, same_point, to_numeric
+from .numbers import (as_exact, format_scalar, invert, is_exact, same_point,
+                      scalar_to_json, to_numeric)
 from .power_series import (Converges, Diverges, Inconclusive, TruncatedSeries,
                            estimate_radius)
 from .record import Record
@@ -51,12 +52,18 @@ class LocalSolution(Record):
         verdict = self.radius_verdict
         doc = {
             "series": self.series.to_json_dict(),
-            "lambda": str(self.lam),
-            "multiplier": str(self.multiplier),
+            "lambda": _scalar_json(self.lam),
+            "multiplier": _scalar_json(self.multiplier),
             "resonances": list(self.resonances),
             "radius": radius_verdict_json(verdict),
         }
         return doc
+
+
+def _scalar_json(value):
+    """An exact scalar as its text form; a numeric one tagged, through
+    ``scalar_to_json``, so that it does not read back as exact."""
+    return format_scalar(value) if is_exact(value) else scalar_to_json(value)
 
 
 def radius_verdict_json(verdict):

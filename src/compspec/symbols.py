@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 import mpmath
 from mpmath.libmp import (mpf_add, mpf_atan, mpf_cos_sin, mpf_div, mpf_exp,
-                          mpf_lt, mpf_mul, mpf_pos, mpf_pow_int, mpf_sin,
-                          round_nearest)
+                          mpf_lt, mpf_mul, mpf_pos, round_nearest)
 
 from . import polynomials as polylib
 from . import sturm
@@ -300,49 +300,19 @@ class _Parser:
 # ---------------------------------------------------------------------------
 # Compiled tree evaluation and jets
 
-# Every mpf operation below rounds like mpmath's object arithmetic does
-# under the default context rounding.
 _RND = round_nearest
-_CALLS = {"exp": mpf_exp, "arctan": mpf_atan, "sin": mpf_sin}
 
-
-def compile_tree(node, prec):
-    """A folded tree as a function of one raw mpf tuple, at ``prec`` bits.
-
-    Coefficients are converted once, here.  Each step rounds exactly as
-    the object-level expression ``to_mpf`` / ``acc * x + c`` / ``+`` /
-    ``*`` / ``**`` / ``mpmath.exp|atan|sin`` does inside ``workprec(prec)``,
-    so the results are bit-identical to mpmath's object arithmetic.
-    """
-    if isinstance(node, Poly):
-        lead = raw_point(node.coeffs[-1], prec)
-        rest = tuple(raw_addend(c, prec) for c in reversed(node.coeffs[:-1]))
-
-        def poly(x):
-            acc = lead
-            for c in rest:
-                acc = mpf_add(mpf_mul(acc, x, prec, _RND), c, prec, _RND)
-            return acc
-        return poly
-    if isinstance(node, (Add, Mul)):
-        first, *others = [compile_tree(p, prec) for p in node.parts]
-        op = mpf_add if isinstance(node, Add) else mpf_mul
-
-        def combine(x):
-            total = first(x)
-            for part in others:
-                total = op(total, part(x), prec, _RND)
-            return total
-        return combine
-    if isinstance(node, Pow):
-        base, n = compile_tree(node.base, prec), node.exponent
-        return lambda x: mpf_pow_int(base(x), n, prec, _RND)
-    arg, fn = compile_tree(node.arg, prec), _CALLS[node.fn]
-    return lambda x: fn(arg(x), prec, _RND)
+# The backend of a lowered program: each op as the mpmath.libmp function
+# that runs it, ``fn(*sources, prec, rnd)``, with its rounding, and "const",
+# which converts an exact operand once, at link time, as mpmath does (a
+# Fraction through ``from_rational`` at its default rounding, an int exactly).
+_MPF = {"add": mpf_add, "mul": mpf_mul, "div": mpf_div, "exp": mpf_exp,
+        "atan": mpf_atan, "cos_sin": mpf_cos_sin, "const": raw_addend,
+        "rnd": _RND}
 
 
 class _Register:
-    """A raw mpf tuple that the compiled order-1 jet computes at run time."""
+    """A value that the lowered program computes at run time."""
 
     __slots__ = ("index",)
 
@@ -350,57 +320,83 @@ class _Register:
         self.index = index
 
 
-class _SlopeProgram:
-    """Straight-line code for the order-1 jet of a folded tree.
+def _names(registers):
+    return ", ".join(f"r{i}" for i in registers)
 
-    Each method is one Python operation that ``tree_jet`` performs at order
-    1 on an mpf center, with the same operands in the same order.  Ints and
-    Fractions are exact and known when the tree is compiled, so they are
-    combined here; every other operand is a ``_Register``.  An exact
-    operand enters mpf arithmetic as mpmath converts it (``raw_addend``:
-    a Fraction through ``from_rational`` at its default rounding, an int
-    through ``from_int``).  Steps that multiply or divide by one, or add an
-    exact zero, are left out: on a value of at most ``prec`` bits they
-    return it unchanged.
+
+class _Program:
+    """The order-1 jet of a folded tree lowered to straight-line code at
+    ``prec`` bits: ``value`` and ``slope`` are its two outputs.
+
+    Each instruction ``(op, outs, srcs)`` is one Python operation that
+    ``tree_jet`` performs at order 1 on an mpf center, with the same
+    operands in the same order; registers are integer indices, and
+    register 0 holds the point.  Ints and Fractions are exact and known
+    when the tree is lowered, so they are combined here; every other
+    operand is a ``_Register``, and an exact operand of an op becomes a
+    constant register that the backend converts.  Steps that multiply or
+    divide by one, or add an exact zero, are left out: on a value of at
+    most ``prec`` bits they return it unchanged.
     """
 
-    def __init__(self, prec):
+    def __init__(self, node, prec):
         self.prec = prec
-        self.registers = [None]   # register 0 holds the point
+        self.size = 1          # register 0 holds the point
         self.code = []
-        self._constants = {}
+        self.constants = {}    # (type, exact operand) -> register index
+        self.value, self.slope = self.jet(node, _Register(0))
+
+    @cached_property
+    def value_kernel(self):
+        return self.link([self.value], _MPF)
+
+    @cached_property
+    def slope_kernel(self):
+        return self.link([self.value, self.slope], _MPF)
+
+    def link(self, outputs, backend):
+        """The kernel ``x -> outputs`` (a single output bare) as one Python
+        function: the instructions that the outputs need, in order, each
+        calling ``backend[op]``; a backward liveness pass drops the rest.
+        The source holds only op names and register indices; constants,
+        exact outputs and the precision are bound in its namespace."""
+        live = {out.index for out in outputs if isinstance(out, _Register)}
+        code = []
+        for op, outs, srcs in reversed(self.code):
+            if live.intersection(outs):
+                live.update(srcs)
+                code.append(f"    {_names(outs)} = {op}({_names(srcs)}, prec, rnd)")
+        namespace = dict(backend, prec=self.prec)
+        namespace.update((f"r{i}", backend["const"](q, self.prec))
+                         for (_, q), i in self.constants.items())
+        results = []
+        for k, out in enumerate(outputs):   # an exact output is bound as it is
+            if not isinstance(out, _Register):
+                namespace[f"r{self.size + k}"], out = out, _Register(self.size + k)
+            results.append(out.index)
+        source = ["def kernel(r0):", *reversed(code), f"    return {_names(results)}"]
+        exec("\n".join(source), namespace)
+        return namespace["kernel"]
 
     def _new(self):
-        self.registers.append(None)
-        return _Register(len(self.registers) - 1)
-
-    def _raw(self, q):
-        """The register of an exact operand as mpmath converts it."""
-        key = (type(q), q)
-        reg = self._constants.get(key)
-        if reg is None:
-            reg = self._constants[key] = self._new()
-            self.registers[reg.index] = raw_addend(q, self.prec)
-        return reg
+        self.size += 1
+        return _Register(self.size - 1)
 
     def _operand(self, v):
-        return v if isinstance(v, _Register) else self._raw(v)
+        """A register, or the constant register of an exact operand."""
+        if isinstance(v, _Register):
+            return v
+        index = self.constants.get((type(v), v))
+        if index is None:
+            index = self.constants[(type(v), v)] = self._new().index
+        return _Register(index)
 
-    def _emit(self, fn, *args):
-        """One instruction ``r[out] = fn(*args, prec, rnd)``."""
-        out, prec = self._new().index, self.prec
-        if len(args) == 1:
-            a = args[0].index
-
-            def step(r):
-                r[out] = fn(r[a], prec, _RND)
-        else:
-            a, b = args[0].index, args[1].index
-
-            def step(r):
-                r[out] = fn(r[a], r[b], prec, _RND)
-        self.code.append(step)
-        return _Register(out)
+    def _emit(self, op, *srcs, outs=1):
+        """One instruction ``outs = backend[op](*srcs, prec, rnd)``."""
+        regs = [self._new() for _ in range(outs)]
+        self.code.append((op, tuple(r.index for r in regs),
+                          tuple(self._operand(s).index for s in srcs)))
+        return regs[0] if outs == 1 else regs
 
     def add(self, a, b):
         if not isinstance(a, _Register) and not isinstance(b, _Register):
@@ -409,7 +405,7 @@ class _SlopeProgram:
             a, b = b, a   # mpf_add rounds the exact sum: the order is free
         if not isinstance(b, _Register) and b == 0:
             return a
-        return self._emit(mpf_add, a, self._operand(b))
+        return self._emit("add", a, b)
 
     def mul(self, a, b):
         if not isinstance(a, _Register) and not isinstance(b, _Register):
@@ -418,34 +414,19 @@ class _SlopeProgram:
             a, b = b, a
         if not isinstance(b, _Register) and b == 1:
             return a
-        return self._emit(mpf_mul, a, self._operand(b))
+        return self._emit("mul", a, b)
 
     def div_int(self, a, k: int):
         """``as_exact(a) / k``."""
         if not isinstance(a, _Register):
             return as_exact(a) / k
-        return a if k == 1 else self._emit(mpf_div, a, self._raw(k))
+        return a if k == 1 else self._emit("div", a, k)
 
     def reciprocal(self, a):
         """``invert(a)``: 1 / a."""
         if not isinstance(a, _Register):
             return invert(a)
-        return self._emit(mpf_div, self._raw(1), a)
-
-    def call(self, fn, a):
-        """``mpmath.exp(a)`` and the like; an exact argument is converted."""
-        return self._emit(fn, self._operand(a))
-
-    def cos_sin(self, a):
-        """``mpmath.cos(a), mpmath.sin(a)`` in one libmp call, which rounds
-        each exactly as the two separate calls do."""
-        cos, sin, prec = self._new().index, self._new().index, self.prec
-        a = self._operand(a).index
-
-        def step(r):
-            r[cos], r[sin] = mpf_cos_sin(r[a], prec, _RND)
-        self.code.append(step)
-        return _Register(cos), _Register(sin)
+        return self._emit("div", 1, a)
 
     # -- TruncatedSeries operations at order 1 -------------------------------
 
@@ -506,16 +487,23 @@ class _SlopeProgram:
             return result
         g0, g1 = self.jet(node.arg, x)
         if node.fn == "exp":      # _series_exp: (0 + (1*h1)*e0) / 1
-            e0 = self.call(mpf_exp, g0)
+            e0 = self._emit("exp", g0)
             return [e0, self.div_int(self.add(0, self.mul(self.mul(1, g1), e0)), 1)]
         if node.fn == "sin":      # _series_sin: (0 + (1*h1)*cos(g0)) / 1
-            c0, s0 = self.cos_sin(g0)
+            c0, s0 = self._emit("cos_sin", g0, outs=2)
             return [s0, self.div_int(self.add(0, self.mul(self.mul(1, g1), c0)), 1)]
         # _series_arctan: the integral of (1*g1) / (g0*g0 + 1), divided by 1
-        a0 = self.call(mpf_atan, g0)
+        a0 = self._emit("atan", g0)
         denom = self.add(self.series_mul([g0, g1], [g0, g1], 0)[0], 1)
         integrand = self.series_mul([self.mul(1, g1)], [self.reciprocal(denom)], 0)
         return [a0, self.div_int(integrand[0], 1)]
+
+
+def compile_tree(node, prec):
+    """``compile_slope``'s kernel with the slope's instructions left out:
+    the value, bit for bit, as a raw tuple (an exact Fraction when it does
+    not depend on the point, never for a folded tree with a call)."""
+    return _Program(node, prec).value_kernel
 
 
 def compile_slope(node, prec):
@@ -525,27 +513,10 @@ def compile_slope(node, prec):
 
     Bit-identical to the coefficients of ``tree_jet(node, to_mpf(x), 1,
     exact=False)`` inside ``workprec(prec)``, classes included: which of
-    them stay exact depends on the tree alone, so it is decided here, and
-    the kernel runs only the mpf steps.
+    them stay exact depends on the tree alone, so it is decided when the
+    tree is lowered, and the kernel runs only the mpf steps.
     """
-    program = _SlopeProgram(prec)
-    value, slope = program.jet(node, _Register(0))
-    outputs = []
-    for part in (value, slope):
-        if not isinstance(part, _Register):
-            program.registers.append(part)
-            part = _Register(len(program.registers) - 1)
-        outputs.append(part.index)
-    template, code = program.registers, program.code
-    v, s = outputs
-
-    def kernel(x):
-        r = template.copy()
-        r[0] = x
-        for step in code:
-            step(r)
-        return r[v], r[s]
-    return kernel
+    return _Program(node, prec).slope_kernel
 
 
 class _NeedNumeric(Exception):
@@ -883,15 +854,14 @@ class AnalyticSymbol:
     ``require_self_map=False`` since they map one interval onto another.
     """
 
-    __slots__ = ("body", "domain", "invariance_certified", "text", "_kernels")
+    __slots__ = ("body", "domain", "invariance_certified", "text", "_programs")
 
     def __init__(self, body, domain: Interval, *, text=None,
                  require_self_map=True, require_nonconstant=True):
         self.body = body
         self.domain = domain
         self.text = text
-        # precision -> compile_tree kernel, ("slope", precision) -> compile_slope
-        self._kernels = {}
+        self._programs = {}   # precision -> the tree lowered at that precision
         if require_nonconstant:
             self._check_nonconstant()
         self.invariance_certified = self._check_self_map() if require_self_map else False
@@ -974,21 +944,21 @@ class AnalyticSymbol:
                 return False, Fraction(num, den), False
         return True, None, False
 
+    def _program(self, prec):
+        """The tree lowered at ``prec`` bits, once per precision; both of
+        its kernels are linked on first use."""
+        program = self._programs.get(prec)
+        if program is None:
+            program = self._programs[prec] = _Program(self.body.tree, prec)
+        return program
+
     def _kernel(self, prec):
-        """The tree compiled at ``prec`` bits, built once per precision."""
-        kernel = self._kernels.get(prec)
-        if kernel is None:
-            kernel = self._kernels[prec] = compile_tree(self.body.tree, prec)
-        return kernel
+        """The tree's value kernel at ``prec`` bits (``compile_tree``)."""
+        return self._program(prec).value_kernel
 
     def _slope_kernel(self, prec):
-        """The tree's (value, slope) kernel at ``prec`` bits, built once per
-        precision and kept beside the value kernels."""
-        key = ("slope", prec)
-        kernel = self._kernels.get(key)
-        if kernel is None:
-            kernel = self._kernels[key] = compile_slope(self.body.tree, prec)
-        return kernel
+        """The tree's (value, slope) kernel at ``prec`` bits (``compile_slope``)."""
+        return self._program(prec).slope_kernel
 
     def raw_eval(self, precision):
         """``eval(x, precision)`` as a function of a raw mpf tuple x of at
@@ -1138,7 +1108,8 @@ class AnalyticSymbol:
         if not self._point_in_domain(center, precision):
             raise DomainError(f"jet center {center} outside {self.domain}")
         if isinstance(self.body, PolynomialBody):
-            return _series_from_poly(self.body.coeffs, as_exact(center), order)
+            with mpmath.workprec(precision + _GUARD_BITS):
+                return _series_from_poly(self.body.coeffs, as_exact(center), order)
         if isinstance(self.body, ConjugatedBody):
             return self._conjugated_jet(center, order, precision)
         tree = self.body.tree
@@ -1232,7 +1203,7 @@ class AnalyticSymbol:
         restricted = AnalyticSymbol(self.body, domain, text=self.text,
                                     require_self_map=False, require_nonconstant=False)
         restricted.invariance_certified = certified
-        restricted._kernels = self._kernels  # same body, same compiled trees
+        restricted._programs = self._programs  # same body, same compiled trees
         return restricted
 
 

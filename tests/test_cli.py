@@ -6,7 +6,7 @@ import pytest
 
 from compspec.cli import main
 from compspec.continuation import evaluate, globalize
-from compspec.numbers import GaussianRational, parse_gaussian
+from compspec.numbers import GaussianRational, parse_gaussian, scalar_from_json
 from compspec.symbols import parse_rhs, parse_symbol
 from compspec.taxonomy import ClassificationReport
 
@@ -341,9 +341,10 @@ class TestTranscendentalCentre:
         lines = out.splitlines()
         u = self.oracle()
         assert lines[0] == f"fixed point: {mpmath.nstr(u, 30)}"
-        # f_0 = gamma(u) / (1 - lambda) = -u/2
+        # f_0 = gamma(u) / (1 - lambda) = -u/2, to the 20 digits printed
         assert lines[2].startswith("  f_0 = ")
-        assert abs(mpmath.mpf(lines[2].split("= ")[1]) + u / 2) < mpmath.mpf(10) ** -15
+        with mpmath.workprec(128):
+            assert abs(mpmath.mpf(lines[2].split("= ")[1]) + u / 2) < mpmath.mpf(10) ** -19
         assert len([line for line in lines if line.startswith("  f_")]) == 5
 
     def test_solve_json_series_is_numeric(self, capsys):
@@ -353,6 +354,22 @@ class TestTranscendentalCentre:
         series = json.loads(out)["series"]
         assert series["center"] == ["float", mpmath.nstr(self.oracle(), 30)]
         assert [c[0] for c in series["coeffs"]] == ["float"] * 5
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_solve_multiplier_is_numeric(self, capsys, fmt):
+        # phi'(u) = 1 / (2 (1 + u^2)), tagged as a float in JSON so that it
+        # does not read back as an exact decimal.
+        code, out = run_cli(capsys, "solve", "--symbol", self.SYMBOL, "--lambda", "3",
+                            "--gamma", "x", "--order", "2", "--format", fmt)
+        assert code == 0
+        with mpmath.workprec(400):
+            expected = mpmath.nstr(1 / (2 * (1 + self.oracle() ** 2)), 30)
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["multiplier"] == ["float", expected]
+            assert isinstance(scalar_from_json(doc["multiplier"]), mpmath.mpf)
+        else:
+            assert out.splitlines()[1] == f"multiplier: {expected}"
 
     def test_koenigs(self, capsys):
         code, out = run_cli(capsys, "koenigs", "--symbol", self.SYMBOL, "--order", "4")

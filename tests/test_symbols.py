@@ -1,3 +1,5 @@
+import ast
+import pathlib
 from fractions import Fraction as F
 from math import gcd
 
@@ -155,6 +157,15 @@ class TestJet:
                 ours_f = ours if not isinstance(ours, F) \
                     else mpmath.mpf(ours.numerator) / ours.denominator
                 assert abs(ours_f - theirs) < mpmath.mpf(2) ** -40
+
+    def test_polynomial_jet_at_an_mpf_centre_keeps_its_precision(self):
+        # The caller's mpmath precision (53 bits here) does not round the
+        # coefficients of a jet asked for at 256 bits.
+        with mpmath.workprec(256):
+            u = mpmath.mpf(1) / 3
+        jet = parse_rhs("x").jet(u, 2, precision=256)
+        assert jet.coeffs[0] == u and jet.coeffs[0]._mpf_ == u._mpf_
+        assert jet.coeffs[1:] == (1, 0)
 
     def test_jet_consistency_with_symbolic_derivatives(self):
         # Coefficient k times k! equals the k-th derivative computed by
@@ -463,21 +474,6 @@ _POINTS = st.one_of(
               st.integers(-2**300, 2**300), st.integers(-310, -298)))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(raw=_trees(3), point=_POINTS, prec=st.sampled_from([53, 96, 120, 280]))
-def test_compiled_tree_is_bit_identical_to_object_arithmetic(raw, point, prec):
-    for tree in (raw, fold(raw)):
-        with mpmath.workprec(prec):
-            expected = reference_eval(tree, to_mpf(point))._mpf_
-        assert compile_tree(tree, prec)(_raw_point(point, prec)) == expected
-
-
-# The scans' own points: reduced grid pairs rounded to 96 bits.
-_GRID_POINTS = st.sampled_from(
-    _grid_pairs(Interval(-4, 4), 64) + _grid_pairs(Interval.real_line(), 64)
-).map(lambda pair: mpmath.mp.make_mpf(raw_ratio(*pair, 96)))
-
-
 def _coefficient_bits(c):
     """A jet coefficient as comparable data: an exact value with its class,
     or the raw tuple of an mpf."""
@@ -486,6 +482,52 @@ def _coefficient_bits(c):
     if isinstance(c, mpmath.mpf):
         return "mpf", c._mpf_
     return type(c), c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=_trees(3), point=_POINTS, prec=st.sampled_from([53, 96, 120, 280]))
+def test_compiled_tree_is_bit_identical_to_the_order_1_jet_value(raw, point, prec):
+    x = _raw_point(point, prec)
+    for tree in (raw, fold(raw)):
+        with mpmath.workprec(prec):
+            expected = tree_jet(tree, mpmath.mp.make_mpf(x), 1, exact=False).coeffs[0]
+        got = compile_tree(tree, prec)(x)
+        assert _coefficient_bits(got) == _coefficient_bits(expected)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=_trees(3), point=_POINTS, prec=st.sampled_from([53, 96, 120, 280]))
+def test_value_kernel_is_the_value_of_the_slope_kernel(raw, point, prec):
+    # One value semantics: the scans read the displacement and the slope
+    # from the same lowered program.
+    x = _raw_point(point, prec)
+    for tree in (raw, fold(raw)):
+        assert _coefficient_bits(compile_tree(tree, prec)(x)) == \
+            _coefficient_bits(compile_slope(tree, prec)(x)[0])
+
+
+def test_programs_run_libmp_only_through_the_backend_table():
+    # Another backend (interval arithmetic, say) is a new op table, not
+    # another compiler: no mpf_* name appears in the lowering, the linker
+    # or the compile_* entry points, and every op they emit is in _MPF.
+    module = ast.parse(pathlib.Path(symbols.__file__).read_text())
+    scopes = [node for node in module.body
+              if (isinstance(node, ast.ClassDef) and node.name == "_Program")
+              or (isinstance(node, ast.FunctionDef) and node.name.startswith("compile_"))]
+    assert {"_Program", "compile_tree", "compile_slope"} <= {s.name for s in scopes}
+    nodes = [n for scope in scopes for n in ast.walk(scope)]
+    names = {n.id if isinstance(n, ast.Name) else n.attr
+             for n in nodes if isinstance(n, (ast.Name, ast.Attribute))}
+    assert sorted(name for name in names if name.startswith("mpf_")) == []
+    ops = {n.args[0].value for n in nodes if isinstance(n, ast.Call)
+           and isinstance(n.func, ast.Attribute) and n.func.attr == "_emit"}
+    assert ops and ops <= set(symbols._MPF)
+
+
+# The scans' own points: reduced grid pairs rounded to 96 bits.
+_GRID_POINTS = st.sampled_from(
+    _grid_pairs(Interval(-4, 4), 64) + _grid_pairs(Interval.real_line(), 64)
+).map(lambda pair: mpmath.mp.make_mpf(raw_ratio(*pair, 96)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -527,20 +569,15 @@ class TestCompiledKernel:
 
     @staticmethod
     def _count_compiles(monkeypatch):
-        """Record the precision of each outermost compile_tree call."""
-        calls, depth = [], [0]
-        original = symbols.compile_tree
+        """Record the precision of each lowering of a tree."""
+        calls = []
+        original = symbols._Program
 
         def counting(node, prec):
-            if depth[0] == 0:
-                calls.append(prec)
-            depth[0] += 1
-            try:
-                return original(node, prec)
-            finally:
-                depth[0] -= 1
+            calls.append(prec)
+            return original(node, prec)
 
-        monkeypatch.setattr(symbols, "compile_tree", counting)
+        monkeypatch.setattr(symbols, "_Program", counting)
         return calls
 
     def test_parse_compiles_once_per_precision(self, monkeypatch):
