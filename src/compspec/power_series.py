@@ -8,6 +8,7 @@ and mpf/mpc coefficients stay numeric.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -201,9 +202,16 @@ class TruncatedSeries:
         and row n is solved with pivot [t**n] s**n - lam (multiplier**n -
         lam), skipping zero table entries.  ``head`` fixes the leading
         coefficients the caller already knows; a zero pivot raises
-        ZeroDivisionError.
+        ZeroDivisionError.  When every input is an int or a Fraction the
+        solve runs on integers (``_solve_rational``); any other coefficient
+        takes the term-by-term loop below.
         """
         n = self.order
+        slopes = self.coeffs[1:]
+        if all(map(is_rational, (lam, *slopes, *rhs[:n + 1], *head))):
+            d = math.lcm(*(c.denominator for c in slopes))
+            S = [0] + [c.numerator * (d // c.denominator) for c in slopes]
+            return _solve_rational(S, d, n, lam, rhs, head)
         s = TruncatedSeries(self.center, (Fraction(0),) + self.coeffs[1:])
         # The int 1 keeps the n = 0 pivot 1 - lam valid for an mpf lam.
         powers = [TruncatedSeries(self.center, [1] + [Fraction(0)] * n)]
@@ -270,6 +278,39 @@ class TruncatedSeries:
 
 def _is_rational_zero(c) -> bool:
     return is_rational(c) and c == 0
+
+
+def _solve_rational(S, d, n, lam, rhs, head) -> list:
+    """``solve_composition`` for s = S/d with integer numerators S (S[0] =
+    0) and rational lam, rhs and head.  Row j of the table holds the
+    integers d**j [t**k] s**j; the unknowns c_j/d**j are kept as integers
+    e[j] over one common denominator, so each row's sum is one integer dot
+    product and each coefficient one Fraction, equal to the term-by-term
+    solve's."""
+    terms = [(i, b) for i, b in enumerate(S) if b]
+    table = [[1] + [0] * n]
+    for j in range(1, n + 1):
+        prev, row = table[-1], [0] * (n + 1)
+        for k in range(j - 1, n + 1):
+            a = prev[k]
+            if a:
+                for i, b in terms:
+                    if k + i > n:
+                        break
+                    row[k + i] += a * b
+        table.append(row)
+    coeffs, e, den = list(head), [], 1
+    for k, column in enumerate(zip(*table)):
+        if k >= len(head):
+            dot = sum(map(operator.mul, e, column))
+            coeffs.append((rhs[k] - Fraction(dot, den))
+                          / (Fraction(column[k], d ** k) - lam))
+        v = Fraction(coeffs[k]) / d ** k
+        if den % v.denominator:
+            g = v.denominator // math.gcd(den, v.denominator)
+            den, e = den * g, [x * g for x in e]
+        e.append(v.numerator * (den // v.denominator))
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

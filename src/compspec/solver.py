@@ -110,12 +110,14 @@ def solve_formal(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
         flags = smajdor_condition(lam, m, order)
         if not all(flags):
             raise ResonantEigenvalue(flags.index(False))
-        jet = phi_jet
+        # A numeric jet is solved against a numeric copy of lam; the
+        # solution keeps the caller's lam.
+        jet, solve_lam = phi_jet, lam
         if not (phi_jet.is_exact() and gamma_jet.is_exact()):
-            lam = to_numeric(lam)
+            solve_lam = to_numeric(lam)
             jet = phi_jet.map_coefficients(to_numeric)
             gamma_jet = gamma_jet.map_coefficients(to_numeric)
-        coeffs = jet.solve_composition(lam, gamma_jet.coeffs)
+        coeffs = jet.solve_composition(solve_lam, gamma_jet.coeffs)
     series = TruncatedSeries(u, coeffs)
     verdict = None
     if estimate and order >= 16:

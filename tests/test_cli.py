@@ -355,6 +355,14 @@ class TestTranscendentalCentre:
         assert series["center"] == ["float", mpmath.nstr(self.oracle(), 30)]
         assert [c[0] for c in series["coeffs"]] == ["float"] * 5
 
+    def test_solve_json_keeps_the_exact_lambda(self, capsys):
+        # The numeric jets are solved against a numeric copy of lambda; the
+        # report keeps the lambda that was asked for.
+        code, out = run_cli(capsys, "solve", "--symbol", self.SYMBOL, "--lambda", "3",
+                            "--gamma", "x", "--order", "4", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["lambda"] == "3"
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_solve_multiplier_is_numeric(self, capsys, fmt):
         # phi'(u) = 1 / (2 (1 + u^2)), tagged as a float in JSON so that it

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from compspec.errors import CenterMismatch
 from compspec.numbers import GaussianRational, is_exact, quadratic
 from compspec.power_series import (Converges, Diverges, Inconclusive,
-                                   TruncatedSeries, estimate_radius)
+                                   TruncatedSeries, _solve_rational,
+                                   estimate_radius)
 
 
 def brute_force_poly_compose(outer, inner, order):
@@ -293,16 +294,132 @@ class _Counted(F):
 
 
 def test_power_table_costs_degree_times_order_squared():
-    # x - x^2 at order 200: the table [t^n] s^j walks two nonzeros of s per
-    # nonzero of each power: 20,100 products (the dense loop made 681,750).
+    # x - x^2 at order 200, with an mpf on the right-hand side so that the
+    # term-by-term loop runs: the table [t^n] s^j walks two nonzeros of s
+    # per nonzero of each power: 20,100 products (the dense loop made
+    # 681,750).
     order = 200
     s = TruncatedSeries(F(0), [_Counted(0), _Counted(1), _Counted(-1)]
                         + [_Counted(0)] * (order - 2))
     _Counted.products = 0
-    coeffs = s.solve_composition(F(3), [F(0), F(1)] + [F(0)] * (order - 1))
+    with mpmath.workprec(53):
+        coeffs = s.solve_composition(F(3), [0, mpmath.mpf(1)] + [0] * (order - 1))
     assert _Counted.products <= order * order
+    exact = s.solve_composition(F(3), [F(0), F(1)] + [F(0)] * (order - 1))
+    assert coeffs[0] == exact[0] == 0
+    assert all(type(c) is mpmath.mpf for c in coeffs[1:])
+    with mpmath.workprec(53):
+        assert all(abs(c - e) <= abs(e) * mpmath.mpf(2) ** -40
+                   for c, e in zip(coeffs[1:], exact[1:]))
+
+
+class _CountedInt(int):
+    """An integer that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountedInt.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+def test_integer_power_table_costs_degree_times_order_squared():
+    # The rational solve builds the same table on integer numerators and
+    # walks the same pairs: a nonzero of s for each nonzero of the previous
+    # row (20,100 products at order 200).
+    order = 200
+    S = [_CountedInt(0), _CountedInt(1), _CountedInt(-1)] + [_CountedInt(0)] * (order - 2)
+    rhs = [F(0), F(1)] + [F(0)] * (order - 1)
+    _CountedInt.products = 0
+    coeffs = _solve_rational(S, 1, order, F(3), rhs, ())
+    assert 0 < _CountedInt.products <= order * order
     c = TruncatedSeries(F(0), coeffs)
+    s = TruncatedSeries(F(0), [F(0), F(1), F(-1)] + [F(0)] * (order - 2))
     assert (c.compose(s) - c * F(3)).coeffs == (F(0), F(1)) + (F(0),) * (order - 1)
+
+
+def test_exact_solve_returns_no_float():
+    # Row 0's pivot 1 - 3 is an int, and the int 1 over it is still exact.
+    got = TruncatedSeries(F(0), [F(0), F(1, 2)]).solve_composition(3, [1, 0])
+    assert same_terms(got, [F(-1, 2), F(0)])
+
+
+# ---------------------------------------------------------------------------
+# The rational solve against the term-by-term loop
+
+
+def schoolbook_solve(s, lam, rhs, head=()):
+    """Row by row over the table [t^n] s^j of schoolbook products: the
+    term-by-term loop whose values the rational solve keeps.  The int 1
+    starts the table, as in that loop, so row 0's pivot is 1 - lam."""
+    n = len(s) - 1
+    powers = [[1] + [F(0)] * n]
+    for _ in range(n):
+        powers.append(schoolbook_product(powers[-1], [F(0)] + list(s[1:])))
+    coeffs = list(head)
+    for k in range(len(coeffs), n + 1):
+        acc = rhs[k]
+        for j in range(k):
+            if powers[j][k] != 0:
+                acc = acc - coeffs[j] * powers[j][k]
+        coeffs.append(acc / (powers[k][k] - lam))
+    return coeffs
+
+
+_exact = st.one_of(st.integers(-3, 3), _small)
+
+
+@st.composite
+def _equations(draw):
+    """s rational with a nonzero slope, rational lam (at times a power of
+    the slope, so that a pivot vanishes), rhs mixing int and Fraction, and
+    a head of length 0 to 2.  The mixed class puts one mpf into rhs or lam."""
+    n = draw(st.integers(0, 10))
+    slope = draw(_small.filter(bool))
+    s = [draw(_rational), slope] + draw(st.lists(_rational, min_size=n, max_size=n))
+    s = s[:n + 1]
+    nonzero = _exact.filter(bool)
+    lam = draw(st.one_of(nonzero, nonzero, nonzero,
+                         st.integers(0, n).map(lambda k: slope ** k)))
+    rhs = draw(st.lists(_exact, min_size=n + 1, max_size=n + 1))
+    head = draw(st.lists(_exact, max_size=min(2, n + 1)))
+    if draw(st.sampled_from(["rational", "mixed"])) == "mixed":
+        k = draw(st.integers(-1, n))
+        if k < 0:
+            lam = mpmath.mpf(lam.numerator) / lam.denominator
+        else:
+            rhs[k] = mpmath.mpf(rhs[k].numerator) / rhs[k].denominator
+    return s, lam, rhs, head
+
+
+def _outcome(solve):
+    """The coefficients, or the class of the error raised: a zero pivot,
+    or a Fraction meeting an mpf on its left in the term-by-term loop
+    (Fraction - mpf has no fallback), which both sides must share."""
+    try:
+        return solve()
+    except (ZeroDivisionError, TypeError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_equations(), st.sampled_from([53, 113]))
+def test_solve_matches_schoolbook_value_and_type(equation, prec):
+    s, lam, rhs, head = equation
+    with mpmath.workprec(prec):
+        got = _outcome(lambda: TruncatedSeries(F(0), s).solve_composition(lam, rhs, head))
+        # With an int lam, an int rhs[0] over the int pivot 1 - lam is a
+        # float in the term-by-term loop; on exact data the rational solve
+        # returns the Fraction, as the loop does for a Fraction rhs[0].
+        exact = all(not isinstance(v, mpmath.mpf) for v in [lam, *rhs])
+        want = _outcome(lambda: schoolbook_solve(
+            s, lam, [F(rhs[0]) if exact else rhs[0]] + rhs[1:], head))
+    if isinstance(want, type):
+        assert got is want, equation
+    else:
+        assert same_terms(got, want), equation
 
 
 def test_json_float_coefficients_carry_30_digits():
