@@ -64,6 +64,17 @@ def as_exact(value):
     return Fraction(value) if isinstance(value, int) else value
 
 
+def convert_left(a, b):
+    """``a`` ready to stand left of ``- b`` or ``/ b``.  mpmath 1.3 defines
+    neither ``Fraction - mpf`` nor ``Fraction / mpf``, so a Fraction that
+    meets an mpf becomes the mpf mpmath makes of it when the mpf is on the
+    left (``convert``: ``from_rational`` at the working precision and its
+    default rounding); any other a is returned as is."""
+    if isinstance(a, Fraction) and isinstance(b, mpmath.mpf):
+        return mpmath.mp.convert(a)
+    return a
+
+
 def real_part(value):
     """An exact real scalar as itself (an int as a Fraction), a Gaussian
     rational on the real axis as its real part, any other as None."""

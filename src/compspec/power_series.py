@@ -14,8 +14,9 @@ from fractions import Fraction
 import mpmath
 
 from .errors import CenterMismatch
-from .numbers import (abs_mpf, as_exact, exact_abs_compare, invert, is_exact,
-                      is_rational, same_point, scalar_from_json, scalar_to_json)
+from .numbers import (abs_mpf, as_exact, convert_left, exact_abs_compare, invert,
+                      is_exact, is_rational, same_point, scalar_from_json,
+                      scalar_to_json)
 from .record import Record
 
 
@@ -213,7 +214,6 @@ class TruncatedSeries:
             S = [0] + [c.numerator * (d // c.denominator) for c in slopes]
             return _solve_rational(S, d, n, lam, rhs, head)
         s = TruncatedSeries(self.center, (Fraction(0),) + self.coeffs[1:])
-        # The int 1 keeps the n = 0 pivot 1 - lam valid for an mpf lam.
         powers = [TruncatedSeries(self.center, [1] + [Fraction(0)] * n)]
         for _ in range(n):
             powers.append(powers[-1] * s)
@@ -224,8 +224,13 @@ class TruncatedSeries:
                 a = powers[j].coeffs[k]
                 if a == 0:
                     continue
-                acc = acc - coeffs[j] * a
-            coeffs.append(acc / (powers[k].coeffs[k] - lam))
+                term = coeffs[j] * a
+                acc = convert_left(acc, term) - term
+            pivot = convert_left(powers[k].coeffs[k], lam) - lam
+            # Only row 0's pivot 1 - lam can be an int: an int over it is
+            # a Fraction, not a float.
+            acc = as_exact(acc) if isinstance(pivot, int) else convert_left(acc, pivot)
+            coeffs.append(acc / pivot)
         return coeffs
 
     def reversion(self) -> "TruncatedSeries":
@@ -236,8 +241,7 @@ class TruncatedSeries:
         c1 = self.coefficient(1)
         if is_exact(c1) and c1 == 0:
             raise ZeroDivisionError("linear coefficient vanishes; not invertible")
-        # g(self(x)) = center + (x - center).  Int coefficients keep the
-        # right-hand side valid against mpf jets (Fraction - mpf raises).
+        # g(self(x)) = center + (x - center).
         x = [self.center, 1] + [0] * (self.order - 1)
         g = self.solve_composition(0, x, head=(self.center,))
         return TruncatedSeries(self.coeffs[0], g)

@@ -18,7 +18,7 @@ from math import gcd
 
 import mpmath
 from mpmath.libmp import (mpf_add, mpf_atan, mpf_cos_sin, mpf_div, mpf_exp,
-                          mpf_lt, mpf_mul, mpf_pos, round_nearest)
+                          mpf_lt, mpf_mul, mpf_neg, mpf_pos, round_nearest)
 
 from . import polynomials as polylib
 from . import sturm
@@ -306,18 +306,51 @@ _RND = round_nearest
 # that runs it, ``fn(*sources, prec, rnd)``, with its rounding, and "const",
 # which converts an exact operand once, at link time, as mpmath does (a
 # Fraction through ``from_rational`` at its default rounding, an int exactly).
-_MPF = {"add": mpf_add, "mul": mpf_mul, "div": mpf_div, "exp": mpf_exp,
-        "atan": mpf_atan, "cos_sin": mpf_cos_sin, "const": raw_addend,
-        "rnd": _RND}
+_MPF = {"add": mpf_add, "mul": mpf_mul, "div": mpf_div, "neg": mpf_neg,
+        "exp": mpf_exp, "atan": mpf_atan, "cos_sin": mpf_cos_sin,
+        "const": raw_addend, "rnd": _RND}
 
 
 class _Register:
-    """A value that the lowered program computes at run time."""
+    """A value that a lowered program computes at run time.  Its operators
+    record the instruction that computes their result, so ``tree_jet`` run
+    on the point's register records the jet as the program.  An exact
+    operand is combined as it is, except that adding an exact zero and
+    multiplying or dividing by an exact one are left out: on a value of at
+    most ``prec`` bits they return it unchanged.  The register goes first
+    in a commutative op (the backend rounds the exact result, so the order
+    is free)."""
 
-    __slots__ = ("index",)
+    __slots__ = ("program", "index")
 
-    def __init__(self, index):
+    def __init__(self, program, index):
+        self.program = program
         self.index = index
+
+    def __add__(self, other):
+        if not isinstance(other, _Register) and other == 0:
+            return self
+        return self.program._emit("add", self, other)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if not isinstance(other, _Register) and other == 1:
+            return self
+        return self.program._emit("mul", self, other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, _Register) and other == 1:
+            return self
+        return self.program._emit("div", self, other)
+
+    def __rtruediv__(self, other):
+        return self.program._emit("div", other, self)
+
+    def __neg__(self):
+        return self.program._emit("neg", self)
 
 
 def _names(registers):
@@ -328,15 +361,12 @@ class _Program:
     """The order-1 jet of a folded tree lowered to straight-line code at
     ``prec`` bits: ``value`` and ``slope`` are its two outputs.
 
-    Each instruction ``(op, outs, srcs)`` is one Python operation that
-    ``tree_jet`` performs at order 1 on an mpf center, with the same
-    operands in the same order; registers are integer indices, and
-    register 0 holds the point.  Ints and Fractions are exact and known
-    when the tree is lowered, so they are combined here; every other
-    operand is a ``_Register``, and an exact operand of an op becomes a
-    constant register that the backend converts.  Steps that multiply or
-    divide by one, or add an exact zero, are left out: on a value of at
-    most ``prec`` bits they return it unchanged.
+    The program is recorded by running ``tree_jet`` on registers: register
+    0 holds the point, and each operation on a ``_Register`` appends one
+    instruction ``(op, outs, srcs)`` over integer register indices.  Ints
+    and Fractions are exact and known when the tree is lowered, so the jet
+    combines them itself; an exact operand of an op becomes a constant
+    register that the backend converts.
     """
 
     def __init__(self, node, prec):
@@ -344,7 +374,7 @@ class _Program:
         self.size = 1          # register 0 holds the point
         self.code = []
         self.constants = {}    # (type, exact operand) -> register index
-        self.value, self.slope = self.jet(node, _Register(0))
+        self.value, self.slope = tree_jet(node, _Register(self, 0), 1, exact=False).coeffs
 
     @cached_property
     def value_kernel(self):
@@ -372,131 +402,30 @@ class _Program:
         results = []
         for k, out in enumerate(outputs):   # an exact output is bound as it is
             if not isinstance(out, _Register):
-                namespace[f"r{self.size + k}"], out = out, _Register(self.size + k)
+                namespace[f"r{self.size + k}"], out = out, _Register(self, self.size + k)
             results.append(out.index)
         source = ["def kernel(r0):", *reversed(code), f"    return {_names(results)}"]
         exec("\n".join(source), namespace)
         return namespace["kernel"]
 
-    def _new(self):
-        self.size += 1
-        return _Register(self.size - 1)
-
     def _operand(self, v):
-        """A register, or the constant register of an exact operand."""
+        """The index of a register, or of the constant register of an
+        exact operand."""
         if isinstance(v, _Register):
-            return v
+            return v.index
         index = self.constants.get((type(v), v))
         if index is None:
-            index = self.constants[(type(v), v)] = self._new().index
-        return _Register(index)
+            index = self.constants[(type(v), v)] = self.size
+            self.size += 1
+        return index
 
     def _emit(self, op, *srcs, outs=1):
         """One instruction ``outs = backend[op](*srcs, prec, rnd)``."""
-        regs = [self._new() for _ in range(outs)]
+        regs = [_Register(self, self.size + k) for k in range(outs)]
+        self.size += outs
         self.code.append((op, tuple(r.index for r in regs),
-                          tuple(self._operand(s).index for s in srcs)))
+                          tuple(self._operand(s) for s in srcs)))
         return regs[0] if outs == 1 else regs
-
-    def add(self, a, b):
-        if not isinstance(a, _Register) and not isinstance(b, _Register):
-            return a + b
-        if not isinstance(a, _Register):
-            a, b = b, a   # mpf_add rounds the exact sum: the order is free
-        if not isinstance(b, _Register) and b == 0:
-            return a
-        return self._emit("add", a, b)
-
-    def mul(self, a, b):
-        if not isinstance(a, _Register) and not isinstance(b, _Register):
-            return a * b
-        if not isinstance(a, _Register):
-            a, b = b, a
-        if not isinstance(b, _Register) and b == 1:
-            return a
-        return self._emit("mul", a, b)
-
-    def div_int(self, a, k: int):
-        """``as_exact(a) / k``."""
-        if not isinstance(a, _Register):
-            return as_exact(a) / k
-        return a if k == 1 else self._emit("div", a, k)
-
-    def reciprocal(self, a):
-        """``invert(a)``: 1 / a."""
-        if not isinstance(a, _Register):
-            return invert(a)
-        return self._emit("div", 1, a)
-
-    # -- TruncatedSeries operations at order 1 -------------------------------
-
-    def series_mul(self, a, b, n=1):
-        """``TruncatedSeries.__mul__`` through order n: nonzero terms of b
-        in ascending index, and each new numeric class of a joined with
-        b's skipped exact zeros."""
-        terms = [(j, q) for j, q in enumerate(b[:n + 1])
-                 if isinstance(q, _Register) or q != 0]
-        zeros = [j for j, q in enumerate(b[:n + 1])
-                 if not isinstance(q, _Register) and q == 0]
-        out = [Fraction(0)] * (n + 1)
-        promoted = False
-        for i, p in enumerate(a[:n + 1]):
-            if not isinstance(p, _Register) and p == 0:
-                continue
-            for j, q in terms:
-                if i + j > n:
-                    break
-                out[i + j] = self.add(out[i + j], self.mul(p, q))
-            if isinstance(p, _Register) and not promoted:
-                promoted = True
-                for j in zeros:
-                    if i + j > n:
-                        break
-                    out[i + j] = self.add(out[i + j], self.mul(p, b[j]))
-        return out
-
-    def jet(self, node, x):
-        """[value, slope] of ``tree_jet(node, x, 1, exact=False)``."""
-        if isinstance(node, Poly):
-            ident = [x, Fraction(1)]
-            acc = [Fraction(0), Fraction(0)]
-            for c in reversed(node.coeffs):
-                acc = self.series_mul(acc, ident)
-                acc[0] = self.add(acc[0], c)
-            return acc
-        if isinstance(node, Add):
-            acc = [Fraction(0), Fraction(0)]
-            for p in node.parts:
-                acc = [self.add(u, v) for u, v in zip(acc, self.jet(p, x))]
-            return acc
-        if isinstance(node, Mul):
-            acc = None
-            for p in node.parts:
-                term = self.jet(p, x)
-                acc = term if acc is None else self.series_mul(acc, term)
-            return acc
-        if isinstance(node, Pow):
-            result = [Fraction(1), Fraction(0)]
-            base, k = self.jet(node.base, x), node.exponent
-            while k:
-                if k & 1:
-                    result = self.series_mul(result, base)
-                if k > 1:
-                    base = self.series_mul(base, base)
-                k >>= 1
-            return result
-        g0, g1 = self.jet(node.arg, x)
-        if node.fn == "exp":      # _series_exp: (0 + (1*h1)*e0) / 1
-            e0 = self._emit("exp", g0)
-            return [e0, self.div_int(self.add(0, self.mul(self.mul(1, g1), e0)), 1)]
-        if node.fn == "sin":      # _series_sin: (0 + (1*h1)*cos(g0)) / 1
-            c0, s0 = self._emit("cos_sin", g0, outs=2)
-            return [s0, self.div_int(self.add(0, self.mul(self.mul(1, g1), c0)), 1)]
-        # _series_arctan: the integral of (1*g1) / (g0*g0 + 1), divided by 1
-        a0 = self._emit("atan", g0)
-        denom = self.add(self.series_mul([g0, g1], [g0, g1], 0)[0], 1)
-        integrand = self.series_mul([self.mul(1, g1)], [self.reciprocal(denom)], 0)
-        return [a0, self.div_int(integrand[0], 1)]
 
 
 def compile_tree(node, prec):
@@ -531,14 +460,22 @@ def _series_from_poly(coeffs, center, order):
     return acc
 
 
+def _at_center(g: TruncatedSeries, fn):
+    """``mpmath.<fn>`` (exp, atan or cos_sin) of g's constant term; while a
+    program is recorded (the center is its point register), the
+    instruction that computes it."""
+    if isinstance(g.center, _Register):
+        return g.center.program._emit(fn, g.coeffs[0], outs=2 if fn == "cos_sin" else 1)
+    return getattr(mpmath, fn)(g.coeffs[0])
+
+
 def _series_exp(g: TruncatedSeries, exact: bool):
-    g0 = g.coeffs[0]
     if exact:
-        if g0 != 0:
+        if g.coeffs[0] != 0:
             raise _NeedNumeric
         e0 = Fraction(1)
     else:
-        e0 = mpmath.exp(g0)
+        e0 = _at_center(g, "exp")
     n = g.order
     h = g.coeffs
     out = [e0]
@@ -551,13 +488,12 @@ def _series_exp(g: TruncatedSeries, exact: bool):
 
 
 def _series_sin(g: TruncatedSeries, exact: bool):
-    g0 = g.coeffs[0]
     if exact:
-        if g0 != 0:
+        if g.coeffs[0] != 0:
             raise _NeedNumeric
         s0, c0 = Fraction(0), Fraction(1)
     else:
-        s0, c0 = mpmath.sin(g0), mpmath.cos(g0)
+        c0, s0 = _at_center(g, "cos_sin")
     n = g.order
     h = g.coeffs
     sins, coss = [s0], [c0]
@@ -573,13 +509,12 @@ def _series_sin(g: TruncatedSeries, exact: bool):
 
 
 def _series_arctan(g: TruncatedSeries, exact: bool):
-    g0 = g.coeffs[0]
     if exact:
-        if g0 != 0:
+        if g.coeffs[0] != 0:
             raise _NeedNumeric
         a0 = Fraction(0)
     else:
-        a0 = mpmath.atan(g0)
+        a0 = _at_center(g, "atan")
     if g.order == 0:
         return TruncatedSeries(g.center, [a0])
     denom = (g * g + 1).truncate(g.order - 1)
@@ -588,6 +523,12 @@ def _series_arctan(g: TruncatedSeries, exact: bool):
 
 
 def tree_jet(node, center, order, exact: bool):
+    """The Taylor series of a tree at ``center`` through ``order``: the one
+    definition of jet semantics.  It runs eagerly on numbers (exact
+    coefficients, or ``_NeedNumeric`` when ``exact`` and a transcendental
+    node sits off zero; mpf coefficients at the working precision
+    otherwise), and traced on a ``_Program``'s registers, where the same
+    operations record the lowered program."""
     if isinstance(node, Poly):
         return _series_from_poly(node.coeffs, center, order)
     if isinstance(node, Add):

@@ -350,10 +350,20 @@ def test_exact_solve_returns_no_float():
 # The rational solve against the term-by-term loop
 
 
+def _lifted(a, b):
+    """a as mpmath converts it with an mpf b on the left (Fraction - mpf
+    and Fraction / mpf have no fallback)."""
+    if type(a) is F and type(b) is mpmath.mpf:
+        return mpmath.mp.convert(a)
+    return a
+
+
 def schoolbook_solve(s, lam, rhs, head=()):
     """Row by row over the table [t^n] s^j of schoolbook products: the
     term-by-term loop whose values the rational solve keeps.  The int 1
-    starts the table, as in that loop, so row 0's pivot is 1 - lam."""
+    starts the table, as in that loop, so row 0's pivot is 1 - lam; an int
+    over an int pivot is a Fraction, and a Fraction left of an mpf is
+    converted as mpmath converts it."""
     n = len(s) - 1
     powers = [[1] + [F(0)] * n]
     for _ in range(n):
@@ -363,8 +373,12 @@ def schoolbook_solve(s, lam, rhs, head=()):
         acc = rhs[k]
         for j in range(k):
             if powers[j][k] != 0:
-                acc = acc - coeffs[j] * powers[j][k]
-        coeffs.append(acc / (powers[k][k] - lam))
+                term = coeffs[j] * powers[j][k]
+                acc = _lifted(acc, term) - term
+        pivot = _lifted(powers[k][k], lam) - lam
+        if type(acc) is int and type(pivot) is int:
+            acc = F(acc)
+        coeffs.append(_lifted(acc, pivot) / pivot)
     return coeffs
 
 
@@ -395,12 +409,11 @@ def _equations(draw):
 
 
 def _outcome(solve):
-    """The coefficients, or the class of the error raised: a zero pivot,
-    or a Fraction meeting an mpf on its left in the term-by-term loop
-    (Fraction - mpf has no fallback), which both sides must share."""
+    """The coefficients, or ZeroDivisionError at a zero pivot, which both
+    sides must share."""
     try:
         return solve()
-    except (ZeroDivisionError, TypeError) as exc:
+    except ZeroDivisionError as exc:
         return type(exc)
 
 
@@ -410,16 +423,32 @@ def test_solve_matches_schoolbook_value_and_type(equation, prec):
     s, lam, rhs, head = equation
     with mpmath.workprec(prec):
         got = _outcome(lambda: TruncatedSeries(F(0), s).solve_composition(lam, rhs, head))
-        # With an int lam, an int rhs[0] over the int pivot 1 - lam is a
-        # float in the term-by-term loop; on exact data the rational solve
-        # returns the Fraction, as the loop does for a Fraction rhs[0].
-        exact = all(not isinstance(v, mpmath.mpf) for v in [lam, *rhs])
-        want = _outcome(lambda: schoolbook_solve(
-            s, lam, [F(rhs[0]) if exact else rhs[0]] + rhs[1:], head))
+        want = _outcome(lambda: schoolbook_solve(s, lam, rhs, head))
     if isinstance(want, type):
         assert got is want, equation
     else:
         assert same_terms(got, want), equation
+
+
+def test_int_row_0_over_an_int_pivot_is_a_fraction():
+    # The mpf in rhs[1] sends the solve down the term-by-term loop, where
+    # row 0 is the int 0 over the int pivot 1 - (-1).
+    got = TruncatedSeries(F(0), [F(0), F(1)]).solve_composition(-1, [0, mpmath.mpf(1)])
+    assert same_terms(got, [F(0), mpmath.mpf(0.5)])
+
+
+def test_exact_jet_meets_an_mpf_lambda():
+    # Fraction - mpf and Fraction / mpf have no fallback in mpmath: the
+    # table entries of x - x^2 are converted as mpmath converts them.
+    with mpmath.workprec(53):
+        got = TruncatedSeries(F(0), [F(0), F(1), F(-1)]).solve_composition(
+            mpmath.mpf(3), [0, 1, 0])
+    assert same_terms(got, [mpmath.mpf(0), mpmath.mpf(-0.5), mpmath.mpf(0.25)])
+    # A Fraction rhs entry after an mpf has entered the row sum.
+    with mpmath.workprec(53):
+        got = TruncatedSeries(F(0), [F(0), F(1), F(-1)]).solve_composition(
+            F(3), [F(0), mpmath.mpf(1), F(1, 2)])
+    assert same_terms(got, [F(0), mpmath.mpf(-0.5), mpmath.mpf(0)])
 
 
 def test_json_float_coefficients_carry_30_digits():

@@ -508,20 +508,71 @@ def test_value_kernel_is_the_value_of_the_slope_kernel(raw, point, prec):
 
 def test_programs_run_libmp_only_through_the_backend_table():
     # Another backend (interval arithmetic, say) is a new op table, not
-    # another compiler: no mpf_* name appears in the lowering, the linker
-    # or the compile_* entry points, and every op they emit is in _MPF.
+    # another compiler: no mpf_* name appears in the registers, the
+    # lowering, the transcendental dispatch, the linker or the compile_*
+    # entry points; every op the registers and the dispatch emit is in
+    # _MPF, and every _MPF op but "const" and "rnd" is emitted somewhere.
     module = ast.parse(pathlib.Path(symbols.__file__).read_text())
-    scopes = [node for node in module.body
-              if (isinstance(node, ast.ClassDef) and node.name == "_Program")
-              or (isinstance(node, ast.FunctionDef) and node.name.startswith("compile_"))]
-    assert {"_Program", "compile_tree", "compile_slope"} <= {s.name for s in scopes}
-    nodes = [n for scope in scopes for n in ast.walk(scope)]
-    names = {n.id if isinstance(n, ast.Name) else n.attr
-             for n in nodes if isinstance(n, (ast.Name, ast.Attribute))}
-    assert sorted(name for name in names if name.startswith("mpf_")) == []
-    ops = {n.args[0].value for n in nodes if isinstance(n, ast.Call)
-           and isinstance(n.func, ast.Attribute) and n.func.attr == "_emit"}
-    assert ops and ops <= set(symbols._MPF)
+    scopes = {node.name: node for node in module.body
+              if (isinstance(node, ast.ClassDef) and node.name in ("_Program", "_Register"))
+              or (isinstance(node, ast.FunctionDef)
+                  and (node.name.startswith("compile_") or node.name == "_at_center"))}
+    assert set(scopes) == {"_Program", "_Register", "_at_center",
+                           "compile_tree", "compile_slope"}
+
+    def names(scope):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(scope)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    used = set().union(*map(names, scopes.values()))
+    assert sorted(name for name in used if name.startswith("mpf_")) == []
+    calls = [n for n in ast.walk(module) if isinstance(n, ast.Call)]
+    emitted = [n.args[0] for n in calls
+               if isinstance(n.func, ast.Attribute) and n.func.attr == "_emit"]
+    dispatched = [n.args[1] for n in calls
+                  if isinstance(n.func, ast.Name) and n.func.id == "_at_center"]
+    # Every op is a literal, except the one the dispatch emits for its callers.
+    assert all(isinstance(op, ast.Constant) for op in dispatched)
+    assert [op.id for op in emitted if not isinstance(op, ast.Constant)] == ["fn"]
+    assert {n.args[0].id for n in ast.walk(scopes["_at_center"]) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute) and n.func.attr == "_emit"} == {"fn"}
+    ops = {op.value for op in emitted + dispatched if isinstance(op, ast.Constant)}
+    assert ops <= set(symbols._MPF)
+    assert set(symbols._MPF) - {"const", "rnd"} <= ops
+    # The program is recorded by tree_jet; it does not walk the tree itself.
+    assert names(scopes["_Program"]) & {"Poly", "Add", "Mul", "Pow", "Call"} == set()
+
+
+@pytest.mark.parametrize("text, value_calls, slope_calls", [
+    ("sin(x)", 1, 1),
+    ("1/2*arctan(x)", 2, 6),
+    ("x+1+exp(x)-exp(1/2*x)", 7, 11),
+    ("1/3*x^3+sin(x)*exp(x)", 7, 15),
+    ("1/2*x + 1/2 + 1/8*sin(x) - 1/8*sin(1)", 8, 13),
+])
+def test_kernels_make_the_same_libmp_calls_per_point(text, value_calls, slope_calls):
+    # Recording the jet also records steps no output reads (the cosine
+    # series of sin, the order-1 term of arctan's g*g); the liveness pass
+    # drops them, so a point costs as many libmp calls as the hand-lowered
+    # program made.
+    calls = []
+
+    def counted(fn):
+        def run(*args):
+            calls.append(fn)
+            return fn(*args)
+        return run
+
+    backend = {op: fn if op in ("const", "rnd") else counted(fn)
+               for op, fn in symbols._MPF.items()}
+    program = symbols._Program(parse_rhs(text).body.tree, 120)
+    x = _raw_point(F(1, 3), 120)
+    for outputs, expected in (([program.value], value_calls),
+                              ([program.value, program.slope], slope_calls)):
+        kernel = program.link(outputs, backend)
+        calls.clear()
+        kernel(x)
+        assert len(calls) == expected
 
 
 # The scans' own points: reduced grid pairs rounded to 96 bits.
