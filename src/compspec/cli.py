@@ -114,14 +114,12 @@ def _parse_lambda(text: str):
 
 
 def _scale_rhs(gamma, factor: Fraction):
-    from .symbols import (AnalyticSymbol, ElementaryBody, Mul, Poly,
-                          PolynomialBody)
-    if isinstance(gamma.body, PolynomialBody):
-        coeffs = tuple(c * factor for c in gamma.body.coeffs)
-        return AnalyticSymbol(PolynomialBody(coeffs), gamma.domain,
-                              require_self_map=False, require_nonconstant=False)
-    tree = Mul((Poly((factor,)), gamma.body.tree))
-    return AnalyticSymbol(ElementaryBody(tree), gamma.domain,
+    from .symbols import AnalyticSymbol, Mul, Poly
+    if isinstance(gamma.body, Poly):
+        body = Poly(tuple(c * factor for c in gamma.body.coeffs))
+    else:
+        body = Mul((Poly((factor,)), gamma.body))
+    return AnalyticSymbol(body, gamma.domain,
                           require_self_map=False, require_nonconstant=False)
 
 

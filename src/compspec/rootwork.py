@@ -57,17 +57,8 @@ def _same_location(a, b) -> bool:
     return abs(to_mpf(a) - to_mpf(b)) < mpmath.mpf(2) ** -40
 
 
-class AllFixed:
+class AllFixed(Record):
     """Sentinel: the second iterate is the identity, every point is fixed."""
-
-    def __repr__(self):
-        return "AllFixed()"
-
-    def __eq__(self, other):
-        return isinstance(other, AllFixed)
-
-    def __hash__(self):
-        return hash("AllFixed")
 
 
 class DiffeoVerdict(Record):

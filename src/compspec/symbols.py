@@ -2,23 +2,25 @@
 jets, iteration, conjugation, and the quadratic normal form.
 
 Grammar (see the package README): polynomials over exact rationals plus
-``exp``, ``arctan`` and ``sin`` nodes.  A symbol whose expression tree is
-polynomial after constant folding is stored as an exact coefficient list;
-everything else is kept as a folded tree and handled numerically, with
-exact jets whenever every transcendental node is expanded at an argument
-value of zero.
+``exp``, ``arctan`` and ``sin`` nodes.  A symbol's body is its expression
+tree after constant folding: a single ``Poly`` node, an exact coefficient
+list, for a polynomial; any other tree is handled numerically, with exact
+jets whenever every transcendental node is expanded at an argument value
+of zero.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd
 
 import mpmath
 from mpmath.libmp import (mpf_add, mpf_atan, mpf_cos_sin, mpf_div, mpf_exp,
-                          mpf_lt, mpf_mul, mpf_neg, mpf_pos, round_nearest)
+                          mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pos, mpf_pow_int,
+                          mpf_shift, mpf_sin, round_nearest)
 
 from . import polynomials as polylib
 from . import sturm
@@ -26,7 +28,7 @@ from .config import default_precision
 from .errors import (ConstantSymbolError, DomainError, ExpressionSyntaxError,
                      HypothesisViolation, InvarianceFailure, NotADiffeomorphism,
                      OrbitEscape)
-from .intervals import NEG_INF, POS_INF, Interval, is_finite
+from .intervals import POS_INF, Interval, is_finite
 from .numbers import (as_exact, format_rational, invert, is_exact, is_rational,
                       parse_rational, raw_addend, raw_point, raw_ratio, to_mpf)
 from .power_series import TruncatedSeries
@@ -555,8 +557,25 @@ def tree_jet(node, center, order, exact: bool):
 # ---------------------------------------------------------------------------
 # Limits at interval ends
 
+_LIMIT_PREC = 96   # bits of every approximation a limit computes
+_LIMIT_FNS = {"exp": mpf_exp, "arctan": mpf_atan, "sin": mpf_sin}
+
 
 class Limit(Record):
+    """The limit of a function toward an end of its domain.
+
+    ``+`` and ``*`` give the limit of a sum or product from the limits of
+    its two parts, with ints and Fractions allowed on either side, and
+    ``**`` that of an integer power.  ``+`` and ``*`` are commutative and
+    associative, so a fold over the parts of a sum or product does not
+    depend on their order.  ``unknown`` absorbs everything, and so do
+    ``+inf + -inf``, an infinity times an exact zero or a bounded value,
+    and an inexact zero in a product.  Otherwise an infinity absorbs the
+    finite and bounded terms of a sum and sets the sign of a product, an
+    exact zero absorbs the finite and bounded factors, and a bounded value
+    the finite parts.  Exact parts combine exactly, the rest at 96 bits.
+    """
+
     kind: str  # finite | pos_inf | neg_inf | bounded | unknown
     value: object = None   # exact Fraction when known exactly
     approx: object = None  # mpf estimate when finite but inexact
@@ -566,188 +585,123 @@ class Limit(Record):
         return self.kind == "finite" and self.value is not None
 
     def sign(self):
-        if self.kind == "pos_inf":
-            return 1
+        if self.kind != "finite":
+            return {"pos_inf": 1, "neg_inf": -1}.get(self.kind)
+        v = self.value if self.exact else self.approx
+        return (v > 0) - (v < 0)
+
+    def raw(self):
+        """A finite limit's value as a raw mpf tuple of at most 96 bits."""
+        return raw_point(self.value, _LIMIT_PREC) if self.exact else self.approx._mpf_
+
+    def __add__(self, other):
+        other = _as_limit(other)
+        kinds = {self.kind, other.kind}
+        if "unknown" in kinds or kinds == {"pos_inf", "neg_inf"}:
+            return _UNKNOWN
+        for kind in ("pos_inf", "neg_inf", "bounded"):
+            if kind in kinds:
+                return Limit(kind)
+        return _finite(self, other, operator.add, mpf_add)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        other = _as_limit(other)
+        kinds = {self.kind, other.kind}
+        signs = self.sign(), other.sign()
+        infinite = not kinds.isdisjoint(("pos_inf", "neg_inf"))
+        inexact_zero = any(s == 0 and not lim.exact
+                           for s, lim in zip(signs, (self, other)))
+        if "unknown" in kinds or inexact_zero \
+                or (infinite and (0 in signs or "bounded" in kinds)):
+            return _UNKNOWN
+        if 0 in signs:
+            return _ZERO
+        if infinite:
+            return Limit("pos_inf" if signs[0] * signs[1] > 0 else "neg_inf")
+        if "bounded" in kinds:
+            return _BOUNDED
+        return _finite(self, other, operator.mul, mpf_mul)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
         if self.kind == "neg_inf":
-            return -1
+            return Limit("neg_inf" if n % 2 == 1 else "pos_inf")
+        if self.kind != "finite":
+            return self
         if self.exact:
-            return -1 if self.value < 0 else (0 if self.value == 0 else 1)
-        if self.kind == "finite":
-            return -1 if self.approx < 0 else (0 if self.approx == 0 else 1)
-        return None
+            return Limit("finite", value=self.value ** n)
+        return _approx(mpf_pow_int(self.approx._mpf_, n, _LIMIT_PREC, _RND))
 
 
 _UNKNOWN = Limit("unknown")
 _BOUNDED = Limit("bounded")
+_ZERO = Limit("finite", value=Fraction(0))
 
 
-def _poly_limit(coeffs, end):
-    if end is POS_INF or end is NEG_INF:
-        if len(coeffs) == 1:
-            value = coeffs[0]
-            if is_rational(value):
-                return Limit("finite", value=Fraction(value))
-            return Limit("finite", approx=to_mpf(value))
-        lead = coeffs[-1]
-        lead_sign = 1 if lead > 0 else -1
-        if end is NEG_INF and (len(coeffs) - 1) % 2 == 1:
-            lead_sign = -lead_sign
-        return Limit("pos_inf") if lead_sign > 0 else Limit("neg_inf")
-    end = as_exact(end)
-    if all(is_rational(c) for c in coeffs) and is_rational(end):
-        return Limit("finite",
-                     value=polylib.eval_at([Fraction(c) for c in coeffs], end))
-    with mpmath.workprec(96):
-        acc = None
-        for c in reversed(coeffs):
-            acc = to_mpf(c) if acc is None else acc * to_mpf(end) + to_mpf(c)
-    return Limit("finite", approx=acc)
+def _as_limit(value) -> Limit:
+    """A limit as it is, an exact scalar as its constant limit: exact when
+    rational, else its 96-bit approximation."""
+    if isinstance(value, Limit):
+        return value
+    if is_rational(value):
+        return Limit("finite", value=Fraction(value))
+    return _approx(raw_point(value, _LIMIT_PREC))
 
 
-def tree_limit(node, end):
-    """Limit of a folded tree toward an infinite end; ``limit_at``
-    evaluates finite ends directly."""
-    if isinstance(node, Poly):
-        return _poly_limit(node.coeffs, end)
-    if isinstance(node, Add):
-        finite_exact = Fraction(0)
-        finite_ok = True
-        approx = mpmath.mpf(0)
-        pos = neg = bounded = False
-        for p in node.parts:
-            lim = tree_limit(p, end)
-            if lim.kind == "unknown":
-                return _UNKNOWN
-            elif lim.kind == "pos_inf":
-                pos = True
-            elif lim.kind == "neg_inf":
-                neg = True
-            elif lim.kind == "bounded":
-                bounded = True
-            else:
-                if lim.exact:
-                    finite_exact += lim.value
-                else:
-                    finite_ok = False
-                    approx += lim.approx
-        if pos and neg:
-            return _UNKNOWN
-        if pos:
-            return Limit("pos_inf")
-        if neg:
-            return Limit("neg_inf")
-        if bounded:
+def _approx(raw) -> Limit:
+    return Limit("finite", approx=mpmath.mp.make_mpf(raw))
+
+
+def _finite(a: Limit, b: Limit, op, mpf_op) -> Limit:
+    """``op`` of two finite limits: exact on exact values, else ``mpf_op``
+    at 96 bits."""
+    if a.exact and b.exact:
+        return Limit("finite", value=op(a.value, b.value))
+    return _approx(mpf_op(a.raw(), b.raw(), _LIMIT_PREC, _RND))
+
+
+def _call_limit(fn: str, arg: Limit) -> Limit:
+    """The limit of ``fn`` (exp, arctan or sin) of a part whose limit is
+    ``arg``."""
+    if arg.kind in ("pos_inf", "neg_inf"):
+        if fn == "exp":
+            return Limit("pos_inf") if arg.kind == "pos_inf" else _ZERO
+        if fn == "sin":
             return _BOUNDED
-        if finite_ok:
-            return Limit("finite", value=finite_exact)
-        return Limit("finite", approx=approx + to_mpf(finite_exact))
-    if isinstance(node, Mul):
-        sign = 1
-        inf = False
-        bounded = False
-        finite_exact = Fraction(1)
-        finite_ok = True
-        approx = mpmath.mpf(1)
-        for p in node.parts:
-            lim = tree_limit(p, end)
-            if lim.kind == "unknown":
-                return _UNKNOWN
-            if lim.kind == "bounded":
-                bounded = True
-                continue
-            if lim.kind in ("pos_inf", "neg_inf"):
-                inf = True
-                sign *= 1 if lim.kind == "pos_inf" else -1
-                continue
-            s = lim.sign()
-            if s == 0:
-                if inf:
-                    return _UNKNOWN
-                return Limit("finite", value=Fraction(0)) if lim.exact else _UNKNOWN
-            sign *= s
-            if lim.exact:
-                finite_exact *= lim.value
-            else:
-                finite_ok = False
-                approx *= lim.approx
-        if inf:
-            if bounded:
-                return _UNKNOWN
-            return Limit("pos_inf") if sign > 0 else Limit("neg_inf")
-        if bounded:
-            return _BOUNDED
-        if finite_ok:
-            return Limit("finite", value=finite_exact)
-        return Limit("finite", approx=approx * to_mpf(finite_exact))
-    if isinstance(node, Pow):
-        base = tree_limit(node.base, end)
-        n = node.exponent
-        if base.kind == "unknown":
-            return _UNKNOWN
-        if base.kind == "bounded":
-            return _BOUNDED
-        if base.kind in ("pos_inf", "neg_inf"):
-            if base.kind == "neg_inf" and n % 2 == 1:
-                return Limit("neg_inf")
-            return Limit("pos_inf")
-        if base.exact:
-            return Limit("finite", value=base.value ** n)
-        return Limit("finite", approx=base.approx ** n)
-    # Call node
-    arg = tree_limit(node.arg, end)
-    if arg.kind == "unknown":
-        return _UNKNOWN
-    if node.fn == "exp":
-        if arg.kind == "pos_inf":
-            return Limit("pos_inf")
-        if arg.kind == "neg_inf":
-            return Limit("finite", value=Fraction(0))
-        if arg.kind == "bounded":
-            return _BOUNDED
-        if arg.exact and arg.value == 0:
-            return Limit("finite", value=Fraction(1))
-        with mpmath.workprec(96):
-            return Limit("finite", approx=mpmath.exp(_limit_mpf(arg)))
-    if node.fn == "arctan":
-        if arg.kind == "pos_inf":
-            return Limit("finite", approx=+mpmath.pi / 2)
-        if arg.kind == "neg_inf":
-            return Limit("finite", approx=-mpmath.pi / 2)
-        if arg.kind == "bounded":
-            return _BOUNDED
-        if arg.exact and arg.value == 0:
-            return Limit("finite", value=Fraction(0))
-        with mpmath.workprec(96):
-            return Limit("finite", approx=mpmath.atan(_limit_mpf(arg)))
-    if arg.kind in ("pos_inf", "neg_inf", "bounded"):
-        return _BOUNDED
+        half_pi = mpf_shift(mpf_pi(_LIMIT_PREC, _RND), -1)
+        return _approx(half_pi if arg.kind == "pos_inf" else mpf_neg(half_pi))
+    if arg.kind != "finite":       # bounded or unknown, for each of the three
+        return arg
     if arg.exact and arg.value == 0:
-        return Limit("finite", value=Fraction(0))
-    with mpmath.workprec(96):
-        return Limit("finite", approx=mpmath.sin(_limit_mpf(arg)))
+        return Limit("finite", value=_SPECIAL_AT_ZERO[fn])
+    return _approx(_LIMIT_FNS[fn](arg.raw(), _LIMIT_PREC, _RND))
 
 
-def _limit_mpf(lim: Limit):
-    return to_mpf(lim.value) if lim.exact else lim.approx
+def tree_limit(node, end) -> Limit:
+    """The limit of a folded tree toward ``end``, an infinity or an exact
+    point: the ``Limit`` operators folded over its parts.  A polynomial
+    tends to the infinity of its sign toward an infinite end, and takes
+    its value at a finite one, evaluated exactly (and rounded to 96 bits
+    when it is irrational)."""
+    if isinstance(node, Poly):
+        coeffs = node.coeffs
+        if is_finite(end) or len(coeffs) == 1:
+            return _as_limit(polylib.eval_at(coeffs, end))
+        return Limit("pos_inf" if sturm.sign_at(coeffs, end) > 0 else "neg_inf")
+    if isinstance(node, Add):
+        return reduce(operator.add, (tree_limit(p, end) for p in node.parts))
+    if isinstance(node, Mul):
+        return reduce(operator.mul, (tree_limit(p, end) for p in node.parts))
+    if isinstance(node, Pow):
+        return tree_limit(node.base, end) ** node.exponent
+    return _call_limit(node.fn, tree_limit(node.arg, end))
 
 
 # ---------------------------------------------------------------------------
 # Symbol bodies
-
-
-class PolynomialBody(Record):
-    coeffs: tuple  # ascending; Fraction entries, QuadraticNumber allowed
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_rational(self):
-        return all(is_rational(c) for c in self.coeffs)
-
-
-class ElementaryBody(Record):
-    tree: object
 
 
 class ConjugatedBody(Record):
@@ -790,8 +744,10 @@ def _sample_grid(domain: Interval, count: int) -> list[Fraction]:
 class AnalyticSymbol:
     """A non-constant real analytic map on an open interval.
 
-    Symbols are self-maps by default (the composition operator needs
-    phi(J) inside J); coordinate changes are built with
+    The body is the folded tree of the map (a ``Poly`` node, with Fraction
+    or QuadraticNumber coefficients, when it is a polynomial) or a
+    ``ConjugatedBody``.  Symbols are self-maps by default (the composition
+    operator needs phi(J) inside J); coordinate changes are built with
     ``require_self_map=False`` since they map one interval onto another.
     """
 
@@ -812,18 +768,15 @@ class AnalyticSymbol:
     @classmethod
     def from_coefficients(cls, coeffs, domain=None, *,
                           require_self_map=True) -> "AnalyticSymbol":
-        body = PolynomialBody(tuple(polylib.normalize(coeffs)))
-        return cls(body, domain or Interval.real_line(),
-                   require_self_map=require_self_map)
+        return cls(Poly(tuple(polylib.normalize(coeffs))),
+                   domain or Interval.real_line(), require_self_map=require_self_map)
 
     def _check_nonconstant(self):
-        if isinstance(self.body, PolynomialBody):
-            if self.body.degree == 0:
-                raise ConstantSymbolError("polynomial symbol is constant")
+        if isinstance(self.body, ConjugatedBody):
             return
-        if isinstance(self.body, ElementaryBody):
-            if not tree_has_variable(self.body.tree):
-                raise ConstantSymbolError("expression contains no variable")
+        if not tree_has_variable(self.body):
+            raise ConstantSymbolError("expression contains no variable")
+        if self.is_elementary():
             # Numeric backstop against disguised constants.
             kernel = self._kernel(200)
             with mpmath.workprec(200):
@@ -856,7 +809,7 @@ class AnalyticSymbol:
         if self.is_rational_polynomial():
             ok, witness = sturm.poly_maps_into(self.rational_coeffs(), source, targets)
             return ok, witness, True
-        if isinstance(self.body, ElementaryBody):
+        if self.is_elementary():
             return self._scan_maps_into(source, targets, samples)
         # Polynomials with quadratic-irrational coefficients (evaluated
         # exactly) and conjugated bodies: eval's own arithmetic.
@@ -890,7 +843,7 @@ class AnalyticSymbol:
         its kernels are linked on first use."""
         program = self._programs.get(prec)
         if program is None:
-            program = self._programs[prec] = _Program(self.body.tree, prec)
+            program = self._programs[prec] = _Program(self.body, prec)
         return program
 
     def _kernel(self, prec):
@@ -906,7 +859,7 @@ class AnalyticSymbol:
         most ``precision`` + 24 bits, returning a raw tuple; the caller
         checks the domain.  Elementary bodies run the compiled tree; other
         bodies go through ``eval`` itself."""
-        if isinstance(self.body, ElementaryBody):
+        if self.is_elementary():
             kernel = self._kernel(precision + _GUARD_BITS)
             return lambda x: mpf_pos(kernel(x), precision, _RND)
         return lambda x: self.eval(mpmath.mp.make_mpf(x), precision)._mpf_
@@ -917,7 +870,7 @@ class AnalyticSymbol:
         tuple.  Elementary bodies run the compiled (value, slope) kernel;
         other bodies go through ``derivative_at`` at working precision
         ``precision``.  The caller checks the domain."""
-        if isinstance(self.body, ElementaryBody):
+        if self.is_elementary():
             kernel = self._slope_kernel(precision + _GUARD_BITS)
             return lambda x: kernel(x)[1]
 
@@ -936,10 +889,14 @@ class AnalyticSymbol:
     # -- basic structure ----------------------------------------------------
 
     def is_polynomial(self) -> bool:
-        return isinstance(self.body, PolynomialBody)
+        return isinstance(self.body, Poly)
+
+    def is_elementary(self) -> bool:
+        """Whether the body is a folded tree with a call."""
+        return not isinstance(self.body, (Poly, ConjugatedBody))
 
     def is_rational_polynomial(self) -> bool:
-        return isinstance(self.body, PolynomialBody) and self.body.is_rational()
+        return self.is_polynomial() and all(is_rational(c) for c in self.body.coeffs)
 
     def poly_coeffs(self) -> list[Fraction]:
         if not self.is_polynomial():
@@ -988,7 +945,7 @@ class AnalyticSymbol:
         precision = precision or default_precision()
         if not self._point_in_domain(x, precision):
             raise DomainError(f"{x} is outside the domain {self.domain}")
-        if isinstance(self.body, PolynomialBody):
+        if self.is_polynomial():
             if is_exact(x):
                 return polylib.eval_at(self.body.coeffs, as_exact(x))
             with mpmath.workprec(precision + _GUARD_BITS):
@@ -1024,14 +981,14 @@ class AnalyticSymbol:
         exact.  An elementary body reads the numeric slope from its compiled
         (value, slope) kernel at ``precision`` + 24 bits, which gives the
         jet's coefficient bit for bit without building series."""
-        if not isinstance(self.body, ElementaryBody):
+        if not self.is_elementary():
             return self.jet(x, 1, precision=precision).coeffs[1]
         precision = precision or default_precision()
         if not self._point_in_domain(x, precision):
             raise DomainError(f"jet center {x} outside {self.domain}")
         if is_rational(x):
             try:
-                return tree_jet(self.body.tree, Fraction(x), 1, exact=True).coeffs[1]
+                return tree_jet(self.body, Fraction(x), 1, exact=True).coeffs[1]
             except _NeedNumeric:
                 pass
         prec = precision + _GUARD_BITS
@@ -1048,12 +1005,12 @@ class AnalyticSymbol:
             raise ValueError("order must be >= 0")
         if not self._point_in_domain(center, precision):
             raise DomainError(f"jet center {center} outside {self.domain}")
-        if isinstance(self.body, PolynomialBody):
+        if self.is_polynomial():
             with mpmath.workprec(precision + _GUARD_BITS):
                 return _series_from_poly(self.body.coeffs, as_exact(center), order)
         if isinstance(self.body, ConjugatedBody):
             return self._conjugated_jet(center, order, precision)
-        tree = self.body.tree
+        tree = self.body
         if is_rational(center):
             try:
                 return tree_jet(tree, Fraction(center), order, exact=True)
@@ -1095,26 +1052,24 @@ class AnalyticSymbol:
     # -- limits ---------------------------------------------------------------
 
     def limit_at(self, end) -> Limit:
-        """Limit of the symbol toward an end of its domain."""
-        if isinstance(self.body, PolynomialBody):
-            return _poly_limit(self.body.coeffs, end)
+        """Limit of the symbol toward an end of its domain: ``tree_limit``,
+        except that an elementary body at a rational end is its value,
+        computed at 96 bits by the compiled tree."""
         if isinstance(self.body, ConjugatedBody):
             return _UNKNOWN
-        if is_rational(end):
+        if is_rational(end) and self.is_elementary():
             approx = self._kernel(96)(raw_point(end, 96))
             return Limit("finite", approx=mpmath.mp.make_mpf(approx))
-        return tree_limit(self.body.tree, end)
+        return tree_limit(self.body, end)
 
     # -- display ---------------------------------------------------------------
 
     def __str__(self):
         if self.text:
             return self.text
-        if isinstance(self.body, PolynomialBody):
-            return format_polynomial(self.body.coeffs)
         if isinstance(self.body, ConjugatedBody):
             return f"conjugate({self.body.inner}, {self.body.change})"
-        return format_tree(self.body.tree)
+        return format_tree(self.body)
 
     def __repr__(self):
         return f"AnalyticSymbol({self}, domain={self.domain})"
@@ -1199,19 +1154,14 @@ def _paren_if(node, kinds) -> str:
 def parse_symbol(text: str, domain=None, *, require_self_map=True) -> AnalyticSymbol:
     """Parse expression text into a symbol over the given open interval.
 
-    The body is stored as an exact polynomial whenever the folded tree is
-    polynomial; a constant map raises ConstantSymbolError.
+    The body is the folded tree; a constant map raises ConstantSymbolError.
     """
     domain = domain or Interval.real_line()
     if isinstance(domain, str):
         domain = Interval.parse(domain)
-    tree = fold(_Parser(text).parse())
-    if isinstance(tree, Poly):
-        if len(tree.coeffs) == 1:
-            raise ConstantSymbolError(f"{text!r} denotes a constant map")
-        body = PolynomialBody(tree.coeffs)
-    else:
-        body = ElementaryBody(tree)
+    body = fold(_Parser(text).parse())
+    if isinstance(body, Poly) and len(body.coeffs) == 1:
+        raise ConstantSymbolError(f"{text!r} denotes a constant map")
     return AnalyticSymbol(body, domain, text=text.strip(),
                           require_self_map=require_self_map)
 
@@ -1227,12 +1177,7 @@ def parse_rhs(text: str, domain=None) -> AnalyticSymbol:
     domain = domain or Interval.real_line()
     if isinstance(domain, str):
         domain = Interval.parse(domain)
-    tree = fold(_Parser(text).parse())
-    if isinstance(tree, Poly):
-        body = PolynomialBody(tree.coeffs)
-    else:
-        body = ElementaryBody(tree)
-    return AnalyticSymbol(body, domain, text=text.strip(),
+    return AnalyticSymbol(fold(_Parser(text).parse()), domain, text=text.strip(),
                           require_self_map=False, require_nonconstant=False)
 
 
@@ -1256,7 +1201,7 @@ class Diffeomorphism:
     def __init__(self, forward: AnalyticSymbol):
         self.forward = forward
         self._affine = None
-        if forward.is_polynomial() and forward.body.degree == 1:
+        if forward.is_polynomial() and len(forward.body.coeffs) == 2:
             offset, scale = forward.body.coeffs
             self._affine = (scale, offset)  # y = scale*x + offset
             self.increasing = scale > 0
@@ -1401,15 +1346,11 @@ def conjugate(phi: AnalyticSymbol, delta: Diffeomorphism) -> AnalyticSymbol:
         if phi.is_polynomial():
             inner = polylib.compose(phi.body.coeffs, [offset, scale])
             coeffs = polylib.scale(polylib.sub(inner, [offset]), inv_scale)
-            return AnalyticSymbol(PolynomialBody(tuple(coeffs)), new_domain)
-        if isinstance(phi.body, ElementaryBody) and is_rational(scale) \
-                and is_rational(offset):
-            sub = substitute_affine(phi.body.tree, scale, offset)
-            folded = fold(Mul((Poly((inv_scale,)),
-                               Add((sub, Poly((-offset,)))))))
-            if isinstance(folded, Poly):
-                return AnalyticSymbol(PolynomialBody(folded.coeffs), new_domain)
-            return AnalyticSymbol(ElementaryBody(folded), new_domain)
+            return AnalyticSymbol(Poly(tuple(coeffs)), new_domain)
+        if phi.is_elementary() and is_rational(scale) and is_rational(offset):
+            sub = substitute_affine(phi.body, scale, offset)
+            body = fold(Mul((Poly((inv_scale,)), Add((sub, Poly((-offset,)))))))
+            return AnalyticSymbol(body, new_domain)
     return AnalyticSymbol(ConjugatedBody(phi, delta), new_domain)
 
 
@@ -1433,17 +1374,8 @@ def _require_image_matches(delta: Diffeomorphism, target: Interval):
 # Quadratic normal form
 
 
-class NoFixedPoints:
+class NoFixedPoints(Record):
     """Sentinel: the quadratic has no real fixed point."""
-
-    def __repr__(self):
-        return "NoFixedPoints()"
-
-    def __eq__(self, other):
-        return isinstance(other, NoFixedPoints)
-
-    def __hash__(self):
-        return hash("NoFixedPoints")
 
 
 class QuadraticNormalForm(Record):
@@ -1479,7 +1411,7 @@ def normalize_quadratic(a, b, c):
         else:
             u, v = high, low
     mu = 1 + a * (u - v)
-    delta_sym = AnalyticSymbol(PolynomialBody((u, Fraction(-1) / a)),
+    delta_sym = AnalyticSymbol(Poly((u, Fraction(-1) / a)),
                                Interval.real_line(), require_self_map=False)
     delta = Diffeomorphism(delta_sym)
     return QuadraticNormalForm(mu=mu, delta=delta, fixed_u=u, fixed_v=v)

@@ -263,25 +263,19 @@ def eigen_rule_from_json(doc):
     return EigenRule(matcher, _dim_from_json(doc["dim"]))
 
 
-class EigenDim:
+class EigenDim(Record):
     """Ordered first-match rules mapping an eigenvalue to a dimension."""
 
-    __slots__ = ("rules",)
+    rules: tuple
 
-    def __init__(self, rules):
-        self.rules = tuple(rules)
+    def __post_init__(self):
+        object.__setattr__(self, "rules", tuple(self.rules))
 
     def dimension(self, lam):
         for rule in self.rules:
             if rule.matches(lam):
                 return rule.dim
         raise UnresolvedVerdict("no eigen rule fired")
-
-    def __eq__(self, other):
-        return isinstance(other, EigenDim) and self.rules == other.rules
-
-    def __hash__(self):
-        return hash(self.rules)
 
     def to_json_list(self):
         return [r.to_json_dict() for r in self.rules]

@@ -4,10 +4,10 @@ import pytest
 
 from compspec.intervals import Interval
 from compspec.record import Record, replace
-from compspec.rootwork import FixedPointRecord
-from compspec.symbols import Limit
-from compspec.taxonomy import (AllPlane, CoverPiece, DimFinite, DimZero, EigenRule,
-                               Powers, PuncturedPlane)
+from compspec.rootwork import AllFixed, FixedPointRecord
+from compspec.symbols import Limit, NoFixedPoints
+from compspec.taxonomy import (AllPlane, CoverPiece, DimFinite, DimZero, EigenDim,
+                               EigenRule, Powers, PuncturedPlane)
 
 
 class TestRepr:
@@ -21,6 +21,8 @@ class TestRepr:
          "kind='attracting', multiplicity=1, exact=True)"),
         (DimFinite(k=1), "DimFinite(k=1)"),
         (DimZero(), "DimZero()"),
+        (AllFixed(), "AllFixed()"),
+        (NoFixedPoints(), "NoFixedPoints()"),
     ])
     def test_recorded(self, record, text):
         assert repr(record) == text
@@ -73,6 +75,10 @@ class TestConstruction:
             CoverPiece((Interval(F(0), F(1)), Interval(F(2), F(3))))
         piece = CoverPiece((Interval(F(0), F(1)),))
         assert piece.determining == Interval(F(0), F(1))
+        rules = [EigenRule(("otherwise",), DimZero())]
+        assert EigenDim(rules).rules == tuple(rules)
+        assert EigenDim(rules) == EigenDim(tuple(rules))
+        assert hash(EigenDim(rules)) == hash(EigenDim(tuple(rules)))
 
     def test_arguments_are_checked(self):
         with pytest.raises(TypeError):

@@ -1,4 +1,5 @@
 import ast
+import json
 import pathlib
 from fractions import Fraction as F
 from math import gcd
@@ -13,14 +14,15 @@ from compspec import sturm, symbols
 from compspec.errors import (ConstantSymbolError, DegreeOverflow, DomainError,
                              ExpressionSyntaxError, InvarianceFailure,
                              NotADiffeomorphism, OrbitEscape)
-from compspec.intervals import Interval, is_finite
+from compspec.intervals import NEG_INF, POS_INF, Interval, is_finite
 from compspec.numbers import QuadraticNumber, quadratic, raw_ratio, to_mpf
 from compspec.numbers import raw_point as _raw_point
-from compspec.symbols import (Add, AnalyticSymbol, Call, Mul, NoFixedPoints,
+from compspec.symbols import (Add, AnalyticSymbol, Call, Limit, Mul, NoFixedPoints,
                               Poly, Pow, _grid_pairs, compile_slope,
                               compile_tree, conjugate, fold,
                               identity_diffeomorphism, normalize_quadratic,
-                              parse_change, parse_rhs, parse_symbol, tree_jet)
+                              parse_change, parse_rhs, parse_symbol, tree_jet,
+                              tree_limit)
 from compspec.taxonomy import spectrum
 
 
@@ -150,7 +152,7 @@ class TestJet:
         jet = sym.jet(center, order, precision=128)
         with mpmath.workprec(128):
             def fn(z):
-                return reference_eval(sym.body.tree, z)
+                return reference_eval(sym.body, z)
             c = mpmath.mpf(center.numerator) / center.denominator
             oracle = mpmath.taylor(fn, c, order, method="quad", radius=0.25)
             for ours, theirs in zip(jet.coeffs, oracle):
@@ -317,6 +319,10 @@ class TestNormalizeQuadratic:
         assert nf.mu > 2
         psi = conjugate(parse_symbol("x^2-1"), nf.delta)
         assert psi.body.coeffs == (0, nf.mu, -1)
+        assert psi.limit_at(POS_INF) == psi.limit_at(NEG_INF) == Limit("neg_inf")
+        # Evaluated in the field: psi(mu) is exactly 0, psi(mu/2) = mu^2/4.
+        assert tree_limit(psi.body, nf.mu) == Limit("finite", value=F(0))
+        assert tree_limit(psi.body, nf.mu / 2).approx == to_mpf(nf.mu ** 2 / 4, 96)
 
     def test_mu_at_least_one(self):
         import random
@@ -565,7 +571,7 @@ def test_kernels_make_the_same_libmp_calls_per_point(text, value_calls, slope_ca
 
     backend = {op: fn if op in ("const", "rnd") else counted(fn)
                for op, fn in symbols._MPF.items()}
-    program = symbols._Program(parse_rhs(text).body.tree, 120)
+    program = symbols._Program(parse_rhs(text).body, 120)
     x = _raw_point(F(1, 3), 120)
     for outputs, expected in (([program.value], value_calls),
                               ([program.value, program.slope], slope_calls)):
@@ -683,3 +689,127 @@ class TestCompiledKernel:
         first, half = grid.index(witness), mpmath.mpf(0.5)
         assert all(phi.eval(x, 96) < half for x in grid[:first])
         assert not phi.eval(witness, 96) < half
+
+
+# ---------------------------------------------------------------------------
+# Limits at the ends of the domain
+
+_DATA = pathlib.Path(__file__).parent / "data"
+
+# The symbols whose limits tests/data/limits.json records: the scan-fact
+# symbols, three more elementary ones and the polynomial catalog, the last
+# also on bounded domains, where the finite ends are exact.
+LIMIT_SYMBOLS = [
+    *((e["symbol"], e["domain"], e["self_map"])
+      for e in json.loads((_DATA / "scan_facts.json").read_text())),
+    ("1/2*sin(x)", None, True),
+    ("1/2*x+1/8*sin(x)", None, True),
+    ("exp(x) - exp(-x)", None, True),
+    *((text, None, True) for text in (
+        "x+1", "x^2+x+1", "-x", "x", "1/2*x^3+1/2*x", "x^2", "x^3", "-x^2+x",
+        "-x^2+1.5*x", "-x^2+2*x", "-x^2+4*x")),
+    ("-x^2+x", "(0,1)", True),
+    ("x^2", "(-1,1)", True),
+    ("1/2*x^3+1/2*x", "(-1/3,1)", True),
+]
+
+
+def limit_facts(text, domain, self_map) -> dict:
+    """``limit_at`` at both infinite ends and at the finite ends of the
+    domain: the kind, the exact value and the approximation to 30 digits.
+
+    The data file holds one JSON object per line, ``dict(symbol=t,
+    domain=d, self_map=s, limits=limit_facts(t, d, s))`` for each entry
+    ``(t, d, s)`` of ``LIMIT_SYMBOLS``.
+    """
+    phi = parse_symbol(text, domain, require_self_map=self_map)
+    ends = [NEG_INF, POS_INF] + [e for e in (phi.domain.lower, phi.domain.upper)
+                                 if is_finite(e)]
+    out = {}
+    for end in ends:
+        lim = phi.limit_at(end)
+        out[str(end)] = [lim.kind,
+                         None if lim.value is None else str(lim.value),
+                         None if lim.approx is None else mpmath.nstr(lim.approx, 30)]
+    return out
+
+
+LIMIT_FACTS = json.loads((_DATA / "limits.json").read_text())
+
+
+@pytest.mark.parametrize("entry", LIMIT_FACTS,
+                         ids=lambda e: f"{e['symbol']} on {e['domain'] or '(-inf,inf)'}")
+def test_limits_match_the_recorded_ones(entry):
+    got = limit_facts(entry["symbol"], entry["domain"], entry["self_map"])
+    assert got.keys() == entry["limits"].keys()
+    for end, (kind, value, approx) in entry["limits"].items():
+        assert got[end][:2] == [kind, value], end
+        assert (got[end][2] is None) == (approx is None), end
+        if approx is not None:
+            with mpmath.workprec(128):
+                new, old = mpmath.mpf(got[end][2]), mpmath.mpf(approx)
+                assert abs(new - old) <= abs(old) * mpmath.mpf(2) ** -40, end
+
+
+@pytest.mark.parametrize("text", ["exp(-x)*exp(x^2)", "exp(x^2)*exp(-x)"])
+def test_a_zero_times_an_infinity_is_not_zero(text):
+    # exp(-x) tends to an exact 0 and exp(x^2) to +inf: the kinds do not
+    # decide the product (its limit is +inf), in either order.
+    lim = parse_rhs(text).limit_at(POS_INF)
+    assert lim == parse_rhs("exp(-x)*exp(x^2)").limit_at(POS_INF)
+    assert lim.kind != "finite"
+
+
+def test_sin_of_an_undecided_product_is_not_exact_zero():
+    assert not parse_rhs("sin(exp(-x)*exp(x^2))").limit_at(POS_INF).exact
+
+
+_PI_2 = Limit("finite", approx=mpmath.pi / 2)
+_INEXACT_ZERO = Limit("finite", approx=mpmath.mpf(0))
+
+
+@pytest.mark.parametrize("a,b,total,product", [
+    (Limit("pos_inf"), Limit("neg_inf"), "unknown", "neg_inf"),
+    (Limit("pos_inf"), Limit("bounded"), "pos_inf", "unknown"),
+    (Limit("neg_inf"), F(-2), "neg_inf", "pos_inf"),
+    (Limit("bounded"), _PI_2, "bounded", "bounded"),
+    (Limit("unknown"), F(0), "unknown", "unknown"),
+    (F(0), Limit("pos_inf"), "pos_inf", "unknown"),
+    (F(0), Limit("bounded"), "bounded", F(0)),
+    (F(0), _INEXACT_ZERO, "finite", "unknown"),
+    (F(1, 2), 3, F(7, 2), F(3, 2)),
+])
+def test_limit_algebra(a, b, total, product):
+    def check(lim, expected):
+        if isinstance(expected, str):
+            assert lim.kind == expected
+        else:
+            assert lim == Limit("finite", value=expected)
+
+    def as_limit(v):
+        return v if isinstance(v, Limit) else Limit("finite", value=F(v))
+
+    for x, y in ((a, b), (b, a)):   # ints and Fractions on either side
+        if isinstance(x, Limit) or isinstance(y, Limit):
+            check(x + y, total)
+            check(x * y, product)
+    check(as_limit(a) + as_limit(b), total)
+    check(as_limit(a) * as_limit(b), product)
+
+
+def _same_limit(a, b) -> bool:
+    """Equal kinds and exact values, and approximations equal up to the
+    rounding of 96-bit sums and products taken in another order."""
+    if (a.kind, a.value, a.approx is None) != (b.kind, b.value, b.approx is None):
+        return False
+    eps = mpmath.mpf(2) ** -40
+    return a.approx is None or mpmath.almosteq(a.approx, b.approx, eps, eps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(parts=st.lists(_trees(2).map(fold), min_size=2, max_size=4), data=st.data(),
+       op=st.sampled_from([Add, Mul]), end=st.sampled_from([NEG_INF, POS_INF]))
+def test_limit_of_a_sum_or_product_does_not_depend_on_the_order(parts, data, op, end):
+    shuffled = data.draw(st.permutations(parts))
+    assert _same_limit(tree_limit(op(tuple(parts)), end),
+                       tree_limit(op(tuple(shuffled)), end))
