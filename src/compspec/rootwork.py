@@ -225,24 +225,49 @@ def find_fixed_points_second_iterate(phi: AnalyticSymbol):
         return sum(not _same_location(y, x) for y, x in zip(images, locations))
 
 
-def _raw_iterate(phi: AnalyticSymbol, iterations: int):
-    """x -> phi^k(x) on raw tuples of at most _SCAN_BITS bits.  Like eval,
-    each step first checks its point against the domain bounds rounded at
-    _SCAN_BITS, where the domain has a finite end, and raises DomainError
-    when the point lies outside."""
-    image = phi.raw_eval(_SCAN_BITS)
+def _domain_check(phi: AnalyticSymbol):
+    """Like eval, a check of a raw point of at most _SCAN_BITS bits against
+    the domain bounds rounded at _SCAN_BITS, where the domain has a finite
+    end; it raises DomainError when the point lies outside."""
     domain = phi.domain
     lo, hi = (to_mpf(end, _SCAN_BITS)._mpf_ if is_finite(end) else None
               for end in (domain.lower, domain.upper))
 
+    def check(x):
+        if (lo is not None and not mpf_lt(lo, x)) or (hi is not None and not mpf_lt(x, hi)):
+            raise DomainError(f"{mpmath.mp.make_mpf(x)} is outside the domain {domain}")
+    return check
+
+
+def _raw_iterate(phi: AnalyticSymbol, iterations: int):
+    """x -> phi^k(x) on raw tuples of at most _SCAN_BITS bits; each step
+    first checks its point against the domain."""
+    image = phi.raw_eval(_SCAN_BITS)
+    check = _domain_check(phi)
+
     def apply(x):
         for _ in range(iterations):
-            if (lo is not None and not mpf_lt(lo, x)) \
-                    or (hi is not None and not mpf_lt(x, hi)):
-                raise DomainError(f"{mpmath.mp.make_mpf(x)} is outside the domain {domain}")
+            check(x)
             x = image(x)
         return x
     return apply
+
+
+def _raw_displacement(phi: AnalyticSymbol, iterations: int):
+    """x -> phi^k(x) - x on raw tuples of at most _SCAN_BITS bits.  For
+    k = 1 and an elementary body it is read from the folded tree of phi - x,
+    so that phi(x) = x + exp(-x^2) keeps its displacement where the rounded
+    phi(x) equals x; otherwise it is phi^k(x), rounded, minus x."""
+    if iterations == 1 and phi.is_elementary():
+        check = _domain_check(phi)
+        move = phi.raw_displacement(_SCAN_BITS)
+
+        def displacement(x):
+            check(x)
+            return move(x)
+        return displacement
+    apply = _raw_iterate(phi, iterations)
+    return lambda x: mpf_sub(apply(x), x, _SCAN_BITS, round_nearest)
 
 
 def _looks_like_involution(phi: AnalyticSymbol) -> bool:
@@ -269,11 +294,7 @@ def _scan_fixed_points(phi: AnalyticSymbol, iterations: int) -> list:
     iterations, by a sign-change scan of the displacement phi^k(x) - x at
     1024 grid points with bisection refinement; not exhaustive.  A grid
     point whose iterate leaves the domain has no value."""
-    apply = _raw_iterate(phi, iterations)
-
-    def displacement(x):
-        return mpf_sub(apply(x), x, _SCAN_BITS, round_nearest)
-
+    displacement = _raw_displacement(phi, iterations)
     pairs = _grid_pairs(phi.domain, 1024)
     points = [raw_ratio(num, den, _SCAN_BITS) for num, den in pairs]
     locations = []

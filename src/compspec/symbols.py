@@ -801,14 +801,21 @@ class AnalyticSymbol:
         """Whether phi maps the source interval into the union of the open
         targets: (ok, witness, certified).
 
-        Rational polynomials get the exact Sturm certificate.  Every other
-        body checks the images of ``samples`` grid points of the source at
-        96 bits, each strictly inside some target, and is never certified.
-        The witness is a source point whose image leaves the union, or None.
+        Rational polynomials get the exact Sturm certificate.  Any other
+        tree is finite at every real point, so a whole-line target accepts it
+        without sampling when the source lies in the domain.  Otherwise the
+        images of ``samples`` grid points of the source, at 96 bits, must each
+        lie strictly inside some target.  Both answers are flagged
+        uncertified, so reports read as they did when the whole line was
+        sampled too.  The witness is a source point whose image leaves the
+        union, or None.
         """
         if self.is_rational_polynomial():
             ok, witness = sturm.poly_maps_into(self.rational_coeffs(), source, targets)
             return ok, witness, True
+        if not isinstance(self.body, ConjugatedBody) and self.domain.contains_interval(source) \
+                and any(not (is_finite(t.lower) or is_finite(t.upper)) for t in targets):
+            return True, None, False
         if self.is_elementary():
             return self._scan_maps_into(source, targets, samples)
         # Polynomials with quadratic-irrational coefficients (evaluated
@@ -863,6 +870,15 @@ class AnalyticSymbol:
             kernel = self._kernel(precision + _GUARD_BITS)
             return lambda x: mpf_pos(kernel(x), precision, _RND)
         return lambda x: self.eval(mpmath.mp.make_mpf(x), precision)._mpf_
+
+    def raw_displacement(self, precision):
+        """phi(x) - x for an elementary body, as ``raw_eval`` gives phi(x):
+        the folded tree of phi - x runs at ``precision`` + 24 bits and is
+        rounded once, so an x term of phi cancels exactly rather than after
+        phi(x) is rounded.  The caller checks the domain."""
+        kernel = compile_tree(fold(Add((self.body, Poly((Fraction(0), Fraction(-1)))))),
+                              precision + _GUARD_BITS)
+        return lambda x: mpf_pos(kernel(x), precision, _RND)
 
     def raw_slope(self, precision):
         """``derivative_at(x, precision)`` as a function of a raw mpf tuple

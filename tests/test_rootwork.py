@@ -253,8 +253,8 @@ class TestBasin:
 
     def test_untyped_error_in_fixed_point_scan_propagates(self, monkeypatch):
         phi = parse_symbol("1/2*arctan(x)")
-        # The scan applies phi through raw_eval's raw-tuple function.
-        monkeypatch.setattr(AnalyticSymbol, "raw_eval",
+        # The scan reads phi(x) - x through raw_displacement's raw-tuple function.
+        monkeypatch.setattr(AnalyticSymbol, "raw_displacement",
                             lambda self, precision: lambda x: _raise(RuntimeError)(self, x))
         with pytest.raises(RuntimeError):
             find_fixed_points(phi)
@@ -441,7 +441,12 @@ class TestRawScans:
         # an exact grid zero of the displacement and an exact critical point.
         assert not next(e["self_map"] for e in SCAN_FACTS if e["symbol"] == "2*arctan(x)")
         assert facts["sin(3*x)"]["two_cycle_points"] == "4"
-        assert "Fraction(-1048575, 4096)" in facts["x+exp(-x^2)"]["fixed_points"]
+        # The single-iterate scan keeps exp(-x^2) of x+exp(-x^2); the 2-cycle
+        # scan rounds phi(phi(x)) to x far out, and the count drops those.
+        assert facts["x+exp(-x^2)"]["fixed_points"] == "[]"
+        assert facts["x+exp(-x^2)"]["two_cycle_points"] == "0"
+        phi = parse_symbol("x+exp(-x^2)")
+        assert F(-1048575, 4096) in rootwork._scan_fixed_points(phi, 2)
         assert facts["1/2*x^2*exp(-x)"]["critical_points"] == "[mpf('2.0')]"
 
     def test_elementary_analysis_reads_no_jets_or_evals(self, monkeypatch):

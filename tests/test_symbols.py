@@ -1,6 +1,10 @@
 import ast
+import functools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import gcd
 
@@ -640,23 +644,25 @@ class TestCompiledKernel:
     def test_parse_compiles_once_per_precision(self, monkeypatch):
         calls = self._count_compiles(monkeypatch)
         phi = parse_symbol("1/2*arctan(x)")
-        # The constant backstop runs at 200 bits; the whole 1024-point
-        # self-map scan shares one kernel at 96 + 24 bits.
-        assert sorted(calls) == [120, 200]
+        # The constant backstop runs at 200 bits; the self-map check on the
+        # whole line samples nothing.
+        assert calls == [200]
         phi.eval(F(1, 3), 96)
+        # eval and the whole 256-point scan share one kernel at 96 + 24 bits.
         phi.maps_into(Interval(-1, 1), [Interval(-1, 1)], 256)
-        assert len(calls) == 2
+        assert sorted(calls) == [120, 200]
 
     def test_with_domain_reuses_the_parent_kernels(self, monkeypatch):
         phi = parse_symbol("1/2*arctan(x)")
         calls = self._count_compiles(monkeypatch)
         restricted = phi.with_domain(Interval(-1, 1))
-        # Only the limits at the new finite ends compile (once, at 96 bits).
-        assert calls == [96]
+        # The scan of the bounded restriction compiles at 96 + 24 bits and
+        # the limits at its finite ends at 96 bits, each once.
+        assert calls == [120, 96]
         for prec in (96, 120, 200):
             assert restricted._kernel(prec) is phi._kernel(prec)
             assert restricted._slope_kernel(prec) is phi._slope_kernel(prec)
-        assert calls == [96]
+        assert calls == [120, 96]
 
     def test_sampled_maps_into_does_not_call_eval(self, monkeypatch):
         phi = parse_symbol("1/2*arctan(x)")
@@ -689,6 +695,100 @@ class TestCompiledKernel:
         first, half = grid.index(witness), mpmath.mpf(0.5)
         assert all(phi.eval(x, 96) < half for x in grid[:first])
         assert not phi.eval(witness, 96) < half
+
+
+# ---------------------------------------------------------------------------
+# The self-map check on the whole line
+
+
+def _calls_sin_of_exp(node, under_sin=False) -> bool:
+    """Whether some ``sin`` has an ``exp`` in its argument: far out on a
+    half-line grid such an argument needs millions of bits of pi."""
+    if isinstance(node, Poly):
+        return False
+    if isinstance(node, (Add, Mul)):
+        return any(_calls_sin_of_exp(p, under_sin) for p in node.parts)
+    if isinstance(node, Pow):
+        return _calls_sin_of_exp(node.base, under_sin)
+    if node.fn == "exp" and under_sin:
+        return True
+    return _calls_sin_of_exp(node.arg, under_sin or node.fn == "sin")
+
+
+_SCANNED_TREES = _trees(3).map(fold).filter(
+    lambda t: not isinstance(t, Poly) and not _calls_sin_of_exp(t))
+_QUADRATIC_POLYS = st.builds(
+    lambda c, q: Poly((c, quadratic(1, q, 6), F(-1))),
+    st.fractions(-3, 3, max_denominator=10), st.sampled_from([F(1), F(-1, 3)]))
+_SOURCES = st.sampled_from([Interval(-1, 1), Interval(F(-7, 3), F(5, 11)),
+                            Interval.parse("(1/3,inf)"), Interval.parse("(-inf,-2/9)"),
+                            Interval.real_line()])
+_WHOLE_LINE_TARGETS = st.sampled_from([
+    [Interval.real_line()],
+    [Interval(0, 1), Interval.real_line()],
+    [Interval.parse("(-inf,-1)"), Interval.real_line(), Interval.parse("(2,inf)")]])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(body=_SCANNED_TREES | _QUADRATIC_POLYS, source=_SOURCES,
+       targets=_WHOLE_LINE_TARGETS)
+def test_whole_line_target_gives_the_scanned_answer(body, source, targets):
+    phi = AnalyticSymbol(body, Interval.real_line(), require_self_map=False,
+                         require_nonconstant=False)
+    assert phi.maps_into(source, targets, 64) == phi._scan_maps_into(source, targets, 64)
+
+
+def _count_calls(monkeypatch, *names):
+    """Record each call of the named AnalyticSymbol methods by name."""
+    calls = []
+    for name in names:
+        original = getattr(AnalyticSymbol, name)
+
+        def counting(self, *args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AnalyticSymbol, name, counting)
+    return calls
+
+
+# The scan-fact symbols on the whole line, and a quadratic-irrational
+# polynomial, which a scan would evaluate exactly at each grid point.
+_ON_THE_LINE = {
+    e["symbol"]: functools.partial(parse_symbol, e["symbol"])
+    for e in json.loads((pathlib.Path(__file__).parent / "data" / "scan_facts.json").read_text())
+    if e["domain"] is None}
+_ON_THE_LINE["-x^2+(1+sqrt6)*x"] = functools.partial(
+    AnalyticSymbol.from_coefficients, [0, quadratic(1, 1, 6), -1])
+
+
+@pytest.mark.parametrize("name", list(_ON_THE_LINE))
+def test_self_map_check_on_the_line_samples_nothing(monkeypatch, name):
+    calls = _count_calls(monkeypatch, "_scan_maps_into", "eval")
+    phi = _ON_THE_LINE[name]()
+    assert calls == [] and not phi.invariance_certified
+
+
+def test_bounded_domains_are_still_scanned(monkeypatch):
+    calls = _count_calls(monkeypatch, "_scan_maps_into")
+    with pytest.raises(DomainError):
+        parse_symbol("exp(x)", Interval(0, 1))
+    assert calls == ["_scan_maps_into"]
+    # A source outside the domain reaches the scan even for a whole-line target.
+    phi = parse_symbol("1/2*arctan(x)", Interval(-1, 1))
+    with pytest.raises(DomainError, match=r"18/17 is outside the domain"):
+        phi.maps_into(Interval(0, 2), [Interval.real_line()], 16)
+
+
+def test_triple_exponential_parses_quickly():
+    # A 1,024-point scan of the whole line would evaluate exp(exp(exp(x)))
+    # near |x| = 256 and not finish; the form of the body answers at once.
+    code = ("import time; t = time.perf_counter(); from compspec.symbols import "
+            "parse_symbol; parse_symbol('exp(exp(exp(x)))'); print(time.perf_counter() - t)")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(symbols.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=30, check=True)
+    assert float(out.stdout.split()[-1]) < 5
 
 
 # ---------------------------------------------------------------------------
