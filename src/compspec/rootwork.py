@@ -469,18 +469,15 @@ def _onto_check(phi: AnalyticSymbol):
 
 
 def _is_increasing(phi: AnalyticSymbol):
+    """The sign of phi' at the domain's midpoint, exact for a rational
+    polynomial and at 64 bits otherwise: True, False, or None at a zero."""
+    mid = phi.domain.midpoint()
     if phi.is_rational_polynomial():
-        dp = phi.derivative_polynomial()
-        mid = phi.domain.midpoint()
-        v = polylib.eval_at(dp, mid)
-        if v == 0:
-            return None
-        return v > 0
-    with mpmath.workprec(64):
-        v = phi.derivative_at(to_mpf(phi.domain.midpoint()), 64)
-        if v == 0:
-            return None
-        return v > 0
+        v = polylib.eval_at(phi.derivative_polynomial(), mid)
+    else:
+        with mpmath.workprec(64):
+            v = phi.derivative_at(to_mpf(mid), 64)
+    return None if v == 0 else v > 0
 
 
 def critical_set_bounded_away(phi: AnalyticSymbol, end: str, critical=None):

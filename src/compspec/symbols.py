@@ -20,7 +20,7 @@ from math import gcd
 import mpmath
 from mpmath.libmp import (mpf_add, mpf_atan, mpf_cos_sin, mpf_div, mpf_exp,
                           mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pos, mpf_pow_int,
-                          mpf_shift, mpf_sin, round_nearest)
+                          mpf_shift, mpf_sin, round_nearest, to_rational)
 
 from . import polynomials as polylib
 from . import sturm
@@ -28,7 +28,7 @@ from .config import default_precision
 from .errors import (ConstantSymbolError, DomainError, ExpressionSyntaxError,
                      HypothesisViolation, InvarianceFailure, NotADiffeomorphism,
                      OrbitEscape)
-from .intervals import POS_INF, Interval, is_finite
+from .intervals import POS_INF, Interval, ext_lt, ext_max, ext_min, is_finite
 from .numbers import (as_exact, format_rational, invert, is_exact, is_rational,
                       parse_rational, raw_addend, raw_point, raw_ratio, to_mpf)
 from .power_series import TruncatedSeries
@@ -741,6 +741,15 @@ def _sample_grid(domain: Interval, count: int) -> list[Fraction]:
     return [Fraction(num, den) for num, den in _grid_pairs(domain, count)]
 
 
+def _nudged(value, direction: int):
+    """An infinity or a rational as it is, any other value as its 96-bit
+    rounding moved by 2**-88 of one plus its size up (+1) or down (-1)."""
+    if not is_finite(value) or is_rational(value):
+        return value
+    q = Fraction(*to_rational(raw_point(value, 96)))
+    return q + direction * (1 + abs(q)) / 2 ** 88
+
+
 class AnalyticSymbol:
     """A non-constant real analytic map on an open interval.
 
@@ -772,8 +781,6 @@ class AnalyticSymbol:
                    domain or Interval.real_line(), require_self_map=require_self_map)
 
     def _check_nonconstant(self):
-        if isinstance(self.body, ConjugatedBody):
-            return
         if not tree_has_variable(self.body):
             raise ConstantSymbolError("expression contains no variable")
         if self.is_elementary():
@@ -787,8 +794,6 @@ class AnalyticSymbol:
                     raise ConstantSymbolError("expression is numerically constant")
 
     def _check_self_map(self) -> bool:
-        if isinstance(self.body, ConjugatedBody):
-            return False
         ok, witness, certified = self.maps_into(self.domain, [self.domain], 1024)
         if not ok:
             raise DomainError(
@@ -801,31 +806,45 @@ class AnalyticSymbol:
         """Whether phi maps the source interval into the union of the open
         targets: (ok, witness, certified).
 
-        Rational polynomials get the exact Sturm certificate.  Any other
-        tree is finite at every real point, so a whole-line target accepts it
-        without sampling when the source lies in the domain.  Otherwise the
-        images of ``samples`` grid points of the source, at 96 bits, must each
-        lie strictly inside some target.  Both answers are flagged
-        uncertified, so reports read as they did when the whole line was
-        sampled too.  The witness is a source point whose image leaves the
-        union, or None.
+        Rational polynomials get the exact Sturm certificate.  A conjugated
+        body takes its inner symbol's answer on the images of the intervals
+        under the change (``_transported_maps_into``), uncertified.  Any
+        other tree is finite at every real point, so a whole-line target
+        accepts it without sampling when the source lies in the domain.
+        Otherwise the images of ``samples`` grid points of the source, at 96
+        bits, must each lie strictly inside some target.  Both answers are
+        flagged uncertified, so reports read as they did when the whole line
+        was sampled too.  The witness is a source point whose image leaves
+        the union, or None.
         """
         if self.is_rational_polynomial():
             ok, witness = sturm.poly_maps_into(self.rational_coeffs(), source, targets)
             return ok, witness, True
-        if not isinstance(self.body, ConjugatedBody) and self.domain.contains_interval(source) \
+        if isinstance(self.body, ConjugatedBody):
+            return self._transported_maps_into(source, targets, samples)
+        if self.domain.contains_interval(source) \
                 and any(not (is_finite(t.lower) or is_finite(t.upper)) for t in targets):
             return True, None, False
         if self.is_elementary():
             return self._scan_maps_into(source, targets, samples)
-        # Polynomials with quadratic-irrational coefficients (evaluated
-        # exactly) and conjugated bodies: eval's own arithmetic.
+        # Polynomials with quadratic-irrational coefficients, evaluated exactly.
         with mpmath.workprec(96):
             for x in _sample_grid(source, samples):
                 y = self.eval(x, 96)
                 if not any(t.contains(y) for t in targets):
                     return False, x, False
         return True, None, False
+
+    def _transported_maps_into(self, source: Interval, targets: list[Interval], samples: int):
+        """psi = delta^(-1) o phi o delta maps the source into the targets iff
+        phi maps delta(source) into their images (delta is monotone and onto
+        phi's domain); a failing witness is pulled back through delta."""
+        change, inner = self.body.change, self.body.inner
+        parts = (t.intersect(self.domain) for t in targets)
+        images = (change.image_of(t, inner.domain, inward=True) for t in parts if t is not None)
+        ok, witness, _ = inner.maps_into(change.image_of(source, inner.domain, inward=False),
+                                         [t for t in images if t is not None], samples)
+        return ok, witness if ok else change.apply_inverse(witness, 96), False
 
     def _scan_maps_into(self, source: Interval, targets: list[Interval], samples: int):
         """The sampled ``maps_into`` of an elementary body on raw mpf tuples:
@@ -1209,10 +1228,11 @@ class Diffeomorphism:
     """An invertible analytic coordinate change with a usable inverse.
 
     The inverse is exact (affine forward maps) or a bracketed numeric root
-    solve against the forward map.
+    solve against the forward map.  A non-affine change takes its critical
+    points and its direction from ``rootwork``.
     """
 
-    __slots__ = ("forward", "increasing", "certified", "_affine")
+    __slots__ = ("forward", "increasing", "_affine")
 
     def __init__(self, forward: AnalyticSymbol):
         self.forward = forward
@@ -1223,37 +1243,32 @@ class Diffeomorphism:
             self.increasing = scale > 0
             if scale == 0:
                 raise NotADiffeomorphism("affine map with zero slope")
-            self.certified = True
             return
-        self.increasing, self.certified = self._monotone_direction()
-
-    def _monotone_direction(self):
-        phi = self.forward
-        if phi.is_rational_polynomial():
-            dp = phi.derivative_polynomial()
-            if sturm.count_roots_open(dp, phi.domain) > 0:
-                raise NotADiffeomorphism("derivative changes sign on the domain")
-            mid = phi.domain.midpoint()
-            return polylib.eval_at(dp, mid) > 0, True
-        sign = None
-        for x in _sample_grid(phi.domain, 128):
-            d = phi.derivative_at(x, precision=64)
-            s = 1 if d > 0 else (-1 if d < 0 else 0)
-            if s == 0:
-                continue
-            if sign is None:
-                sign = s
-            elif sign != s:
-                raise NotADiffeomorphism("derivative changes sign (sampled)")
-        if sign is None:
-            raise NotADiffeomorphism("derivative vanishes on the sample grid")
-        return sign > 0, False
+        from .rootwork import _is_increasing, find_critical_points  # rootwork imports symbols
+        self.increasing = _is_increasing(forward)
+        if self.increasing is None or find_critical_points(forward):
+            raise NotADiffeomorphism("critical point inside the domain")
 
     def image_interval(self):
         """The image of the forward map as limits at the domain ends."""
         lo = self.forward.limit_at(self.forward.domain.lower)
         hi = self.forward.limit_at(self.forward.domain.upper)
         return (lo, hi) if self.increasing else (hi, lo)
+
+    def image_of(self, interval: Interval, onto: Interval, *, inward: bool):
+        """The image of an interval of the domain under a change onto
+        ``onto``, clipped to it (None when empty): an end of the domain goes
+        to the matching end of ``onto``, any other to the change's value
+        there, ``_nudged`` inward or outward so that rounding only shrinks,
+        resp. grows, the image."""
+        domain = self.forward.domain
+        near, far = (onto.lower, onto.upper) if self.increasing else (onto.upper, onto.lower)
+        ends = [near if interval.lower == domain.lower else self.apply(interval.lower, 96),
+                far if interval.upper == domain.upper else self.apply(interval.upper, 96)]
+        lo, hi = ends if self.increasing else ends[::-1]
+        lo = ext_max(_nudged(lo, 1 if inward else -1), onto.lower)
+        hi = ext_min(_nudged(hi, -1 if inward else 1), onto.upper)
+        return Interval(lo, hi) if ext_lt(lo, hi) else None
 
     def apply(self, x, precision=None):
         precision = precision or default_precision()
@@ -1273,17 +1288,32 @@ class Diffeomorphism:
         return self._numeric_inverse(y, precision)
 
     def _numeric_inverse(self, y, precision):
-        phi = self.forward
-        lo_dom, hi_dom = phi.domain.lower, phi.domain.upper
-        with mpmath.workprec(precision + 2 * _GUARD_BITS):
+        """The preimage of y: one walk from the domain's midpoint, its step
+        doubling toward an infinite end and halving the gap to a finite one,
+        brackets a sign change of the change minus y, and bisection narrows
+        it.  DomainError when there is none, as outside the image."""
+        prec = precision + 2 * _GUARD_BITS
+        domain = self.forward.domain
+        with mpmath.workprec(prec):
             target = to_mpf(y)
 
             def shifted(x):
-                return phi.eval(x, precision=precision + 2 * _GUARD_BITS) - target
+                return self.forward.eval(x, precision=prec) - target
 
-            a, b = self._bracket(shifted, lo_dom, hi_dom)
-            fa = shifted(a)
-            for _ in range(precision + 2 * _GUARD_BITS + 8):
+            a = b = to_mpf(domain.midpoint())
+            fa = fb = shifted(a)
+            end, step = (domain.upper, 1) if (fa < 0) == self.increasing else (domain.lower, -1)
+            for _ in range(2 * prec):
+                if fb == 0 or (fb < 0) != (fa < 0):
+                    break
+                a, fa = b, fb
+                b = (a + to_mpf(end)) / 2 if is_finite(end) else a + step
+                step *= 2
+                # At a finite end's last float the sign cannot change.
+                fb = shifted(b) if b != a and domain.contains(b) else fa
+            else:
+                raise DomainError(f"{y} is outside the image of the coordinate change {self}")
+            for _ in range(prec + 8):   # bisection; a and b in either order
                 mid = (a + b) / 2
                 fm = shifted(mid)
                 if fm == 0:
@@ -1292,41 +1322,9 @@ class Diffeomorphism:
                     a, fa = mid, fm
                 else:
                     b = mid
-                if b - a < mpmath.mpf(2) ** (-(precision + _GUARD_BITS)) * (1 + abs(mid)):
+                if abs(b - a) < mpmath.mpf(2) ** (-(precision + _GUARD_BITS)) * (1 + abs(mid)):
                     break
             return (a + b) / 2
-
-    def _bracket(self, shifted, lo_dom, hi_dom):
-        seed = mpmath.mpf(0)
-        if is_finite(lo_dom) and is_finite(hi_dom):
-            lo, hi = to_mpf(Fraction(lo_dom)), to_mpf(Fraction(hi_dom))
-            return lo + (hi - lo) / 1000, hi - (hi - lo) / 1000
-        step = mpmath.mpf(1)
-        increasing = self.increasing
-        a = b = seed
-        fa = shifted(a)
-        for _ in range(200):
-            if fa == 0:
-                return a - mpmath.mpf("1e-30"), a + mpmath.mpf("1e-30")
-            go_up = (fa < 0) == increasing
-            if go_up:
-                b = a + step
-                while is_finite(hi_dom) and not b < to_mpf(Fraction(hi_dom)):
-                    b = (a + to_mpf(Fraction(hi_dom))) / 2
-                fb = shifted(b)
-                if (fb < 0) != (fa < 0) or fb == 0:
-                    return a, b
-                a, fa = b, fb
-            else:
-                b = a - step
-                while is_finite(lo_dom) and not b > to_mpf(Fraction(lo_dom)):
-                    b = (a + to_mpf(Fraction(lo_dom))) / 2
-                fb = shifted(b)
-                if (fb < 0) != (fa < 0) or fb == 0:
-                    return b, a
-                a, fa = b, fb
-            step *= 2
-        raise NotADiffeomorphism("could not bracket the inverse image")
 
     def roundtrip_error(self, x, precision=None):
         precision = precision or default_precision()
@@ -1367,23 +1365,24 @@ def conjugate(phi: AnalyticSymbol, delta: Diffeomorphism) -> AnalyticSymbol:
             sub = substitute_affine(phi.body, scale, offset)
             body = fold(Mul((Poly((inv_scale,)), Add((sub, Poly((-offset,)))))))
             return AnalyticSymbol(body, new_domain)
-    return AnalyticSymbol(ConjugatedBody(phi, delta), new_domain)
+    return AnalyticSymbol(ConjugatedBody(phi, delta), new_domain, require_nonconstant=False)
 
 
 def _require_image_matches(delta: Diffeomorphism, target: Interval):
-    lo_lim, hi_lim = delta.image_interval()
-    for lim, end in ((lo_lim, target.lower), (hi_lim, target.upper)):
+    """DomainError unless the change's limits at its domain's ends are the
+    target's ends: equal when exact, within 2**-40 when approximated."""
+    for lim, end in zip(delta.image_interval(), (target.lower, target.upper)):
         if lim.kind == "unknown":
             continue
         if not is_finite(end):
-            wanted = "pos_inf" if end is POS_INF else "neg_inf"
-            if lim.kind not in (wanted, "unknown"):
-                raise DomainError("coordinate change is not onto the symbol domain")
-        else:
-            if lim.kind in ("pos_inf", "neg_inf"):
-                raise DomainError("coordinate change overshoots the symbol domain")
-            if lim.exact and lim.value != Fraction(end):
-                raise DomainError("coordinate change is not onto the symbol domain")
+            missed = lim.kind != ("pos_inf" if end is POS_INF else "neg_inf")
+        elif lim.kind in ("pos_inf", "neg_inf"):
+            raise DomainError("coordinate change overshoots the symbol domain")
+        else:   # a bounded limit at a finite end is not checked
+            missed = lim.kind == "finite" and (lim.value != end if lim.exact else
+                                               abs(lim.approx - to_mpf(end)) > mpmath.mpf(2) ** -40)
+        if missed:
+            raise DomainError("coordinate change is not onto the symbol domain")
 
 
 # ---------------------------------------------------------------------------

@@ -517,12 +517,14 @@ def _no_fixed_point_leaf(analysis, decided, certified) -> ClassificationReport:
 
 
 def _quadratic_mu(symbol: AnalyticSymbol):
-    """mu of the normal form -x^2 + mu*x of a rational quadratic symbol that
-    has a fixed point, else None."""
-    if not symbol.is_rational_polynomial() or len(symbol.rational_coeffs()) != 3:
+    """mu of the normal form -x^2 + mu*x of a rational quadratic symbol with
+    a fixed point, or of one already -x^2 + b*x with b irrational, else None."""
+    if not symbol.is_polynomial() or len(symbol.body.coeffs) != 3:
         return None
-    c, b, a = symbol.rational_coeffs()
-    return normalize_quadratic(a, b, c).mu
+    c, b, a = symbol.body.coeffs
+    if symbol.is_rational_polynomial():
+        return normalize_quadratic(a, b, c).mu
+    return 1 + abs(b - 1) if (c, a) == (0, -1) else None   # fixed points 0, b - 1
 
 
 def quadratic_spectrum(mu, *, certified=True) -> ClassificationReport:

@@ -15,19 +15,20 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
 from compspec import sturm, symbols
-from compspec.errors import (ConstantSymbolError, DegreeOverflow, DomainError,
-                             ExpressionSyntaxError, InvarianceFailure,
+from compspec.errors import (CompspecError, ConstantSymbolError, DegreeOverflow,
+                             DomainError, ExpressionSyntaxError, InvarianceFailure,
                              NotADiffeomorphism, OrbitEscape)
 from compspec.intervals import NEG_INF, POS_INF, Interval, is_finite
 from compspec.numbers import QuadraticNumber, quadratic, raw_ratio, to_mpf
 from compspec.numbers import raw_point as _raw_point
-from compspec.symbols import (Add, AnalyticSymbol, Call, Limit, Mul, NoFixedPoints,
-                              Poly, Pow, _grid_pairs, compile_slope,
+from compspec.rootwork import analyze_symbol
+from compspec.symbols import (Add, AnalyticSymbol, Call, Diffeomorphism, Limit, Mul,
+                              NoFixedPoints, Poly, Pow, _grid_pairs, compile_slope,
                               compile_tree, conjugate, fold,
                               identity_diffeomorphism, normalize_quadratic,
                               parse_change, parse_rhs, parse_symbol, tree_jet,
                               tree_limit)
-from compspec.taxonomy import spectrum
+from compspec.taxonomy import kernel_dim, spectrum
 
 
 def reference_eval(node, x):
@@ -297,6 +298,18 @@ class TestConjugate:
         phi = parse_symbol("1/4*x^2-1/2")
         psi = conjugate(phi, normalize_quadratic(F(1, 4), 0, F(-1, 2)).delta)
         assert spectrum(psi).certified is False
+        # The normal-form conjugate -x^2 + mu*x, mu possibly irrational,
+        # keeps the original's leaf: only the certificate differs.
+        for text, (a, b, c) in (("x^2-1", (1, 0, -1)),
+                                ("1/4*x^2-1/2", (F(1, 4), 0, F(-1, 2))),
+                                ("-1/3*x^2+x+2", (F(-1, 3), 1, 2)),
+                                ("2*x^2-3", (2, 0, -3))):
+            base = spectrum(parse_symbol(text)).to_json_dict()
+            moved = spectrum(conjugate(parse_symbol(text),
+                                       normalize_quadratic(a, b, c).delta)).to_json_dict()
+            assert base["case"] == "Prop 4.5", text
+            assert {k: v for k, v in moved.items() if k != "certified"} == \
+                {k: v for k, v in base.items() if k != "certified"}, text
 
 
 class TestNormalizeQuadratic:
@@ -356,6 +369,150 @@ class TestDiffeomorphism:
         delta = parse_change("exp(x) - exp(-x)")
         lo, hi = delta.image_interval()
         assert lo.kind == "neg_inf" and hi.kind == "pos_inf"
+
+
+class TestImageMatchesDomain:
+    """``conjugate`` needs the change onto the symbol's domain: its limits
+    at the ends of its own domain must be the ends of the symbol's."""
+
+    @pytest.mark.parametrize("change", ["arctan(x)", "2/3*arctan(x)"])
+    def test_inexact_limit_off_a_finite_end_rejected(self, change):
+        # The image (-pi/2, pi/2), resp. (-pi/3, pi/3), is not (-1, 1).
+        with pytest.raises(DomainError):
+            conjugate(parse_symbol("1/2*x", "(-1, 1)"), parse_change(change))
+
+    def test_finite_limits_at_infinite_ends_rejected(self):
+        with pytest.raises(DomainError):
+            conjugate(parse_symbol("x^2"), parse_change("arctan(x)"))
+
+    def test_onto_changes_accepted(self):
+        psi = conjugate(parse_symbol("x^2"), parse_change("exp(x) - exp(-x)"))
+        assert psi.domain == Interval.real_line()
+        # delta = exp maps R onto (0, inf); psi(x) = log(exp(x)/2) = x - log 2.
+        psi = conjugate(parse_symbol("1/2*x", "(0, inf)"), parse_change("exp(x)"))
+        with mpmath.workprec(64):
+            assert abs(psi.eval(F(0), 64) + mpmath.log(2)) < mpmath.mpf(2) ** -56
+
+
+class TestNumericInverse:
+    """The inverse of a non-affine change: one bracket walk from the middle
+    of the domain, then bisection; a point outside the image raises."""
+
+    @pytest.mark.parametrize("text,domain,y", [("x^3+x", "(0, 1)", "0.0001"),
+                                               ("x^3+x", "(0, 1)", "1.9999"),
+                                               ("exp(x) - exp(-x)", "(0, 1)", "0.001"),
+                                               ("x^3+x", "(1, inf)", "100")])
+    def test_preimages_near_the_ends(self, text, domain, y):
+        delta = parse_change(text, domain)
+        with mpmath.workprec(64):
+            y = mpmath.mpf(y)
+            x = delta.apply_inverse(y, 64)
+            assert delta.forward.domain.contains(x)
+            assert abs(delta.apply(x, 64) - y) < mpmath.mpf(2) ** -56 * (1 + y)
+
+    @pytest.mark.parametrize("text,domain,y", [("x^3+x", "(0, 1)", 3),
+                                               ("x^3+x", "(0, 1)", -1),
+                                               ("x^3+x", "(0, 1)", 2),
+                                               ("-x^3-x", "(1, inf)", 0),
+                                               ("exp(x)", None, -1),
+                                               ("arctan(x)", None, 2)])
+    def test_point_outside_the_image_raises(self, text, domain, y):
+        with pytest.raises(CompspecError):
+            parse_change(text, domain).apply_inverse(y, 64)
+
+    @pytest.mark.parametrize("inner", ["1/2*x+1/4000", "-1/2*x^2+3/2*x"])
+    def test_pulled_back_fixed_points_on_a_bounded_domain(self, inner):
+        # x^3+x maps (0, 1) onto (0, 2).  The preimage of the fixed point
+        # 1/2000 lies within 1/1000 of the end of the domain.
+        delta = parse_change("x^3+x", "(0, 1)")
+        phi = parse_symbol(inner, "(0, 2)")
+        base = analyze_symbol(phi).fixed_points
+        moved = analyze_symbol(conjugate(phi, delta)).fixed_points
+        assert len(moved) == len(base) == 1
+        with mpmath.workprec(128):
+            for m, b in zip(moved, base):
+                assert abs(delta.apply(m.location, 128) - to_mpf(b.location)) \
+                    < mpmath.mpf(2) ** -80
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(a=st.integers(1, 12), b=st.integers(1, 12), den=st.integers(1, 4),
+           sign=st.sampled_from([1, -1]), t=st.integers(0, 98),
+           domain=st.sampled_from(["(-1,2)", "(1/2,inf)", "(-inf,-3)", "(-inf,inf)"]))
+    def test_round_trip(self, a, b, den, sign, t, domain):
+        domain = Interval.parse(domain)
+        delta = Diffeomorphism(AnalyticSymbol.from_coefficients(
+            [0, sign * F(b, den), 0, sign * F(a, den)], domain, require_self_map=False))
+        x = F(*_grid_pairs(domain, 99)[t])
+        back = delta.apply_inverse(delta.apply(x, 96), 96)
+        assert abs(to_mpf(back, 128) - to_mpf(x, 128)) < mpmath.mpf(2) ** -80 * (1 + abs(x))
+
+
+class TestTransportedContainment:
+    """psi = delta^(-1) o phi o delta maps S into T iff phi maps delta(S) into
+    delta(T): a conjugated symbol's containment asks its inner symbol."""
+
+    psi = conjugate(parse_symbol("1/2*x^3+1/2*x"), parse_change("exp(x) - exp(-x)"))
+    # Decreasing changes, polynomial and elementary, on R and on (0, 1).
+    by_cubic = conjugate(parse_symbol("1/2*x"), parse_change("-x^3-x"))
+    on_unit = conjugate(parse_symbol("1/2*x", "(-2, 0)"), parse_change("-x^3-x", "(0, 1)"))
+    by_sinh = conjugate(parse_symbol("1/2*x"), parse_change("exp(-x) - exp(x)"))
+
+    @pytest.fixture
+    def inversions(self, monkeypatch):
+        calls = []
+        inverse = Diffeomorphism._numeric_inverse
+
+        def counted(change, y, precision):
+            calls.append(y)
+            return inverse(change, y, precision)
+        monkeypatch.setattr(Diffeomorphism, "_numeric_inverse", counted)
+        return calls
+
+    def test_yes_answers_invert_nothing(self, inversions):
+        assert not self.psi.with_domain(self.psi.domain).invariance_certified
+        piece = Interval(F(-1, 4), F(1, 4))
+        assert self.psi.maps_into(piece, [piece], 64) == (True, None, False)
+        assert inversions == []
+
+    def test_kernel_dim_inverts_only_for_the_analysis(self, inversions):
+        analyze_symbol(self.psi)
+        pulled_back = len(inversions)
+        assert pulled_back > 0
+        label = kernel_dim(self.psi, self.psi.domain, F(1, 4))
+        assert label == kernel_dim(self.psi.body.inner, Interval.real_line(), F(1, 4))
+        assert len(inversions) == 2 * pulled_back
+
+    @pytest.mark.parametrize("name,source,targets,expected", [
+        ("by_cubic", (0, 1), [(0, 1)], True),
+        ("by_cubic", (F(1, 2), 1), [(F(1, 4), F(3, 4))], True),
+        ("by_cubic", (-1, F(-1, 2)), [(F(-3, 4), F(-1, 4))], True),
+        ("by_cubic", (-1, 1), [(-1, F(1, 10)), (0, 1)], True),
+        ("by_cubic", (0, 1), [(0, F(1, 2))], False),
+        ("by_cubic", (F(1, 2), 1), [(F(1, 3), F(3, 4))], False),
+        ("by_cubic", (-1, 1), [(-1, F(-1, 10)), (F(1, 10), 1)], False),
+        ("on_unit", (0, 1), [(0, 1)], True),
+        ("on_unit", (F(1, 2), 1), [(F(1, 4), 5)], True),
+        ("on_unit", (0, 1), [(F(1, 2), 3)], False),
+        ("by_sinh", (F(1, 2), 1), [(F(1, 4), 1)], True),
+        ("by_sinh", (F(1, 2), 1), [(F(1, 3), 1)], False)])
+    def test_decreasing_change_agrees_with_sampled_images(self, name, source, targets,
+                                                          expected):
+        source = Interval(*source)
+        targets = [Interval(*t) for t in targets]
+        ok, witness, certified = getattr(self, name).maps_into(source, targets, 64)
+        with mpmath.workprec(96):
+            sampled = all(any(t.contains(y) for t in targets)
+                          for y in self.grid_images(name, source))
+            assert ok == sampled == expected
+            assert certified is False
+            # The witness is where the image crosses a target's end.
+            assert ok or source.contains(witness)
+
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def grid_images(cls, name, source):
+        """psi at 64 grid points of the source, at 96 bits."""
+        return [getattr(cls, name).eval(F(num, den), 96) for num, den in _grid_pairs(source, 64)]
 
 
 class TestSelfMapChecks:
