@@ -83,6 +83,11 @@ class ReflectedUncovered(CompspecError):
     """Mirror rule reflected to a point no other rule covers."""
 
 
+class BudgetExceeded(CompspecError):
+    """An elementary function's argument is too large in magnitude to
+    evaluate within the time budget."""
+
+
 class PrecisionLoss(CompspecError):
     """Error tracking exceeded tolerance even at the maximum precision."""
 

@@ -17,7 +17,8 @@ from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_lt, mpf_shift,
 
 from . import polynomials as polylib
 from . import sturm
-from .errors import CompspecError, DomainError, HypothesisViolation
+from .errors import (BudgetExceeded, CompspecError, DomainError,
+                     HypothesisViolation)
 from .intervals import NEG_INF, POS_INF, Interval, is_finite
 from .numbers import (abs_mpf, exact_abs_compare, is_exact, is_rational,
                       raw_point, raw_ratio, to_mpf)
@@ -203,17 +204,20 @@ def find_fixed_points_second_iterate(phi: AnalyticSymbol):
     second-iterate scan locations that the symbol moves by 2**-40 or more.
     """
     if phi.is_rational_polynomial():
-        identity = [Fraction(0), Fraction(1)]
-        p = phi.rational_coeffs()
-        p2 = polylib.compose(p, p)
-        if p2 == identity:
+        # On integers, from p = P/D of degree k: D^(k+1) (p(p(x)) - x) is
+        # D^k P(P/D) - D^(k+1) x, and the primitive P - D x is a positive
+        # multiple of p(x) - x.
+        P, D = sturm.integer_form(phi.rational_coeffs())
+        both = _minus_x(sturm.compose_scaled(P, P, D), D ** len(P))
+        if not any(both):
             return AllFixed()
-        displacement = polylib.sub(p, identity)
+        displacement = sturm.primitive(_minus_x(P, D))
         # p(p(x)) - x = (p(p(x)) - p(x)) + (p(x) - x) is divisible by
-        # p(x) - x.  The quotient is p'(u) + 1 at a fixed point u, so the
-        # two share a root only at a fixed point with multiplier -1.
-        q = polylib.div_rem(polylib.sub(p2, identity), displacement)[0]
-        shared = sturm.poly_gcd(q, displacement)
+        # p(x) - x, and exactly so on integers by Gauss's lemma.  The
+        # quotient is p'(u) + 1 at a fixed point u, so the two share a root
+        # only at a fixed point with multiplier -1.
+        q = sturm.exact_quotient(both, displacement)
+        shared = sturm.primitive_gcd(q, displacement)
         return (sturm.count_roots_open(q, phi.domain)
                 - sturm.count_roots_open(shared, phi.domain))
     if _looks_like_involution(phi):
@@ -223,6 +227,13 @@ def find_fixed_points_second_iterate(phi: AnalyticSymbol):
     with mpmath.workprec(_SCAN_BITS):
         images = [mpmath.mp.make_mpf(apply(raw_point(x, _SCAN_BITS))) for x in locations]
         return sum(not _same_location(y, x) for y, x in zip(images, locations))
+
+
+def _minus_x(a, s: int) -> list[int]:
+    """a(x) - s*x for an integer polynomial a."""
+    out = list(a) + [0] * (2 - len(a))
+    out[1] -= s
+    return out
 
 
 def _domain_check(phi: AnalyticSymbol):
@@ -380,7 +391,8 @@ def _heuristic_record(phi: AnalyticSymbol, location) -> FixedPointRecord:
 def find_critical_points(phi: AnalyticSymbol):
     """Critical points on the domain: the isolated roots of p' for a
     rational polynomial p; otherwise the sign changes and zeros of the
-    slope at 512 grid points, refined by bisection (not exhaustive)."""
+    slope at 512 grid points, refined by bisection (not exhaustive).  A
+    grid point whose slope is past the magnitude budget has no sign."""
     if phi.is_rational_polynomial():
         dp = phi.derivative_polynomial()
         if polylib.degree(dp) == 0:
@@ -389,14 +401,21 @@ def find_critical_points(phi: AnalyticSymbol):
     slope = phi.raw_slope(_SCAN_BITS)
     points = [raw_ratio(num, den, _SCAN_BITS)
               for num, den in _grid_pairs(phi.domain, 512)]
-    signs = [_sign(slope(x)) for x in points]
+
+    def sign(x):
+        try:
+            return _sign(slope(x))
+        except BudgetExceeded:
+            return None
+
+    signs = [sign(x) for x in points] + [None]
     roots = []
     # Every exact grid zero once; bisect only brackets whose two ends are
     # nonzero with opposite signs.
     for i, (x, s) in enumerate(zip(points, signs)):
         if s == 0:
             roots.append(x)
-        elif i + 1 < len(points) and s * signs[i + 1] < 0:
+        elif s and signs[i + 1] and s != signs[i + 1]:
             roots.append(_bisect(lambda t: _sign(slope(t)), x, points[i + 1], s < 0))
     return [mpmath.mp.make_mpf(x) for x in roots]
 

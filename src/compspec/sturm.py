@@ -1,9 +1,12 @@
 """Exact real-root certificates for rational polynomials.
 
-Sturm chains, gcds and signs at rational points run on Python integers:
-every chain member is a primitive integer polynomial, and the sign of p at
-n/d is the sign of d^k p(n/d).  On top of that kernel: open-interval root
-counts, isolation into exact roots (rational, quadratic) or sign-change
+Sturm chains, gcds, root deflation, exact division, composition and signs
+at rational points run on Python integers.  A rational polynomial enters
+the kernel once, as its primitive integer form (a positive multiple, so
+roots and signs are kept) or as P/D with integer P and D > 0: every chain
+member is a primitive integer polynomial, and the sign of p at n/d is the
+sign of d^k p(n/d).  On top of that kernel: open-interval root counts,
+isolation into exact roots (rational, quadratic) or sign-change
 enclosures, refinement, and certified range containment.  No floating
 point enters any certificate.
 """
@@ -14,6 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import polynomials as poly
+from .errors import DegreeOverflow
 from .intervals import NEG_INF, POS_INF, Interval, complement_blocks, is_finite
 from .numbers import format_rational, is_rational, quadratic, to_mpf
 from .record import Record
@@ -47,13 +51,67 @@ def sign_at(p, x) -> int:
     return -1 if v < 0 else (0 if v == 0 else 1)
 
 
-def _primitive(p) -> list[int]:
-    """The integer polynomial with content 1 that is a positive multiple of
-    the rational polynomial p: it has p's roots and p's signs."""
+def integer_form(p) -> tuple[list[int], int]:
+    """(P, D) with integers P, D > 0 and p = P/D, for a polynomial p with
+    int or Fraction coefficients; trailing zeros are dropped."""
     den = lcm(*(c.denominator for c in p))
     ints = [c.numerator * (den // c.denominator) for c in p]
+    while len(ints) > 1 and ints[-1] == 0:
+        ints.pop()
+    return ints, den
+
+
+def primitive(p) -> list[int]:
+    """The integer polynomial with content 1 that is a positive multiple of
+    the rational polynomial p: it has p's roots and p's signs."""
+    ints = integer_form(p)[0]
     g = gcd(*ints)
     return [c // g for c in ints] if g > 1 else ints
+
+
+def _mul(a, b) -> list[int]:
+    """Product of two integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, e in enumerate(b, i):
+                out[j] += c * e
+    return out
+
+
+def compose_scaled(a, P, D: int) -> list[int]:
+    """D^k a(P/D) for integer polynomials a (of degree k) and P and an
+    integer D > 0, by Horner on integers: a positive multiple of a(p) for
+    p = P/D.  Raises DegreeOverflow past polynomials.DEGREE_CAP."""
+    k = len(a) - 1
+    if k * max(len(P) - 1, 1) > poly.DEGREE_CAP:
+        raise DegreeOverflow(f"composition degree exceeds {poly.DEGREE_CAP}")
+    out, scale = [a[-1]], 1
+    for c in reversed(a[:-1]):
+        scale *= D
+        out = _mul(out, P)
+        out[0] += c * scale
+    return out
+
+
+def exact_quotient(a, b) -> list[int]:
+    """a / b for integer polynomials a and b != 0 when b divides a in
+    Z[x] (for a primitive b, whenever it divides a in Q[x], by Gauss's
+    lemma).  Raises ArithmeticError on a remainder."""
+    lead, db = b[-1], len(b) - 1
+    r, q = list(a), [0] * max(len(a) - db, 1)
+    for k in range(len(a) - db - 1, -1, -1):
+        f, m = divmod(r[k + db], lead)
+        if m:
+            break
+        q[k] = f
+        if f:
+            for i in range(db):
+                r[i + k] -= f * b[i]
+    else:
+        if not any(r[:db]):   # the remainder, or all of a when it is shorter
+            return q
+    raise ArithmeticError(f"{b} does not divide {a} over the integers")
 
 
 def _pseudo_remainder(a, b) -> list[int]:
@@ -78,13 +136,13 @@ def sturm_chain(p) -> list[list[int]]:
     # Each pseudo-remainder is a positive multiple of the rational remainder,
     # so negated and divided by its positive content it keeps every sign in
     # the chain, with the coefficient bit-length kept down by the division.
-    p = _primitive(poly.normalize(p))
-    chain = [p, _primitive([i * c for i, c in enumerate(p)][1:] or [0])]
+    p = primitive(p)
+    chain = [p, primitive([i * c for i, c in enumerate(p)][1:] or [0])]
     while len(chain[-1]) > 1:
         r = _pseudo_remainder(chain[-2], chain[-1])
         if not any(r):
             break
-        chain.append(_primitive([-c for c in r]))
+        chain.append(primitive([-c for c in r]))
     return chain
 
 
@@ -94,11 +152,23 @@ def sign_variations(chain, x) -> int:
 
 
 def _deflate(p, r: Fraction):
-    """(p with every factor x - r divided out, the number divided out)."""
-    k = 0
-    while poly.degree(p) >= 1 and sign_at(_primitive(p), r) == 0:
-        p, k = poly.div_rem(p, [-r, Fraction(1)])[0], k + 1
+    """(p with every factor d*x - n of r = n/d divided out, the number
+    divided out), for a primitive integer p; the quotient is primitive."""
+    k, factor = 0, [-r.numerator, r.denominator]
+    while len(p) > 1 and sign_at(p, r) == 0:
+        p, k = exact_quotient(p, factor), k + 1
     return p, k
+
+
+def primitive_gcd(p, q) -> list[int]:
+    """The gcd of two rational polynomials, p nonzero, as the primitive
+    integer polynomial with positive lead, by primitive pseudo-remainders."""
+    a, b = primitive(p), primitive(q)
+    while any(b) and len(b) > 1:
+        a, b = b, primitive(_pseudo_remainder(a, b))
+    if any(b):
+        return [1]
+    return a if a[-1] > 0 else [-c for c in a]
 
 
 def poly_gcd(p, q):
@@ -107,12 +177,8 @@ def poly_gcd(p, q):
     a, b = poly.normalize(p), poly.normalize(q)
     if poly.is_zero(a):
         return b
-    a, b = _primitive(a), _primitive(b)
-    while any(b) and len(b) > 1:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
-    if any(b):
-        return [Fraction(1)]
-    return [Fraction(c, a[-1]) for c in a]
+    g = primitive_gcd(a, b)
+    return [Fraction(c, g[-1]) for c in g]
 
 
 def squarefree_decomposition(w):
@@ -133,18 +199,16 @@ def squarefree_decomposition(w):
 
 def count_roots_open(p, interval: Interval) -> int:
     """Number of distinct real roots of p strictly inside the open interval."""
-    p = poly.normalize(p)
-    if poly.is_zero(p):
+    p = primitive(p)
+    if not any(p):
         raise ValueError("zero polynomial has no root count")
-    if poly.degree(p) == 0:
-        return 0
     lo, hi = interval.lower, interval.upper
     # Deflate roots sitting exactly on finite endpoints so the Sturm count
     # over (lo, hi] needs no further adjustment.
     for endpoint in (lo, hi):
         if is_rational(endpoint):
             p = _deflate(p, endpoint)[0]
-    if poly.degree(p) == 0:
+    if len(p) == 1:
         return 0
     chain = sturm_chain(p)
     n = sign_variations(chain, lo) - sign_variations(chain, hi)
@@ -232,7 +296,7 @@ def _divisors(n: int):
 def rational_roots(p) -> list[Fraction]:
     """All rational roots by divisor search; may miss roots only when the
     search space exceeds the budget (callers must tolerate that)."""
-    q = _primitive(poly.normalize(p))
+    q = primitive(p)
     roots = []
     while len(q) > 1 and q[0] == 0:
         q = q[1:]
@@ -287,14 +351,14 @@ def isolate_roots(p, interval: Interval):
     if poly.is_zero(p):
         raise ValueError("zero polynomial")
     results = []
-    work = p
-    rationals = rational_roots(p)
+    work = primitive(p)
+    rationals = rational_roots(work)
     for r in rationals:
         work, k = _deflate(work, r)
         if interval.contains(r):
             results.append((r, k))
-    if poly.degree(work) >= 1:
-        sf, gcds = squarefree_decomposition(work)
+    if len(work) > 1:
+        sf, gcds = squarefree_decomposition(poly.normalize(work))
         if poly.degree(sf) <= 2:
             roots = [r for r in solve_quadratic_exact(sf) if interval.contains(r)]
         else:
@@ -326,7 +390,7 @@ def _gcds_vanishing_at(gcds, chains, root) -> int:
     an enclosure) have the root among their roots."""
     for k, g in enumerate(gcds):
         hit = (root.holds_root_of(chains[k]) if isinstance(root, Enclosure)
-               else sign_at(_primitive(g), root) == 0)
+               else sign_at(primitive(g), root) == 0)
         if not hit:
             return k
     return len(gcds)

@@ -25,9 +25,9 @@ from mpmath.libmp import (mpf_add, mpf_atan, mpf_cos_sin, mpf_div, mpf_exp,
 from . import polynomials as polylib
 from . import sturm
 from .config import default_precision
-from .errors import (ConstantSymbolError, DomainError, ExpressionSyntaxError,
-                     HypothesisViolation, InvarianceFailure, NotADiffeomorphism,
-                     OrbitEscape)
+from .errors import (BudgetExceeded, ConstantSymbolError, DomainError,
+                     ExpressionSyntaxError, HypothesisViolation, InvarianceFailure,
+                     NotADiffeomorphism, OrbitEscape)
 from .intervals import POS_INF, Interval, ext_lt, ext_max, ext_min, is_finite
 from .numbers import (as_exact, format_rational, invert, is_exact, is_rational,
                       parse_rational, raw_addend, raw_point, raw_ratio, to_mpf)
@@ -304,12 +304,37 @@ class _Parser:
 
 _RND = round_nearest
 
+# exp and cos_sin reduce their argument modulo ln 2 or pi, to as many bits
+# as the argument's binary exponent: past 2^14 bits one call takes over
+# 10 ms (measured on a 2-core x86-64 machine, Python 3.11, pure-Python
+# mpmath, with ln 2 and pi not yet cached), and a tower like exp(exp(x))
+# reaches exponents of millions of bits.
+_MAGNITUDE_BUDGET = 2 ** 14
+
+
+def _within_budget(name, fn):
+    """The libmp function fn, raising BudgetExceeded on an argument of
+    binary exponent (the raw tuple's exponent plus bit count) past the
+    budget."""
+    def guarded(x, prec, rnd):
+        magnitude = x[2] + x[3]
+        if magnitude > _MAGNITUDE_BUDGET:
+            # The exponent itself may have millions of digits.
+            size = (magnitude if magnitude.bit_length() <= 64
+                    else f"2^{magnitude.bit_length() - 1} or more")
+            raise BudgetExceeded(f"{name} of an argument of magnitude 2^{size} "
+                                 f"is past the budget 2^{_MAGNITUDE_BUDGET}")
+        return fn(x, prec, rnd)
+    return guarded
+
+
 # The backend of a lowered program: each op as the mpmath.libmp function
 # that runs it, ``fn(*sources, prec, rnd)``, with its rounding, and "const",
 # which converts an exact operand once, at link time, as mpmath does (a
 # Fraction through ``from_rational`` at its default rounding, an int exactly).
 _MPF = {"add": mpf_add, "mul": mpf_mul, "div": mpf_div, "neg": mpf_neg,
-        "exp": mpf_exp, "atan": mpf_atan, "cos_sin": mpf_cos_sin,
+        "exp": _within_budget("exp", mpf_exp), "atan": mpf_atan,
+        "cos_sin": _within_budget("sin", mpf_cos_sin),
         "const": raw_addend, "rnd": _RND}
 
 
@@ -1291,7 +1316,12 @@ class Diffeomorphism:
         """The preimage of y: one walk from the domain's midpoint, its step
         doubling toward an infinite end and halving the gap to a finite one,
         brackets a sign change of the change minus y, and bisection narrows
-        it.  DomainError when there is none, as outside the image."""
+        it.  DomainError when there is none, as outside the image.
+
+        Bisection stops at a width of 2^-(precision + guard) relative to the
+        bracket's smaller end, or, when the bracket holds 0, at the absolute
+        floor 2^-(4*precision); its budget reaches that floor from the
+        widest bracket the walk makes."""
         prec = precision + 2 * _GUARD_BITS
         domain = self.forward.domain
         with mpmath.workprec(prec):
@@ -1313,7 +1343,9 @@ class Diffeomorphism:
                 fb = shifted(b) if b != a and domain.contains(b) else fa
             else:
                 raise DomainError(f"{y} is outside the image of the coordinate change {self}")
-            for _ in range(prec + 8):   # bisection; a and b in either order
+            relative = mpmath.ldexp(1, -(precision + _GUARD_BITS))
+            floor = mpmath.ldexp(1, -4 * precision)
+            for _ in range(6 * prec):   # bisection; a and b in either order
                 mid = (a + b) / 2
                 fm = shifted(mid)
                 if fm == 0:
@@ -1322,7 +1354,8 @@ class Diffeomorphism:
                     a, fa = mid, fm
                 else:
                     b = mid
-                if abs(b - a) < mpmath.mpf(2) ** (-(precision + _GUARD_BITS)) * (1 + abs(mid)):
+                scale = min(abs(a), abs(b)) if (a < 0) == (b < 0) else 0
+                if abs(b - a) < max(relative * scale, floor):
                     break
             return (a + b) / 2
 

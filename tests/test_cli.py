@@ -1,9 +1,15 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
+import compspec
 from compspec.cli import main
 from compspec.continuation import evaluate, globalize
 from compspec.numbers import GaussianRational, parse_gaussian, scalar_from_json
@@ -206,6 +212,32 @@ class TestDemo45:
         code = main(["demo45", "--mu", "3", "--lambda", "-1/2", "--k", "8",
                      "--c", "1/2", "--n", "30"])
         assert code == 1
+
+
+class TestMagnitudeBudget:
+    """Towers of exp end in time: a report, or exit 2 with a typed message
+    when an argument is past the magnitude budget."""
+
+    @staticmethod
+    def _classify(*args):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(compspec.__file__).parent.parent))
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "compspec.cli", "classify", *args],
+                              env=env, capture_output=True, text=True, timeout=60)
+        return done, time.perf_counter() - start
+
+    @pytest.mark.parametrize("symbol", ["exp(exp(x))", "exp(x^3)", "sin(exp(exp(x)))",
+                                        "exp(exp(exp(x)))"])
+    def test_towers_finish(self, symbol):
+        done, seconds = self._classify("--symbol", symbol)
+        assert seconds < 5
+        assert done.returncode == 0 and "case:" in done.stdout \
+            or done.returncode == 2 and done.stderr.startswith("BudgetExceeded: ")
+
+    def test_over_budget_self_map_check_exits_two(self):
+        done, _ = self._classify("--symbol", "exp(exp(exp(x)))", "--interval", "(20,inf)")
+        assert done.returncode == 2
+        assert done.stderr.startswith("BudgetExceeded: exp of an argument of magnitude 2^")
 
 
 class TestUsageErrors:

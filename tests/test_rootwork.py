@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 import random
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from compspec import polynomials as polylib
 from compspec import rootwork, sturm
 from compspec.errors import CompspecError, DomainError, HypothesisViolation
-from compspec.intervals import Interval
+from compspec.intervals import Interval, is_finite
 from compspec.numbers import to_mpf
 from compspec.rootwork import (AllFixed, analyze_symbol,
                                attraction_basin_check,
@@ -163,6 +164,69 @@ class TestSecondIterate:
             find_fixed_points_second_iterate(parse_symbol(text))
 
 
+def _sympy_open_count(f, domain):
+    """Distinct real roots of the sympy Poly f strictly inside the domain:
+    sympy counts them on the closed interval, and a root on a finite end is
+    taken off."""
+    sympy = pytest.importorskip("sympy")
+    lo, hi = (sympy.Rational(end.numerator, end.denominator) if is_finite(end) else None
+              for end in (domain.lower, domain.upper))
+    return f.count_roots(lo, hi) - sum(1 for end in (lo, hi)
+                                       if end is not None and f.eval(end) == 0)
+
+
+def _sympy_two_cycle_count(p, domain):
+    """Roots of p(p(x)) - x in the domain less those of p(x) - x, composed and
+    counted by sympy alone."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], x)
+    identity = sympy.Poly(x, x)
+    return (_sympy_open_count(f.compose(f) - identity, domain)
+            - _sympy_open_count(f - identity, domain))
+
+
+def _pool_polynomials():
+    """The six pool polynomials of the benchmark and their mirrors -p(-x)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    pool = inputs.pool_polynomials()
+    return pool + [inputs.mirror(p) for p in pool]
+
+
+class TestSecondIterateAgainstSympy:
+    """The 2-cycle count against sympy's composition and root counts, which
+    share no code with the integer kernel of sturm."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_map_on_domain())
+    def test_random_maps(self, phi):
+        assert find_fixed_points_second_iterate(phi) == \
+            _sympy_two_cycle_count(phi.rational_coeffs(), phi.domain)
+
+    @pytest.mark.parametrize("coeffs", _pool_polynomials())
+    def test_pool_and_mirrors(self, coeffs):
+        phi = AnalyticSymbol.from_coefficients(coeffs)
+        assert find_fixed_points_second_iterate(phi) == \
+            _sympy_two_cycle_count(phi.rational_coeffs(), phi.domain)
+
+    @pytest.mark.parametrize("mu", [F(k, 4) for k in range(5, 16)])
+    def test_logistic_with_a_fixed_point_on_the_end(self, mu):
+        # 0 is a fixed point on the lower end of (0, mu): p(p(x)) - x and
+        # p(x) - x are deflated there.  mu = 3 has multiplier -1 at 2.
+        phi = parse_symbol(f"-x^2+{mu}*x", Interval(F(0), mu))
+        count = find_fixed_points_second_iterate(phi)
+        assert count == _sympy_two_cycle_count(phi.rational_coeffs(), phi.domain)
+        assert count == (2 if mu > 3 else 0)
+
+    def test_multiplier_minus_one(self):
+        phi = parse_symbol("-x+x^3", Interval.parse("(-1/2,1/2)"))
+        assert find_fixed_points_second_iterate(phi) == 0
+        assert _sympy_two_cycle_count(phi.rational_coeffs(), phi.domain) == 0
+
+
 class TestDiffeo:
     def test_cubic_diffeo(self):
         verdict = is_diffeomorphism(parse_symbol("1/2*x^3+1/2*x"))
@@ -193,6 +257,11 @@ class TestDiffeo:
 class TestCriticalSet:
     def test_polynomial_always_bounded_away(self):
         assert critical_set_bounded_away(parse_symbol("x^2+x+1"), "upper") is True
+
+    def test_over_budget_grid_points_have_no_slope_sign(self):
+        # The slope of exp(exp(exp(x))) is past the magnitude budget at the
+        # 13 grid points beyond x = 9.3; those points are missing, not zeros.
+        assert find_critical_points(parse_symbol("exp(exp(exp(x)))")) == []
 
     def test_exp_no_critical_points(self):
         phi = parse_symbol("exp(1/2*x)")

@@ -292,3 +292,75 @@ def test_bisection_evaluates_each_point_once(monkeypatch):
     roots = sturm._isolate_by_bisection(sf, Interval.real_line())
     assert len(roots) == 5
     assert len(points) == len(set(points))
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _rational_polynomial(draw, min_degree=1, max_degree=5):
+    coeffs = draw(st.lists(_SMALL, min_size=min_degree, max_size=max_degree))
+    return coeffs + [draw(_SMALL.filter(lambda c: c != 0))]
+
+
+class TestIntegerKernel:
+    """The integer helpers against the Fraction arithmetic of polynomials."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(_rational_polynomial())
+    def test_composition_is_the_scaled_rational_one(self, p):
+        P, D = sturm.integer_form(p)
+        assert D > 0 and [F(c, D) for c in P] == polylib.normalize(p)
+        both = sturm.compose_scaled(P, P, D)
+        assert all(type(c) is int for c in both)
+        assert both == [D ** len(P) * c for c in polylib.compose(p, p)]
+
+    def test_composition_keeps_the_degree_cap(self):
+        from compspec.errors import DegreeOverflow
+        with pytest.raises(DegreeOverflow):
+            sturm.compose_scaled([0] * 70 + [1], [0] * 70 + [1], 1)
+
+    def test_exact_quotient(self):
+        # (x - 1)(2x + 3) / (2x + 3), and a zero dividend.
+        assert sturm.exact_quotient([-3, 1, 2], [3, 2]) == [-1, 1]
+        assert sturm.exact_quotient([0], [3, 2]) == [0]
+
+    @pytest.mark.parametrize("a, b", [
+        ([1, 0, 1], [-1, 1]),      # x^2 + 1 by x - 1: remainder 2
+        ([1, 1], [2, 2]),          # divides over Q, not over Z
+        ([1, 2], [0, 0, 1]),       # nonzero a of lower degree
+    ])
+    def test_exact_quotient_raises_on_a_non_divisor(self, a, b):
+        with pytest.raises(ArithmeticError):
+            sturm.exact_quotient(a, b)
+
+    def test_primitive_gcd_is_a_positive_multiple_of_the_monic_gcd(self):
+        p = polylib.mul([F(-1, 2), F(1)], [F(3), F(-2), F(-5, 3)])
+        q = polylib.mul([F(-1, 2), F(1)], [F(1), F(1)])
+        g = sturm.primitive_gcd(p, q)
+        assert g == [-1, 2] and sturm.poly_gcd(p, q) == [F(-1, 2), F(1)]
+
+
+def _sympy_open_count(coeffs, lo, hi):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x)
+    ends = [sympy.Rational(e.numerator, e.denominator) if e is not None else None
+            for e in (lo, hi)]
+    return f.count_roots(*ends) - sum(1 for e in ends if e is not None and f.eval(e) == 0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(a=_SMALL, gap=st.fractions(min_value=F(1, 3), max_value=4, max_denominator=4),
+       ma=st.integers(1, 3), mb=st.integers(0, 3), rest=_rational_polynomial(0, 3),
+       shape=st.sampled_from(("both", "lower", "upper")))
+def test_count_with_roots_on_the_ends_matches_sympy(a, gap, ma, mb, rest, shape):
+    # Roots of multiplicity ma at a and mb at b = a + gap, on the finite
+    # ends of (a, b), (a, inf) or (-inf, b).
+    b = a + gap
+    p = polylib.mul(polylib.mul(polylib.power([-a, F(1)], ma), polylib.power([-b, F(1)], mb)),
+                    rest)
+    lo = None if shape == "upper" else a
+    hi = None if shape == "lower" else b
+    interval = Interval(NEG_INF if lo is None else lo, POS_INF if hi is None else hi)
+    assert sturm.count_roots_open(p, interval) == _sympy_open_count(p, lo, hi)

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
 from compspec import sturm, symbols
-from compspec.errors import (CompspecError, ConstantSymbolError, DegreeOverflow,
-                             DomainError, ExpressionSyntaxError, InvarianceFailure,
-                             NotADiffeomorphism, OrbitEscape)
+from compspec.errors import (BudgetExceeded, CompspecError, ConstantSymbolError,
+                             DegreeOverflow, DomainError, ExpressionSyntaxError,
+                             InvarianceFailure, NotADiffeomorphism, OrbitEscape)
 from compspec.intervals import NEG_INF, POS_INF, Interval, is_finite
 from compspec.numbers import QuadraticNumber, quadratic, raw_ratio, to_mpf
 from compspec.numbers import raw_point as _raw_point
@@ -434,6 +434,24 @@ class TestNumericInverse:
                 assert abs(delta.apply(m.location, 128) - to_mpf(b.location)) \
                     < mpmath.mpf(2) ** -80
 
+    @pytest.mark.parametrize("y", ["1e-50", "-1e-50", "1e-30", "-1e-30"])
+    def test_tiny_preimages_are_right_to_relative_precision(self, y):
+        # The preimage is about y itself, far below 2^-(64 + guard bits).
+        delta = parse_change("x^3+x", "(-1, 1)")
+        y = mpmath.mpf(y)
+        x = delta.apply_inverse(y, 64)
+        with mpmath.workprec(256):
+            assert abs(delta.apply(x, 256) - y) < mpmath.mpf(2) ** -60 * abs(y)
+
+    @pytest.mark.parametrize("text,domain", [("x^3+x", "(-1, 3)"),
+                                             ("exp(x) - exp(-x)", "(-1/3, 5)")])
+    def test_preimage_at_zero_on_an_asymmetric_domain(self, text, domain):
+        # The bracket holds 0, so only the absolute floor stops bisection,
+        # or a point where the change reads exactly 0 at the working
+        # precision (exp(x) - exp(-x) does below about 2^-130).
+        x = parse_change(text, domain).apply_inverse(0, 64)
+        assert abs(x) < mpmath.mpf(2) ** -128
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(a=st.integers(1, 12), b=st.integers(1, 12), den=st.integers(1, 4),
            sign=st.sampled_from([1, -1]), t=st.integers(0, 98),
@@ -513,6 +531,33 @@ class TestTransportedContainment:
     def grid_images(cls, name, source):
         """psi at 64 grid points of the source, at 96 bits."""
         return [getattr(cls, name).eval(F(num, den), 96) for num, den in _grid_pairs(source, 64)]
+
+
+class TestMagnitudeBudget:
+    """exp and sin of an argument past 2^(2^14) raise a typed error instead
+    of reducing it modulo ln 2 or pi to millions of bits."""
+
+    @pytest.mark.parametrize("text, name", [("exp(exp(exp(x)))", "exp"),
+                                            ("sin(exp(exp(x)))", "sin")])
+    def test_over_budget_argument_raises(self, text, name):
+        # exp(exp(20)) is about 2^(7*10^8).
+        with pytest.raises(BudgetExceeded, match=rf"^{name} of an argument of magnitude "
+                                                 r"2\^\d{9} is past the budget 2\^16384$"):
+            parse_symbol(text).eval(20, 64)
+
+    def test_exponent_too_long_to_print_is_named_by_its_size(self):
+        # exp(9900) has magnitude 2^14283, within the budget, so exp(exp(9900))
+        # is computed; its own exponent has about 4300 digits.
+        with pytest.raises(BudgetExceeded, match=r"magnitude 2\^2\^14283 or more"):
+            parse_symbol("exp(exp(exp(x)))").eval(9900, 64)
+
+    @pytest.mark.parametrize("text", ["exp(x)", "sin(x)"])
+    def test_budget_edge(self, text):
+        # 2^16383 has magnitude 2^16384 (binary exponent plus bit count).
+        phi = parse_symbol(text)
+        phi.eval(2 ** 16383, 64)
+        with pytest.raises(BudgetExceeded, match="magnitude 2\\^16385 "):
+            phi.eval(2 ** 16384, 64)
 
 
 class TestSelfMapChecks:
