@@ -146,14 +146,14 @@ def _fixed_point_records(p, domain: Interval) -> list[FixedPointRecord]:
     fixed point is one of its roots.  Otherwise the enclosure refines until
     the multiplier interval separates from those circles.
     """
-    p_fix = polylib.sub(p, [Fraction(0), Fraction(1)])
+    p_fix = _displacement(p)
     dp = polylib.derivative(p)
     roots = sturm.isolate_roots(p_fix, domain)
     certificates = []
     if any(isinstance(root, Enclosure) for root, _ in roots):
         for special, kind in _SPECIAL_MULTIPLIERS:
-            g = sturm.poly_gcd(p_fix, polylib.sub(dp, [special]))
-            if polylib.degree(g) >= 1:
+            g = sturm.primitive_gcd(p_fix, polylib.sub(dp, [special]))
+            if len(g) > 1:
                 certificates.append((special, kind, sturm.sturm_chain(g)))
     return [_root_record(dp, certificates, root, mult) for root, mult in roots]
 
@@ -205,13 +205,13 @@ def find_fixed_points_second_iterate(phi: AnalyticSymbol):
     """
     if phi.is_rational_polynomial():
         # On integers, from p = P/D of degree k: D^(k+1) (p(p(x)) - x) is
-        # D^k P(P/D) - D^(k+1) x, and the primitive P - D x is a positive
-        # multiple of p(x) - x.
-        P, D = sturm.integer_form(phi.rational_coeffs())
+        # D^k P(P/D) - D^(k+1) x.
+        p = phi.rational_coeffs()
+        P, D = sturm.integer_form(p)
         both = _minus_x(sturm.compose_scaled(P, P, D), D ** len(P))
         if not any(both):
             return AllFixed()
-        displacement = sturm.primitive(_minus_x(P, D))
+        displacement = _displacement(p)
         # p(p(x)) - x = (p(p(x)) - p(x)) + (p(x) - x) is divisible by
         # p(x) - x, and exactly so on integers by Gauss's lemma.  The
         # quotient is p'(u) + 1 at a fixed point u, so the two share a root
@@ -234,6 +234,13 @@ def _minus_x(a, s: int) -> list[int]:
     out = list(a) + [0] * (2 - len(a))
     out[1] -= s
     return out
+
+
+def _displacement(p) -> list[int]:
+    """p(x) - x on integers: the primitive P - D x for p = P/D, a positive
+    multiple of p(x) - x with its roots and signs."""
+    P, D = sturm.integer_form(p)
+    return sturm.primitive(_minus_x(P, D))
 
 
 def _domain_check(phi: AnalyticSymbol):
@@ -492,7 +499,7 @@ def _is_increasing(phi: AnalyticSymbol):
     polynomial and at 64 bits otherwise: True, False, or None at a zero."""
     mid = phi.domain.midpoint()
     if phi.is_rational_polynomial():
-        v = polylib.eval_at(phi.derivative_polynomial(), mid)
+        v = sturm.sign_at(phi.derivative_polynomial(), mid)
     else:
         with mpmath.workprec(64):
             v = phi.derivative_at(to_mpf(mid), 64)
@@ -570,8 +577,7 @@ def _require_core_hypothesis(phi: AnalyticSymbol, core: Interval, invariant: boo
 
 
 def _certified_basin(phi: AnalyticSymbol, core: Interval):
-    p = phi.rational_coeffs()
-    displacement = polylib.sub(p, [Fraction(0), Fraction(1)])
+    displacement = _displacement(phi.rational_coeffs())
     domain = phi.domain
     regions = []
     if is_finite(core.upper) and (not is_finite(domain.upper)
@@ -582,14 +588,13 @@ def _certified_basin(phi: AnalyticSymbol, core: Interval):
         regions.append(("lower", Interval(domain.lower, core.lower)))
     for side, region in regions:
         edge = core.upper if side == "upper" else core.lower
-        if polylib.eval_at(displacement, Fraction(edge)) == 0:
+        if sturm.sign_at(displacement, Fraction(edge)) == 0:
             return None  # fixed point pinned to the core edge
         n_fixed = sturm.count_roots_open(displacement, region)
         if n_fixed > 0:
             return _escape_witness(phi, displacement, region, side)
-        sample = region.midpoint()
-        inward = polylib.eval_at(displacement, sample) < 0 if side == "upper" \
-            else polylib.eval_at(displacement, sample) > 0
+        sample = sturm.sign_at(displacement, region.midpoint())
+        inward = sample < 0 if side == "upper" else sample > 0
         if not inward:
             return _escape_witness(phi, displacement, region, side)
         # Jump bound: the image of the outer region must not cross to the
@@ -632,7 +637,7 @@ def _escape_witness(phi: AnalyticSymbol, displacement, region: Interval, side: s
             candidate = (base + Fraction(region.upper)) / 2
         else:
             candidate = base + 1
-        moving_away = polylib.eval_at(displacement, candidate) > 0
+        moving_away = sturm.sign_at(displacement, candidate) > 0
     else:
         base = min(bounds) if bounds else Fraction(region.upper)
         if is_finite(region.lower):
@@ -641,7 +646,7 @@ def _escape_witness(phi: AnalyticSymbol, displacement, region: Interval, side: s
             candidate = (Fraction(region.lower) + base) / 2
         else:
             candidate = base - 1
-        moving_away = polylib.eval_at(displacement, candidate) < 0
+        moving_away = sturm.sign_at(displacement, candidate) < 0
     if any((candidate <= r) if side == "upper" else (candidate >= r)
            for r in bounds):
         return None
@@ -679,17 +684,12 @@ def _sampled_basin_witness(phi: AnalyticSymbol, core: Interval):
 def _escape_is_certain(phi: AnalyticSymbol, start) -> bool:
     if not phi.is_rational_polynomial() or not is_rational(start):
         return False
-    displacement = polylib.sub(phi.rational_coeffs(), [Fraction(0), Fraction(1)])
-    v = polylib.eval_at(displacement, Fraction(start))
-    if v > 0:
-        region = Interval(Fraction(start), phi.domain.upper) \
-            if phi.domain.contains(Fraction(start)) else None
-        return region is not None and sturm.count_roots_open(displacement, region) == 0
-    if v < 0:
-        region = Interval(phi.domain.lower, Fraction(start)) \
-            if phi.domain.contains(Fraction(start)) else None
-        return region is not None and sturm.count_roots_open(displacement, region) == 0
-    return False
+    start, displacement = Fraction(start), _displacement(phi.rational_coeffs())
+    v = sturm.sign_at(displacement, start)
+    if v == 0 or not phi.domain.contains(start):
+        return False
+    region = Interval(start, phi.domain.upper) if v > 0 else Interval(phi.domain.lower, start)
+    return sturm.count_roots_open(displacement, region) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +732,7 @@ def analyze_symbol(phi: AnalyticSymbol) -> SymbolAnalysis:
 
 def _sign_against_identity(phi: AnalyticSymbol):
     if phi.is_rational_polynomial():
-        displacement = polylib.sub(phi.rational_coeffs(), [Fraction(0), Fraction(1)])
-        v = polylib.eval_at(displacement, phi.domain.midpoint())
+        v = sturm.sign_at(_displacement(phi.rational_coeffs()), phi.domain.midpoint())
         return "above" if v > 0 else "below"
     with mpmath.workprec(64):
         x = to_mpf(phi.domain.midpoint())

@@ -1,14 +1,14 @@
 """Exact real-root certificates for rational polynomials.
 
-Sturm chains, gcds, root deflation, exact division, composition and signs
-at rational points run on Python integers.  A rational polynomial enters
-the kernel once, as its primitive integer form (a positive multiple, so
-roots and signs are kept) or as P/D with integer P and D > 0: every chain
-member is a primitive integer polynomial, and the sign of p at n/d is the
-sign of d^k p(n/d).  On top of that kernel: open-interval root counts,
-isolation into exact roots (rational, quadratic) or sign-change
-enclosures, refinement, and certified range containment.  No floating
-point enters any certificate.
+A rational polynomial enters the kernel once, as its primitive integer
+form (a positive multiple, so roots and signs are kept) or as P/D with
+integer P and D > 0.  From there everything runs on Python integers:
+Sturm chains, gcds, square-free decomposition, root deflation, exact
+division, composition, the shifts p - g of a containment check, and signs
+at rational points (the sign of p at n/d is the sign of d^k p(n/d)).  On
+top of that kernel: open-interval root counts, isolation into exact roots
+(rational, quadratic) or sign-change enclosures, refinement, and certified
+range containment.  No floating point enters any certificate.
 """
 
 from __future__ import annotations
@@ -171,30 +171,23 @@ def primitive_gcd(p, q) -> list[int]:
     return a if a[-1] > 0 else [-c for c in a]
 
 
-def poly_gcd(p, q):
-    """Monic gcd of two rational polynomials (q itself when p is zero), by
-    primitive pseudo-remainders over the integers."""
-    a, b = poly.normalize(p), poly.normalize(q)
-    if poly.is_zero(a):
-        return b
-    g = primitive_gcd(a, b)
-    return [Fraction(c, g[-1]) for c in g]
-
-
 def squarefree_decomposition(w):
-    """(w / g1, [g1, g2, ...]) for a nonconstant normalized w, where
+    """(w / g1, [g1, g2, ...]) for a nonconstant rational w, where
     g1 = gcd(w, w') and g(k+1) = gcd(gk, gk') down to a constant.
 
-    The first entry is the square-free part of w; a root of w of
-    multiplicity m is a root of exactly g1, ..., g(m-1).
+    Every entry is an integer polynomial: the gcds primitive with positive
+    lead, and the first entry, the square-free part of w, the exact
+    quotient of primitive(w) by g1 (a positive multiple of w / g1).  A root
+    of w of multiplicity m is a root of exactly g1, ..., g(m-1).
     """
+    w = primitive(w)
     chain, g = [], w
-    while poly.degree(g) >= 2:
-        g = poly_gcd(g, poly.derivative(g))
-        if poly.degree(g) == 0:
+    while len(g) > 2:
+        g = primitive_gcd(g, [i * c for i, c in enumerate(g)][1:])
+        if len(g) == 1:
             break
         chain.append(g)
-    return (poly.div_rem(w, chain[0])[0] if chain else w), chain
+    return (exact_quotient(w, chain[0]) if chain else w), chain
 
 
 def count_roots_open(p, interval: Interval) -> int:
@@ -265,10 +258,10 @@ class Enclosure(Record):
 
 
 def cauchy_bound(p) -> Fraction:
-    lead = abs(p[-1])
+    """1 + max |c_i| / |lead|, exact for int or Fraction coefficients."""
     if len(p) == 1:
         return Fraction(1)
-    return 1 + max(abs(c) for c in p[:-1]) / lead
+    return 1 + Fraction(max(abs(c) for c in p[:-1])) / abs(p[-1])
 
 
 _DIVISOR_BUDGET = 4096
@@ -302,7 +295,7 @@ def rational_roots(p) -> list[Fraction]:
         q = q[1:]
         if Fraction(0) not in roots:
             roots.append(Fraction(0))
-    if poly.degree(q) == 0:
+    if len(q) == 1:
         return roots
     nums = _divisors(q[0])
     dens = _divisors(q[-1])
@@ -347,19 +340,18 @@ def isolate_roots(p, interval: Interval):
     QuadraticNumber, or an Enclosure (sign-change certificate) of a root of
     p that contains no other root of p.
     """
-    p = poly.normalize(p)
-    if poly.is_zero(p):
+    work = primitive(p)
+    if not any(work):
         raise ValueError("zero polynomial")
     results = []
-    work = primitive(p)
     rationals = rational_roots(work)
     for r in rationals:
         work, k = _deflate(work, r)
         if interval.contains(r):
             results.append((r, k))
     if len(work) > 1:
-        sf, gcds = squarefree_decomposition(poly.normalize(work))
-        if poly.degree(sf) <= 2:
+        sf, gcds = squarefree_decomposition(work)
+        if len(sf) <= 3:
             roots = [r for r in solve_quadratic_exact(sf) if interval.contains(r)]
         else:
             roots = [_clear_of(enc, rationals) if isinstance(enc, Enclosure) else enc
@@ -390,7 +382,7 @@ def _gcds_vanishing_at(gcds, chains, root) -> int:
     an enclosure) have the root among their roots."""
     for k, g in enumerate(gcds):
         hit = (root.holds_root_of(chains[k]) if isinstance(root, Enclosure)
-               else sign_at(primitive(g), root) == 0)
+               else sign_at(g, root) == 0)
         if not hit:
             return k
     return len(gcds)
@@ -470,22 +462,23 @@ def poly_maps_into(p, source: Interval, targets: list[Interval]):
     image, a connected set, meets a closed complement block iff it crosses
     one of the block's finite edges or a sample value sits inside it.
     """
-    p = poly.normalize(p)
+    P, D = integer_form(p)
     mid = source.midpoint()
-    p_mid = poly.eval_at(p, mid)
     for g1, g2 in complement_blocks(targets):
         if g1 is NEG_INF and g2 is POS_INF:
             return False, mid
+        side = {}   # the sign of p(mid) - g at each finite edge g
         for g in (g1, g2):
             if is_finite(g):
-                shifted = poly.sub(p, [Fraction(g)])
-                if poly.is_zero(shifted):
+                n, d = Fraction(g).as_integer_ratio()
+                shifted = [d * c for c in P]   # d P - n D, a positive multiple of p - g
+                shifted[0] -= n * D
+                if not any(shifted):
                     return False, mid
                 if count_roots_open(shifted, source) > 0:
                     return False, _crossing_witness(shifted, source)
-        below = is_finite(g1) and p_mid < g1
-        above = is_finite(g2) and p_mid > g2
-        if not (below or above):
+                side[g] = sign_at(shifted, mid)
+        if not (side.get(g1, 0) < 0 or side.get(g2, 0) > 0):   # p(mid) in the block
             return False, mid
     return True, None
 

@@ -360,7 +360,7 @@ class TestComputedOnce:
         # isolation, however many enclosure roots the fixed points have.
         # p(x) - x = 16x^5 - 20x^3 + 5x - 1/3 has five irrational roots.
         phi = parse_symbol("16*x^5-20*x^3+6*x-1/3")
-        calls = _counting(monkeypatch, sturm, "poly_gcd")
+        calls = _counting(monkeypatch, sturm, "primitive_gcd")
         records = find_fixed_points(phi)
         assert sum(isinstance(r.location, sturm.Enclosure) for r in records) > 3
         assert len(calls) <= 14

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -228,12 +230,77 @@ def test_integer_kernel_matches_rational_remainders(pr, qr, points):
     assert chain == ref
     assert all(type(c) is int for member in chain for c in member)
     for other in (polylib.derivative(p), q, polylib.mul(p, q)):
-        g = sturm.poly_gcd(p, other)
-        assert g == _reference_gcd(p, other)
-        assert all(type(c) is F for c in g)
+        g = sturm.primitive_gcd(p, other)
+        assert all(type(c) is int for c in g)
+        assert gcd(*g) == 1 and g[-1] > 0
+        assert _monic(g) == _reference_gcd(p, other)
     for x in points + roots:
         assert [sturm.sign_at(a, x) for a in chain] == [_reference_sign_at(b, x) for b in ref]
         assert sturm.sign_variations(chain, x) == _reference_variations(ref, x)
+
+
+def _monic(g):
+    return [F(c, g[-1]) for c in g]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_polynomial())
+def test_squarefree_decomposition_runs_on_integers(pr):
+    w = pr[0]
+    sf, gcds = sturm.squarefree_decomposition(w)
+    assert all(type(c) is int for member in [sf] + gcds for c in member)
+    # The Fraction chain gcd(w, w'), gcd(g1, g1'), ... down to a constant.
+    ref, g = [], w
+    while polylib.degree(g) >= 2:
+        g = _reference_gcd(g, polylib.derivative(g))
+        if polylib.degree(g) == 0:
+            break
+        ref.append(g)
+    assert [_monic(g) for g in gcds] == ref
+    product, target = polylib.mul(sf, gcds[0]) if gcds else sf, sturm.primitive(w)
+    k = F(product[-1]) / target[-1]
+    assert k > 0 and product == [k * c for c in target]
+
+
+def test_cauchy_bound_is_exact_on_integers():
+    bound = sturm.cauchy_bound([1, 0, 3])
+    assert bound == F(4, 3) and type(bound) is F
+    assert sturm.cauchy_bound([F(1, 3), F(0), F(1)]) == F(4, 3)
+
+
+# The polynomials names sturm may use, with the one function allowed to use
+# each (None: any).  Everything else in sturm runs on integers.
+_STURM_POLYNOMIALS_NAMES = {
+    "DEGREE_CAP": None,
+    "eval_at": "sign_at",                  # at a quadratic-irrational point
+    "normalize": "solve_quadratic_exact",
+    "degree": "solve_quadratic_exact",
+}
+
+
+def _attributes_of(node, aliases, owner=None):
+    """(enclosing function, attribute) for every ``alias.attribute``."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+                and child.value.id in aliases):
+            yield owner, child.attr
+        inner = child.name if isinstance(child, ast.FunctionDef) else owner
+        yield from _attributes_of(child, aliases, inner)
+
+
+def test_sturm_uses_polynomials_only_at_its_boundary():
+    tree = ast.parse(pathlib.Path(sturm.__file__).read_text())
+    aliases, offences = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module and node.module.endswith("polynomials"):
+                offences += [f"imports {a.name}" for a in node.names]
+            aliases |= {a.asname or a.name for a in node.names if a.name == "polynomials"}
+    for owner, name in _attributes_of(tree, aliases):
+        if name not in _STURM_POLYNOMIALS_NAMES or \
+                _STURM_POLYNOMIALS_NAMES[name] not in (None, owner):
+            offences.append(f"{owner}: {name}")
+    assert offences == []
 
 
 def _second_iterate_fixed_points():
@@ -338,7 +405,7 @@ class TestIntegerKernel:
         p = polylib.mul([F(-1, 2), F(1)], [F(3), F(-2), F(-5, 3)])
         q = polylib.mul([F(-1, 2), F(1)], [F(1), F(1)])
         g = sturm.primitive_gcd(p, q)
-        assert g == [-1, 2] and sturm.poly_gcd(p, q) == [F(-1, 2), F(1)]
+        assert g == [-1, 2] and _monic(g) == _reference_gcd(p, q) == [F(-1, 2), F(1)]
 
 
 def _sympy_open_count(coeffs, lo, hi):
