@@ -57,16 +57,28 @@ def mul(p, q):
         return [Fraction(0)]
     if degree(p) + degree(q) > DEGREE_CAP:
         raise DegreeOverflow(f"product degree exceeds {DEGREE_CAP}")
+    if len(p) == 1:
+        return scale(q, p[0])
+    if len(q) == 1:
+        return scale(p, q[0])
+    terms = [(j, b) for j, b in enumerate(q) if b != 0]
     out = [Fraction(0)] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
-        for j, b in enumerate(q):
+        for j, b in terms:
             out[i + j] += a * b
     return normalize(out)
 
 
 def power(p, n: int):
+    """p**n for n >= 0; a monomial c*x^k gives c**n * x^(k*n) directly."""
+    support = [k for k, c in enumerate(p) if c != 0]
+    if len(support) == 1:
+        k = support[0]
+        if k * n > DEGREE_CAP:
+            raise DegreeOverflow(f"product degree exceeds {DEGREE_CAP}")
+        return [Fraction(0)] * (k * n) + [as_exact(p[k]) ** n]
     result = [Fraction(1)]
     base = list(p)
     while n:

@@ -135,27 +135,26 @@ _SPECIAL_MULTIPLIERS = ((Fraction(0), SUPERATTRACTING),
                         (Fraction(1), NEUTRAL), (Fraction(-1), NEUTRAL))
 
 
-def _fixed_point_records(p, domain: Interval) -> list[FixedPointRecord]:
-    """Records of the fixed points of the rational polynomial map p on the
-    domain: each isolated root of p(x) - x with its multiplier and kind.
+def _fixed_point_records(facts: sturm.IntegerFacts, domain: Interval) -> list[FixedPointRecord]:
+    """Records of the fixed points on the domain of the rational polynomial
+    map p with these integer facts: each isolated root of p(x) - x with its
+    multiplier and kind.
 
     An exact root gets its exact multiplier.  For an enclosure root,
     membership of the multiplier in {0, 1, -1} is decided by the gcd of
-    p(x) - x with p'(x) - s, computed with its Sturm chain once per
-    polynomial: the gcd vanishes in the enclosure exactly when the enclosed
-    fixed point is one of its roots.  Otherwise the enclosure refines until
-    the multiplier interval separates from those circles.
+    p(x) - x with p'(x) - s, whose Sturm chain the facts keep: the gcd
+    vanishes in the enclosure exactly when the enclosed fixed point is one
+    of its roots.  Otherwise the enclosure refines until the multiplier
+    interval separates from those circles.
     """
-    p_fix = _displacement(p)
-    dp = polylib.derivative(p)
-    roots = sturm.isolate_roots(p_fix, domain)
+    roots = sturm.isolate_roots(facts.displacement, domain)
     certificates = []
     if any(isinstance(root, Enclosure) for root, _ in roots):
         for special, kind in _SPECIAL_MULTIPLIERS:
-            g = sturm.primitive_gcd(p_fix, polylib.sub(dp, [special]))
-            if len(g) > 1:
-                certificates.append((special, kind, sturm.sturm_chain(g)))
-    return [_root_record(dp, certificates, root, mult) for root, mult in roots]
+            chain = facts.multiplier_chain(special)
+            if chain is not None:
+                certificates.append((special, kind, chain))
+    return [_root_record(facts.derivative, certificates, root, mult) for root, mult in roots]
 
 
 def _root_record(dp, certificates, root, mult) -> FixedPointRecord:
@@ -189,10 +188,11 @@ def find_fixed_points(phi: AnalyticSymbol) -> list[FixedPointRecord]:
     Complete with exact multiplicities for rational polynomial symbols;
     scan-based and flagged inexact otherwise.
     """
-    if phi.is_rational_polynomial():
+    facts = phi.integer_facts()
+    if facts is not None:
         if phi.is_identity():
             raise ValueError("the identity fixes every point")
-        return _fixed_point_records(phi.rational_coeffs(), phi.domain)
+        return _fixed_point_records(facts, phi.domain)
     return [_heuristic_record(phi, x) for x in _scan_fixed_points(phi, 1)]
 
 
@@ -203,21 +203,13 @@ def find_fixed_points_second_iterate(phi: AnalyticSymbol):
     Exact for rational polynomial symbols (a Sturm count); for others the
     second-iterate scan locations that the symbol moves by 2**-40 or more.
     """
-    if phi.is_rational_polynomial():
-        # On integers, from p = P/D of degree k: D^(k+1) (p(p(x)) - x) is
-        # D^k P(P/D) - D^(k+1) x.
-        p = phi.rational_coeffs()
-        P, D = sturm.integer_form(p)
-        both = _minus_x(sturm.compose_scaled(P, P, D), D ** len(P))
-        if not any(both):
+    facts = phi.integer_facts()
+    if facts is not None:
+        if facts.second_iterate is None:
             return AllFixed()
-        displacement = _displacement(p)
-        # p(p(x)) - x = (p(p(x)) - p(x)) + (p(x) - x) is divisible by
-        # p(x) - x, and exactly so on integers by Gauss's lemma.  The
-        # quotient is p'(u) + 1 at a fixed point u, so the two share a root
-        # only at a fixed point with multiplier -1.
-        q = sturm.exact_quotient(both, displacement)
-        shared = sturm.primitive_gcd(q, displacement)
+        # The roots of the quotient (p(p(x)) - x) / (p(x) - x), less those it
+        # shares with p(x) - x: the fixed points with multiplier -1.
+        q, shared = facts.second_iterate
         return (sturm.count_roots_open(q, phi.domain)
                 - sturm.count_roots_open(shared, phi.domain))
     if _looks_like_involution(phi):
@@ -227,20 +219,6 @@ def find_fixed_points_second_iterate(phi: AnalyticSymbol):
     with mpmath.workprec(_SCAN_BITS):
         images = [mpmath.mp.make_mpf(apply(raw_point(x, _SCAN_BITS))) for x in locations]
         return sum(not _same_location(y, x) for y, x in zip(images, locations))
-
-
-def _minus_x(a, s: int) -> list[int]:
-    """a(x) - s*x for an integer polynomial a."""
-    out = list(a) + [0] * (2 - len(a))
-    out[1] -= s
-    return out
-
-
-def _displacement(p) -> list[int]:
-    """p(x) - x on integers: the primitive P - D x for p = P/D, a positive
-    multiple of p(x) - x with its roots and signs."""
-    P, D = sturm.integer_form(p)
-    return sturm.primitive(_minus_x(P, D))
 
 
 def _domain_check(phi: AnalyticSymbol):
@@ -400,11 +378,11 @@ def find_critical_points(phi: AnalyticSymbol):
     rational polynomial p; otherwise the sign changes and zeros of the
     slope at 512 grid points, refined by bisection (not exhaustive).  A
     grid point whose slope is past the magnitude budget has no sign."""
-    if phi.is_rational_polynomial():
-        dp = phi.derivative_polynomial()
-        if polylib.degree(dp) == 0:
+    facts = phi.integer_facts()
+    if facts is not None:
+        if polylib.degree(facts.derivative) == 0:
             return []
-        return [root for root, _ in sturm.isolate_roots(dp, phi.domain)]
+        return [root for root, _ in sturm.isolate_roots(facts.critical, phi.domain)]
     slope = phi.raw_slope(_SCAN_BITS)
     points = [raw_ratio(num, den, _SCAN_BITS)
               for num, den in _grid_pairs(phi.domain, 512)]
@@ -441,7 +419,7 @@ def is_diffeomorphism(phi: AnalyticSymbol, critical=None) -> DiffeoVerdict:
     if critical is None:
         critical = find_critical_points(phi)
     if phi.is_rational_polynomial():
-        dp = phi.derivative_polynomial()
+        dp = phi.integer_facts().derivative
         if polylib.degree(dp) == 0 and dp[0] == 0:
             return DiffeoVerdict(False, "derivative vanishes identically", True)
         if critical:
@@ -499,7 +477,7 @@ def _is_increasing(phi: AnalyticSymbol):
     polynomial and at 64 bits otherwise: True, False, or None at a zero."""
     mid = phi.domain.midpoint()
     if phi.is_rational_polynomial():
-        v = sturm.sign_at(phi.derivative_polynomial(), mid)
+        v = sturm.sign_at(phi.integer_facts().critical.p, mid)
     else:
         with mpmath.workprec(64):
             v = phi.derivative_at(to_mpf(mid), 64)
@@ -577,7 +555,7 @@ def _require_core_hypothesis(phi: AnalyticSymbol, core: Interval, invariant: boo
 
 
 def _certified_basin(phi: AnalyticSymbol, core: Interval):
-    displacement = _displacement(phi.rational_coeffs())
+    displacement = phi.integer_facts().displacement
     domain = phi.domain
     regions = []
     if is_finite(core.upper) and (not is_finite(domain.upper)
@@ -588,12 +566,12 @@ def _certified_basin(phi: AnalyticSymbol, core: Interval):
         regions.append(("lower", Interval(domain.lower, core.lower)))
     for side, region in regions:
         edge = core.upper if side == "upper" else core.lower
-        if sturm.sign_at(displacement, Fraction(edge)) == 0:
+        if sturm.sign_at(displacement.p, Fraction(edge)) == 0:
             return None  # fixed point pinned to the core edge
         n_fixed = sturm.count_roots_open(displacement, region)
         if n_fixed > 0:
             return _escape_witness(phi, displacement, region, side)
-        sample = sturm.sign_at(displacement, region.midpoint())
+        sample = sturm.sign_at(displacement.p, region.midpoint())
         inward = sample < 0 if side == "upper" else sample > 0
         if not inward:
             return _escape_witness(phi, displacement, region, side)
@@ -624,9 +602,11 @@ def _rational_bound_beyond(root, side: str) -> Fraction:
     return Fraction(root)
 
 
-def _escape_witness(phi: AnalyticSymbol, displacement, region: Interval, side: str):
+def _escape_witness(phi: AnalyticSymbol, displacement: sturm.RealRoots, region: Interval,
+                    side: str):
     """A point beyond every outer fixed point whose orbit provably moves
-    away from the core forever, or None if no such certificate applies."""
+    away from the core forever, or None if no such certificate applies;
+    ``displacement`` holds the roots of phi(x) - x."""
     roots = sturm.isolate_roots(displacement, region)
     bounds = [_rational_bound_beyond(r, side) for r, _ in roots]
     if side == "upper":
@@ -637,7 +617,7 @@ def _escape_witness(phi: AnalyticSymbol, displacement, region: Interval, side: s
             candidate = (base + Fraction(region.upper)) / 2
         else:
             candidate = base + 1
-        moving_away = sturm.sign_at(displacement, candidate) > 0
+        moving_away = sturm.sign_at(displacement.p, candidate) > 0
     else:
         base = min(bounds) if bounds else Fraction(region.upper)
         if is_finite(region.lower):
@@ -646,7 +626,7 @@ def _escape_witness(phi: AnalyticSymbol, displacement, region: Interval, side: s
             candidate = (Fraction(region.lower) + base) / 2
         else:
             candidate = base - 1
-        moving_away = sturm.sign_at(displacement, candidate) < 0
+        moving_away = sturm.sign_at(displacement.p, candidate) < 0
     if any((candidate <= r) if side == "upper" else (candidate >= r)
            for r in bounds):
         return None
@@ -684,8 +664,8 @@ def _sampled_basin_witness(phi: AnalyticSymbol, core: Interval):
 def _escape_is_certain(phi: AnalyticSymbol, start) -> bool:
     if not phi.is_rational_polynomial() or not is_rational(start):
         return False
-    start, displacement = Fraction(start), _displacement(phi.rational_coeffs())
-    v = sturm.sign_at(displacement, start)
+    start, displacement = Fraction(start), phi.integer_facts().displacement
+    v = sturm.sign_at(displacement.p, start)
     if v == 0 or not phi.domain.contains(start):
         return False
     region = Interval(start, phi.domain.upper) if v > 0 else Interval(phi.domain.lower, start)
@@ -732,7 +712,7 @@ def analyze_symbol(phi: AnalyticSymbol) -> SymbolAnalysis:
 
 def _sign_against_identity(phi: AnalyticSymbol):
     if phi.is_rational_polynomial():
-        v = sturm.sign_at(_displacement(phi.rational_coeffs()), phi.domain.midpoint())
+        v = sturm.sign_at(phi.integer_facts().displacement.p, phi.domain.midpoint())
         return "above" if v > 0 else "below"
     with mpmath.workprec(64):
         x = to_mpf(phi.domain.midpoint())

@@ -8,12 +8,16 @@ division, composition, the shifts p - g of a containment check, and signs
 at rational points (the sign of p at n/d is the sign of d^k p(n/d)).  On
 top of that kernel: open-interval root counts, isolation into exact roots
 (rational, quadratic) or sign-change enclosures, refinement, and certified
-range containment.  No floating point enters any certificate.
+range containment.  Counts and isolation split into a per-polynomial half,
+``RealRoots``, and a per-interval half; ``IntegerFacts`` keeps every fact
+of one polynomial map, so that a symbol and its restrictions derive each
+once.  No floating point enters any certificate.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import polynomials as poly
@@ -64,9 +68,19 @@ def integer_form(p) -> tuple[list[int], int]:
 def primitive(p) -> list[int]:
     """The integer polynomial with content 1 that is a positive multiple of
     the rational polynomial p: it has p's roots and p's signs."""
-    ints = integer_form(p)[0]
+    return _content_free(integer_form(p)[0])
+
+
+def _content_free(ints) -> list[int]:
+    """An integer polynomial without trailing zeros divided by its positive
+    content: ``primitive`` of a list that is already integer."""
     g = gcd(*ints)
     return [c // g for c in ints] if g > 1 else ints
+
+
+def _slope(P) -> list[int]:
+    """P' for an integer polynomial P ([0] for a constant)."""
+    return [i * c for i, c in enumerate(P)][1:] or [0]
 
 
 def _mul(a, b) -> list[int]:
@@ -137,12 +151,12 @@ def sturm_chain(p) -> list[list[int]]:
     # so negated and divided by its positive content it keeps every sign in
     # the chain, with the coefficient bit-length kept down by the division.
     p = primitive(p)
-    chain = [p, primitive([i * c for i, c in enumerate(p)][1:] or [0])]
+    chain = [p, _content_free(_slope(p))]
     while len(chain[-1]) > 1:
         r = _pseudo_remainder(chain[-2], chain[-1])
         if not any(r):
             break
-        chain.append(primitive([-c for c in r]))
+        chain.append(_content_free([-c for c in r]))
     return chain
 
 
@@ -165,7 +179,7 @@ def primitive_gcd(p, q) -> list[int]:
     integer polynomial with positive lead, by primitive pseudo-remainders."""
     a, b = primitive(p), primitive(q)
     while any(b) and len(b) > 1:
-        a, b = b, primitive(_pseudo_remainder(a, b))
+        a, b = b, _content_free(_pseudo_remainder(a, b))
     if any(b):
         return [1]
     return a if a[-1] > 0 else [-c for c in a]
@@ -183,16 +197,67 @@ def squarefree_decomposition(w):
     w = primitive(w)
     chain, g = [], w
     while len(g) > 2:
-        g = primitive_gcd(g, [i * c for i, c in enumerate(g)][1:])
+        g = primitive_gcd(g, _slope(g))
         if len(g) == 1:
             break
         chain.append(g)
     return (exact_quotient(w, chain[0]) if chain else w), chain
 
 
+class RealRoots:
+    """The interval-independent half of count_roots_open and isolate_roots
+    for one rational polynomial, kept as ``p``, its primitive integer form.
+
+    Each part is built on first use and kept: the Sturm chains of p and of
+    its deflations at roots that sit on the finite ends of a counted
+    interval; and, for isolation, ``split()``.  The chains go into the store
+    ``chains``, which the RealRoots of one map share, so that none is built
+    twice.  count_roots_open and isolate_roots are the per-interval half; a
+    one-shot call builds a RealRoots and uses it once.
+    """
+
+    def __init__(self, p, chains=None):
+        self.p = primitive(p)
+        self.chains = {} if chains is None else chains
+        self._split = None
+
+    def chain(self, q) -> list[list[int]]:
+        """The Sturm chain of the primitive integer polynomial q, built once
+        per store."""
+        key = tuple(q)
+        chain = self.chains.get(key)
+        if chain is None:
+            chain = self.chains[key] = sturm_chain(q)
+        return chain
+
+    def split(self):
+        """(rational roots with their multiplicities, the square-free part
+        of what is left after they are divided out or None when nothing is,
+        that part's exact roots when its degree is at most 2 else None, the
+        nested gcds of its square-free decomposition)."""
+        if self._split is None:
+            work, rationals = self.p, []
+            for r in rational_roots(work):
+                work, k = _deflate(work, r)
+                rationals.append((r, k))
+            sf, exact, gcds = None, None, []
+            if len(work) > 1:
+                sf, gcds = squarefree_decomposition(work)
+                if len(sf) <= 3:
+                    exact = solve_quadratic_exact(sf)
+            self._split = rationals, sf, exact, gcds
+        return self._split
+
+
+def _real_roots(p) -> RealRoots:
+    return p if isinstance(p, RealRoots) else RealRoots(p)
+
+
 def count_roots_open(p, interval: Interval) -> int:
-    """Number of distinct real roots of p strictly inside the open interval."""
-    p = primitive(p)
+    """Number of distinct real roots of p strictly inside the open interval;
+    p is a rational polynomial or its RealRoots."""
+    roots = _real_roots(p)
+    p = roots.p
     if not any(p):
         raise ValueError("zero polynomial has no root count")
     lo, hi = interval.lower, interval.upper
@@ -203,7 +268,7 @@ def count_roots_open(p, interval: Interval) -> int:
             p = _deflate(p, endpoint)[0]
     if len(p) == 1:
         return 0
-    chain = sturm_chain(p)
+    chain = roots.chain(p)
     n = sign_variations(chain, lo) - sign_variations(chain, hi)
     if is_finite(hi) and sign_at(chain[0], hi) == 0:
         n -= 1  # (lo, hi] counted the endpoint root
@@ -334,31 +399,28 @@ def solve_quadratic_exact(p):
 
 
 def isolate_roots(p, interval: Interval):
-    """Distinct real roots of p in the open interval, with multiplicities.
+    """Distinct real roots of p in the open interval, with multiplicities;
+    p is a rational polynomial or its RealRoots.
 
     Returns [(root, multiplicity)] ascending, where root is a Fraction, a
     QuadraticNumber, or an Enclosure (sign-change certificate) of a root of
     p that contains no other root of p.
     """
-    work = primitive(p)
-    if not any(work):
+    roots = _real_roots(p)
+    if not any(roots.p):
         raise ValueError("zero polynomial")
-    results = []
-    rationals = rational_roots(work)
-    for r in rationals:
-        work, k = _deflate(work, r)
-        if interval.contains(r):
-            results.append((r, k))
-    if len(work) > 1:
-        sf, gcds = squarefree_decomposition(work)
-        if len(sf) <= 3:
-            roots = [r for r in solve_quadratic_exact(sf) if interval.contains(r)]
+    rationals, sf, exact, gcds = roots.split()
+    results = [(r, k) for r, k in rationals if interval.contains(r)]
+    if sf is not None:
+        if exact is not None:
+            found = [r for r in exact if interval.contains(r)]
         else:
-            roots = [_clear_of(enc, rationals) if isinstance(enc, Enclosure) else enc
-                     for enc in _isolate_by_bisection(sf, interval)]
-        chains = ([sturm_chain(g) for g in gcds]
-                  if any(isinstance(r, Enclosure) for r in roots) else [])
-        results += [(r, 1 + _gcds_vanishing_at(gcds, chains, r)) for r in roots]
+            points = [r for r, _ in rationals]
+            found = [_clear_of(enc, points) if isinstance(enc, Enclosure) else enc
+                     for enc in _isolate_by_bisection(roots.chain(sf), interval)]
+        chains = ([roots.chain(g) for g in gcds]
+                  if any(isinstance(r, Enclosure) for r in found) else [])
+        results += [(r, 1 + _gcds_vanishing_at(gcds, chains, r)) for r in found]
     return sorted(results, key=lambda rm: _position(rm[0]))
 
 
@@ -388,16 +450,15 @@ def _gcds_vanishing_at(gcds, chains, root) -> int:
     return len(gcds)
 
 
-def _isolate_by_bisection(sf, interval: Interval):
-    """Roots of a squarefree polynomial in the interval, unordered: exact
-    rationals hit by a bisection midpoint, else sign-change enclosures of
-    the chain's primitive chain[0]."""
-    bound = cauchy_bound(sf)
+def _isolate_by_bisection(chain, interval: Interval):
+    """Roots in the interval of the squarefree polynomial p = chain[0], from
+    its Sturm chain, unordered: exact rationals hit by a bisection midpoint,
+    else sign-change enclosures of p."""
+    p = chain[0]
+    bound = cauchy_bound(p)
     lo = interval.lower if is_finite(interval.lower) else -bound - 1
     hi = interval.upper if is_finite(interval.upper) else bound + 1
     lo, hi = Fraction(lo), Fraction(hi)
-    chain = sturm_chain(sf)
-    p = chain[0]
     # Every point is an endpoint of several subintervals: its sign
     # variations and its sign of p are computed once each.
     variations, signs = {}, {}
@@ -455,14 +516,16 @@ def _isolate_by_bisection(sf, interval: Interval):
 
 
 def poly_maps_into(p, source: Interval, targets: list[Interval]):
-    """Certified check that p(source) lies inside the open target union.
+    """Certified check that p(source) lies inside the open target union;
+    p is a rational polynomial or its IntegerFacts, which keep the shifts
+    p - g.
 
     Returns (ok, witness): witness is a rational point of the source whose
     image provably leaves the union (or None).  The test is exact: the
     image, a connected set, meets a closed complement block iff it crosses
     one of the block's finite edges or a sample value sits inside it.
     """
-    P, D = integer_form(p)
+    facts = p if isinstance(p, IntegerFacts) else IntegerFacts(p)
     mid = source.midpoint()
     for g1, g2 in complement_blocks(targets):
         if g1 is NEG_INF and g2 is POS_INF:
@@ -470,14 +533,12 @@ def poly_maps_into(p, source: Interval, targets: list[Interval]):
         side = {}   # the sign of p(mid) - g at each finite edge g
         for g in (g1, g2):
             if is_finite(g):
-                n, d = Fraction(g).as_integer_ratio()
-                shifted = [d * c for c in P]   # d P - n D, a positive multiple of p - g
-                shifted[0] -= n * D
-                if not any(shifted):
+                shifted = facts.shift(g)
+                if not any(shifted.p):
                     return False, mid
                 if count_roots_open(shifted, source) > 0:
-                    return False, _crossing_witness(shifted, source)
-                side[g] = sign_at(shifted, mid)
+                    return False, _crossing_witness(shifted.p, source)
+                side[g] = sign_at(shifted.p, mid)
         if not (side.get(g1, 0) < 0 or side.get(g2, 0) > 0):   # p(mid) in the block
             return False, mid
     return True, None
@@ -488,5 +549,107 @@ def _crossing_witness(shifted, source: Interval) -> Fraction:
     else the midpoint of its sign-change enclosure.  Bisection on the
     square-free part only: no rational-root search and no exact quadratic
     roots, whose radicands can be too large to split."""
-    roots = _isolate_by_bisection(squarefree_decomposition(shifted)[0], source)
-    return min(r.midpoint() if isinstance(r, Enclosure) else r for r in roots)
+    chain = sturm_chain(squarefree_decomposition(shifted)[0])
+    return min(r.midpoint() if isinstance(r, Enclosure) else r
+               for r in _isolate_by_bisection(chain, source))
+
+
+# ---------------------------------------------------------------------------
+# Integer facts of a polynomial map
+
+
+def _minus_x(a, s: int) -> list[int]:
+    """a(x) - s*x for an integer polynomial a."""
+    out = list(a) + [0] * (2 - len(a))
+    out[1] -= s
+    return out
+
+
+def _minus_constant(P, D: int, g) -> list[int]:
+    """d P - n D for a rational g = n/d: a positive multiple of P/D - g."""
+    n, d = Fraction(g).as_integer_ratio()
+    out = [d * c for c in P]
+    out[0] -= n * D
+    return out
+
+
+class IntegerFacts:
+    """A rational polynomial map p = P/D, with integers P and D > 0, and the
+    integer facts derived from it, each computed at most once:
+
+    - ``displacement``: the RealRoots of p(x) - x, as the primitive P - D x;
+    - ``critical``: the RealRoots of p';
+    - ``second_iterate``: the RealRoots of q = (p(p(x)) - x) / (p(x) - x)
+      and of gcd(q, p(x) - x), or None when p(p(x)) = x;
+    - ``multiplier_chain(s)``: the Sturm chain of gcd(p(x) - x, p'(x) - s);
+    - ``shift(g)``: the RealRoots of p - g, as d P - n D for g = n/d;
+    - ``maps_into(source, targets)``: the answer of poly_maps_into.
+
+    None of them depends on a domain, so one object serves the map on
+    every interval it is restricted to.  All RealRoots share one store of
+    Sturm chains.
+    """
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)        # the rational coefficients
+        self.P, self.D = integer_form(self.coeffs)
+        self._chains = {}
+        self._multipliers = {}
+        self._shifts = {}
+        self._containment = {}
+
+    def _roots(self, q) -> RealRoots:
+        return RealRoots(q, self._chains)
+
+    @cached_property
+    def derivative(self) -> list[Fraction]:
+        """p' with the rational coefficients ([0] for a constant p)."""
+        return [i * c for i, c in enumerate(self.coeffs)][1:] or [Fraction(0)]
+
+    @cached_property
+    def critical(self) -> RealRoots:
+        return self._roots(_slope(self.P))
+
+    @cached_property
+    def displacement(self) -> RealRoots:
+        return self._roots(_minus_x(self.P, self.D))
+
+    @cached_property
+    def second_iterate(self):
+        P, D = self.P, self.D
+        # On integers, from p = P/D of degree k: D^(k+1) (p(p(x)) - x) is
+        # D^k P(P/D) - D^(k+1) x.
+        both = _minus_x(compose_scaled(P, P, D), D ** len(P))
+        if not any(both):
+            return None
+        displacement = self.displacement.p
+        # p(p(x)) - x = (p(p(x)) - p(x)) + (p(x) - x) is divisible by
+        # p(x) - x, and exactly so on integers by Gauss's lemma.  The
+        # quotient is p'(u) + 1 at a fixed point u, so the two share a root
+        # only at a fixed point with multiplier -1.
+        q = exact_quotient(both, displacement)
+        return self._roots(q), self._roots(primitive_gcd(q, displacement))
+
+    def multiplier_chain(self, s):
+        """The Sturm chain of gcd(p(x) - x, p'(x) - s) for a rational s: its
+        roots are the fixed points with multiplier s.  None when the gcd is
+        constant."""
+        if s not in self._multipliers:
+            g = primitive_gcd(self.displacement.p, _minus_constant(_slope(self.P), self.D, s))
+            self._multipliers[s] = self.displacement.chain(g) if len(g) > 1 else None
+        return self._multipliers[s]
+
+    def shift(self, g) -> RealRoots:
+        """The RealRoots of p - g for a finite rational g."""
+        roots = self._shifts.get(g)
+        if roots is None:
+            roots = self._shifts[g] = self._roots(_minus_constant(self.P, self.D, g))
+        return roots
+
+    def maps_into(self, source: Interval, targets: list[Interval]):
+        """poly_maps_into(p, source, targets), asked once per question."""
+        key = (source, tuple(targets))
+        answer = self._containment.get(key)
+        if answer is None:
+            answer = self._containment[key] = poly_maps_into(self, source, targets)
+        return answer

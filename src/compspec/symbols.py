@@ -785,7 +785,7 @@ class AnalyticSymbol:
     ``require_self_map=False`` since they map one interval onto another.
     """
 
-    __slots__ = ("body", "domain", "invariance_certified", "text", "_programs")
+    __slots__ = ("body", "domain", "invariance_certified", "text", "_programs", "_facts")
 
     def __init__(self, body, domain: Interval, *, text=None,
                  require_self_map=True, require_nonconstant=True):
@@ -793,6 +793,10 @@ class AnalyticSymbol:
         self.domain = domain
         self.text = text
         self._programs = {}   # precision -> the tree lowered at that precision
+        # The integer facts of a rational polynomial body, filled on use.
+        self._facts = (sturm.IntegerFacts(body.coeffs)
+                       if isinstance(body, Poly) and all(is_rational(c) for c in body.coeffs)
+                       else None)
         if require_nonconstant:
             self._check_nonconstant()
         self.invariance_certified = self._check_self_map() if require_self_map else False
@@ -831,19 +835,20 @@ class AnalyticSymbol:
         """Whether phi maps the source interval into the union of the open
         targets: (ok, witness, certified).
 
-        Rational polynomials get the exact Sturm certificate.  A conjugated
-        body takes its inner symbol's answer on the images of the intervals
-        under the change (``_transported_maps_into``), uncertified.  Any
-        other tree is finite at every real point, so a whole-line target
-        accepts it without sampling when the source lies in the domain.
-        Otherwise the images of ``samples`` grid points of the source, at 96
-        bits, must each lie strictly inside some target.  Both answers are
-        flagged uncertified, so reports read as they did when the whole line
-        was sampled too.  The witness is a source point whose image leaves
-        the union, or None.
+        Rational polynomials get the exact Sturm certificate, answered once
+        per question by the integer facts.  A conjugated body takes its
+        inner symbol's answer on the images of the intervals under the
+        change (``_transported_maps_into``), uncertified.  Any other tree
+        is finite at every real point, so a whole-line target accepts it
+        without sampling when the source lies in the domain.  Otherwise the
+        images of ``samples`` grid points of the source, at 96 bits, must
+        each lie strictly inside some target.  Both answers are flagged
+        uncertified, so reports read as they did when the whole line was
+        sampled too.  The witness is a source point whose image leaves the
+        union, or None.
         """
-        if self.is_rational_polynomial():
-            ok, witness = sturm.poly_maps_into(self.rational_coeffs(), source, targets)
+        if self._facts is not None:
+            ok, witness = self._facts.maps_into(source, targets)
             return ok, witness, True
         if isinstance(self.body, ConjugatedBody):
             return self._transported_maps_into(source, targets, samples)
@@ -956,7 +961,12 @@ class AnalyticSymbol:
         return not isinstance(self.body, (Poly, ConjugatedBody))
 
     def is_rational_polynomial(self) -> bool:
-        return self.is_polynomial() and all(is_rational(c) for c in self.body.coeffs)
+        return self._facts is not None
+
+    def integer_facts(self) -> "sturm.IntegerFacts | None":
+        """The integer facts of a rational polynomial body, shared by every
+        restriction of the symbol; None for any other body."""
+        return self._facts
 
     def poly_coeffs(self) -> list[Fraction]:
         if not self.is_polynomial():
@@ -964,12 +974,12 @@ class AnalyticSymbol:
         return list(self.body.coeffs)
 
     def rational_coeffs(self) -> list[Fraction]:
-        if not self.is_rational_polynomial():
+        if self._facts is None:
             raise TypeError("not a rational polynomial symbol")
-        return [Fraction(c) for c in self.body.coeffs]
+        return list(self._facts.coeffs)
 
     def is_identity(self) -> bool:
-        return self.is_polynomial() and tuple(self.body.coeffs) == (Fraction(0), Fraction(1))
+        return self.is_polynomial() and tuple(self.body.coeffs) == (0, 1)
 
     def affine_power_exponent(self):
         """s when the symbol is affinely conjugate to x**s with s >= 2 on the
@@ -993,9 +1003,6 @@ class AnalyticSymbol:
         expected = [Fraction(0)] * (s + 1)
         expected[0], expected[s] = center, lead
         return s if shifted == polylib.normalize(expected) else None
-
-    def derivative_polynomial(self) -> list[Fraction]:
-        return polylib.derivative(self.rational_coeffs())
 
     # -- evaluation ---------------------------------------------------------
 
@@ -1159,7 +1166,8 @@ class AnalyticSymbol:
         restricted = AnalyticSymbol(self.body, domain, text=self.text,
                                     require_self_map=False, require_nonconstant=False)
         restricted.invariance_certified = certified
-        restricted._programs = self._programs  # same body, same compiled trees
+        # Same body: the same compiled trees and integer facts.
+        restricted._programs, restricted._facts = self._programs, self._facts
         return restricted
 
 

@@ -365,6 +365,42 @@ class TestComputedOnce:
         assert sum(isinstance(r.location, sturm.Enclosure) for r in records) > 3
         assert len(calls) <= 14
 
+    def test_covering_obstruction_builds_each_fact_once(self, monkeypatch):
+        # Three invariance checks, and five restrictions (three pieces, two
+        # overlaps) that share the symbol's integer facts: the restrictions
+        # to the pieces ask the invariance checks' questions again.
+        from compspec.taxonomy import CoverPiece, covering_obstruction
+        phi = parse_symbol("x^3")
+        compositions = _counting(monkeypatch, sturm, "compose_scaled")
+        containments = _counting(monkeypatch, sturm, "poly_maps_into")
+        chains = _counting(monkeypatch, sturm, "sturm_chain")
+        pieces = [CoverPiece((Interval.parse(t),)) for t in ("(-inf,0)", "(-1,1)", "(0,inf)")]
+        covering_obstruction(phi, F(2), pieces)
+        assert len(compositions) == 1
+        assert len(containments) == 5
+        built = [tuple(sturm.primitive(args[0])) for args in chains]
+        assert built and len(built) == len(set(built))
+
+    @pytest.mark.parametrize("text", ["x^3", "-x^2+2*x"])
+    def test_restrictions_share_the_facts(self, text):
+        # A restriction reads the facts its parent filled on the whole line,
+        # and finds what a symbol parsed on the smaller domain finds; x^3 on
+        # (-1,0) and (0,1) has fixed points on both ends.
+        phi = parse_symbol(text)
+        analyze_symbol(phi)
+        for domain in ("(-1,1)", "(-1,0)", "(0,1)", "(0,2)"):
+            try:
+                fresh = parse_symbol(text, domain)
+            except CompspecError:
+                with pytest.raises(CompspecError):
+                    phi.with_domain(Interval.parse(domain))
+                continue
+            restricted = phi.with_domain(Interval.parse(domain))
+            assert restricted.integer_facts() is phi.integer_facts()
+            for fn in (find_fixed_points, find_critical_points,
+                       find_fixed_points_second_iterate):
+                assert repr(fn(restricted)) == repr(fn(fresh))
+
 
 class TestBisection:
     def test_stops_when_the_bracket_stalls(self):
@@ -532,3 +568,43 @@ class TestRawScans:
         phi = parse_symbol("2*arctan(x)", "(-1,1)", require_self_map=False)
         assert rootwork._scan_fixed_points(phi, 2) == [F(0)]
         assert find_fixed_points_second_iterate(phi) == 0
+
+
+# Exact facts of the polynomial symbols of the classify benchmark (every
+# text at seeds 1, 2, 3, 7 and 900001), each on the whole line, (-1, 1) and
+# (0, inf): the report, the fixed points (enclosure polynomials included),
+# the critical points and the 2-cycle count, or the error a restriction
+# that is not a self-map raises.  Recorded before the per-body fact store,
+# which must reproduce them exactly.
+POLY_FACTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "poly_facts.json").read_text())
+
+
+def poly_facts(text, domain) -> dict:
+    try:
+        phi = parse_symbol(text, domain)
+        analysis = analyze_symbol(phi)
+        report = spectrum(analysis)
+    except CompspecError as exc:
+        return {"error": type(exc).__name__}
+    return {"report": json.dumps(report.to_json_dict(), sort_keys=True),
+            "fixed_points": repr(analysis.fixed_points),
+            "critical_points": repr(analysis.critical_points),
+            "two_cycle_points": repr(find_fixed_points_second_iterate(phi))}
+
+
+class TestPolyFacts:
+    @pytest.mark.parametrize("entry", POLY_FACTS,
+                             ids=lambda e: f"{e['symbol']} on {e['domain']}")
+    def test_poly_facts_unchanged(self, entry):
+        assert poly_facts(entry["symbol"], entry["domain"]) == entry["facts"]
+
+    def test_catalog_covers_the_exact_paths(self):
+        facts = [e["facts"] for e in POLY_FACTS]
+        assert len(facts) == 162
+        # Restrictions that are not self-maps, enclosed fixed points, and
+        # points on 2-cycles all occur.
+        assert any("error" in f for f in facts)
+        assert any("Enclosure(" in f.get("fixed_points", "") for f in facts)
+        assert any(f.get("two_cycle_points", "0") not in ("0", "AllFixed()")
+                   for f in facts)

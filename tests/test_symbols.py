@@ -1115,3 +1115,90 @@ def test_limit_of_a_sum_or_product_does_not_depend_on_the_order(parts, data, op,
     shuffled = data.draw(st.permutations(parts))
     assert _same_limit(tree_limit(op(tuple(parts)), end),
                        tree_limit(op(tuple(shuffled)), end))
+
+
+# ---------------------------------------------------------------------------
+# Folding polynomial trees
+
+
+def _schoolbook_mul(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _schoolbook_fold(node) -> list:
+    """The coefficients of a polynomial tree by term-by-term products and
+    repeated multiplication, without any shortcut."""
+    if isinstance(node, Poly):
+        return list(node.coeffs)
+    if isinstance(node, Add):
+        out = [F(0)]
+        for part in node.parts:
+            p = _schoolbook_fold(part)
+            n = max(len(out), len(p))
+            out = [(out[i] if i < len(out) else F(0)) + (p[i] if i < len(p) else F(0))
+                   for i in range(n)]
+            while len(out) > 1 and out[-1] == 0:
+                out.pop()
+        return out
+    if isinstance(node, Mul):
+        out = [F(1)]
+        for part in node.parts:
+            out = _schoolbook_mul(out, _schoolbook_fold(part))
+        return out
+    out, base = [F(1)], _schoolbook_fold(node.base)
+    for _ in range(node.exponent):
+        out = _schoolbook_mul(out, base)
+    return out
+
+
+_FOLD_COEFFS = st.one_of(
+    st.just(F(0)), st.just(F(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.builds(lambda p, q: quadratic(p, q, 2),
+              st.fractions(min_value=-3, max_value=3, max_denominator=4),
+              st.fractions(min_value=-3, max_value=3, max_denominator=4)))
+
+
+def _fold_leaf(coeffs):
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return Poly(tuple(coeffs))
+
+
+_POLY_TREES = st.recursive(
+    st.lists(_FOLD_COEFFS, min_size=1, max_size=5).map(_fold_leaf),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map(lambda ps: Add(tuple(ps))),
+        st.lists(inner, min_size=2, max_size=3).map(lambda ps: Mul(tuple(ps))),
+        st.builds(Pow, inner, st.integers(0, 4))),
+    max_leaves=6)
+
+
+class TestFoldArithmetic:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_POLY_TREES)
+    def test_fold_matches_the_schoolbook_fold(self, tree):
+        # Same value and same coefficient type (Fraction or QuadraticNumber)
+        # in every position, zero entries and monomials included.
+        folded = fold(tree)
+        expected = _schoolbook_fold(tree)
+        assert isinstance(folded, Poly)
+        assert list(folded.coeffs) == expected
+        assert [type(c) for c in folded.coeffs] == [type(c) for c in expected]
+
+    def test_monomial_powers_and_constant_products(self):
+        # x^7 and 3*x^2 squared come straight from the monomial; a constant
+        # factor scales.
+        assert fold(Pow(Poly((F(0), F(1))), 7)).coeffs == (F(0),) * 7 + (F(1),)
+        assert fold(Pow(Poly((F(0), F(0), F(3))), 2)).coeffs == (F(0),) * 4 + (F(9),)
+        root2 = quadratic(0, 1, 2)
+        squared = fold(Pow(Poly((F(0), root2)), 2)).coeffs
+        assert squared == (F(0), F(0), F(2)) and type(squared[2]) is F
+        assert fold(Mul((Poly((root2,)), Poly((F(1), F(0), F(2)))))).coeffs \
+            == (root2, F(0), 2 * root2)
