@@ -27,13 +27,15 @@ from mpmath.libmp import from_int, from_rational, mpf_div, mpf_pos, round_neares
 
 def to_mpf(value, prec=None):
     """Convert an exact real scalar (int/Fraction/QuadraticNumber) or an mpf
-    to mpf at ``prec`` bits."""
+    to mpf at ``prec`` bits, the working precision by default; a Fraction
+    is built from raw tuples by ``raw_ratio``."""
     ctx = mpmath.mp
+    if isinstance(value, Fraction):
+        return ctx.make_mpf(raw_ratio(value.numerator, value.denominator,
+                                      prec or ctx.prec))
     if prec is not None:
         with mpmath.workprec(prec):
             return to_mpf(value)
-    if isinstance(value, Fraction):
-        return ctx.mpf(value.numerator) / value.denominator
     if isinstance(value, QuadraticNumber):
         return to_mpf(value.p) + to_mpf(value.q) * mpmath.sqrt(value.d)
     return ctx.mpf(value)
@@ -53,6 +55,11 @@ def is_rational(value) -> bool:
 def is_real_exact(value) -> bool:
     """Whether value is an int, a Fraction or a QuadraticNumber."""
     return isinstance(value, (int, Fraction, QuadraticNumber))
+
+
+def is_mpf(value) -> bool:
+    """Whether value is a real numeric scalar, an mpf."""
+    return isinstance(value, mpmath.mpf)
 
 
 def _is_numeric(value) -> bool:
@@ -156,7 +163,8 @@ def bit_size(x) -> int:
 
 def raw_ratio(num, den, prec):
     """``to_mpf(Fraction(num, den))._mpf_`` at ``prec`` bits for a reduced
-    pair: ``mpf(num)`` rounded to nearest, then divided by ``den``."""
+    pair: ``mpf(num)`` rounded to nearest, then divided by ``den``, as
+    ``mpf(num) / den`` rounds it in mpmath's default rounding mode."""
     return mpf_div(from_int(num, prec, round_nearest), from_int(den), prec,
                    round_nearest)
 
@@ -173,9 +181,12 @@ def raw_point(x, prec):
 
 def raw_addend(c, prec):
     """The raw value mpmath adds for ``acc + c``: ints exactly, Fractions
-    through ``convert``, i.e. ``from_rational`` at its default rounding."""
+    through ``convert``, i.e. ``from_rational`` at its default rounding,
+    and mpfs as they are."""
     if isinstance(c, int):
         return from_int(c)
+    if isinstance(c, mpmath.mpf):
+        return c._mpf_
     return from_rational(c.numerator, c.denominator, prec)
 
 

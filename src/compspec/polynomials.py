@@ -2,6 +2,8 @@
 
 Coefficients are Fractions (ints are promoted) or QuadraticNumbers; the
 ring operations, composition, derivative and evaluation work on both.
+``eval_raw`` is the same Horner rule on raw mpf tuples, for coefficients
+that their owner has rounded once per precision.
 Coefficient lists are ascending (index = degree) with a nonzero leading
 entry unless the polynomial is zero (empty list is not used; the zero
 polynomial is ``[Fraction(0)]``).
@@ -10,6 +12,8 @@ polynomial is ``[Fraction(0)]``).
 from __future__ import annotations
 
 from fractions import Fraction
+
+from mpmath.libmp import mpf_add, mpf_mul
 
 from .errors import DegreeOverflow
 from .numbers import as_exact
@@ -113,6 +117,18 @@ def eval_at(p, x):
     for c in reversed(p):
         result = c if result is None else result * x + c
     return result
+
+
+def eval_raw(descending, x, prec, rnd):
+    """``eval_at`` on raw mpf tuples: ``descending`` holds the coefficients
+    from the highest degree down, each already the raw value that mpmath's
+    Horner step would make of it, and x is a raw tuple.  Each step is
+    ``acc * x + c`` as mpf arithmetic rounds it at ``prec`` bits in
+    rounding mode ``rnd``."""
+    acc = descending[0]
+    for c in descending[1:]:
+        acc = mpf_add(mpf_mul(acc, x, prec, rnd), c, prec, rnd)
+    return acc
 
 
 def div_rem(p, q):

@@ -12,18 +12,24 @@ import operator
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import mpf_sub
 
+from . import polynomials as polylib
 from .errors import CenterMismatch
 from .numbers import (abs_mpf, as_exact, convert_left, exact_abs_compare, invert,
-                      is_exact, is_rational, same_point, scalar_from_json,
-                      scalar_to_json)
+                      is_exact, is_mpf, is_rational, raw_addend, same_point,
+                      scalar_from_json, scalar_to_json)
 from .record import Record
 
 
 class TruncatedSeries:
-    """Taylor polynomial sum_{n<=order} coeffs[n] * (x - center)**n."""
+    """Taylor polynomial sum_{n<=order} coeffs[n] * (x - center)**n.
 
-    __slots__ = ("center", "coeffs")
+    ``_rounded``, set on the first numeric evaluation and left out of
+    equality, hashing and JSON, keeps the raw coefficients per precision.
+    """
+
+    __slots__ = ("center", "coeffs", "_rounded")
 
     def __init__(self, center, coeffs):
         self.center = center
@@ -247,12 +253,40 @@ class TruncatedSeries:
         return TruncatedSeries(self.coeffs[0], g)
 
     def eval(self, x):
-        """Horner evaluation of the Taylor polynomial at x."""
-        t = x - self.center
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * t + c
-        return acc
+        """Horner evaluation of the Taylor polynomial at x - center.
+
+        An mpf x with a rational centre and int, Fraction or mpf
+        coefficients runs ``polylib.eval_raw`` at the working precision:
+        the centre and every coefficient enter as the raw values mpmath
+        adds (``raw_addend``), rounded once per precision and kept on the
+        series.  Any other input runs ``polylib.eval_at``.  Both give the
+        same bits; a one-coefficient series returns its coefficient.
+        """
+        if is_mpf(x) and len(self.coeffs) > 1 and is_rational(self.center):
+            prec, rnd = mpmath.mp._prec_rounding
+            rounded = self._rounded_coeffs(prec)
+            if rounded is not None:
+                center, descending = rounded
+                t = mpf_sub(x._mpf_, center, prec, rnd)
+                return mpmath.mp.make_mpf(polylib.eval_raw(descending, t, prec, rnd))
+        return polylib.eval_at(self.coeffs, x - self.center)
+
+    def _rounded_coeffs(self, prec):
+        """(centre, coefficients from the highest degree down) as raw
+        addends at ``prec`` bits, computed once per precision; None when a
+        coefficient is neither an int, a Fraction nor an mpf."""
+        try:
+            memo = self._rounded
+        except AttributeError:
+            memo = self._rounded = {} if all(
+                is_rational(c) or is_mpf(c) for c in self.coeffs) else None
+        if memo is None:
+            return None
+        rounded = memo.get(prec)
+        if rounded is None:
+            rounded = memo[prec] = (raw_addend(self.center, prec),
+                                    tuple(raw_addend(c, prec) for c in reversed(self.coeffs)))
+        return rounded
 
     def map_coefficients(self, fn):
         return TruncatedSeries(self.center, [fn(c) for c in self.coeffs])

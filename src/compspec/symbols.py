@@ -29,8 +29,9 @@ from .errors import (BudgetExceeded, ConstantSymbolError, DomainError,
                      ExpressionSyntaxError, HypothesisViolation, InvarianceFailure,
                      NotADiffeomorphism, OrbitEscape)
 from .intervals import POS_INF, Interval, ext_lt, ext_max, ext_min, is_finite
-from .numbers import (as_exact, format_rational, invert, is_exact, is_rational,
-                      parse_rational, raw_addend, raw_point, raw_ratio, to_mpf)
+from .numbers import (as_exact, format_rational, invert, is_exact, is_mpf,
+                      is_rational, parse_rational, raw_addend, raw_point,
+                      raw_ratio, to_mpf)
 from .power_series import TruncatedSeries
 from .record import Record
 
@@ -792,7 +793,9 @@ class AnalyticSymbol:
         self.body = body
         self.domain = domain
         self.text = text
-        self._programs = {}   # precision -> the tree lowered at that precision
+        # precision -> the tree lowered at that precision, or the rounded
+        # coefficients of a rational polynomial body (``_rounded_coeffs``)
+        self._programs = {}
         # The integer facts of a rational polynomial body, filled on use.
         self._facts = (sturm.IntegerFacts(body.coeffs)
                        if isinstance(body, Poly) and all(is_rational(c) for c in body.coeffs)
@@ -910,6 +913,20 @@ class AnalyticSymbol:
         """The tree's (value, slope) kernel at ``prec`` bits (``compile_slope``)."""
         return self._program(prec).slope_kernel
 
+    def _rounded_coeffs(self, prec):
+        """A rational polynomial body's coefficients from the highest
+        degree down, as ``eval`` rounds them at ``prec`` bits: the leading
+        one as ``to_mpf`` does (``raw_ratio``), the others as mpmath adds
+        them (``raw_addend``).  Computed once per precision and kept in
+        ``_programs``, which no caller fills with a lowered ``Poly``."""
+        rounded = self._programs.get(prec)
+        if rounded is None:
+            lead, *rest = reversed(self.body.coeffs)
+            rounded = self._programs[prec] = (
+                raw_ratio(lead.numerator, lead.denominator, prec),
+                *(raw_addend(c, prec) for c in rest))
+        return rounded
+
     def raw_eval(self, precision):
         """``eval(x, precision)`` as a function of a raw mpf tuple x of at
         most ``precision`` + 24 bits, returning a raw tuple; the caller
@@ -1008,18 +1025,23 @@ class AnalyticSymbol:
 
     def eval(self, x, precision=None):
         """phi(x): exact for rational polynomials at exact points, else mpf
-        with error below 2**-(precision-8)."""
+        with error below 2**-(precision-8).  A rational polynomial at an
+        mpf point runs ``polylib.eval_raw`` on its ``_rounded_coeffs``;
+        other polynomial inputs run ``polylib.eval_at``, to the same bits."""
         precision = precision or default_precision()
         if not self._point_in_domain(x, precision):
             raise DomainError(f"{x} is outside the domain {self.domain}")
         if self.is_polynomial():
+            coeffs = self.body.coeffs
             if is_exact(x):
-                return polylib.eval_at(self.body.coeffs, as_exact(x))
-            with mpmath.workprec(precision + _GUARD_BITS):
-                acc = None
-                for c in reversed(self.body.coeffs):
-                    acc = to_mpf(c) if acc is None else acc * x + c
-                result = acc
+                return polylib.eval_at(coeffs, as_exact(x))
+            prec = precision + _GUARD_BITS
+            if self._facts is not None and is_mpf(x):
+                rnd = mpmath.mp._prec_rounding[1]
+                acc = polylib.eval_raw(self._rounded_coeffs(prec), x._mpf_, prec, rnd)
+                return mpmath.mp.make_mpf(mpf_pos(acc, precision, rnd))
+            with mpmath.workprec(prec):
+                result = polylib.eval_at((*coeffs[:-1], to_mpf(coeffs[-1])), x)
             with mpmath.workprec(precision):
                 return +result
         if isinstance(self.body, ConjugatedBody):

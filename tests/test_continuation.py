@@ -1,13 +1,18 @@
+import functools
+import json
+import pathlib
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
+from compspec import continuation
 from compspec.continuation import (evaluate, extend_forward,
                                    extend_inverse_branch, extend_mirror,
                                    globalize, orbit_sum_check, preimage_orbit,
                                    prop45_witness_demo, telescoping_check)
-from compspec.errors import BasinEscape, BranchDomain, HypothesisViolation
+from compspec.errors import (BasinEscape, BranchDomain, CompspecError,
+                             HypothesisViolation)
 from compspec.intervals import Interval
 from compspec.numbers import GaussianRational, is_rational, quadratic, to_mpf
 from compspec.symbols import AnalyticSymbol, parse_rhs, parse_symbol
@@ -256,6 +261,51 @@ class TestTraces:
         assert self.chain(halving_solution, F(1, 3)) == (("exact", "series"), 0)
 
 
+class TestRoundedCoefficients:
+    def test_numeric_evaluation_rounds_each_coefficient_once(self, monkeypatch):
+        from compspec import power_series, symbols
+        sol = globalize(parse_symbol("1/2*arctan(x)"), F(0), F(2), parse_rhs("x"),
+                        order=24, precision=256)
+        series, gamma = sol.local.series, sol.gamma.body.coeffs
+        rounded = []
+
+        def counting(module, name, read):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                rounded.append((read(*args[:-1]), args[-1]))
+                return original(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(power_series, "raw_addend", lambda c: c)
+        counting(symbols, "raw_addend", lambda c: c)
+        counting(symbols, "raw_ratio", F)
+        # Points outside the core, whose residual passes at the first
+        # precision: the series is read at 256 + 32 bits and gamma at
+        # 256 + 32 + 24.
+        points = [mpmath.mpf(1) + F(k, 4) for k in range(20)]
+        for x in points:
+            evaluate(sol, x, precision=256)
+        assert sorted(rounded) == sorted(
+            [(series.center, 288)] + [(c, 288) for c in series.coeffs]
+            + [(c, 312) for c in gamma])
+        # Another precision rounds each coefficient once more.
+        for x in points:
+            evaluate(sol, x, precision=512)
+        assert len(rounded) == 2 * (len(series.coeffs) + 1 + len(gamma))
+
+    def test_the_memo_is_not_part_of_the_series_value(self):
+        sol = globalize(parse_symbol("1/2*arctan(x)"), F(0), F(2), parse_rhs("x"),
+                        order=24, precision=256)
+        series = sol.local.series
+        fresh = type(series)(series.center, series.coeffs)
+        with mpmath.workprec(288):
+            series.eval(mpmath.mpf(1) / 3)
+        assert series._rounded and not hasattr(fresh, "_rounded")
+        assert series == fresh and hash(series) == hash(fresh)
+        assert series.to_json_dict() == fresh.to_json_dict()
+
+
 class TestPreimageOrbit:
     def test_first_point_and_closed_form(self):
         orbit = preimage_orbit(F(3), 2, precision=128)
@@ -328,3 +378,57 @@ class TestWitnessDemo:
     def test_narrow_parameter_rejected(self):
         with pytest.raises(ValueError):
             prop45_witness_demo(F(2), F(-1, 2), 8, F(1, 8), 30)
+
+
+# Values of the benchmark's eight orbit equations at the points of seeds 1
+# and 900001 (the parabolic rule points included), at 64, 256 and 1024
+# bits: evaluate and the three rule engines, each as repr(value) and trace
+# or as the error it raises.  Recorded before the raw-tuple Horner kernel,
+# which must reproduce them bit for bit.  A change that moves these values
+# on purpose re-records each entry's results with orbit_values.
+ORBIT_VALUES = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "orbit_values.json").read_text())
+
+_ENGINES = {"evaluate": continuation.evaluate,
+            "extend_forward": continuation._extend_forward_trace,
+            "extend_inverse_branch": continuation._extend_inverse_trace,
+            "extend_mirror": continuation._extend_mirror_trace}
+
+
+@functools.cache
+def orbit_solution(eq):
+    text, center, lam, gamma, check_basin = ORBIT_VALUES["equations"][eq]
+    return globalize(parse_symbol(text), F(center), F(lam), parse_rhs(gamma),
+                     order=24, precision=256, check_basin=check_basin)
+
+
+def orbit_values(eq, x, bits) -> dict:
+    out = {}
+    for name, engine in _ENGINES.items():
+        try:
+            value, trace = engine(orbit_solution(eq), x, bits)
+        except CompspecError as exc:
+            out[name] = {"error": type(exc).__name__, "message": str(exc)}
+            continue
+        # Every value carries at most bits + 32 bits, so this repr reads
+        # back to the same number.
+        with mpmath.workprec(bits + 64):
+            out[name] = {"value": repr(value), "trace": trace.to_json_dict()}
+    return out
+
+
+class TestPinnedOrbitValues:
+    @pytest.mark.parametrize("entry", ORBIT_VALUES["values"],
+                             ids=lambda e: f"{e['equation']}@{e['point']}/{e['bits']}")
+    def test_orbit_values_unchanged(self, entry):
+        assert orbit_values(entry["equation"], F(entry["point"]),
+                            entry["bits"]) == entry["results"]
+
+    def test_pins_cover_every_engine_and_outcome(self):
+        results = [r for e in ORBIT_VALUES["values"] for r in e["results"].values()]
+        assert len(ORBIT_VALUES["equations"]) == 8
+        assert {e["bits"] for e in ORBIT_VALUES["values"]} == {64, 256, 1024}
+        assert {r["error"] for r in results if "error" in r} >= {
+            "PrecisionLoss", "BasinEscape", "BranchDomain", "ReflectedUncovered"}
+        assert any(r["value"].startswith("mpf(") for r in results if "value" in r)
+        assert any(r["value"].startswith("Fraction(") for r in results if "value" in r)

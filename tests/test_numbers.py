@@ -111,6 +111,34 @@ def test_to_mpf_precision():
         assert abs(x * 3 - 1) < mpmath.mpf(2) ** -75
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(-10 ** 60, 10 ** 60), st.integers(1, 2 ** 400),
+       st.integers(53, 4096), st.booleans())
+def test_to_mpf_of_a_fraction_is_mpf_of_the_numerator_over_the_denominator(
+        num, den, prec, explicit):
+    q = F(num, den)
+    with mpmath.workprec(prec):
+        want = mpmath.mpf(q.numerator) / q.denominator
+    with mpmath.workprec(53 if explicit else prec):
+        got = to_mpf(q, prec) if explicit else to_mpf(q)
+    assert type(got) is mpmath.mpf and got._mpf_ == want._mpf_
+
+
+def test_src_leaves_the_rounding_mode_at_round_to_nearest():
+    # raw_ratio, and through it to_mpf, rounds to nearest whatever the
+    # context says; the package never sets another rounding mode.
+    assert mpmath.mp._prec_rounding[1] == "n"
+    package = pathlib.Path(compspec.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            for target in targets:
+                names = _names(target)
+                assert not names & {"rounding", "_prec_rounding"}, (path.name, node.lineno)
+
+
 # ---------------------------------------------------------------------------
 # The mixing rule
 

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
 
 from compspec.errors import CenterMismatch
 from compspec.numbers import GaussianRational, is_exact, quadratic
@@ -458,3 +459,87 @@ def test_json_float_coefficients_carry_30_digits():
     doc = TruncatedSeries(F(0), coeffs).to_json_dict()
     assert doc["coeffs"] == [["float", "-1.35914091422952261768014373568"],
                              ["float", "0.142857142857142857142857142857"]]
+
+
+# ---------------------------------------------------------------------------
+# Numeric evaluation: the raw-tuple Horner kernel against mpf objects
+
+
+def schoolbook_eval(coeffs, center, x):
+    """Independent oracle: Horner's rule on the scalars themselves, so
+    mpmath converts and rounds every coefficient at every step."""
+    t = x - center
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * t + c
+    return acc
+
+
+def same_value(got, want):
+    if type(got) is not type(want):
+        return False
+    if isinstance(want, mpmath.mpf):
+        return got._mpf_ == want._mpf_
+    if isinstance(want, mpmath.mpc):
+        return got._mpc_ == want._mpc_
+    return got == want
+
+
+_wide = st.one_of(st.integers(-10 ** 40, 10 ** 40),
+                  st.builds(F, st.integers(-10 ** 40, 10 ** 40),
+                            st.integers(1, 2 ** 300)))
+# Zero entries, small and large rationals, and now and then an mpf.
+_exact_coeff = st.one_of(st.just(F(0)), st.just(0), _small, _wide)
+_kernel_coeff = st.one_of(_exact_coeff, _exact_coeff, _exact_coeff,
+                          _small.map(lambda q: mpmath.mpf(q.numerator) / q.denominator))
+_center = st.one_of(st.just(F(0)), st.just(0), _small, _wide)
+
+
+@st.composite
+def _wide_point(draw, prec):
+    """An mpf with up to 300 more mantissa bits than the working precision."""
+    man = draw(st.integers(-2 ** (prec + 300), 2 ** (prec + 300)))
+    return mpmath.mp.make_mpf(from_man_exp(man, draw(st.integers(-prec - 340, 8))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.lists(_kernel_coeff, min_size=1, max_size=14), _center,
+       st.integers(53, 4096))
+def test_numeric_eval_matches_schoolbook_value_type_and_bits(data, coeffs, center, prec):
+    series = TruncatedSeries(center, coeffs)
+    with mpmath.workprec(prec):
+        x = data.draw(_wide_point(prec))
+        want = schoolbook_eval(coeffs, center, x)
+        # The second call reads the rounded coefficients kept on the series.
+        assert same_value(series.eval(x), want), (coeffs, center, x)
+        assert same_value(series.eval(x), want)
+
+
+def test_one_coefficient_series_returns_its_coefficient():
+    with mpmath.workprec(200):
+        for c in (F(1, 3), 7, mpmath.mpf(2) / 3):
+            got = TruncatedSeries(F(1, 2), [c]).eval(mpmath.mpf(5) / 7)
+            assert got is c
+
+
+_quadratic = st.builds(lambda p, q: quadratic(p, q, 2), _small, _small)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(_exact_coeff, _quadratic, _gaussian), min_size=1, max_size=8),
+       _center, st.integers(-3, 3), st.integers(1, 3), st.sampled_from([53, 256]))
+def test_generic_eval_matches_schoolbook(coeffs, center, re, im, prec):
+    # mpc points, and quadratic-irrational or Gaussian coefficients, take
+    # the generic Horner, which reads as the schoolbook one did.
+    with mpmath.workprec(prec):
+        for x in (mpmath.mpc(re, im) / 3, mpmath.mpf(re) / 7):
+            want = schoolbook_eval(coeffs, center, x)
+            assert same_value(TruncatedSeries(center, coeffs).eval(x), want), (coeffs, x)
+
+
+def test_exact_and_numeric_centres_take_the_generic_horner():
+    coeffs = [F(1, 3), F(-2, 7), F(5, 11)]
+    with mpmath.workprec(128):
+        for center, x in ((F(1, 2), F(3, 4)), (mpmath.mpf(1) / 3, mpmath.mpf(2) / 5)):
+            got = TruncatedSeries(center, coeffs).eval(x)
+            assert same_value(got, schoolbook_eval(coeffs, center, x))

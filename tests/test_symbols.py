@@ -127,6 +127,104 @@ class TestEval:
             s.eval(F(2))
 
 
+def schoolbook_poly_eval(coeffs, x, precision):
+    """Independent oracle: Horner's rule on mpf objects at precision + 24
+    bits, the leading coefficient read as mpf(p) / q (a quadratic number
+    through its parts) and every other one converted by mpmath at each
+    step, then rounded to precision."""
+    def lead_mpf(c):
+        if isinstance(c, QuadraticNumber):
+            return lead_mpf(c.p) + lead_mpf(c.q) * mpmath.sqrt(c.d)
+        return mpmath.mpf(F(c).numerator) / F(c).denominator
+
+    with mpmath.workprec(precision + 24):
+        acc = lead_mpf(coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            acc = acc * x + c
+    with mpmath.workprec(precision):
+        return +acc
+
+
+def _poly_symbol(coeffs):
+    return AnalyticSymbol(Poly(tuple(coeffs)), Interval.real_line(),
+                          require_self_map=False, require_nonconstant=False)
+
+
+def _same_value(got, want):
+    raw = "_mpc_" if isinstance(want, mpmath.mpc) else "_mpf_"
+    return type(got) is type(want) and getattr(got, raw) == getattr(want, raw)
+
+
+_WIDE = st.one_of(st.integers(-10 ** 40, 10 ** 40),
+                  st.builds(F, st.integers(-10 ** 40, 10 ** 40),
+                            st.integers(1, 2 ** 300)))
+_COEFF = st.one_of(st.just(F(0)), st.fractions(-4, 4, max_denominator=6), _WIDE)
+
+
+@st.composite
+def _rational_poly(draw):
+    """Ascending coefficients with zero entries and a nonzero lead."""
+    coeffs = draw(st.lists(_COEFF, min_size=0, max_size=10))
+    return [F(c) for c in coeffs] + [F(draw(_WIDE.filter(bool)))]
+
+
+@st.composite
+def _wide_point(draw, bits):
+    """An mpf with up to 300 more mantissa bits than ``bits``."""
+    man = draw(st.integers(-2 ** (bits + 300), 2 ** (bits + 300)))
+    return mpmath.mp.make_mpf(from_man_exp(man, draw(st.integers(-bits - 340, 8))))
+
+
+class TestPolynomialEval:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data(), _rational_poly(), st.integers(53, 4096))
+    def test_raw_kernel_matches_schoolbook_value_type_and_bits(self, data, coeffs,
+                                                               precision):
+        phi = _poly_symbol(coeffs)
+        x = data.draw(_wide_point(precision + 24))
+        want = schoolbook_poly_eval(coeffs, x, precision)
+        # The second call reads the coefficients rounded by the first.
+        assert _same_value(phi.eval(x, precision), want), (coeffs, x)
+        assert _same_value(phi.eval(x, precision), want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_rational_poly(), st.fractions(-4, 4, max_denominator=6),
+           st.integers(-3, 3), st.integers(1, 3), st.sampled_from([53, 256]))
+    def test_generic_horner_matches_schoolbook(self, coeffs, q, re, im, precision):
+        # mpc points, and quadratic-irrational coefficients at mpf points,
+        # take the generic Horner, which reads as the schoolbook one.
+        quad = [c + q * quadratic(0, 1, 2) for c in coeffs]
+        with mpmath.workprec(precision):
+            x, z = mpmath.mpf(re) / 7, mpmath.mpc(re, im) / 3
+        cases = [(coeffs, z), (quad, x), (quad, z)]
+        for cs, point in cases:
+            got = _poly_symbol(cs).eval(point, precision)
+            assert _same_value(got, schoolbook_poly_eval(cs, point, precision)), cs
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data(), st.integers(53, 4096), st.sampled_from([-1, 1]))
+    def test_leading_coefficient_is_rounded_as_to_mpf(self, data, precision, side):
+        # A lead within 2**-(precision + 60) of a tie between two
+        # precision-bit numbers: rounded at precision + 24 bits toward zero
+        # rather than to nearest, it lands on the other side of the tie.
+        m = data.draw(st.integers(2 ** (precision - 1), 2 ** precision - 1))
+        lead = F(2 * m + 1, 2) + side * F(1, 2 ** (precision + 60))
+        with mpmath.workprec(precision):
+            x = mpmath.mpf(1)
+        for coeffs in ([lead], [F(0), lead]):
+            want = schoolbook_poly_eval(coeffs, x, precision)
+            assert _same_value(_poly_symbol(coeffs).eval(x, precision), want), coeffs
+
+    def test_restrictions_share_the_rounded_coefficients(self):
+        phi = parse_symbol("-x^2+x")
+        with mpmath.workprec(64):
+            x = mpmath.mpf(1) / 3
+        value = phi.eval(x, 64)
+        restricted = phi.with_domain(Interval(0, 1))
+        assert restricted._programs[88] is phi._programs[88]
+        assert _same_value(restricted.eval(x, 64), value)
+
+
 class TestJet:
     def test_polynomial_rearrangement(self):
         jet = parse_symbol("-x^2+x").jet(F(0), 3)
