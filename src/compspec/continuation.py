@@ -326,8 +326,11 @@ def evaluate(sol: GlobalSolution, x, precision=None):
 
     Returns (value, trace), the trace naming the rules and orbit depth
     that produced the value.  The residual of the functional equation at x
-    must sit below 2**-(precision-32); otherwise precision escalates by
-    doubling up to the 4096-bit ceiling before PrecisionLoss.
+    must sit below B = 2**-(precision-32); otherwise precision escalates by
+    doubling up to the 4096-bit ceiling before PrecisionLoss.  The ladder
+    stops early (Ziv's test) when a rung's residual is still above 2*B and
+    within B/4 of the previous rung's: more bits no longer move it, so it
+    is a truncation residual, not rounding.
     """
     precision = precision or default_precision()
     if _exact_mode(sol, x):
@@ -339,7 +342,7 @@ def evaluate(sol: GlobalSolution, x, precision=None):
                     raise PrecisionLoss("exact path produced a nonzero residual")
                 return value, EvalTrace(("exact",) + trace.rule_chain,
                                         trace.depth, "0")
-    work = precision
+    work, previous = precision, None
     while work <= _MAX_PRECISION:
         with mpmath.workprec(work + 32):
             value, trace = _dispatch(sol, x, work)
@@ -349,6 +352,12 @@ def evaluate(sol: GlobalSolution, x, precision=None):
                 with mpmath.workprec(precision):
                     return +value, EvalTrace(trace.rule_chain, trace.depth,
                                              mpmath.nstr(abs(residual), 8))
+            if previous is not None and abs(residual) > 2 * bound \
+                    and abs(residual - previous) < bound / 4:
+                raise PrecisionLoss(
+                    f"residual {mpmath.nstr(abs(residual), 2)} above tolerance "
+                    f"2^{32 - precision}, unchanged from {work // 2} to {work} bits")
+            previous = residual
         work *= 2
     raise PrecisionLoss(f"residual above tolerance at {_MAX_PRECISION} bits")
 

@@ -89,7 +89,8 @@ class BudgetExceeded(CompspecError):
 
 
 class PrecisionLoss(CompspecError):
-    """Error tracking exceeded tolerance even at the maximum precision."""
+    """Error tracking exceeded tolerance: at the maximum precision, or
+    earlier once doubling the precision no longer moves the residual."""
 
 
 class HypothesisViolation(CompspecError):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import mpmath
+
 from .errors import ExpressionSyntaxError
 from .numbers import is_exact, parse_rational, to_mpf
 
@@ -78,9 +80,13 @@ def ext_max(a, b):
 
 
 class Interval:
-    """Open interval (lower, upper) on the extended real line."""
+    """Open interval (lower, upper) on the extended real line.
 
-    __slots__ = ("lower", "upper")
+    ``_rounded``, set on the first mpf membership test and left out of
+    equality, hashing and repr, keeps the endpoints rounded per precision.
+    """
+
+    __slots__ = ("lower", "upper", "_rounded")
 
     def __init__(self, lower, upper):
         lower = Fraction(lower) if isinstance(lower, (int, str)) else lower
@@ -121,10 +127,24 @@ class Interval:
         """Strict membership.  Exact points (int, Fraction, QuadraticNumber)
         compare exactly; an mpf point compares against the finite bounds
         rounded by ``to_mpf`` at the current mpmath working precision."""
-        lo, hi = self.lower, self.upper
-        lo_ok = not is_finite(lo) or (lo if is_exact(x) else to_mpf(lo)) < x
-        hi_ok = not is_finite(hi) or x < (hi if is_exact(x) else to_mpf(hi))
+        lo, hi = (self.lower, self.upper) if is_exact(x) else self._rounded_ends()
+        lo_ok = not is_finite(lo) or lo < x
+        hi_ok = not is_finite(hi) or x < hi
         return lo_ok and hi_ok
+
+    def _rounded_ends(self):
+        """The endpoints with each finite one through ``to_mpf`` at the
+        working precision, computed once per precision."""
+        prec = mpmath.mp.prec
+        try:
+            memo = self._rounded
+        except AttributeError:
+            memo = self._rounded = {}
+        ends = memo.get(prec)
+        if ends is None:
+            ends = memo[prec] = tuple(to_mpf(e) if is_finite(e) else e
+                                      for e in (self.lower, self.upper))
+        return ends
 
     def contains_interval(self, other: "Interval") -> bool:
         lo_ok = (not is_finite(self.lower)) or (

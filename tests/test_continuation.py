@@ -12,7 +12,7 @@ from compspec.continuation import (evaluate, extend_forward,
                                    globalize, orbit_sum_check, preimage_orbit,
                                    prop45_witness_demo, telescoping_check)
 from compspec.errors import (BasinEscape, BranchDomain, CompspecError,
-                             HypothesisViolation)
+                             HypothesisViolation, PrecisionLoss)
 from compspec.intervals import Interval
 from compspec.numbers import GaussianRational, is_rational, quadratic, to_mpf
 from compspec.symbols import AnalyticSymbol, parse_rhs, parse_symbol
@@ -304,6 +304,75 @@ class TestRoundedCoefficients:
         assert series._rounded and not hasattr(fresh, "_rounded")
         assert series == fresh and hash(series) == hash(fresh)
         assert series.to_json_dict() == fresh.to_json_dict()
+
+
+class TestPrecisionLadder:
+    """evaluate doubles the precision until the residual passes, and stops
+    once two rungs agree on a residual above the tolerance B."""
+
+    @pytest.fixture(scope="class")
+    def arctan_x(self):
+        return globalize(parse_symbol("1/2*arctan(x)"), F(0), F(2),
+                         parse_rhs("x"), order=24, precision=256)
+
+    @staticmethod
+    def ladder(monkeypatch, residual_at=None):
+        """Record the precision of each numeric residual; residual_at(work)
+        replaces the residual when given."""
+        works = []
+        original = continuation._residual_numeric
+
+        def wrapper(sol, x, value, work):
+            works.append(work)
+            if residual_at is None:
+                return original(sol, x, value, work)
+            return residual_at(work)
+        monkeypatch.setattr(continuation, "_residual_numeric", wrapper)
+        return works
+
+    @pytest.mark.parametrize("bits", [256, 1024])
+    def test_truncation_residual_stops_after_two_rungs(self, arctan_x,
+                                                       monkeypatch, bits):
+        works = self.ladder(monkeypatch)
+        with pytest.raises(PrecisionLoss) as err:
+            evaluate(arctan_x, F(3, 40), precision=bits)
+        assert works == [bits, 2 * bits]
+        assert str(err.value) == (
+            f"residual 1.9e-30 above tolerance 2^-{bits - 32}, "
+            f"unchanged from {bits} to {2 * bits} bits")
+
+    def test_rounding_dominated_first_rung_still_succeeds(self, arctan_x,
+                                                          monkeypatch):
+        tiny = mpmath.mpf(2) ** -300
+        works = self.ladder(monkeypatch, lambda work: {
+            256: mpmath.mpf(2) ** -100, 512: tiny}[work])
+        value, trace = evaluate(arctan_x, F(3, 40), precision=256)
+        assert works == [256, 512]
+        assert trace.residual == mpmath.nstr(tiny, 8)
+        # The value of the second rung, rounded to the requested precision.
+        with mpmath.workprec(512 + 32):
+            second = continuation._dispatch(arctan_x, F(3, 40), 512)[0]
+        with mpmath.workprec(256):
+            assert value == +second
+
+    def test_residual_near_the_tolerance_keeps_climbing(self, arctan_x,
+                                                       monkeypatch):
+        # Two equal residuals between B and 2*B are no proof that more
+        # bits cannot help, so the ladder runs to the ceiling.
+        near = mpmath.mpf(3) / 2 * mpmath.mpf(2) ** -224
+        works = self.ladder(monkeypatch, lambda work: near)
+        with pytest.raises(PrecisionLoss,
+                           match="^residual above tolerance at 4096 bits$"):
+            evaluate(arctan_x, F(3, 40), precision=256)
+        assert works == [256, 512, 1024, 2048, 4096]
+
+    def test_unsettled_ladder_reaches_the_ceiling(self, arctan_x, monkeypatch):
+        works = self.ladder(monkeypatch,
+                            lambda work: work * mpmath.mpf(2) ** -100)
+        with pytest.raises(PrecisionLoss,
+                           match="^residual above tolerance at 4096 bits$"):
+            evaluate(arctan_x, F(3, 40), precision=256)
+        assert works == [256, 512, 1024, 2048, 4096]
 
 
 class TestPreimageOrbit:

@@ -4,11 +4,12 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp
 
 from compspec.errors import ExpressionSyntaxError
 from compspec.intervals import (NEG_INF, POS_INF, Interval, intersect_unions,
                                 is_finite, union_covers)
-from compspec.numbers import to_mpf
+from compspec.numbers import quadratic, to_mpf
 from compspec.sturm import complement_blocks
 
 
@@ -114,3 +115,80 @@ def test_union_covers_matches_brute_force(pieces, target):
     expected = all(any(p.contains(t) for p in pieces)
                    for t in probes if target.contains(t))
     assert union_covers(pieces, target) == expected
+
+
+# Endpoint rounding is memoised per working precision; the memo must give
+# the answer of rounding each finite endpoint by to_mpf on every call.
+@st.composite
+def _memo_intervals(draw):
+    """Rational, infinite and quadratic endpoints; two quadratic ones share
+    their field, since numbers of different fields do not compare."""
+    d = draw(st.sampled_from([2, 3, 5, 7, 10, 9973]))
+    ends = st.one_of(
+        st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6),
+        st.builds(quadratic,
+                  st.fractions(min_value=-5, max_value=5, max_denominator=1000),
+                  st.fractions(min_value=-3, max_value=3,
+                               max_denominator=1000).filter(bool),
+                  st.just(d)),
+        st.sampled_from([NEG_INF, POS_INF]))
+    return _interval(draw(st.tuples(ends, ends)))
+
+
+_PRECISIONS = st.sampled_from([53, 64, 96, 113, 256, 288, 1024, 4096])
+
+
+def _formula_contains(iv, x):
+    lo, hi = iv.lower, iv.upper
+    lo_ok = not is_finite(lo) or to_mpf(lo) < x
+    hi_ok = not is_finite(hi) or x < to_mpf(hi)
+    return lo_ok and hi_ok
+
+
+def _near(end, prec):
+    """Exact mpf points at and within one ulp of end rounded at prec: the
+    rounded value, its neighbours and the two midpoints between them."""
+    man, exp = to_mpf(end, prec).man_exp
+    return [mpmath.mpf(from_man_exp(2 * man + k, exp - 1)) for k in range(-2, 3)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_memo_intervals(), st.lists(_PRECISIONS, min_size=1, max_size=3))
+def test_memoised_membership_matches_rounding_each_call(iv, precisions):
+    for prec in precisions + precisions[:1]:
+        points = [mpmath.mpf(0), mpmath.mpf(10) ** 40, -mpmath.mpf(10) ** 40]
+        for end in (iv.lower, iv.upper):
+            if is_finite(end):
+                points += _near(end, prec) + _near(end, prec + 40)
+        with mpmath.workprec(prec):
+            for x in points:
+                assert iv.contains(x) == _formula_contains(iv, x), (iv, x, prec)
+
+
+def test_endpoints_are_rounded_once_per_precision(monkeypatch):
+    from compspec import intervals
+    rounded = []
+
+    def counting(value, prec=None):
+        rounded.append((value, mpmath.mp.prec))
+        return to_mpf(value, prec)
+    monkeypatch.setattr(intervals, "to_mpf", counting)
+    iv = Interval(F(1, 3), quadratic(1, 1, 2))
+    for prec in (53, 256, 53):
+        with mpmath.workprec(prec):
+            for k in range(10):
+                iv.contains(mpmath.mpf(k) / 4)
+    assert rounded == [(iv.lower, 53), (iv.upper, 53),
+                       (iv.lower, 256), (iv.upper, 256)]
+    # Exact points compare with the endpoints themselves.
+    assert iv.contains(F(1, 2)) and not iv.contains(F(1, 3))
+    assert len(rounded) == 4
+
+
+def test_the_rounded_endpoints_are_not_part_of_the_interval_value():
+    iv, fresh = Interval(F(1, 3), F(2)), Interval(F(1, 3), F(2))
+    with mpmath.workprec(96):
+        assert iv.contains(mpmath.mpf(1))
+    assert iv._rounded and not hasattr(fresh, "_rounded")
+    assert iv == fresh and hash(iv) == hash(fresh)
+    assert repr(iv) == repr(fresh) and str(iv) == str(fresh)
