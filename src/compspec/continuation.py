@@ -7,12 +7,16 @@ inverse branch handles regions the forward orbit leaves; a mirror identity
 reflects across the symmetry axis of quadratic symbols.  The engines
 share one walk into the core and one push-forward sum, and each reports
 the rules and orbit depth it used.  Only evaluate checks its value against
-the functional equation, with doubling precision escalation.
+the functional equation, with doubling precision escalation.  Outside the
+core that check reuses f(phi(x)), the value the forward walk carried one
+step before its last, so it measures only the rounding of that last step;
+inside the core it reads the series at phi(x) and sees the truncation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import mpmath
 
@@ -30,6 +34,9 @@ from .symbols import AnalyticSymbol
 
 _MAX_PRECISION = 4096
 _HARD_FLOOR = Fraction(1, 2 ** 16)
+# Orbit points below this size cannot trip an escape bound, which is at
+# least 2^20 at any precision.
+_ESCAPE_MARGIN = 2 ** 19
 
 
 class ForwardOrbitRule(Record):
@@ -83,6 +90,15 @@ class GlobalSolution(Record):
     @property
     def center(self):
         return self.local.series.center
+
+    @cached_property
+    def _exact_data(self) -> bool:
+        """Whether the series, phi, gamma and lambda are all exact, so that
+        exact points unwind exactly.  Computed once and kept in the
+        instance dict, outside equality, hashing and repr."""
+        local = self.local
+        return (local.series.is_exact() and local.phi.is_rational_polynomial()
+                and local.gamma.is_rational_polynomial() and is_exact(local.lam))
 
 
 def _half(r_est, domain: Interval, center) -> Fraction:
@@ -193,10 +209,7 @@ def standard_parabolic_rules(phi: AnalyticSymbol):
 
 
 def _exact_mode(sol: GlobalSolution, x) -> bool:
-    return (is_exact(x) and sol.local.series.is_exact()
-            and sol.phi.is_rational_polynomial()
-            and sol.gamma.is_rational_polynomial()
-            and is_exact(sol.lam))
+    return is_exact(x) and sol._exact_data
 
 
 def _orbit_to_core(sol: GlobalSolution, x, start, step, escape=None):
@@ -236,12 +249,18 @@ def extend_forward(sol: GlobalSolution, x, precision=None):
 
 
 def _escape_bound(sol: GlobalSolution, x):
-    scale = abs(to_mpf(x)) + abs(to_mpf(Fraction(sol.core.upper))) \
-        + abs(to_mpf(Fraction(sol.core.lower)))
-    return 4 * scale + mpmath.mpf(2) ** 20
+    lower, upper = sol.core._rounded_ends()
+    return 4 * (abs(to_mpf(x)) + abs(upper) + abs(lower)) + mpmath.mpf(2) ** 20
 
 
 def _extend_forward_trace(sol: GlobalSolution, x, precision):
+    return _forward_walk(sol, x, precision)[:2]
+
+
+def _forward_walk(sol: GlobalSolution, x, precision):
+    """(value, trace, f_next) of the forward engine.  f_next is f(orbit[1]),
+    the value carried one step before the last, when a walk from orbit[1]
+    would take this walk's later steps (``_same_rewalk``); else None."""
     exact = _exact_mode(sol, x)
     work = precision + 32
     with mpmath.workprec(work):
@@ -250,9 +269,24 @@ def _extend_forward_trace(sol: GlobalSolution, x, precision):
                                escape=_escape_bound(sol, x))
         value = sol.local.series.eval(orbit[-1])
         lam = sol.lam if exact else to_numeric(sol.lam)
+        f_next = None
         for p in reversed(orbit[:-1]):
-            value = (value - sol.gamma.eval(p, precision=work)) / lam
-        return value, _trace("forward-orbit", len(orbit) - 1)
+            f_next, value = value, (value - sol.gamma.eval(p, precision=work)) / lam
+        if not _same_rewalk(sol, orbit):
+            f_next = None
+        return value, _trace("forward-orbit", len(orbit) - 1), f_next
+
+
+def _same_rewalk(sol: GlobalSolution, orbit) -> bool:
+    """Whether ``_dispatch`` at orbit[1] would walk orbit[1:] as this walk
+    did: orbit[1] is in the core, or the first rule holding it is a
+    forward-orbit rule and no later point is near the escape bound."""
+    if len(orbit) > 2:
+        head = orbit[1]
+        rule = next((r for r in sol.rules if r.region.contains(head)), None)
+        if not isinstance(rule, ForwardOrbitRule):
+            return False
+    return all(abs(p) < _ESCAPE_MARGIN for p in orbit[2:-1])
 
 
 def extend_inverse_branch(sol: GlobalSolution, x, precision=None):
@@ -295,7 +329,7 @@ def _extend_mirror_trace(sol: GlobalSolution, y, precision):
         y_val = y if exact else to_mpf(y)
         reflected = 2 * rule.axis - y_val if exact else 2 * to_mpf(rule.axis) - y_val
         try:
-            base, trace = _dispatch(sol, reflected, work, allow_mirror=False)
+            base, trace, _ = _dispatch(sol, reflected, work, allow_mirror=False)
         except (BranchDomain, BasinEscape) as exc:
             raise ReflectedUncovered(
                 f"reflected point {reflected} not covered") from exc
@@ -307,17 +341,19 @@ def _extend_mirror_trace(sol: GlobalSolution, y, precision):
 
 
 def _dispatch(sol: GlobalSolution, x, work, allow_mirror=True):
+    """(value, trace, f_next) from the core or the first rule holding x;
+    f_next is the forward walk's f(phi(x)), None from every other engine."""
     if sol.core.contains(x):
         point = x if _exact_mode(sol, x) else to_mpf(x)
-        return sol.local.series.eval(point), _trace("series", 0)
+        return sol.local.series.eval(point), _trace("series", 0), None
     for rule in sol.rules:
         if isinstance(rule, ForwardOrbitRule) and rule.region.contains(x):
-            return _extend_forward_trace(sol, x, work)
+            return _forward_walk(sol, x, work)
         if isinstance(rule, InverseBranchRule) and rule.region.contains(x):
-            return _extend_inverse_trace(sol, x, work)
+            return (*_extend_inverse_trace(sol, x, work), None)
         if allow_mirror and isinstance(rule, MirrorRule) \
                 and rule.region.contains(x):
-            return _extend_mirror_trace(sol, x, work)
+            return (*_extend_mirror_trace(sol, x, work), None)
     raise BranchDomain(f"{x} is not covered by any extension rule")
 
 
@@ -331,12 +367,24 @@ def evaluate(sol: GlobalSolution, x, precision=None):
     stops early (Ziv's test) when a rung's residual is still above 2*B and
     within B/4 of the previous rung's: more bits no longer move it, so it
     is a truncation residual, not rounding.
+
+    At orbit depth d >= 1 the residual takes f(phi(x)) from the forward
+    walk that produced the value, so it measures only the rounding of the
+    walk's last step.  A second walk from phi(x) would give the same
+    number bit for bit: in numeric mode the walk's first step is the
+    residual's own phi(x) (``phi.eval`` of ``to_mpf(x)`` at work + 32 bits
+    under that working precision), and the rest of it repeats the same
+    calls at the same precision; in exact mode every step is exact.  Where
+    that second walk could decide differently (phi(x) under another rule
+    or none, or a later point near its escape bound) the residual walks
+    phi(x) again, and an error of that walk is the error of evaluate.  In
+    the core it reads the series at phi(x) and so sees the truncation.
     """
     precision = precision or default_precision()
     if _exact_mode(sol, x):
-        value, trace = _dispatch(sol, x, precision)
+        value, trace, f_next = _dispatch(sol, x, precision)
         if is_exact(value):
-            residual = _residual_exact(sol, x, value)
+            residual = _residual_exact(sol, x, value, f_next)
             if is_exact(residual):
                 if residual != 0:
                     raise PrecisionLoss("exact path produced a nonzero residual")
@@ -345,8 +393,8 @@ def evaluate(sol: GlobalSolution, x, precision=None):
     work, previous = precision, None
     while work <= _MAX_PRECISION:
         with mpmath.workprec(work + 32):
-            value, trace = _dispatch(sol, x, work)
-            residual = _residual_numeric(sol, x, value, work)
+            value, trace, f_next = _dispatch(sol, x, work)
+            residual = _residual_numeric(sol, x, value, work, f_next)
             bound = mpmath.mpf(2) ** (-(precision - 32))
             if abs(residual) < bound:
                 with mpmath.workprec(precision):
@@ -362,17 +410,21 @@ def evaluate(sol: GlobalSolution, x, precision=None):
     raise PrecisionLoss(f"residual above tolerance at {_MAX_PRECISION} bits")
 
 
-def _residual_exact(sol: GlobalSolution, x, value):
-    phi_x = sol.phi.eval(x)
-    f_phi, _ = _dispatch(sol, phi_x, default_precision())
+def _residual_exact(sol: GlobalSolution, x, value, f_phi=None):
+    """f(phi(x)) - lam*f(x) - gamma(x); f(phi(x)) is f_phi when given,
+    else the dispatch at phi(x)."""
+    if f_phi is None:
+        f_phi = _dispatch(sol, sol.phi.eval(x), default_precision())[0]
     return f_phi - sol.lam * value - sol.gamma.eval(x)
 
 
-def _residual_numeric(sol: GlobalSolution, x, value, work):
+def _residual_numeric(sol: GlobalSolution, x, value, work, f_phi=None):
+    """The residual of ``_residual_exact`` at work + 32 bits."""
     with mpmath.workprec(work + 32):
         x_val = to_mpf(x)
-        phi_x = sol.phi.eval(x_val, precision=work + 32)
-        f_phi, _ = _dispatch(sol, phi_x, work)
+        if f_phi is None:
+            f_phi = _dispatch(sol, sol.phi.eval(x_val, precision=work + 32),
+                              work)[0]
         lam = to_numeric(sol.lam)
         gamma_x = sol.gamma.eval(x_val, precision=work + 32)
         return f_phi - lam * value - gamma_x
@@ -394,7 +446,7 @@ def orbit_sum_check(sol: GlobalSolution, x, n: int, precision=None):
         orbit = [point]
         for _ in range(n):
             orbit.append(sol.phi.eval(orbit[-1], precision=work))
-        lhs, _ = _dispatch(sol, orbit[-1], work)
+        lhs = _dispatch(sol, orbit[-1], work)[0]
         residual = lhs - _push(sol, _dispatch(sol, point, work)[0], orbit[:-1],
                                lam, work)
         if exact:

@@ -1,20 +1,28 @@
 import functools
+import importlib.util
 import json
 import pathlib
 from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compspec import continuation
-from compspec.continuation import (evaluate, extend_forward,
+from compspec.config import default_precision
+from compspec.continuation import (ForwardOrbitRule, GlobalSolution,
+                                   InverseBranchRule, evaluate, extend_forward,
                                    extend_inverse_branch, extend_mirror,
                                    globalize, orbit_sum_check, preimage_orbit,
                                    prop45_witness_demo, telescoping_check)
 from compspec.errors import (BasinEscape, BranchDomain, CompspecError,
                              HypothesisViolation, PrecisionLoss)
 from compspec.intervals import Interval
-from compspec.numbers import GaussianRational, is_rational, quadratic, to_mpf
+from compspec.numbers import (GaussianRational, is_rational, quadratic, to_mpf,
+                              to_numeric)
+from compspec.power_series import TruncatedSeries
+from compspec.record import replace
 from compspec.symbols import AnalyticSymbol, parse_rhs, parse_symbol
 
 
@@ -322,10 +330,10 @@ class TestPrecisionLadder:
         works = []
         original = continuation._residual_numeric
 
-        def wrapper(sol, x, value, work):
+        def wrapper(sol, x, value, work, f_phi=None):
             works.append(work)
             if residual_at is None:
-                return original(sol, x, value, work)
+                return original(sol, x, value, work, f_phi)
             return residual_at(work)
         monkeypatch.setattr(continuation, "_residual_numeric", wrapper)
         return works
@@ -501,3 +509,222 @@ class TestPinnedOrbitValues:
             "PrecisionLoss", "BasinEscape", "BranchDomain", "ReflectedUncovered"}
         assert any(r["value"].startswith("mpf(") for r in results if "value" in r)
         assert any(r["value"].startswith("Fraction(") for r in results if "value" in r)
+
+
+class TestResidualReusesTheWalk:
+    """Outside the core, evaluate's residual takes f(phi(x)) from the walk
+    that produced the value instead of walking phi(x) into the core again."""
+
+    @pytest.fixture(scope="class")
+    def arctan_small_core(self):
+        # A core of radius 1/8 gives 1/2*arctan(x) orbits of depth 1 to 4.
+        return globalize(parse_symbol("1/2*arctan(x)"), F(0), F(2),
+                         parse_rhs("x"), order=24, precision=256,
+                         core_radius=F(1, 8))
+
+    @staticmethod
+    def count(monkeypatch, sol):
+        """Record the points of phi.eval and of the series reads of sol."""
+        calls = {"phi": [], "series": []}
+        phi_eval, series_eval = AnalyticSymbol.eval, TruncatedSeries.eval
+
+        def counting_phi(self, x, precision=None):
+            if self is sol.phi:
+                calls["phi"].append(x)
+            return phi_eval(self, x, precision)
+
+        def counting_series(self, x):
+            if self is sol.local.series:
+                calls["series"].append(x)
+            return series_eval(self, x)
+
+        monkeypatch.setattr(AnalyticSymbol, "eval", counting_phi)
+        monkeypatch.setattr(TruncatedSeries, "eval", counting_series)
+        return calls
+
+    @pytest.mark.parametrize("x,depth", [(F(3, 2), 1), (F(3), 2), (F(-7), 3),
+                                         (F(100), 7)])
+    def test_exact_walk_is_not_repeated(self, halving_solution, monkeypatch,
+                                        x, depth):
+        calls = self.count(monkeypatch, halving_solution)
+        _value, trace = evaluate(halving_solution, x)
+        assert trace == continuation.EvalTrace(("exact", "forward-orbit"),
+                                               depth, "0")
+        assert len(calls["phi"]) == depth and len(calls["series"]) == 1
+
+    @pytest.mark.parametrize("x,depth", [(F(1, 5), 1), (F(1, 2), 2), (F(1), 3),
+                                         (F(3), 4)])
+    def test_numeric_walk_is_not_repeated(self, arctan_small_core, monkeypatch,
+                                          x, depth):
+        calls = self.count(monkeypatch, arctan_small_core)
+        _value, trace = evaluate(arctan_small_core, x, precision=256)
+        assert (trace.rule_chain, trace.depth) == (("forward-orbit",), depth)
+        assert len(calls["phi"]) == depth and len(calls["series"]) == 1
+
+    def test_in_core_residual_reads_the_series_at_phi_x(self, halving_solution,
+                                                        arctan_solution,
+                                                        monkeypatch):
+        calls = self.count(monkeypatch, halving_solution)
+        evaluate(halving_solution, F(1, 3))
+        assert calls == {"phi": [F(1, 3)], "series": [F(1, 3), F(1, 6)]}
+        with mpmath.workprec(288):
+            x = to_mpf(F(1, 3))
+            phi_x = arctan_solution.phi.eval(x, precision=288)
+        calls = self.count(monkeypatch, arctan_solution)
+        _value, trace = evaluate(arctan_solution, F(1, 3), precision=256)
+        assert trace.depth == 0
+        assert calls == {"phi": [x], "series": [x, phi_x]}
+
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    def test_escape_bound_is_unchanged(self, halving_solution, bits):
+        # The bound once rounded each Fraction endpoint of the core itself.
+        sol = replace(halving_solution, core=Interval(F(-1, 3), F(2, 7)))
+        with mpmath.workprec(bits):
+            for x in (F(0), F(-7, 3), F(10 ** 6), mpmath.mpf(1) / 3):
+                scale = abs(to_mpf(x)) + abs(to_mpf(F(sol.core.upper))) \
+                    + abs(to_mpf(F(sol.core.lower)))
+                old = 4 * scale + mpmath.mpf(2) ** 20
+                assert continuation._escape_bound(sol, x)._mpf_ == old._mpf_
+
+    def test_exactness_of_the_solution_is_read_once(self, halving_solution,
+                                                    monkeypatch):
+        checks = []
+        original = TruncatedSeries.is_exact
+        monkeypatch.setattr(TruncatedSeries, "is_exact",
+                            lambda self: checks.append(self) or original(self))
+        sol = replace(halving_solution)
+        for x in (F(1, 3), F(3), F(100), mpmath.mpf(3)):
+            evaluate(sol, x)
+        assert checks == [sol.local.series]
+        assert "_exact_data" in vars(sol)
+        fresh = replace(halving_solution)
+        assert "_exact_data" not in vars(fresh)
+        assert sol == fresh and hash(sol) == hash(fresh)
+        assert repr(sol) == repr(fresh)
+
+
+# The residual of evaluate before it reused the walk: f(phi(x)) always
+# from a second dispatch at phi(x).
+
+
+def _rewalk_residual_exact(sol, x, value, f_phi=None):
+    phi_x = sol.phi.eval(x)
+    f_phi = continuation._dispatch(sol, phi_x, default_precision())[0]
+    return f_phi - sol.lam * value - sol.gamma.eval(x)
+
+
+def _rewalk_residual_numeric(sol, x, value, work, f_phi=None):
+    with mpmath.workprec(work + 32):
+        x_val = to_mpf(x)
+        phi_x = sol.phi.eval(x_val, precision=work + 32)
+        f_phi = continuation._dispatch(sol, phi_x, work)[0]
+        lam = to_numeric(sol.lam)
+        gamma_x = sol.gamma.eval(x_val, precision=work + 32)
+        return f_phi - lam * value - gamma_x
+
+
+def _benchmark_inputs():
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def _benchmark_points():
+    """(equation, point) of the benchmark's orbit inputs at seeds 2, 3, 7,
+    the parabolic rule points included."""
+    inputs, cases = _benchmark_inputs(), set()
+    for seed in (2, 3, 7):
+        data = inputs.orbit_inputs(seed)
+        for eq, points in data["points"].items():
+            cases.update((eq, x) for x in points)
+        cases.update(("parabolic-l2", x)
+                     for x in data["mirror"] + data["inverse"])
+    return sorted(cases)
+
+
+def _through(p, q, r):
+    """The rational quadratic through three points (x, y), in Newton form."""
+    (x0, y0), (x1, y1), (x2, y2) = p, q, r
+    a1 = (y1 - y0) / (x1 - x0)
+    a2 = ((y2 - y1) / (x2 - x1) - a1) / (x2 - x0)
+    return AnalyticSymbol.from_coefficients(
+        [y0 - a1 * x0 + a2 * x0 * x1, a1 - a2 * (x0 + x1), a2])
+
+
+@functools.cache
+def _guard_solution(kind):
+    """Hand-built solutions around the halving equation where phi(x) falls
+    first under an inverse-branch rule, under no rule, or where the orbit
+    after phi(x) passes the escape bound of a walk from phi(x)."""
+    sol = orbit_solution("halving-l5")
+    if kind == "inverse":
+        return replace(sol, rules=(
+            InverseBranchRule(Interval(F(1), F(2)), lambda y: y / 2),
+            ForwardOrbitRule(Interval.real_line())))
+    if kind == "uncovered":
+        return replace(sol, rules=(ForwardOrbitRule(Interval(F(4), F(16))),))
+    # 2^22 -> 2 -> 2^21 -> 0: the bound at 2^22 is above 2^24, the bound
+    # at 2 is about 2^20.
+    phi = _through((F(2 ** 22), F(2)), (F(2), F(2 ** 21)), (F(2 ** 21), F(0)))
+    return GlobalSolution(local=replace(sol.local, phi=phi), core=sol.core,
+                          rules=(ForwardOrbitRule(phi.domain),))
+
+
+# (label, solution key, point); the guard reuses f(phi(x)) for the first two.
+_GUARD_CASES = (
+    [("forward", "uncovered", F(k)) for k in (9, 12, 15)]
+    + [("inverse", "inverse", F(k, 2)) for k in (5, 6, 7)]
+    + [("uncovered", "uncovered", F(k)) for k in (5, 6, 7)]
+    + [("far", "far", F(2 ** 22))])
+
+
+class TestResidualReuseMatchesTheRewalk:
+    def test_against_the_rewalk_oracle(self):
+        seen = set()
+
+        def outcome(sol, x, bits):
+            try:
+                value, trace = evaluate(sol, x, precision=bits)
+            except CompspecError as exc:
+                return type(exc).__name__, str(exc)
+            with mpmath.workprec(bits + 64):
+                return repr(value), trace
+
+        @settings(max_examples=250, deadline=None, derandomize=True,
+                  database=None)
+        @given(st.one_of(st.sampled_from(_benchmark_points()),
+                         st.sampled_from(_GUARD_CASES)),
+               st.sampled_from([64, 256, 1024]), st.booleans())
+        def check(case, bits, numeric):
+            if len(case) == 2:
+                label, sol, x = None, orbit_solution(case[0]), case[1]
+            else:
+                label, sol, x = case[0], _guard_solution(case[1]), case[2]
+            if numeric:
+                x = to_mpf(x, bits)
+            reused = []
+            with pytest.MonkeyPatch.context() as patch:
+                for name in ("_residual_exact", "_residual_numeric"):
+                    def spy(*args, original=getattr(continuation, name)):
+                        reused.append(args[-1] is not None)
+                        return original(*args)
+                    patch.setattr(continuation, name, spy)
+                got = outcome(sol, x, bits)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(continuation, "_residual_exact",
+                              _rewalk_residual_exact)
+                patch.setattr(continuation, "_residual_numeric",
+                              _rewalk_residual_numeric)
+                assert got == outcome(sol, x, bits)
+            if label is None and isinstance(got[1], continuation.EvalTrace):
+                trace = got[1]
+                if trace.rule_chain[-1] == "forward-orbit":
+                    label = "core" if trace.depth == 1 else "forward"
+            if label is not None:
+                assert reused[0] == (label in ("core", "forward"))
+                seen.add(label)
+
+        check()
+        assert seen == {"core", "forward", "inverse", "uncovered", "far"}
