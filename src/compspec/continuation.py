@@ -145,15 +145,12 @@ def globalize(phi: AnalyticSymbol, u, lam, gamma: AnalyticSymbol,
         r_safe = min(r_safe, Fraction(core_radius))
     m = local.multiplier
     parabolic = is_exact(m) and m == 1
-    for _ in range(64):
-        core = Interval(c - r_safe, c + r_safe)
-        if _core_invariant(phi, core, c, parabolic):
-            break
+    core = Interval(c - r_safe, c + r_safe)
+    while not _core_invariant(phi, core, c, parabolic):
         r_safe = r_safe / 2
         if r_safe < _HARD_FLOOR:
             raise HypothesisViolation("could not certify an invariant core")
-    else:
-        raise HypothesisViolation("could not certify an invariant core")
+        core = Interval(c - r_safe, c + r_safe)
     basin = None
     if check_basin and not parabolic:
         basin = attraction_basin_check(phi, core, invariant_core=True)
@@ -245,16 +242,12 @@ def extend_forward(sol: GlobalSolution, x, precision=None):
     of the caller.  Points already inside the core evaluate the series at
     depth zero.
     """
-    return _extend_forward_trace(sol, x, precision or default_precision())[0]
+    return _forward_walk(sol, x, precision or default_precision())[0]
 
 
 def _escape_bound(sol: GlobalSolution, x):
     lower, upper = sol.core._rounded_ends()
     return 4 * (abs(to_mpf(x)) + abs(upper) + abs(lower)) + mpmath.mpf(2) ** 20
-
-
-def _extend_forward_trace(sol: GlobalSolution, x, precision):
-    return _forward_walk(sol, x, precision)[:2]
 
 
 def _forward_walk(sol: GlobalSolution, x, precision):
@@ -368,6 +361,14 @@ def evaluate(sol: GlobalSolution, x, precision=None):
     within B/4 of the previous rung's: more bits no longer move it, so it
     is a truncation residual, not rounding.
 
+    Each rung dispatches x once, and the exact path is the first rung: at
+    an exact point of a solution whose series, phi, gamma and lambda are
+    exact, an exact value gets the exact residual first.  Zero returns the
+    value with an ``exact`` trace, an exact nonzero residual raises
+    PrecisionLoss, and a residual that comes out numeric (f(phi(x)) from
+    the inverse-branch engine) falls through to the numeric residual of
+    the same value.
+
     At orbit depth d >= 1 the residual takes f(phi(x)) from the forward
     walk that produced the value, so it measures only the rounding of the
     walk's last step.  A second walk from phi(x) would give the same
@@ -381,19 +382,18 @@ def evaluate(sol: GlobalSolution, x, precision=None):
     the core it reads the series at phi(x) and so sees the truncation.
     """
     precision = precision or default_precision()
-    if _exact_mode(sol, x):
-        value, trace, f_next = _dispatch(sol, x, precision)
-        if is_exact(value):
-            residual = _residual_exact(sol, x, value, f_next)
-            if is_exact(residual):
-                if residual != 0:
-                    raise PrecisionLoss("exact path produced a nonzero residual")
-                return value, EvalTrace(("exact",) + trace.rule_chain,
-                                        trace.depth, "0")
+    exact = _exact_mode(sol, x)
     work, previous = precision, None
     while work <= _MAX_PRECISION:
         with mpmath.workprec(work + 32):
             value, trace, f_next = _dispatch(sol, x, work)
+            if exact and work == precision and is_exact(value):
+                residual = _residual_exact(sol, x, value, f_next)
+                if is_exact(residual):
+                    if residual != 0:
+                        raise PrecisionLoss("exact path produced a nonzero residual")
+                    return value, EvalTrace(("exact",) + trace.rule_chain,
+                                            trace.depth, "0")
             residual = _residual_numeric(sol, x, value, work, f_next)
             bound = mpmath.mpf(2) ** (-(precision - 32))
             if abs(residual) < bound:

@@ -5,7 +5,7 @@ sentinels; membership tests for exact points are exact, and mpf points
 are compared with the endpoints rounded at the working precision.  Also
 provides the interval-set algebra of the covering machinery and of the
 certified image containment (intersection, merged unions, complement
-blocks, union coverage, reflection).
+blocks, union coverage).
 """
 
 from __future__ import annotations
@@ -159,13 +159,6 @@ class Interval:
         if ext_lt(lo, hi):
             return Interval(lo, hi)
         return None
-
-    def reflect(self, axis: Fraction) -> "Interval":
-        """Image under x -> 2*axis - x."""
-        two_axis = 2 * axis
-        new_lo = NEG_INF if self.upper == POS_INF else two_axis - self.upper
-        new_hi = POS_INF if self.lower == NEG_INF else two_axis - self.lower
-        return Interval(new_lo, new_hi)
 
     def midpoint(self) -> Fraction:
         """A representative interior rational point."""

@@ -418,25 +418,21 @@ def is_diffeomorphism(phi: AnalyticSymbol, critical=None) -> DiffeoVerdict:
                              f"conjugation-invariant: {inner.certificate}", False)
     if critical is None:
         critical = find_critical_points(phi)
-    if phi.is_rational_polynomial():
+    exact = phi.is_rational_polynomial()
+    if exact:
         dp = phi.integer_facts().derivative
         if polylib.degree(dp) == 0 and dp[0] == 0:
             return DiffeoVerdict(False, "derivative vanishes identically", True)
-        if critical:
-            return DiffeoVerdict(False, "critical point inside the domain", True)
-        onto, certified = _onto_check(phi)
-        if onto is True:
-            return DiffeoVerdict(True, "monotone with limits onto the ends", certified)
-        if onto is False:
-            return DiffeoVerdict(False, "image does not fill the interval", certified)
-        return DiffeoVerdict(None, "endpoint limits unresolved", False)
     if critical:
-        return DiffeoVerdict(False, "critical point found by scan", False)
-    onto, _ = _onto_check(phi)
+        return DiffeoVerdict(False, "critical point inside the domain" if exact
+                             else "critical point found by scan", exact)
+    onto, certified = _onto_check(phi)
+    certified = certified and exact
     if onto is True:
-        return DiffeoVerdict(True, "monotone with limits onto the ends (sampled)", False)
+        return DiffeoVerdict(True, "monotone with limits onto the ends"
+                             + ("" if exact else " (sampled)"), certified)
     if onto is False:
-        return DiffeoVerdict(False, "image does not fill the interval", False)
+        return DiffeoVerdict(False, "image does not fill the interval", certified)
     return DiffeoVerdict(None, "endpoint limits unresolved", False)
 
 

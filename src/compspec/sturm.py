@@ -23,7 +23,7 @@ from math import gcd, lcm
 from . import polynomials as poly
 from .errors import DegreeOverflow
 from .intervals import NEG_INF, POS_INF, Interval, complement_blocks, is_finite
-from .numbers import format_rational, is_rational, quadratic, to_mpf
+from .numbers import is_rational, quadratic, to_mpf
 from .record import Record
 
 
@@ -316,10 +316,6 @@ class Enclosure(Record):
 
     def to_mpf(self):
         return (to_mpf(self.lo) + to_mpf(self.hi)) / 2
-
-    def to_json_pair(self):
-        """Exact rational endpoint pair."""
-        return [format_rational(self.lo), format_rational(self.hi)]
 
 
 def cauchy_bound(p) -> Fraction:

@@ -317,19 +317,6 @@ class TestComplexEval:
             assert out.splitlines()[0] == "f(5) = -140/13+80/13i"
 
 
-class TestEnclosureSerialization:
-    def test_exact_rational_pair(self):
-        from compspec import sturm
-        from compspec.symbols import parse_symbol
-        from compspec.rootwork import find_fixed_points
-        recs = find_fixed_points(parse_symbol("x^5 - 3*x^3 + x + 1/7"))
-        enclosures = [r.location for r in recs
-                      if isinstance(r.location, sturm.Enclosure)]
-        assert enclosures
-        pair = enclosures[0].to_json_pair()
-        assert F(pair[0]) < F(pair[1])
-
-
 class TestIrrationalCentre:
     # 1/4*x^2 - 1/2 fixes 2 -+ sqrt(6); the attracting one, 2 - sqrt(6), is
     # the detected centre.

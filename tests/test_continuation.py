@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compspec import continuation
@@ -19,8 +19,8 @@ from compspec.continuation import (ForwardOrbitRule, GlobalSolution,
 from compspec.errors import (BasinEscape, BranchDomain, CompspecError,
                              HypothesisViolation, PrecisionLoss)
 from compspec.intervals import Interval
-from compspec.numbers import (GaussianRational, is_rational, quadratic, to_mpf,
-                              to_numeric)
+from compspec.numbers import (GaussianRational, is_exact, is_rational, quadratic,
+                              to_mpf, to_numeric)
 from compspec.power_series import TruncatedSeries
 from compspec.record import replace
 from compspec.symbols import AnalyticSymbol, parse_rhs, parse_symbol
@@ -50,8 +50,7 @@ class TestForwardExtension:
             assert extend_forward(halving_solution, x) == F(-1, 4) - F(4, 19) * x * x
 
     def test_core_point_is_depth_zero(self, halving_solution):
-        from compspec.continuation import _extend_forward_trace
-        value, trace = _extend_forward_trace(halving_solution, F(1, 3), 64)
+        value, trace = continuation._forward_walk(halving_solution, F(1, 3), 64)[:2]
         assert trace.depth == 0
         assert value == F(-1, 4) - F(4, 19) * F(1, 9)
 
@@ -467,7 +466,8 @@ ORBIT_VALUES = json.loads(
     (pathlib.Path(__file__).parent / "data" / "orbit_values.json").read_text())
 
 _ENGINES = {"evaluate": continuation.evaluate,
-            "extend_forward": continuation._extend_forward_trace,
+            "extend_forward": lambda sol, x, bits:
+                continuation._forward_walk(sol, x, bits)[:2],
             "extend_inverse_branch": continuation._extend_inverse_trace,
             "extend_mirror": continuation._extend_mirror_trace}
 
@@ -560,6 +560,28 @@ class TestResidualReusesTheWalk:
         _value, trace = evaluate(arctan_small_core, x, precision=256)
         assert (trace.rule_chain, trace.depth) == (("forward-orbit",), depth)
         assert len(calls["phi"]) == depth and len(calls["series"]) == 1
+
+    @pytest.mark.parametrize("x,walk,rules", [
+        (F(-2), (F(-2), 256), ["inverse-branch"]),
+        (F(3), (F(-2), 288), ["mirror", "inverse-branch"])])
+    def test_inverse_branch_walk_is_not_repeated(self, monkeypatch, x, walk,
+                                                 rules):
+        # The inverse-branch engine answers an exact point numerically, so
+        # the exact path falls through to the numeric residual of the first
+        # rung, which walks only phi(x) = -6.
+        walks = []
+        original = continuation._extend_inverse_trace
+
+        def spy(sol, y, precision):
+            walks.append((y, precision))
+            return original(sol, y, precision)
+        monkeypatch.setattr(continuation, "_extend_inverse_trace", spy)
+        value, trace = evaluate(orbit_solution("parabolic-l2"), x, precision=256)
+        assert walks == [walk, (-6, 256)]
+        with mpmath.workprec(320):
+            assert repr(value) == "mpf('-1.0')"
+        assert trace.to_json_dict() == {"rules": rules, "depth": 2,
+                                        "residual": "0.0"}
 
     def test_in_core_residual_reads_the_series_at_phi_x(self, halving_solution,
                                                         arctan_solution,
@@ -679,14 +701,54 @@ _GUARD_CASES = (
     + [("uncovered", "uncovered", F(k)) for k in (5, 6, 7)]
     + [("far", "far", F(2 ** 22))])
 
+# Exact points whose exact value gets an exact residual that comes out
+# numeric, f(phi(x)) coming from the inverse-branch engine: at -99/100
+# phi(x) = -1.9701 leaves the core (-1, 1), at 7/4 the mirror reads the
+# core at -3/4 and phi(x) = -21/16.  No orbit point of the benchmark at
+# seeds 1 and 900001 reaches this branch.
+_EXACT_THEN_NUMERIC = (("parabolic-l2", F(-99, 100)), ("parabolic-l2", F(7, 4)),
+                       ("inverse", "inverse", F(5, 2)))
+
+
+def _two_path_evaluate(sol, x, precision):
+    """evaluate as it was with an exact prologue ahead of the ladder, each
+    dispatching x."""
+    if continuation._exact_mode(sol, x):
+        value, trace, f_next = continuation._dispatch(sol, x, precision)
+        if is_exact(value):
+            residual = continuation._residual_exact(sol, x, value, f_next)
+            if is_exact(residual):
+                if residual != 0:
+                    raise PrecisionLoss("exact path produced a nonzero residual")
+                return value, continuation.EvalTrace(
+                    ("exact",) + trace.rule_chain, trace.depth, "0")
+    work, previous = precision, None
+    while work <= 4096:
+        with mpmath.workprec(work + 32):
+            value, trace, f_next = continuation._dispatch(sol, x, work)
+            residual = continuation._residual_numeric(sol, x, value, work, f_next)
+            bound = mpmath.mpf(2) ** (-(precision - 32))
+            if abs(residual) < bound:
+                with mpmath.workprec(precision):
+                    return +value, continuation.EvalTrace(
+                        trace.rule_chain, trace.depth, mpmath.nstr(abs(residual), 8))
+            if previous is not None and abs(residual) > 2 * bound \
+                    and abs(residual - previous) < bound / 4:
+                raise PrecisionLoss(
+                    f"residual {mpmath.nstr(abs(residual), 2)} above tolerance "
+                    f"2^{32 - precision}, unchanged from {work // 2} to {work} bits")
+            previous = residual
+        work *= 2
+    raise PrecisionLoss("residual above tolerance at 4096 bits")
+
 
 class TestResidualReuseMatchesTheRewalk:
     def test_against_the_rewalk_oracle(self):
         seen = set()
 
-        def outcome(sol, x, bits):
+        def outcome(sol, x, bits, engine=evaluate):
             try:
-                value, trace = evaluate(sol, x, precision=bits)
+                value, trace = engine(sol, x, bits)
             except CompspecError as exc:
                 return type(exc).__name__, str(exc)
             with mpmath.workprec(bits + 64):
@@ -712,6 +774,7 @@ class TestResidualReuseMatchesTheRewalk:
                         return original(*args)
                     patch.setattr(continuation, name, spy)
                 got = outcome(sol, x, bits)
+            assert got == outcome(sol, x, bits, _two_path_evaluate)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(continuation, "_residual_exact",
                               _rewalk_residual_exact)
@@ -726,5 +789,8 @@ class TestResidualReuseMatchesTheRewalk:
                 assert reused[0] == (label in ("core", "forward"))
                 seen.add(label)
 
+        for case in _EXACT_THEN_NUMERIC:
+            for bits in (64, 256, 1024):
+                check = example(case, bits, False)(check)
         check()
         assert seen == {"core", "forward", "inverse", "uncovered", "far"}

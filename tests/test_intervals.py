@@ -57,12 +57,6 @@ def test_parse_rejects_garbage():
         Interval(1, 1)
 
 
-def test_reflect():
-    iv = Interval(F(1), POS_INF)
-    ref = iv.reflect(F(1, 2))
-    assert ref == Interval(NEG_INF, F(0))
-
-
 def test_union_covers_requires_overlap_at_shared_endpoints():
     line = Interval.real_line()
     assert union_covers([Interval(NEG_INF, 0), Interval(-1, 1),
