@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import ExpressionSyntaxError
-from .numbers import is_exact, parse_rational, to_mpf
+from .errors import DomainError, ExpressionSyntaxError
+from .numbers import is_exact, is_rational, parse_rational, to_mpf
 
 
 class _Infinity:
@@ -185,6 +185,16 @@ class Interval:
         lo = "-inf" if self.lower == NEG_INF else str(self.lower)
         hi = "inf" if self.upper == POS_INF else str(self.upper)
         return f"({lo},{hi})"
+
+
+def require_rational_ends(interval: Interval):
+    """Raise DomainError, naming the end, when a finite end of the interval
+    is not rational: containment is decided for rational and infinite
+    ends only."""
+    for end in (interval.lower, interval.upper):
+        if is_finite(end) and not is_rational(end):
+            raise DomainError(f"interval end {end} of {interval} is neither rational "
+                              "nor infinite, which containment does not support")
 
 
 def union_covers(pieces: list[Interval], target: Interval) -> bool:

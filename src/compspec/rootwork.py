@@ -24,7 +24,7 @@ from .numbers import (abs_mpf, exact_abs_compare, is_exact, is_rational,
                       raw_point, raw_ratio, to_mpf)
 from .record import Record, replace
 from .sturm import Enclosure
-from .symbols import AnalyticSymbol, ConjugatedBody, _grid_pairs, _sample_grid
+from .symbols import AnalyticSymbol, ConjugatedBody, _grid_pairs
 
 SUPERATTRACTING = "superattracting"
 ATTRACTING = "attracting"
@@ -221,12 +221,12 @@ def find_fixed_points_second_iterate(phi: AnalyticSymbol):
         return sum(not _same_location(y, x) for y, x in zip(images, locations))
 
 
-def _domain_check(phi: AnalyticSymbol):
-    """Like eval, a check of a raw point of at most _SCAN_BITS bits against
-    the domain bounds rounded at _SCAN_BITS, where the domain has a finite
+def _domain_check(phi: AnalyticSymbol, bits=_SCAN_BITS):
+    """Like eval, a check of a raw point of at most ``bits`` bits against
+    the domain bounds rounded at ``bits``, where the domain has a finite
     end; it raises DomainError when the point lies outside."""
     domain = phi.domain
-    lo, hi = (to_mpf(end, _SCAN_BITS)._mpf_ if is_finite(end) else None
+    lo, hi = (to_mpf(end, bits)._mpf_ if is_finite(end) else None
               for end in (domain.lower, domain.upper))
 
     def check(x):
@@ -235,11 +235,12 @@ def _domain_check(phi: AnalyticSymbol):
     return check
 
 
-def _raw_iterate(phi: AnalyticSymbol, iterations: int):
-    """x -> phi^k(x) on raw tuples of at most _SCAN_BITS bits; each step
-    first checks its point against the domain."""
-    image = phi.raw_eval(_SCAN_BITS)
-    check = _domain_check(phi)
+def _raw_iterate(phi: AnalyticSymbol, iterations: int, bits=_SCAN_BITS):
+    """x -> phi^k(x) on raw tuples of at most ``bits`` bits, each step
+    ``eval(x, bits)``; each step first checks its point against the
+    domain."""
+    image = phi.raw_eval(bits)
+    check = _domain_check(phi, bits)
 
     def apply(x):
         for _ in range(iterations):
@@ -530,10 +531,11 @@ def attraction_basin_check(phi: AnalyticSymbol, core: Interval, *,
         verdict = _certified_basin(phi, core)
         if verdict is not None:
             return verdict
-    witness = _sampled_basin_witness(phi, core)
+    starts = _basin_starts(phi.domain)
+    witness = _sampled_basin_witness(phi, core, starts)
     if witness is None:
         return BasinVerdict("sampled-true", certified=False,
-                            note="all 64 samples entered the core")
+                            note=f"all {len(starts)} samples entered the core")
     point, proven = witness
     return BasinVerdict("false", witness=point, certified=proven,
                         note="orbit provably escapes" if proven
@@ -634,26 +636,40 @@ def _escape_witness(phi: AnalyticSymbol, displacement: sturm.RealRoots, region: 
     return None
 
 
-def _sampled_basin_witness(phi: AnalyticSymbol, core: Interval):
-    grid = _sample_grid(phi.domain, 64)
-    extra = [Fraction(k) for k in (-2, -1, 1, 2) if phi.domain.contains(Fraction(k))]
+def _basin_starts(domain: Interval) -> list[tuple[int, int]]:
+    """The starts of the sampled basin check as reduced (numerator,
+    denominator) pairs: 64 grid points of the domain, then those of -2,
+    -1, 1 and 2 that it contains."""
+    return _grid_pairs(domain, 64) + [(k, 1) for k in (-2, -1, 1, 2)
+                                      if domain.contains(Fraction(k))]
+
+
+def _sampled_basin_witness(phi: AnalyticSymbol, core: Interval, starts):
+    """(start, proven) for the first start whose 64-bit orbit fails to
+    enter the core, else None.  An orbit fails when a step raises a
+    CompspecError, a point outside the domain included (not proven), when
+    a point passes 2**256 in size (proven if ``_escape_is_certain``), or
+    when it is still outside after MAX_ORBIT_STEPS steps.  Orbits run on
+    raw tuples, each step ``phi.eval(x, 64)`` (``_raw_iterate``), and core
+    membership compares with the core's ends rounded at 64 bits."""
+    step = _raw_iterate(phi, 1, 64)
     with mpmath.workprec(64):
-        big = mpmath.mpf(2) ** 256
-        for start in list(grid) + extra:
-            x = to_mpf(start)
-            entered = False
-            for _ in range(MAX_ORBIT_STEPS):
-                if core.contains(x):
-                    entered = True
-                    break
-                try:
-                    x = to_mpf(phi.eval(x, 64))
-                except CompspecError:
-                    return start, False
-                if abs(x) > big:
-                    return start, _escape_is_certain(phi, start)
-            if not entered:
-                return start, False
+        lo, hi = (end._mpf_ if is_finite(end) else None for end in core._rounded_ends())
+    big = mpf_shift(fone, 256)
+    for num, den in starts:
+        x = raw_ratio(num, den, 64)
+        for _ in range(MAX_ORBIT_STEPS):
+            if (lo is None or mpf_lt(lo, x)) and (hi is None or mpf_lt(x, hi)):
+                break
+            try:
+                x = step(x)
+            except CompspecError:
+                return Fraction(num, den), False
+            if mpf_lt(big, mpf_abs(x)):
+                start = Fraction(num, den)
+                return start, _escape_is_certain(phi, start)
+        else:
+            return Fraction(num, den), False
     return None
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from math import gcd
 
 import mpmath
@@ -28,7 +28,8 @@ from .config import default_precision
 from .errors import (BudgetExceeded, ConstantSymbolError, DomainError,
                      ExpressionSyntaxError, HypothesisViolation, InvarianceFailure,
                      NotADiffeomorphism, OrbitEscape)
-from .intervals import POS_INF, Interval, ext_lt, ext_max, ext_min, is_finite
+from .intervals import (POS_INF, Interval, ext_lt, ext_max, ext_min, is_finite,
+                        require_rational_ends)
 from .numbers import (as_exact, format_rational, invert, is_exact, is_mpf,
                       is_rational, parse_rational, raw_addend, raw_point,
                       raw_ratio, to_mpf)
@@ -386,54 +387,65 @@ def _names(registers):
 
 
 class _Program:
-    """The order-1 jet of a folded tree lowered to straight-line code at
-    ``prec`` bits: ``value`` and ``slope`` are its two outputs.
+    """The order-1 jet of a folded tree lowered to straight-line code:
+    ``value`` and ``slope`` are its two outputs.
 
     The program is recorded by running ``tree_jet`` on registers: register
     0 holds the point, and each operation on a ``_Register`` appends one
     instruction ``(op, outs, srcs)`` over integer register indices.  Ints
     and Fractions are exact and known when the tree is lowered, so the jet
     combines them itself; an exact operand of an op becomes a constant
-    register that the backend converts.
+    register that the backend converts.  Nothing in the recording depends
+    on a precision: ``link`` binds one and converts the constants, so a
+    tree is recorded once and ``kernel`` links it once per precision.
+    ``prec`` is the precision ``link`` uses when it is given none.
     """
 
-    def __init__(self, node, prec):
+    def __init__(self, node, prec=None):
         self.prec = prec
         self.size = 1          # register 0 holds the point
         self.code = []
         self.constants = {}    # (type, exact operand) -> register index
+        self.kernels = {}      # (prec, with slope) -> linked kernel
+        self.compiled = {}     # kernel source -> its code object
         self.value, self.slope = tree_jet(node, _Register(self, 0), 1, exact=False).coeffs
 
-    @cached_property
-    def value_kernel(self):
-        return self.link([self.value], _MPF)
+    def kernel(self, prec, slope=False):
+        """The value kernel at ``prec`` bits, or with ``slope`` the (value,
+        slope) kernel, each linked on first use."""
+        kernel = self.kernels.get((prec, slope))
+        if kernel is None:
+            outputs = [self.value, self.slope] if slope else [self.value]
+            kernel = self.kernels[prec, slope] = self.link(outputs, _MPF, prec)
+        return kernel
 
-    @cached_property
-    def slope_kernel(self):
-        return self.link([self.value, self.slope], _MPF)
-
-    def link(self, outputs, backend):
-        """The kernel ``x -> outputs`` (a single output bare) as one Python
-        function: the instructions that the outputs need, in order, each
-        calling ``backend[op]``; a backward liveness pass drops the rest.
-        The source holds only op names and register indices; constants,
+    def link(self, outputs, backend, prec=None):
+        """The kernel ``x -> outputs`` (a single output bare) at ``prec``
+        bits as one Python function: the instructions that the outputs
+        need, in order, each calling ``backend[op]``; a backward liveness
+        pass drops the rest.  The source holds only op names and register
+        indices, so it is compiled once for every precision; constants,
         exact outputs and the precision are bound in its namespace."""
+        prec = prec or self.prec
         live = {out.index for out in outputs if isinstance(out, _Register)}
         code = []
         for op, outs, srcs in reversed(self.code):
             if live.intersection(outs):
                 live.update(srcs)
                 code.append(f"    {_names(outs)} = {op}({_names(srcs)}, prec, rnd)")
-        namespace = dict(backend, prec=self.prec)
-        namespace.update((f"r{i}", backend["const"](q, self.prec))
+        namespace = dict(backend, prec=prec)
+        namespace.update((f"r{i}", backend["const"](q, prec))
                          for (_, q), i in self.constants.items())
         results = []
         for k, out in enumerate(outputs):   # an exact output is bound as it is
             if not isinstance(out, _Register):
                 namespace[f"r{self.size + k}"], out = out, _Register(self, self.size + k)
             results.append(out.index)
-        source = ["def kernel(r0):", *reversed(code), f"    return {_names(results)}"]
-        exec("\n".join(source), namespace)
+        source = "\n".join(["def kernel(r0):", *reversed(code), f"    return {_names(results)}"])
+        compiled = self.compiled.get(source)
+        if compiled is None:
+            compiled = self.compiled[source] = compile(source, "<kernel>", "exec")
+        exec(compiled, namespace)
         return namespace["kernel"]
 
     def _operand(self, v):
@@ -460,7 +472,7 @@ def compile_tree(node, prec):
     """``compile_slope``'s kernel with the slope's instructions left out:
     the value, bit for bit, as a raw tuple (an exact Fraction when it does
     not depend on the point, never for a folded tree with a call)."""
-    return _Program(node, prec).value_kernel
+    return _Program(node).kernel(prec)
 
 
 def compile_slope(node, prec):
@@ -473,7 +485,7 @@ def compile_slope(node, prec):
     them stay exact depends on the tree alone, so it is decided when the
     tree is lowered, and the kernel runs only the mpf steps.
     """
-    return _Program(node, prec).slope_kernel
+    return _Program(node).kernel(prec, slope=True)
 
 
 class _NeedNumeric(Exception):
@@ -481,6 +493,14 @@ class _NeedNumeric(Exception):
 
 
 def _series_from_poly(coeffs, center, order):
+    """The polynomial with these coefficients expanded at ``center``
+    through ``order``.  At a rational center with rational coefficients
+    this is one exact Taylor shift, p(center + t); any other center (an
+    mpf, or a program's point register) runs Horner over series, whose
+    steps fix how a numeric jet and a recorded program round."""
+    if is_rational(center) and all(is_rational(c) for c in coeffs):
+        shifted = polylib.compose(coeffs, [center, Fraction(1)])[:order + 1]
+        return TruncatedSeries(center, shifted + [Fraction(0)] * (order + 1 - len(shifted)))
     ident = TruncatedSeries.identity(center, order)
     acc = TruncatedSeries.zero(center, order)
     for c in reversed(coeffs):
@@ -497,16 +517,28 @@ def _at_center(g: TruncatedSeries, fn):
     return getattr(mpmath, fn)(g.coeffs[0])
 
 
+def _exact_terms(g: TruncatedSeries):
+    """The pairs (k, k*g_k) for the nonzero g_k, k >= 1, of an exact
+    series whose constant term is zero: the derivative terms that the
+    recurrences of exp and sin sum (``_NeedNumeric`` for a nonzero
+    constant term)."""
+    if g.coeffs[0] != 0:
+        raise _NeedNumeric
+    return [(k, k * c) for k, c in enumerate(g.coeffs) if k and c != 0]
+
+
 def _series_exp(g: TruncatedSeries, exact: bool):
-    if exact:
-        if g.coeffs[0] != 0:
-            raise _NeedNumeric
-        e0 = Fraction(1)
-    else:
-        e0 = _at_center(g, "exp")
+    """exp of g by m*e_m = sum_k k*g_k*e_(m-k).  The exact path walks only
+    the nonzero g_k; the numeric one sums every k, in ascending order."""
     n = g.order
+    if exact:
+        terms = _exact_terms(g)
+        out = [Fraction(1)]
+        for m in range(1, n + 1):
+            out.append(sum((c * out[m - k] for k, c in terms if k <= m), Fraction(0)) / m)
+        return TruncatedSeries(g.center, out)
     h = g.coeffs
-    out = [e0]
+    out = [_at_center(g, "exp")]
     for m in range(1, n + 1):
         acc = 0
         for k in range(1, m + 1):
@@ -516,13 +548,19 @@ def _series_exp(g: TruncatedSeries, exact: bool):
 
 
 def _series_sin(g: TruncatedSeries, exact: bool):
-    if exact:
-        if g.coeffs[0] != 0:
-            raise _NeedNumeric
-        s0, c0 = Fraction(0), Fraction(1)
-    else:
-        c0, s0 = _at_center(g, "cos_sin")
+    """sin of g, with cos alongside, by m*s_m = sum_k k*g_k*c_(m-k) and
+    m*c_m = -sum_k k*g_k*s_(m-k).  The exact path walks only the nonzero
+    g_k; the numeric one sums every k, in ascending order."""
     n = g.order
+    if exact:
+        terms = _exact_terms(g)
+        sins, coss = [Fraction(0)], [Fraction(1)]
+        for m in range(1, n + 1):
+            live = [(k, c) for k, c in terms if k <= m]
+            sins.append(sum((c * coss[m - k] for k, c in live), Fraction(0)) / m)
+            coss.append(-sum((c * sins[m - k] for k, c in live), Fraction(0)) / m)
+        return TruncatedSeries(g.center, sins)
+    c0, s0 = _at_center(g, "cos_sin")
     h = g.coeffs
     sins, coss = [s0], [c0]
     for m in range(1, n + 1):
@@ -793,8 +831,10 @@ class AnalyticSymbol:
         self.body = body
         self.domain = domain
         self.text = text
-        # precision -> the tree lowered at that precision, or the rounded
-        # coefficients of a rational polynomial body (``_rounded_coeffs``)
+        # The compiled forms of the body, shared by every restriction: the
+        # tree of an elementary body lowered once, under "tree"
+        # (``_program``), or the rounded coefficients of a rational
+        # polynomial body per precision (``_rounded_coeffs``).
         self._programs = {}
         # The integer facts of a rational polynomial body, filled on use.
         self._facts = (sturm.IntegerFacts(body.coeffs)
@@ -848,8 +888,11 @@ class AnalyticSymbol:
         each lie strictly inside some target.  Both answers are flagged
         uncertified, so reports read as they did when the whole line was
         sampled too.  The witness is a source point whose image leaves the
-        union, or None.
+        union, or None.  An interval end that is neither rational nor
+        infinite raises DomainError.
         """
+        for interval in (source, *targets):
+            require_rational_ends(interval)
         if self._facts is not None:
             ok, witness = self._facts.maps_into(source, targets)
             return ok, witness, True
@@ -897,28 +940,28 @@ class AnalyticSymbol:
                 return False, Fraction(num, den), False
         return True, None, False
 
-    def _program(self, prec):
-        """The tree lowered at ``prec`` bits, once per precision; both of
-        its kernels are linked on first use."""
-        program = self._programs.get(prec)
+    def _program(self):
+        """The tree lowered once; its kernels are linked once per
+        precision, on first use."""
+        program = self._programs.get("tree")
         if program is None:
-            program = self._programs[prec] = _Program(self.body, prec)
+            program = self._programs["tree"] = _Program(self.body)
         return program
 
     def _kernel(self, prec):
         """The tree's value kernel at ``prec`` bits (``compile_tree``)."""
-        return self._program(prec).value_kernel
+        return self._program().kernel(prec)
 
     def _slope_kernel(self, prec):
         """The tree's (value, slope) kernel at ``prec`` bits (``compile_slope``)."""
-        return self._program(prec).slope_kernel
+        return self._program().kernel(prec, slope=True)
 
     def _rounded_coeffs(self, prec):
         """A rational polynomial body's coefficients from the highest
         degree down, as ``eval`` rounds them at ``prec`` bits: the leading
         one as ``to_mpf`` does (``raw_ratio``), the others as mpmath adds
         them (``raw_addend``).  Computed once per precision and kept in
-        ``_programs``, which no caller fills with a lowered ``Poly``."""
+        ``_programs``, which holds no lowered tree for a ``Poly`` body."""
         rounded = self._programs.get(prec)
         if rounded is None:
             lead, *rest = reversed(self.body.coeffs)
@@ -1188,7 +1231,7 @@ class AnalyticSymbol:
         restricted = AnalyticSymbol(self.body, domain, text=self.text,
                                     require_self_map=False, require_nonconstant=False)
         restricted.invariance_certified = certified
-        # Same body: the same compiled trees and integer facts.
+        # Same body: the same lowered tree, rounded coefficients and integer facts.
         restricted._programs, restricted._facts = self._programs, self._facts
         return restricted
 

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compspec import polynomials as polylib
-from compspec import rootwork, sturm
+from compspec import rootwork, sturm, symbols
 from compspec.errors import CompspecError, DomainError, HypothesisViolation
-from compspec.intervals import Interval, is_finite
+from compspec.intervals import POS_INF, Interval, is_finite
 from compspec.numbers import to_mpf
 from compspec.rootwork import (AllFixed, analyze_symbol,
                                attraction_basin_check,
@@ -327,6 +327,70 @@ class TestBasin:
                             lambda self, precision: lambda x: _raise(RuntimeError)(self, x))
         with pytest.raises(RuntimeError):
             find_fixed_points(phi)
+
+
+def _object_basin_witness(phi, core):
+    """The sampled basin loop on mpf objects through phi.eval, the oracle
+    of the raw loop: its result with the branch that produced it."""
+    grid = symbols._sample_grid(phi.domain, 64)
+    extra = [F(k) for k in (-2, -1, 1, 2) if phi.domain.contains(F(k))]
+    with mpmath.workprec(64):
+        big = mpmath.mpf(2) ** 256
+        for start in list(grid) + extra:
+            x = to_mpf(start)
+            entered = False
+            for _ in range(rootwork.MAX_ORBIT_STEPS):
+                if core.contains(x):
+                    entered = True
+                    break
+                try:
+                    x = to_mpf(phi.eval(x, 64))
+                except CompspecError:
+                    return (start, False), "error"
+                if abs(x) > big:
+                    return (start, rootwork._escape_is_certain(phi, start)), "escape"
+            if not entered:
+                return (start, False), "stuck"
+    return None, "none"
+
+
+class TestRawBasinSamples:
+    @pytest.mark.parametrize("text, domain, core, branch", [
+        ("1/2*arctan(x)", Interval.real_line(), Interval(-1, 1), "none"),
+        ("1/2*x+1/8*sin(x)", Interval.real_line(), Interval(F(-1, 3), F(1, 5)), "none"),
+        ("1/2*arctan(x)", Interval(-1, POS_INF), Interval(F(-1, 2), F(1, 2)), "none"),
+        ("1/2*sin(x)", Interval(-2, 2), Interval(F(-1, 2), F(1, 2)), "none"),
+        ("exp(x)", Interval(0, POS_INF), Interval(F(1, 2), 1), "escape"),
+        ("x+1/4*sin(x)", Interval.real_line(), Interval(-1, 1), "stuck"),
+        ("3/2*sin(x)", Interval(-1, 1), Interval(F(-1, 4), F(1, 4)), "error"),
+        # Orbits that leave the domain and would come back into the core.
+        ("-1/2*arctan(x)", Interval(F(-1, 4), POS_INF), Interval(F(-1, 8), F(1, 8)), "error"),
+        ("x^3", Interval.real_line(), Interval(F(-1, 2), F(1, 2)), "escape"),
+        ("1/2*x", Interval.real_line(), Interval(0, 1), "stuck"),
+        ("1/2*x", Interval(-3, 5), Interval(F(-1, 7), F(1, 3)), "none"),
+    ])
+    def test_raw_loop_matches_the_object_loop(self, text, domain, core, branch):
+        phi = parse_symbol(text, domain, require_self_map=False)
+        if phi.is_rational_polynomial() and branch == "stuck":
+            assert rootwork._certified_basin(phi, core) is None
+        want, took = _object_basin_witness(phi, core)
+        assert took == branch
+        starts = rootwork._basin_starts(phi.domain)
+        assert [F(*pair) for pair in starts] == \
+            symbols._sample_grid(phi.domain, 64) + \
+            [F(k) for k in (-2, -1, 1, 2) if phi.domain.contains(F(k))]
+        got = rootwork._sampled_basin_witness(phi, core, starts)
+        assert got == want
+        assert got is None or type(got[0]) is F
+
+    @pytest.mark.parametrize("domain, walked", [(Interval.real_line(), 68),
+                                                (Interval(-2, 2), 66),
+                                                (Interval(F(-3, 2), POS_INF), 67)])
+    def test_note_counts_the_starts_walked(self, domain, walked):
+        # 64 grid points, then those of -2, -1, 1 and 2 inside the domain.
+        verdict = attraction_basin_check(parse_symbol("1/2*arctan(x)", domain),
+                                         Interval(-1, 1))
+        assert verdict.note == f"all {walked} samples entered the core"
 
 
 def _raise(error_type):

@@ -10,7 +10,7 @@ from math import gcd
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
@@ -19,8 +19,9 @@ from compspec.errors import (BudgetExceeded, CompspecError, ConstantSymbolError,
                              DegreeOverflow, DomainError, ExpressionSyntaxError,
                              InvarianceFailure, NotADiffeomorphism, OrbitEscape)
 from compspec.intervals import NEG_INF, POS_INF, Interval, is_finite
-from compspec.numbers import QuadraticNumber, quadratic, raw_ratio, to_mpf
+from compspec.numbers import QuadraticNumber, as_exact, quadratic, raw_ratio, to_mpf
 from compspec.numbers import raw_point as _raw_point
+from compspec.power_series import TruncatedSeries
 from compspec.rootwork import analyze_symbol
 from compspec.symbols import (Add, AnalyticSymbol, Call, Diffeomorphism, Limit, Mul,
                               NoFixedPoints, Poly, Pow, _grid_pairs, compile_slope,
@@ -721,6 +722,22 @@ class TestMapsInto:
             parse_symbol("x^3").with_domain(Interval(0, 2))
         assert info.value.witness == F(1)
 
+    def test_irrational_interval_end_is_a_typed_error(self):
+        # The repelling fixed point of x^2-1 is 1/2+sqrt(5)/2: an end that
+        # containment does not support, named in a DomainError.
+        phi = parse_symbol("x^2-1")
+        q = analyze_symbol(phi).fixed_points[-1].location
+        assert isinstance(q, QuadraticNumber)
+        region = Interval(q, POS_INF)
+        calls = [lambda: phi.with_domain(region),
+                 lambda: kernel_dim(phi, region, 2),
+                 lambda: parse_symbol("x^2-1", region),
+                 lambda: parse_symbol("1/2*arctan(x)").with_domain(Interval(-q, q)),
+                 lambda: phi.maps_into(Interval(0, 1), [Interval(-1, q)], 16)]
+        for call in calls:
+            with pytest.raises(DomainError, match=r"interval end -?1/2[+-]1/2\*sqrt\(5\)"):
+                call()
+
     def test_kernel_dim_checks_its_region_once(self, monkeypatch):
         from compspec.taxonomy import kernel_dim
         phi = parse_symbol("x^3")
@@ -904,6 +921,101 @@ def test_slope_kernel_is_bit_identical_to_the_order_1_jet(raw, point, prec):
             [_coefficient_bits(c) for c in expected]
 
 
+# Dense copies of the exact jet recurrences, which sum over every inner
+# term, and of the series Horner loop: the oracles of the sparse jets and
+# of the Taylor shift.
+
+def _dense_series_exp(g):
+    if g.coeffs[0] != 0:
+        raise symbols._NeedNumeric
+    n, h = g.order, g.coeffs
+    out = [F(1)]
+    for m in range(1, n + 1):
+        acc = 0
+        for k in range(1, m + 1):
+            acc = acc + k * h[k] * out[m - k]
+        out.append(as_exact(acc) / m)
+    return TruncatedSeries(g.center, out)
+
+
+def _dense_series_sin(g):
+    if g.coeffs[0] != 0:
+        raise symbols._NeedNumeric
+    n, h = g.order, g.coeffs
+    sins, coss = [F(0)], [F(1)]
+    for m in range(1, n + 1):
+        acc_s = 0
+        acc_c = 0
+        for k in range(1, m + 1):
+            acc_s = acc_s + k * h[k] * coss[m - k]
+            acc_c = acc_c + k * h[k] * sins[m - k]
+        sins.append(as_exact(acc_s) / m)
+        coss.append(as_exact(-acc_c) / m)
+    return TruncatedSeries(g.center, sins)
+
+
+def _horner_series(coeffs, center, order):
+    ident = TruncatedSeries.identity(center, order)
+    acc = TruncatedSeries.zero(center, order)
+    for c in reversed(coeffs):
+        acc = acc * ident + c
+    return acc
+
+
+def _dense_tree_jet(node, center, order):
+    """``tree_jet(node, center, order, exact=True)`` through the dense
+    recurrences and the series Horner loop."""
+    if isinstance(node, Poly):
+        return _horner_series(node.coeffs, center, order)
+    if isinstance(node, Add):
+        acc = TruncatedSeries.zero(center, order)
+        for p in node.parts:
+            acc = acc + _dense_tree_jet(p, center, order)
+        return acc
+    if isinstance(node, Mul):
+        acc = None
+        for p in node.parts:
+            term = _dense_tree_jet(p, center, order)
+            acc = term if acc is None else acc * term
+        return acc
+    if isinstance(node, Pow):
+        return _dense_tree_jet(node.base, center, order).power(node.exponent)
+    inner = _dense_tree_jet(node.arg, center, order)
+    if node.fn == "exp":
+        return _dense_series_exp(inner)
+    if node.fn == "sin":
+        return _dense_series_sin(inner)
+    return symbols._series_arctan(inner, True)
+
+
+def _exact_jet_or_none(jet, *args):
+    try:
+        return [(type(c), c) for c in jet(*args).coeffs]
+    except symbols._NeedNumeric:
+        return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(raw=_trees(3), poly=_POLYS, order=st.integers(0, 30),
+       center=st.just(F(0)) | st.fractions(-4, 4, max_denominator=50).filter(bool))
+@example(raw=Mul((Poly((F(1, 2),)), Call("sin", Poly((F(0), F(1)))))),
+         poly=Poly((F(1), F(-2), F(3))), order=24, center=F(0))
+@example(raw=Add((Poly((F(0), F(1, 2))), Call("sin", Pow(Poly((F(0), F(1))), 3)))),
+         poly=Poly((F(1, 3),)), order=30, center=F(0))
+@example(raw=Call("exp", Call("sin", Call("arctan", Poly((F(0), F(2), F(1, 5)))))),
+         poly=Poly((F(0), F(0), F(-1))), order=17, center=F(0))
+@example(raw=Mul((Call("exp", Poly((F(-3, 2), F(0), F(2, 3)))),
+                  Call("sin", Poly((F(-3, 2), F(1)))))),
+         poly=Poly((F(5), F(1, 7), F(0), F(-2))), order=12, center=F(3, 2))
+def test_sparse_exact_jets_match_the_dense_recurrences(raw, poly, order, center):
+    for tree in (raw, fold(raw)):
+        want = _exact_jet_or_none(_dense_tree_jet, tree, center, order)
+        got = _exact_jet_or_none(tree_jet, tree, center, order, True)
+        assert got == want
+    assert [(type(c), c) for c in symbols._series_from_poly(poly.coeffs, center, order).coeffs] \
+        == [(type(c), c) for c in _horner_series(poly.coeffs, center, order).coeffs]
+
+
 def _fraction_grid(domain, count):
     """The sample grid computed in Fraction arithmetic, point by point."""
     lo, hi = domain.lower, domain.upper
@@ -930,39 +1042,64 @@ class TestCompiledKernel:
 
     @staticmethod
     def _count_compiles(monkeypatch):
-        """Record the precision of each lowering of a tree."""
+        """Record each recording of a tree, as "record", and the precision
+        of each link."""
         calls = []
-        original = symbols._Program
+        record, link = symbols._Program.__init__, symbols._Program.link
 
-        def counting(node, prec):
+        def recording(self, node, prec=None):
+            calls.append("record")
+            record(self, node, prec)
+
+        def linking(self, outputs, backend, prec=None):
             calls.append(prec)
-            return original(node, prec)
+            return link(self, outputs, backend, prec)
 
-        monkeypatch.setattr(symbols, "_Program", counting)
+        monkeypatch.setattr(symbols._Program, "__init__", recording)
+        monkeypatch.setattr(symbols._Program, "link", linking)
         return calls
 
     def test_parse_compiles_once_per_precision(self, monkeypatch):
         calls = self._count_compiles(monkeypatch)
         phi = parse_symbol("1/2*arctan(x)")
-        # The constant backstop runs at 200 bits; the self-map check on the
-        # whole line samples nothing.
-        assert calls == [200]
+        # The tree is recorded once; the constant backstop links it at 200
+        # bits, and the self-map check on the whole line samples nothing.
+        assert calls == ["record", 200]
         phi.eval(F(1, 3), 96)
         # eval and the whole 256-point scan share one kernel at 96 + 24 bits.
         phi.maps_into(Interval(-1, 1), [Interval(-1, 1)], 256)
-        assert sorted(calls) == [120, 200]
+        assert calls == ["record", 200, 120]
 
     def test_with_domain_reuses_the_parent_kernels(self, monkeypatch):
         phi = parse_symbol("1/2*arctan(x)")
         calls = self._count_compiles(monkeypatch)
         restricted = phi.with_domain(Interval(-1, 1))
-        # The scan of the bounded restriction compiles at 96 + 24 bits and
-        # the limits at its finite ends at 96 bits, each once.
+        # The restriction records nothing: the scan of the bounded
+        # restriction links at 96 + 24 bits and the limits at its finite
+        # ends at 96 bits, each once.
         assert calls == [120, 96]
         for prec in (96, 120, 200):
             assert restricted._kernel(prec) is phi._kernel(prec)
             assert restricted._slope_kernel(prec) is phi._slope_kernel(prec)
-        assert calls == [120, 96]
+        # Only the slope kernels are new, one link per precision.
+        assert calls == [120, 96, 96, 120, 200]
+
+    def test_globalize_and_evaluate_record_the_tree_once(self, monkeypatch):
+        from compspec.continuation import evaluate, globalize
+        calls = []
+        record = symbols._Program.__init__
+
+        def recording(self, node, prec=None):
+            calls.append(node)
+            record(self, node, prec)
+
+        monkeypatch.setattr(symbols._Program, "__init__", recording)
+        phi = parse_symbol("1/2*arctan(x)")
+        sol = globalize(phi, F(0), F(2), parse_rhs("x"), order=24, precision=256)
+        for precision in (256, 1024):
+            for x in (F(3, 2), F(-4)):
+                evaluate(sol, x, precision)
+        assert calls.count(phi.body) == 1
 
     def test_sampled_maps_into_does_not_call_eval(self, monkeypatch):
         phi = parse_symbol("1/2*arctan(x)")
