@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .config import default_precision
+from .config import default_precision, parse_precision
 from .errors import (CompspecError, DomainError, ExpressionSyntaxError,
                      HypothesisViolation)
 from .intervals import Interval
@@ -28,6 +28,14 @@ from .numbers import (format_numeric, format_scalar, is_exact, is_rational,
 
 _USAGE_EXIT = 1
 _MATH_EXIT = 2
+
+
+def _precision(text: str) -> int:
+    """The type of ``--precision``: ``parse_precision``, as a usage error."""
+    try:
+        return parse_precision(text, "--precision")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_common(parser, *, symbol=True, lam=False, gamma=False, order=False,
@@ -49,7 +57,7 @@ def _add_common(parser, *, symbol=True, lam=False, gamma=False, order=False,
     if order:
         parser.add_argument("--order", type=int, default=24)
     if precision:
-        parser.add_argument("--precision", type=int, default=None)
+        parser.add_argument("--precision", type=_precision, default=None)
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -85,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "fixed point of the quadratic normal form")
     p.add_argument("--mu", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--precision", type=_precision, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("obstruct", help="covering obstruction to surjectivity")
@@ -103,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--c", required=True)
     p.add_argument("--n", type=int, default=30)
-    p.add_argument("--precision", type=int, default=None)
+    p.add_argument("--precision", type=_precision, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 

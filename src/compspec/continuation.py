@@ -356,7 +356,9 @@ def evaluate(sol: GlobalSolution, x, precision=None):
     Returns (value, trace), the trace naming the rules and orbit depth
     that produced the value.  The residual of the functional equation at x
     must sit below B = 2**-(precision-32); otherwise precision escalates by
-    doubling up to the 4096-bit ceiling before PrecisionLoss.  The ladder
+    doubling up to the 4096-bit ceiling before PrecisionLoss, which names
+    the last precision tried.  The requested precision is always tried,
+    even above the ceiling, which bounds only the doubling.  The ladder
     stops early (Ziv's test) when a rung's residual is still above 2*B and
     within B/4 of the previous rung's: more bits no longer move it, so it
     is a truncation residual, not rounding.
@@ -384,7 +386,7 @@ def evaluate(sol: GlobalSolution, x, precision=None):
     precision = precision or default_precision()
     exact = _exact_mode(sol, x)
     work, previous = precision, None
-    while work <= _MAX_PRECISION:
+    while True:
         with mpmath.workprec(work + 32):
             value, trace, f_next = _dispatch(sol, x, work)
             if exact and work == precision and is_exact(value):
@@ -406,8 +408,9 @@ def evaluate(sol: GlobalSolution, x, precision=None):
                     f"residual {mpmath.nstr(abs(residual), 2)} above tolerance "
                     f"2^{32 - precision}, unchanged from {work // 2} to {work} bits")
             previous = residual
+        if 2 * work > _MAX_PRECISION:
+            raise PrecisionLoss(f"residual above tolerance at {work} bits")
         work *= 2
-    raise PrecisionLoss(f"residual above tolerance at {_MAX_PRECISION} bits")
 
 
 def _residual_exact(sol: GlobalSolution, x, value, f_phi=None):

@@ -19,32 +19,15 @@ from .numbers import is_exact, is_rational, parse_rational, to_mpf
 
 
 class _Infinity:
+    """An infinite end.  It has no order: compare ends with ``ext_lt``."""
+
     __slots__ = ("sign",)
 
     def __init__(self, sign):
         self.sign = sign
 
-    def __lt__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign < other.sign
-        return self.sign < 0
-
-    def __gt__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign > other.sign
-        return self.sign > 0
-
-    def __le__(self, other):
-        return self < other or self == other
-
-    def __ge__(self, other):
-        return self > other or self == other
-
     def __eq__(self, other):
         return isinstance(other, _Infinity) and other.sign == self.sign
-
-    def __neg__(self):
-        return NEG_INF if self.sign > 0 else POS_INF
 
     def __hash__(self):
         return hash(("inf", self.sign))

@@ -395,16 +395,8 @@ def estimate_radius(series: TruncatedSeries):
 
     # Exact factorial-growth certificate, checked before the root test.
     if series.is_exact() and len(nonzero) == len(tail):
-        ok = True
-        for n, c in nonzero:
-            if n == 0:
-                ok = False
-                break
-            bound = Fraction(math.factorial(n - 1), 2 ** n)
-            if exact_abs_compare(c, bound) < 0:
-                ok = False
-                break
-        if ok:
+        if all(exact_abs_compare(c, Fraction(math.factorial(n - 1), 2 ** n)) >= 0
+               for n, c in nonzero):
             return Diverges({
                 "test": "factorial-growth",
                 "c": "1/2",
@@ -416,13 +408,7 @@ def estimate_radius(series: TruncatedSeries):
         return Inconclusive("too few nonzero tail coefficients")
 
     with mpmath.workprec(64):
-        estimates = []
-        for n, c in nonzero:
-            a = abs_mpf(c)
-            if a == 0:
-                continue
-            estimates.append(a ** (mpmath.mpf(-1) / n))
-        estimates.sort()
+        estimates = sorted(abs_mpf(c) ** (mpmath.mpf(-1) / n) for n, c in nonzero)
         median = estimates[len(estimates) // 2]
         spread = (estimates[-1] - estimates[0]) / median if median > 0 else mpmath.inf
         if median > 0 and spread < mpmath.mpf("0.25"):

@@ -70,6 +70,10 @@ class DiffeoVerdict(Record):
     def __bool__(self):
         return self.value is True
 
+    def conjugated(self) -> "DiffeoVerdict":
+        """The verdict for a conjugate of the map: the same value, uncertified."""
+        return DiffeoVerdict(self.value, f"conjugation-invariant: {self.certificate}", False)
+
 
 class BasinVerdict(Record):
     status: str               # certified | sampled-true | false
@@ -414,9 +418,7 @@ def is_diffeomorphism(phi: AnalyticSymbol, critical=None) -> DiffeoVerdict:
     caller already has it; None computes it.
     """
     if isinstance(phi.body, ConjugatedBody):
-        inner = is_diffeomorphism(phi.body.inner)
-        return DiffeoVerdict(inner.value,
-                             f"conjugation-invariant: {inner.certificate}", False)
+        return is_diffeomorphism(phi.body.inner).conjugated()
     if critical is None:
         critical = find_critical_points(phi)
     exact = phi.is_rational_polynomial()
@@ -496,17 +498,13 @@ def critical_set_bounded_away(phi: AnalyticSymbol, end: str, critical=None):
         return None
     # Infinite end: check a tail beyond the outermost found critical point.
     tail_start = max(crit) if end == "upper" else min(crit)
+    signs = set()
     with mpmath.workprec(64):
-        sign = None
         for k in range(1, 33):
             x = tail_start + k * 4 if end == "upper" else tail_start - k * 4
             d = to_mpf(phi.derivative_at(x, 64))
-            s = 1 if d > 0 else (-1 if d < 0 else 0)
-            if s == 0:
-                return None
-            if sign is None:
-                sign = s
-            elif sign != s:
+            signs.add((d > 0) - (d < 0))
+            if 0 in signs or len(signs) > 1:
                 return None
     return True
 
@@ -625,9 +623,6 @@ def _escape_witness(phi: AnalyticSymbol, displacement: sturm.RealRoots, region: 
         else:
             candidate = base - 1
         moving_away = sturm.sign_at(displacement.p, candidate) < 0
-    if any((candidate <= r) if side == "upper" else (candidate >= r)
-           for r in bounds):
-        return None
     if moving_away:
         # Monotone escape: no fixed points beyond the candidate, so the
         # orbit never re-enters the core.
@@ -749,8 +744,7 @@ def _conjugated_analysis(phi: AnalyticSymbol) -> SymbolAnalysis:
     return SymbolAnalysis(symbol=phi, fixed_points=fixed,
                           has_two_cycle=inner.has_two_cycle,
                           critical_points=critical,
-                          is_diffeo=DiffeoVerdict(inner.is_diffeo.value,
-                                                  "conjugation-invariant", False),
+                          is_diffeo=inner.is_diffeo.conjugated(),
                           sign_vs_id=inner.sign_vs_id,
                           critical_bounded_away=inner.critical_bounded_away,
                           certified=False, is_identity=inner.is_identity,

@@ -277,7 +277,9 @@ def count_roots_open(p, interval: Interval) -> int:
 
 class Enclosure(Record):
     """Certified isolating interval: p, a primitive integer polynomial,
-    carries a sign change over [lo, hi]."""
+    carries a sign change over [lo, hi].  p has no rational root
+    (``isolate_roots`` deflates them first), so no midpoint that ``refine``
+    probes is a root."""
 
     lo: Fraction
     hi: Fraction
@@ -288,12 +290,7 @@ class Enclosure(Record):
         s_lo = sign_at(p, lo)
         while hi - lo > width:
             mid = (lo + hi) / 2
-            s_mid = sign_at(p, mid)
-            while s_mid == 0:
-                # Rational probe hit the root's value class boundary; nudge.
-                mid = mid + (hi - lo) / 8
-                s_mid = sign_at(p, mid)
-            if s_mid == s_lo:
+            if sign_at(p, mid) == s_lo:
                 lo = mid
             else:
                 hi = mid

@@ -30,9 +30,8 @@ from .errors import (BudgetExceeded, ConstantSymbolError, DomainError,
                      NotADiffeomorphism, OrbitEscape)
 from .intervals import (POS_INF, Interval, ext_lt, ext_max, ext_min, is_finite,
                         require_rational_ends)
-from .numbers import (as_exact, format_rational, invert, is_exact, is_mpf,
-                      is_rational, parse_rational, raw_addend, raw_point,
-                      raw_ratio, to_mpf)
+from .numbers import (as_exact, invert, is_exact, is_mpf, is_rational,
+                      parse_rational, raw_addend, raw_point, raw_ratio, to_mpf)
 from .power_series import TruncatedSeries
 from .record import Record
 
@@ -398,11 +397,9 @@ class _Program:
     register that the backend converts.  Nothing in the recording depends
     on a precision: ``link`` binds one and converts the constants, so a
     tree is recorded once and ``kernel`` links it once per precision.
-    ``prec`` is the precision ``link`` uses when it is given none.
     """
 
-    def __init__(self, node, prec=None):
-        self.prec = prec
+    def __init__(self, node):
         self.size = 1          # register 0 holds the point
         self.code = []
         self.constants = {}    # (type, exact operand) -> register index
@@ -419,14 +416,13 @@ class _Program:
             kernel = self.kernels[prec, slope] = self.link(outputs, _MPF, prec)
         return kernel
 
-    def link(self, outputs, backend, prec=None):
+    def link(self, outputs, backend, prec):
         """The kernel ``x -> outputs`` (a single output bare) at ``prec``
         bits as one Python function: the instructions that the outputs
         need, in order, each calling ``backend[op]``; a backward liveness
         pass drops the rest.  The source holds only op names and register
         indices, so it is compiled once for every precision; constants,
         exact outputs and the precision are bound in its namespace."""
-        prec = prec or self.prec
         live = {out.index for out in outputs if isinstance(out, _Register)}
         code = []
         for op, outs, srcs in reversed(self.code):
@@ -1197,22 +1193,10 @@ class AnalyticSymbol:
     # -- display ---------------------------------------------------------------
 
     def __str__(self):
-        if self.text:
-            return self.text
-        if isinstance(self.body, ConjugatedBody):
-            return f"conjugate({self.body.inner}, {self.body.change})"
-        return format_tree(self.body)
+        return self.text or repr(self.body)
 
     def __repr__(self):
         return f"AnalyticSymbol({self}, domain={self.domain})"
-
-    def __eq__(self, other):
-        if not isinstance(other, AnalyticSymbol):
-            return NotImplemented
-        return self.body == other.body and self.domain == other.domain
-
-    def __hash__(self):
-        return hash((self.body, self.domain))
 
     def with_domain(self, domain: Interval) -> "AnalyticSymbol":
         """The same map restricted to a smaller invariant interval; raises
@@ -1234,54 +1218,6 @@ class AnalyticSymbol:
         # Same body: the same lowered tree, rounded coefficients and integer facts.
         restricted._programs, restricted._facts = self._programs, self._facts
         return restricted
-
-
-def format_polynomial(coeffs) -> str:
-    terms = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        if not is_rational(c):
-            mag, sign = str(c), "+"
-            body = f"({mag})"
-        else:
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = format_rational(mag)
-        if k == 0:
-            term = body
-        else:
-            xpow = "x" if k == 1 else f"x^{k}"
-            term = xpow if (is_rational(c) and mag == 1) \
-                else f"{body}*{xpow}"
-        terms.append((sign, term))
-    if not terms:
-        return "0"
-    first_sign, first_term = terms[0]
-    parts = [f"-{first_term}" if first_sign == "-" else first_term]
-    for sign, term in terms[1:]:
-        parts.append(f" {sign} {term}")
-    return "".join(parts)
-
-
-def format_tree(node) -> str:
-    if isinstance(node, Poly):
-        return format_polynomial(node.coeffs)
-    if isinstance(node, Add):
-        return " + ".join(_paren_if(p, Add) for p in node.parts).replace("+ -", "- ")
-    if isinstance(node, Mul):
-        return "*".join(_paren_if(p, (Add, Mul)) for p in node.parts)
-    if isinstance(node, Pow):
-        return f"{_paren_if(node.base, (Add, Mul, Pow))}^{node.exponent}"
-    return f"{node.fn}({format_tree(node.arg)})"
-
-
-def _paren_if(node, kinds) -> str:
-    text = format_tree(node)
-    if isinstance(node, kinds) or (isinstance(node, Poly) and len(node.coeffs) > 1):
-        return f"({text})"
-    return text
 
 
 def parse_symbol(text: str, domain=None, *, require_self_map=True) -> AnalyticSymbol:

@@ -67,6 +67,27 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["series"]["coeffs"] == ["0", "-1", "1", "-2", "7", "-34"]
 
+    def test_convergence_verdict_json(self, capsys):
+        # f = -4/11 x^2 solves f(x/2) - 3 f(x) = x^2: no tail, no estimate.
+        code, out = run_cli(capsys, "solve", "--symbol", "1/2*x", "--lambda", "3",
+                            "--gamma", "x^2", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["series"]["coeffs"][:3] == ["0", "0", "-4/11"]
+        assert doc["radius"] == {"verdict": "converges", "radius_estimate": None}
+        # Otherwise the estimate is the median root-test value |f_n|^(-1/n)
+        # over the nonzero coefficients of the tail n >= order/2.
+        code, out = run_cli(capsys, "solve", "--symbol", "1/2*arctan(x)", "--lambda", "2",
+                            "--gamma", "x", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        coeffs = [F(c) for c in doc["series"]["coeffs"]]
+        with mpmath.workprec(64):
+            roots = sorted((abs(mpmath.mpf(c.numerator)) / c.denominator) ** (mpmath.mpf(-1) / n)
+                           for n, c in enumerate(coeffs) if 2 * n >= len(coeffs) - 1 and c)
+            median = mpmath.nstr(roots[len(roots) // 2], 12)
+        assert doc["radius"] == {"verdict": "converges", "radius_estimate": median}
+
     def test_resonance_exit_code(self, capsys):
         code = main(["solve", "--symbol", "1/2*x", "--lambda", "1/4",
                      "--gamma", "x^2", "--order", "4"])
@@ -270,6 +291,34 @@ class TestEnvironment:
         err = capsys.readouterr().err
         assert code == 1
         assert f"COMPSPEC_PRECISION={value!r}" in err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["koenigs", "--symbol", "1/2*arctan(x)", "--order", "8", "--precision", "-64"],
+        ["eval", "--symbol", "1/2*arctan(x)", "--lambda", "2", "--gamma", "x",
+         "--at", "1", "--precision", "-5"],
+        ["solve", "--symbol", "1/2*x", "--lambda", "3", "--gamma", "x", "--precision", "15"],
+        ["orbit", "--mu", "3", "--n", "3", "--precision", "0"],
+        ["demo45", "--mu", "3", "--lambda", "-1/2", "--k", "8", "--c", "1/8",
+         "--precision", "1.5"],
+    ])
+    def test_bad_precision_flag_is_a_usage_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert f"--precision={argv[-1]!r} is not an integer precision of at least 16 bits" \
+            in captured.err
+
+    def test_least_precision_flag_is_accepted(self, capsys):
+        code, out = run_cli(capsys, "eval", "--symbol", "1/2*x", "--lambda", "5",
+                            "--gamma", "1+x^2", "--at", "3/10", "--precision", "16")
+        assert code == 0 and out.startswith("f(3/10) = -511/1900")
+
+    def test_precision_above_the_ladder_ceiling(self, capsys):
+        # f = -1/4 - 4/19 x^2 solves f(x/2) - 5 f(x) = 1 + x^2.
+        code, out = run_cli(capsys, "eval", "--symbol", "1/2*x", "--lambda", "5",
+                            "--gamma", "1+x^2", "--at", "3/10", "--precision", "5000")
+        assert code == 0 and out.startswith("f(3/10) = -511/1900")
 
 
 class TestComplexSolve:

@@ -120,6 +120,41 @@ class TestForwardExtension:
         assert sol.basin.status == "sampled-true"
         assert calls.count((sol.core, (sol.core,), 128)) == 1
 
+    @staticmethod
+    def record_cores(monkeypatch):
+        cores, original = [], continuation._core_invariant
+
+        def spy(phi, core, c, parabolic):
+            cores.append(core)
+            return original(phi, core, c, parabolic)
+
+        monkeypatch.setattr(continuation, "_core_invariant", spy)
+        return cores
+
+    def test_globalize_halves_the_core_until_it_is_invariant(self, monkeypatch):
+        # f(x) = x solves f(phi(x)) - 2 f(x) = phi(x) - 2x, so the series
+        # tail vanishes and the core starts at radius 1.  phi = x/2 + 2x^2
+        # fixes 1/4 and maps 1/2 to 3/4: only the third core is invariant.
+        cores = self.record_cores(monkeypatch)
+        sol = globalize(parse_symbol("1/2*x+2*x^2"), F(0), F(2),
+                        parse_rhs("-3/2*x+2*x^2"), check_basin=False)
+        assert cores == [Interval(-1, 1), Interval(F(-1, 2), F(1, 2)),
+                         Interval(F(-1, 4), F(1, 4))]
+        assert sol.core == cores[-1]
+        for x in (F(1, 5), F(-1, 3), F(-2, 5)):
+            assert evaluate(sol, x)[0] == x
+
+    def test_globalize_gives_up_on_a_repelling_fixed_point(self, monkeypatch):
+        # phi'(0) = 2 + 1/2 = 5/2: no small interval around 0 is invariant.
+        cores = self.record_cores(monkeypatch)
+        with pytest.raises(HypothesisViolation,
+                           match="could not certify an invariant core"):
+            globalize(parse_symbol("1/2*arctan(4*x)+1/2*x-x^3"), F(0), F(2),
+                      parse_rhs("x"), check_basin=False)
+        radii = [core.upper for core in cores]
+        assert len(radii) > 1 and radii[1:] == [r / 2 for r in radii[:-1]]
+        assert radii[-1] / 2 < continuation._HARD_FLOOR <= radii[-1]
+
     @pytest.mark.parametrize("text,center", [("-x^2+3/2*x", F(1, 2)),
                                              ("1/2*x-x^2", F(0))])
     def test_basin_check_rejects_escaping_quadratics(self, text, center):
@@ -380,6 +415,20 @@ class TestPrecisionLadder:
                            match="^residual above tolerance at 4096 bits$"):
             evaluate(arctan_x, F(3, 40), precision=256)
         assert works == [256, 512, 1024, 2048, 4096]
+
+
+    def test_precision_above_the_ceiling_runs_one_rung(self, arctan_x,
+                                                       halving_solution,
+                                                       monkeypatch):
+        works = self.ladder(monkeypatch)
+        # f = -1/4 - 4/19 x^2 solves f(x/2) - 5 f(x) = 1 + x^2 exactly.
+        value, trace = evaluate(halving_solution, F(3, 10), precision=5000)
+        assert value == F(-511, 1900) and trace.residual == "0"
+        assert works == []
+        with pytest.raises(PrecisionLoss,
+                           match="^residual above tolerance at 5000 bits$"):
+            evaluate(arctan_x, F(3, 40), precision=5000)
+        assert works == [5000]
 
 
 class TestPreimageOrbit:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from compspec import polynomials as polylib
 from compspec import rootwork, sturm, symbols
 from compspec.errors import CompspecError, DomainError, HypothesisViolation
-from compspec.intervals import POS_INF, Interval, is_finite
+from compspec.intervals import NEG_INF, POS_INF, Interval, is_finite
 from compspec.numbers import to_mpf
 from compspec.rootwork import (AllFixed, analyze_symbol,
                                attraction_basin_check,
@@ -271,6 +271,30 @@ class TestCriticalSet:
     def test_vacuous_translation(self):
         assert critical_set_bounded_away(parse_symbol("x+1"), "upper") is True
 
+    def test_tail_scan_past_the_one_critical_point(self):
+        # The slope exp(x)+2x of exp(x)+x^2 increases, so its one zero is
+        # the only critical point and the tail beyond it never turns.
+        phi = parse_symbol("exp(x)+x^2")
+        critical = find_critical_points(phi)
+        with mpmath.workprec(64):
+            zero = mpmath.findroot(lambda t: mpmath.exp(t) + 2 * t, mpmath.mpf("-0.35"))
+            assert len(critical) == 1 and abs(critical[0] - zero) < mpmath.mpf(2) ** -40
+        assert critical_set_bounded_away(phi, "upper", critical) is True
+
+    def test_tail_scan_undecided_on_a_periodic_slope(self):
+        # The slope 1+2cos(x) of x+3+2*sin(x) vanishes at +-2pi/3 + 2k*pi,
+        # so the critical set is not bounded away from +inf; the scan
+        # leaves that undecided.
+        phi = parse_symbol("x+3+2*sin(x)")
+        critical = find_critical_points(phi)
+        with mpmath.workprec(64):
+            for c in critical:
+                k = mpmath.nint(c / (2 * mpmath.pi))
+                off = abs(abs(c - 2 * k * mpmath.pi) - 2 * mpmath.pi / 3)
+                assert off < mpmath.mpf(2) ** -40
+        assert len(critical) > 2
+        assert critical_set_bounded_away(phi, "upper", critical) is None
+
     def test_grid_zero_counted_once(self):
         # 0 is a grid point of (-2, 511) and the derivative's only zero; the
         # bracket that ends there is not bisected a second time.
@@ -391,6 +415,92 @@ class TestRawBasinSamples:
         verdict = attraction_basin_check(parse_symbol("1/2*arctan(x)", domain),
                                          Interval(-1, 1))
         assert verdict.note == f"all {walked} samples entered the core"
+
+
+def _sympy_displacement(text):
+    """phi(x) - x of a rational polynomial text, with sympy's symbol."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    return sympy.sympify(text.replace("^", "**")) - x, x
+
+
+def _sympy_end(end):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Rational(end) if is_finite(end) else (sympy.oo if end is POS_INF else -sympy.oo)
+
+
+class TestEscapeWitness:
+    """The certified basin check's escape certificate on either side of the
+    core, against the exact sign of phi(x) - x and its real roots."""
+
+    @staticmethod
+    def _run(monkeypatch, text, domain, core):
+        seen, original = [], rootwork._escape_witness
+
+        def spy(*args):
+            result = original(*args)
+            seen.append((args[2:], result))   # ((region, side), result)
+            return result
+
+        monkeypatch.setattr(rootwork, "_escape_witness", spy)
+        verdict = attraction_basin_check(parse_symbol(text, domain), core)
+        return verdict, seen
+
+    # The orbit of the witness moves toward the fixed end of the domain
+    # (-2, resp. 2), or toward an infinite end, past the fixed point
+    # 2^(1/3) in the last case, which a sign-change enclosure holds.
+    @pytest.mark.parametrize("text, domain, core, side", [
+        ("x-1/4*x*(x+1)*(x+2)", Interval(-2, F(1, 2)), Interval(F(-1, 2), F(1, 4)), "lower"),
+        ("x-1/4*x*(x-1)*(x-2)", Interval(F(-1, 2), 2), Interval(F(-1, 4), F(1, 2)), "upper"),
+        ("1/2*x-x^2", Interval(NEG_INF, F(1, 4)), Interval(F(-1, 4), F(1, 8)), "lower"),
+        ("1/2*x+1/4*x^4", Interval.real_line(), Interval(F(-1, 2), F(1, 2)), "upper"),
+    ])
+    def test_witness_moves_away_forever(self, monkeypatch, text, domain, core, side):
+        sympy = pytest.importorskip("sympy")
+        verdict, seen = self._run(monkeypatch, text, domain, core)
+        assert [args[1] for args, _ in seen] == [side]
+        assert verdict.status == "false" and verdict.certified
+        w = sympy.Rational(verdict.witness)
+        # phi(w) - w has the outward sign, and no fixed point lies between
+        # w and the domain's end on that side, so every iterate stays
+        # beyond w, outside the core.
+        d, x = _sympy_displacement(text)
+        roots = sympy.real_roots(sympy.Poly(d, x))
+        if side == "lower":
+            low = _sympy_end(domain.lower)
+            assert w < core.lower and d.subs(x, w) < 0
+            assert not [r for r in roots if low < r < w]
+        else:
+            high = _sympy_end(domain.upper)
+            assert w > core.upper and d.subs(x, w) > 0
+            assert not [r for r in roots if w < r < high]
+
+    # No escape certificate applies: beyond the outermost fixed point in
+    # the region (the double roots +-sqrt(2), whose integer bounds 2 and -2
+    # lie past the domain's ends, resp. 2) phi(x) - x points back toward
+    # the core.  The sampled check answers, unproven, and the fixed point
+    # outside the core shows that the basin is not the whole domain.
+    @pytest.mark.parametrize("text, domain, core, side", [
+        ("x-1/8*x*(x^2-2)^2", Interval(F(-3, 2), 1), Interval(F(-1, 2), F(1, 2)), "lower"),
+        ("x-1/8*x*(x^2-2)^2", Interval(F(-3, 2), F(3, 2)), Interval(F(-1, 2), F(1, 2)), "upper"),
+        ("x-1/4*x*(x-1)*(x-2)", Interval.real_line(), Interval(F(-1, 4), F(1, 4)), "upper"),
+    ])
+    def test_no_certificate_falls_back_to_samples(self, monkeypatch, text, domain, core, side):
+        sympy = pytest.importorskip("sympy")
+        verdict, seen = self._run(monkeypatch, text, domain, core)
+        assert [(args[1], result) for args, result in seen] == [(side, None)]
+        assert verdict.status == "false" and not verdict.certified
+        d, x = _sympy_displacement(text)
+        region = seen[0][0][0]
+        lo, hi = _sympy_end(region.lower), _sympy_end(region.upper)
+        outer = [r for r in sympy.real_roots(sympy.Poly(d, x)) if lo < r < hi]
+        assert outer
+        if side == "upper":
+            probe = max(outer) + 1 if hi == sympy.oo else (max(outer) + hi) / 2
+            assert d.subs(x, probe) < 0
+        else:
+            probe = min(outer) - 1 if lo == -sympy.oo else (min(outer) + lo) / 2
+            assert d.subs(x, probe) > 0
 
 
 def _raise(error_type):
@@ -543,6 +653,19 @@ class TestConjugationInvariance:
         delta = parse_change("-1/3*x + 5")
         psi = conjugate(phi, delta)
         assert is_diffeomorphism(psi).value is True
+
+    @pytest.mark.parametrize("inner", ["1/2*x^3+1/2*x", "1/2*x-x^2"])
+    def test_conjugated_analysis_gives_the_direct_verdict(self, inner):
+        # A non-affine change keeps the conjugate as a ConjugatedBody, which
+        # the analysis and is_diffeomorphism each read off the inner symbol.
+        phi = parse_symbol(inner)
+        psi = conjugate(phi, parse_change("x^3+x"))
+        assert isinstance(psi.body, symbols.ConjugatedBody)
+        verdict = is_diffeomorphism(psi)
+        assert analyze_symbol(psi).is_diffeo == verdict
+        direct = is_diffeomorphism(phi)
+        assert verdict.value is direct.value and not verdict.certified
+        assert verdict.certificate == f"conjugation-invariant: {direct.certificate}"
 
 
 class TestAnalyze:

@@ -432,3 +432,20 @@ def test_count_with_roots_on_the_ends_matches_sympy(a, gap, ma, mb, rest, shape)
     hi = None if shape == "lower" else b
     interval = Interval(NEG_INF if lo is None else lo, POS_INF if hi is None else hi)
     assert sturm.count_roots_open(p, interval) == _sympy_open_count(p, lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (F(0), quadratic(0, 1, 2)), (quadratic(0, 1, 2), quadratic(0, 2, 2)),
+    (quadratic(0, -1, 2), quadratic(0, 1, 2)), (F(1), quadratic(1, 1, 2)),
+    (quadratic(0, -2, 2), quadratic(1, -1, 2))])
+def test_count_with_a_root_on_an_irrational_end_matches_sympy(lo, hi):
+    # (x^2 - 2)(x - 1)(x^2 - 8): an end at +-sqrt(2) or +-2*sqrt(2) is a
+    # root that the Sturm count over (lo, hi] must not include.
+    sympy = pytest.importorskip("sympy")
+    p = polylib.mul(polylib.mul([F(-2), F(0), F(1)], [F(-1), F(1)]), [F(-8), F(0), F(1)])
+    x = sympy.Symbol("x")
+    roots = set(sympy.real_roots((x ** 2 - 2) * (x - 1) * (x ** 2 - 8)))
+    ends = [sympy.Rational(e.p) + sympy.Rational(e.q) * sympy.sqrt(e.d)
+            if isinstance(e, QuadraticNumber) else sympy.Rational(e) for e in (lo, hi)]
+    expected = sum(1 for r in roots if ends[0] < r < ends[1])
+    assert sturm.count_roots_open(p, Interval(lo, hi)) == expected

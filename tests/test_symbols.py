@@ -100,6 +100,19 @@ class TestParser:
         with pytest.raises(DegreeOverflow):
             parse_symbol("x^5000")
 
+    def test_trailing_whitespace_is_ignored(self):
+        s = parse_symbol(" -x^2 + 3/2*x \t\n")
+        assert s.poly_coeffs() == [F(0), F(3, 2), F(-1)]
+        assert str(s) == "-x^2 + 3/2*x"
+
+    def test_text_or_else_the_body_names_a_symbol(self):
+        # A symbol built from a tree, such as an affine conjugate, has no
+        # text; its str is the repr of its body.
+        psi = conjugate(parse_symbol("-x^2+2*x+1"), normalize_quadratic(-1, 2, 1).delta)
+        assert psi.text is None
+        assert str(psi) == repr(psi.body)
+        assert repr(psi) == f"AnalyticSymbol({psi.body!r}, domain=(-inf,inf))"
+
     def test_division_only_in_rational_literals(self):
         with pytest.raises(ExpressionSyntaxError):
             parse_symbol("x/2")
@@ -356,6 +369,16 @@ class TestConjugate:
             x = mpmath.mpf("0.7")
             expected = (phi.eval(2 * x + 1, 80) - 1) / 2
             assert abs(psi.eval(x, 80) - expected) < mpmath.mpf(2) ** -70
+
+    def test_affine_conjugation_rebuilds_sums_and_powers(self):
+        # The tree has an Add and a Pow node around the variable; the
+        # conjugate is the same map as the substituted text.
+        phi = parse_symbol("1/2*x+1/8*sin(x)^2")
+        psi = conjugate(phi, parse_change("2*x + 1"))
+        assert isinstance(psi.body, Mul) and psi.text is None
+        direct = parse_symbol("1/2*(1/2*(2*x+1)+1/8*sin(2*x+1)^2-1)")
+        for x in (F(-3), F(1, 3), F(7, 2)):
+            assert psi.eval(x, 96) == direct.eval(x, 96)
 
     def test_nonaffine_conjugate_jet(self):
         # psi = delta^-1 o phi o delta: the psi jet runs through a numeric
@@ -722,6 +745,27 @@ class TestMapsInto:
             parse_symbol("x^3").with_domain(Interval(0, 2))
         assert info.value.witness == F(1)
 
+    @pytest.mark.parametrize("upper, contained", [(F(3), True), (F(2), False)])
+    def test_quadratic_irrational_coefficients_sample_the_source(self, upper, contained):
+        # The normal form of -x^2+2x+1 is -x^2+(1+sqrt(5))x, sampled at 96
+        # bits.  Its exact image of (0, b) is (0, (3+sqrt(5))/2] for b = 3
+        # and b = 2 alike, so only (0, 3) is invariant.
+        sympy = pytest.importorskip("sympy")
+        psi = conjugate(parse_symbol("-x^2+2*x+1"), normalize_quadratic(-1, 2, 1).delta)
+        assert psi.body.coeffs[1] == quadratic(1, 1, 5)
+        x = sympy.Symbol("x")
+        body = -x ** 2 + (1 + sympy.sqrt(5)) * x
+        image = sympy.calculus.util.function_range(body, x, sympy.Interval.open(0, upper))
+        assert image.is_subset(sympy.Interval.open(0, upper)) is contained
+        if contained:
+            assert psi.with_domain(Interval(0, upper)).domain == Interval(0, upper)
+            return
+        with pytest.raises(InvarianceFailure) as info:
+            psi.with_domain(Interval(0, upper))
+        witness = info.value.witness
+        assert witness == F(854, 1025)
+        assert body.subs(x, sympy.Rational(854, 1025)) >= upper
+
     def test_irrational_interval_end_is_a_typed_error(self):
         # The repelling fixed point of x^2-1 is 1/2+sqrt(5)/2: an end that
         # containment does not support, named in a DomainError.
@@ -892,11 +936,11 @@ def test_kernels_make_the_same_libmp_calls_per_point(text, value_calls, slope_ca
 
     backend = {op: fn if op in ("const", "rnd") else counted(fn)
                for op, fn in symbols._MPF.items()}
-    program = symbols._Program(parse_rhs(text).body, 120)
+    program = symbols._Program(parse_rhs(text).body)
     x = _raw_point(F(1, 3), 120)
     for outputs, expected in (([program.value], value_calls),
                               ([program.value, program.slope], slope_calls)):
-        kernel = program.link(outputs, backend)
+        kernel = program.link(outputs, backend, 120)
         calls.clear()
         kernel(x)
         assert len(calls) == expected
@@ -1047,11 +1091,11 @@ class TestCompiledKernel:
         calls = []
         record, link = symbols._Program.__init__, symbols._Program.link
 
-        def recording(self, node, prec=None):
+        def recording(self, node):
             calls.append("record")
-            record(self, node, prec)
+            record(self, node)
 
-        def linking(self, outputs, backend, prec=None):
+        def linking(self, outputs, backend, prec):
             calls.append(prec)
             return link(self, outputs, backend, prec)
 
@@ -1089,9 +1133,9 @@ class TestCompiledKernel:
         calls = []
         record = symbols._Program.__init__
 
-        def recording(self, node, prec=None):
+        def recording(self, node):
             calls.append(node)
-            record(self, node, prec)
+            record(self, node)
 
         monkeypatch.setattr(symbols._Program, "__init__", recording)
         phi = parse_symbol("1/2*arctan(x)")
@@ -1332,6 +1376,19 @@ def test_limit_algebra(a, b, total, product):
             check(x * y, product)
     check(as_limit(a) + as_limit(b), total)
     check(as_limit(a) * as_limit(b), product)
+
+
+@pytest.mark.parametrize("base, n, expected", [
+    (Limit("neg_inf"), 3, "neg_inf"), (Limit("neg_inf"), 2, "pos_inf"),
+    (Limit("pos_inf"), 3, "pos_inf"), (Limit("bounded"), 2, "bounded"),
+    (Limit("finite", value=F(-2, 3)), 3, F(-8, 27)), (Limit("finite", value=F(0)), 2, F(0)),
+])
+def test_limit_power(base, n, expected):
+    got = base ** n
+    if isinstance(expected, str):
+        assert got.kind == expected
+    else:
+        assert got == Limit("finite", value=expected) and got.exact
 
 
 def _same_limit(a, b) -> bool:

@@ -10,6 +10,7 @@ import pytest
 from compspec.errors import HypothesisViolation, UnresolvedVerdict
 from compspec.intervals import NEG_INF, POS_INF, Interval
 from compspec.numbers import GaussianRational, parse_gaussian, quadratic
+from compspec.record import replace
 from compspec.rootwork import analyze_symbol
 from compspec.symbols import conjugate, parse_change, parse_symbol
 from compspec.taxonomy import (AllPlane, ClassificationReport, ClosedDisk,
@@ -41,6 +42,20 @@ class TestPointSpectrum:
         sigma_p, eigen = point_spectrum(analyze_symbol(parse_symbol("-x")))
         assert sigma_p == FiniteSet((F(-1), F(1)))
         assert eigen.dimension(F(-1)).tag == "A_+(R)"
+
+    def test_critical_set_not_bounded_away_gives_constants_only(self):
+        # No analysis decides False yet: a fixed-point-free map whose
+        # critical set reaches the end it moves toward has only constants.
+        analysis = replace(analyze_symbol(parse_symbol("exp(x)+x^2")),
+                           critical_bounded_away=False)
+        sigma_p, eigen = point_spectrum(analysis)
+        assert sigma_p == FiniteSet((F(1),))
+        assert eigen.dimension(F(1)).k == 1
+        assert eigen.dimension(F(2)).kind == "zero"
+        report = spectrum(analysis)
+        assert report.case_id == "Problem 3.2"
+        assert (report.sigma_p, report.eigen) == (sigma_p, eigen)
+        assert report.notes == ("critical set not bounded away from the relevant end",)
 
     def test_cubic_constants_only(self):
         sigma_p, eigen = point_spectrum(analyze_symbol(parse_symbol("1/2*x^3+1/2*x")))
@@ -89,6 +104,11 @@ CATALOG = [
     ("-x^2+4*x", "Prop 4.5",
      SupersetOf((ClosedDisk(F(1)), Powers(F(4)), Powers(F(-2)))),
      FiniteSet((F(1),)), False),
+    # Fixed-point-free with critical points, decided by the tail scan: one
+    # critical point, resp. the zeros +-2pi/3 + 2k*pi of 1+2cos(x).
+    ("exp(x)+x^2", "Cor 3.1(b)", AllPlane(), PuncturedPlane(), True),
+    ("x+3+2*sin(x)", "Problem 3.2", SupersetOf((FiniteSet((F(0), F(1))),)),
+     SupersetOf((FiniteSet((F(1),)),)), False),
 ]
 
 
