@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_int, from_rational, mpf_div, mpf_pos, round_nearest
+from mpmath.libmp import from_int, from_rational, mpf_pos, round_nearest
 
 
 def to_mpf(value, prec=None):
@@ -163,10 +163,19 @@ def bit_size(x) -> int:
 
 def raw_ratio(num, den, prec):
     """``to_mpf(Fraction(num, den))._mpf_`` at ``prec`` bits for a reduced
-    pair: ``mpf(num)`` rounded to nearest, then divided by ``den``, as
-    ``mpf(num) / den`` rounds it in mpmath's default rounding mode."""
-    return mpf_div(from_int(num, prec, round_nearest), from_int(den), prec,
-                   round_nearest)
+    pair: ``mpf(num)`` rounded to nearest, then divided by ``den`` as mpmath
+    rounds it by default, here on integers with the remainder as sticky bit."""
+    sign, man, exp, bc = num = from_int(num, prec, round_nearest)
+    if not man:
+        return num
+    extra = prec + 2 + den.bit_length() - bc
+    quot, rem = divmod(man << extra, den)
+    quot = (quot << 1) | (rem > 0)
+    shift = quot.bit_length() - prec
+    q = quot >> (shift - 1)
+    man = (q >> 1) + ((q & 1 and (q & 2 or quot & ((1 << (shift - 1)) - 1))) > 0)
+    zeros = (man & -man).bit_length() - 1
+    return (sign, man >> zeros, exp - extra - 1 + shift + zeros, man.bit_length() - zeros)
 
 
 def raw_point(x, prec):

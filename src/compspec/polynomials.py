@@ -2,8 +2,8 @@
 
 Coefficients are Fractions (ints are promoted) or QuadraticNumbers; the
 ring operations, composition, derivative and evaluation work on both.
-``eval_raw`` is the same Horner rule on raw mpf tuples, for coefficients
-that their owner has rounded once per precision.
+The Horner rule runs on integers in ``eval_rational`` (coefficients over one
+denominator) and ``eval_raw`` (mpf tuples their owner rounds per precision).
 Coefficient lists are ascending (index = degree) with a nonzero leading
 entry unless the polynomial is zero (empty list is not used; the zero
 polynomial is ``[Fraction(0)]``).
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath.libmp import mpf_add, mpf_mul
+from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, round_nearest
 
 from .errors import DegreeOverflow
 from .numbers import as_exact
@@ -119,13 +119,51 @@ def eval_at(p, x):
     return result
 
 
+def eval_rational(P, D, x) -> Fraction:
+    """P(x)/D for integers P (ascending) and D > 0 at a rational x = n/d:
+    d^k P(n/d) by homogeneous Horner on integers, over D d^k."""
+    n, d = x.numerator, x.denominator
+    v, scale = 0, 1
+    for c in reversed(P):
+        v = v * n + c * scale
+        scale *= d
+    return Fraction(v, D * scale // d)
+
+
 def eval_raw(descending, x, prec, rnd):
     """``eval_at`` on raw mpf tuples: ``descending`` holds the coefficients
     from the highest degree down, each already the raw value that mpmath's
     Horner step would make of it, and x is a raw tuple.  Each step is
     ``acc * x + c`` as mpf arithmetic rounds it at ``prec`` bits in
-    rounding mode ``rnd``."""
+    rounding mode ``rnd``.  To nearest, the exact product, then the exact
+    sum, of signed integer mantissas is rounded, ties to even: a correctly
+    rounded step has one result.  Special values and far addends use mpmath."""
     acc = descending[0]
+    if rnd == round_nearest and (x[1] or not x[2]) and (acc[1] or not acc[2]):
+        xm, xe, m, e = (-x[1] if x[0] else x[1]), x[2], (-acc[1] if acc[0] else acc[1]), acc[2]
+        for csign, cm, ce, _ in descending[1:]:
+            m, e = m * xm, e + xe
+            shift = m.bit_length() - prec
+            if shift > 0:
+                q, e = m >> (shift - 1), e + shift
+                m = (q >> 1) + ((q & 1 and (q & 2 or m & ((1 << (shift - 1)) - 1))) > 0)
+            if cm:
+                cm = -cm if csign else cm
+                if abs(e - ce) > 2 * prec:
+                    csign, m, e, _ = mpf_add(from_man_exp(m, e), from_man_exp(cm, ce), prec, rnd)
+                    m = -m if csign else m
+                elif e > ce:
+                    m, e = (m << (e - ce)) + cm, ce
+                else:
+                    m += cm << (ce - e)
+                shift = m.bit_length() - prec
+                if shift > 0:
+                    q, e = m >> (shift - 1), e + shift
+                    m = (q >> 1) + ((q & 1 and (q & 2 or m & ((1 << (shift - 1)) - 1))) > 0)
+            elif ce:
+                break  # a special coefficient
+        else:
+            return from_man_exp(m, e)
     for c in descending[1:]:
         acc = mpf_add(mpf_mul(acc, x, prec, rnd), c, prec, rnd)
     return acc

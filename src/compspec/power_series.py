@@ -25,11 +25,11 @@ from .record import Record
 class TruncatedSeries:
     """Taylor polynomial sum_{n<=order} coeffs[n] * (x - center)**n.
 
-    ``_rounded``, set on the first numeric evaluation and left out of
-    equality, hashing and JSON, keeps the raw coefficients per precision.
+    ``_rounded`` and ``_integer``, left out of equality, hashing and JSON,
+    keep the raw coefficients per precision and their integer form.
     """
 
-    __slots__ = ("center", "coeffs", "_rounded")
+    __slots__ = ("center", "coeffs", "_rounded", "_integer")
 
     def __init__(self, center, coeffs):
         self.center = center
@@ -255,13 +255,14 @@ class TruncatedSeries:
     def eval(self, x):
         """Horner evaluation of the Taylor polynomial at x - center.
 
-        An mpf x with a rational centre and int, Fraction or mpf
-        coefficients runs ``polylib.eval_raw`` at the working precision:
-        the centre and every coefficient enter as the raw values mpmath
-        adds (``raw_addend``), rounded once per precision and kept on the
-        series.  Any other input runs ``polylib.eval_at``.  Both give the
-        same bits; a one-coefficient series returns its coefficient.
+        With a rational centre, an mpf x and int, Fraction or mpf
+        coefficients run ``polylib.eval_raw`` on the raw values mpmath adds
+        (``raw_addend``), a rational x and int and Fraction coefficients
+        ``polylib.eval_rational`` on their integer form, both kept on the
+        series; anything else ``polylib.eval_at``: the same bits and types.
         """
+        if is_rational(x) and is_rational(self.center) and self._integer_form() is not None:
+            return polylib.eval_rational(*self._integer, x - self.center)
         if is_mpf(x) and len(self.coeffs) > 1 and is_rational(self.center):
             prec, rnd = mpmath.mp._prec_rounding
             rounded = self._rounded_coeffs(prec)
@@ -287,6 +288,17 @@ class TruncatedSeries:
             rounded = memo[prec] = (raw_addend(self.center, prec),
                                     tuple(raw_addend(c, prec) for c in reversed(self.coeffs)))
         return rounded
+
+    def _integer_form(self):
+        """(P, D), integers with coefficients P/D, computed once; None unless
+        they are ints and Fractions, not all ints (whose value is an int)."""
+        form = getattr(self, "_integer", False)
+        if form is False:
+            c = self.coeffs
+            D = math.lcm(*(a.denominator for a in c)) if all(map(is_rational, c)) else 0
+            form = self._integer = (([a.numerator * (D // a.denominator) for a in c], D)
+                                    if D and not all(isinstance(a, int) for a in c) else None)
+        return form
 
     def map_coefficients(self, fn):
         return TruncatedSeries(self.center, [fn(c) for c in self.coeffs])

@@ -567,10 +567,8 @@ def _certified_basin(phi: AnalyticSymbol, core: Interval):
         n_fixed = sturm.count_roots_open(displacement, region)
         if n_fixed > 0:
             return _escape_witness(phi, displacement, region, side)
-        sample = sturm.sign_at(displacement.p, region.midpoint())
-        inward = sample < 0 if side == "upper" else sample > 0
-        if not inward:
-            return _escape_witness(phi, displacement, region, side)
+        # phi(x) - x points inward across the region: it does at the edge of
+        # the invariant core, which is not fixed, and has no root in between.
         # Jump bound: the image of the outer region must not cross to the
         # far side of the core (and must stay inside the domain).
         target_lo = core.lower if side == "upper" else domain.lower

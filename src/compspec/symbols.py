@@ -1064,14 +1064,16 @@ class AnalyticSymbol:
 
     def eval(self, x, precision=None):
         """phi(x): exact for rational polynomials at exact points, else mpf
-        with error below 2**-(precision-8).  A rational polynomial at an
-        mpf point runs ``polylib.eval_raw`` on its ``_rounded_coeffs``;
-        other polynomial inputs run ``polylib.eval_at``, to the same bits."""
+        with error below 2**-(precision-8).  A rational polynomial runs
+        ``eval_rational`` at rational points, ``eval_raw`` on ``_rounded_coeffs``
+        at mpf ones; other inputs run ``polylib.eval_at``, to the same bits."""
         precision = precision or default_precision()
         if not self._point_in_domain(x, precision):
             raise DomainError(f"{x} is outside the domain {self.domain}")
         if self.is_polynomial():
             coeffs = self.body.coeffs
+            if self._facts is not None and is_rational(x):
+                return polylib.eval_rational(self._facts.P, self._facts.D, x)
             if is_exact(x):
                 return polylib.eval_at(coeffs, as_exact(x))
             prec = precision + _GUARD_BITS

@@ -543,3 +543,16 @@ def test_exact_and_numeric_centres_take_the_generic_horner():
         for center, x in ((F(1, 2), F(3, 4)), (mpmath.mpf(1) / 3, mpmath.mpf(2) / 5)):
             got = TruncatedSeries(center, coeffs).eval(x)
             assert same_value(got, schoolbook_eval(coeffs, center, x))
+
+
+def test_radius_needs_four_nonzero_tail_coefficients():
+    # f_n = 2^-n at n = 12, 16, 20 and 24 only: a radius of 2, which the
+    # root test sees from four tail coefficients but not from three.
+    def series(ns):
+        return TruncatedSeries(F(0), [F(1)] + [F(1, 2 ** n) if n in ns else F(0)
+                                               for n in range(1, 25)])
+    verdict = estimate_radius(series({16, 20, 24}))
+    assert isinstance(verdict, Inconclusive)
+    assert verdict.reason == "too few nonzero tail coefficients"
+    verdict = estimate_radius(series({12, 16, 20, 24}))
+    assert isinstance(verdict, Converges) and abs(verdict.radius_estimate - 2) < 1e-9

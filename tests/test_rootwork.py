@@ -795,3 +795,15 @@ class TestPolyFacts:
         assert any("Enclosure(" in f.get("fixed_points", "") for f in facts)
         assert any(f.get("two_cycle_points", "0") not in ("0", "AllFixed()")
                    for f in facts)
+
+
+def test_rational_bound_below_a_root_just_under_an_integer():
+    # 3 - 2^-80*sqrt(2) rounds to 3.0 at 64 bits, so the first lower
+    # candidate, 3, lies above the root and the walk steps down to 2.
+    from compspec.numbers import quadratic
+    root = quadratic(3, F(-1, 2 ** 80), 2)
+    with mpmath.workprec(300):
+        assert int(mpmath.floor(3 - mpmath.sqrt(2) / mpmath.mpf(2) ** 80)) == 2
+    lower = rootwork._rational_bound_beyond(root, "lower")
+    assert lower == 2 and lower < root
+    assert root < rootwork._rational_bound_beyond(root, "upper")

@@ -302,3 +302,11 @@ class TestEigenfunction:
         e = eigenfunction(phi, F(0), n, 20)
         res = schroeder_residual(phi, e, F(1, 2) ** n)
         assert all(c == 0 for c in res.coeffs)
+
+
+def test_solution_without_a_radius_estimate_writes_null():
+    import json
+    sol = solve_formal(parse_symbol("1/2*x"), F(0), 3, parse_rhs("x"), 20, estimate=False)
+    assert sol.radius_verdict is None
+    doc = sol.to_json_dict()
+    assert doc["radius"] is None and '"radius": null' in json.dumps(doc)

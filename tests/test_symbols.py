@@ -1494,3 +1494,16 @@ class TestFoldArithmetic:
         assert squared == (F(0), F(0), F(2)) and type(squared[2]) is F
         assert fold(Mul((Poly((root2,)), Poly((F(1), F(0), F(2)))))).coeffs \
             == (root2, F(0), 2 * root2)
+
+
+@pytest.mark.parametrize("precision", [64, 256])
+def test_affine_change_inverts_numeric_values(precision):
+    # y = 3x + 1/5: the preimage of an mpf y is (y - 1/5)/3, taken exactly.
+    from mpmath.libmp import to_rational
+    change = parse_change("3*x+1/5", "(-1, 1)")
+    for y in (mpmath.mpf(1) / 3, mpmath.mpf(-2.5), mpmath.mpf(3)):
+        x = change.apply_inverse(y, precision)
+        assert isinstance(x, mpmath.mpf)
+        exact = (F(*to_rational(y._mpf_)) - F(1, 5)) / 3
+        error = abs(F(*to_rational(x._mpf_)) - exact)
+        assert error <= abs(exact) * F(1, 2 ** precision)

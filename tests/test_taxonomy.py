@@ -477,3 +477,13 @@ class TestReferenceReports:
                                           value.re if value.im == 0 else value, cover)
             assert json.dumps(result.to_json_dict(), sort_keys=True) == \
                 reference["obstruct"][op_id], op_id
+
+
+def test_kernel_of_the_identity_is_the_whole_space():
+    # C f = f o x is the identity operator: ker(C - I) is all of A(J), and
+    # C - lam I = (1 - lam) I is injective for lam != 1.
+    identity = parse_symbol("x")
+    for region in (Interval(-1, 1), Interval.real_line()):
+        label = kernel_dim(identity, region, 1)
+        assert label.to_json_dict() == {"kind": "infinite", "tag": "A(J)"}
+        assert kernel_dim(identity, region, 2).to_json_dict() == {"kind": "finite", "k": 0}
