@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
@@ -203,8 +205,24 @@ def raw_addend(c, prec):
 # Text forms
 
 
+@contextmanager
+def _any_int_digits():
+    """Lift Python's limit on int/str conversions (4300 digits by default,
+    none before it existed): an exact rational in a result or a JSON
+    document may have any length.  Symbol text keeps the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    with _any_int_digits():
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 _DECIMAL_RE = re.compile(r"^[+-]?\d+\.\d*$|^[+-]?\.\d+$")
@@ -574,14 +592,15 @@ def scalar_to_json(c):
 
 def scalar_from_json(doc):
     """Inverse of scalar_to_json."""
-    if isinstance(doc, str):
-        return parse_scalar(doc)
-    if isinstance(doc, list) and len(doc) == 2 and doc[0] == "float":
-        with mpmath.workdps(_JSON_DIGITS):
-            return mpmath.mpf(doc[1])
-    if isinstance(doc, list) and len(doc) == 3 and doc[0] == "complex":
-        with mpmath.workdps(_JSON_DIGITS):
-            return mpmath.mpc(doc[1], doc[2])
-    if isinstance(doc, list) and len(doc) == 2:
-        return GaussianRational(Fraction(doc[0]), Fraction(doc[1]))
+    with _any_int_digits():
+        if isinstance(doc, str):
+            return parse_scalar(doc)
+        if isinstance(doc, list) and len(doc) == 2 and doc[0] == "float":
+            with mpmath.workdps(_JSON_DIGITS):
+                return mpmath.mpf(doc[1])
+        if isinstance(doc, list) and len(doc) == 3 and doc[0] == "complex":
+            with mpmath.workdps(_JSON_DIGITS):
+                return mpmath.mpc(doc[1], doc[2])
+        if isinstance(doc, list) and len(doc) == 2:
+            return GaussianRational(Fraction(doc[0]), Fraction(doc[1]))
     raise ValueError(f"bad coefficient document: {doc!r}")

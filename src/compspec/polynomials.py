@@ -2,8 +2,10 @@
 
 Coefficients are Fractions (ints are promoted) or QuadraticNumbers; the
 ring operations, composition, derivative and evaluation work on both.
-The Horner rule runs on integers in ``eval_rational`` (coefficients over one
-denominator) and ``eval_raw`` (mpf tuples their owner rounds per precision).
+A rational polynomial p has one integer form P/D (``integer_form``) and
+one homogeneous Horner d^k P(n/d) on integers (``homogeneous_horner``),
+which ``eval_rational`` and ``sturm.sign_at`` share.  ``eval_raw`` keeps
+its Horner on mpf mantissas, with the rounding inline for speed.
 Coefficient lists are ascending (index = degree) with a nonzero leading
 entry unless the polynomial is zero (empty list is not used; the zero
 polynomial is ``[Fraction(0)]``).
@@ -12,6 +14,7 @@ polynomial is ``[Fraction(0)]``).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, round_nearest
 
@@ -119,15 +122,29 @@ def eval_at(p, x):
     return result
 
 
-def eval_rational(P, D, x) -> Fraction:
-    """P(x)/D for integers P (ascending) and D > 0 at a rational x = n/d:
-    d^k P(n/d) by homogeneous Horner on integers, over D d^k."""
-    n, d = x.numerator, x.denominator
+def integer_form(p) -> tuple[list[int], int]:
+    """(P, D) with integers P, D > 0 and p = P/D, for a polynomial p with
+    int or Fraction coefficients; trailing zeros are dropped."""
+    den = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    while len(ints) > 1 and ints[-1] == 0:
+        ints.pop()
+    return ints, den
+
+
+def homogeneous_horner(P, n, d) -> int:
+    """d^k P(n/d) for integers P (ascending, degree k), n and d > 0."""
     v, scale = 0, 1
     for c in reversed(P):
         v = v * n + c * scale
         scale *= d
-    return Fraction(v, D * scale // d)
+    return v
+
+
+def eval_rational(P, D, x) -> Fraction:
+    """P(x)/D for integers P (ascending) and D > 0 at a rational x = n/d."""
+    d = x.denominator
+    return Fraction(homogeneous_horner(P, x.numerator, d), D * d ** (len(P) - 1))
 
 
 def eval_raw(descending, x, prec, rnd):

@@ -216,9 +216,7 @@ class TruncatedSeries:
         n = self.order
         slopes = self.coeffs[1:]
         if all(map(is_rational, (lam, *slopes, *rhs[:n + 1], *head))):
-            d = math.lcm(*(c.denominator for c in slopes))
-            S = [0] + [c.numerator * (d // c.denominator) for c in slopes]
-            return _solve_rational(S, d, n, lam, rhs, head)
+            return _solve_rational(*polylib.integer_form((0, *slopes)), n, lam, rhs, head)
         s = TruncatedSeries(self.center, (Fraction(0),) + self.coeffs[1:])
         powers = [TruncatedSeries(self.center, [1] + [Fraction(0)] * n)]
         for _ in range(n):
@@ -295,9 +293,8 @@ class TruncatedSeries:
         form = getattr(self, "_integer", False)
         if form is False:
             c = self.coeffs
-            D = math.lcm(*(a.denominator for a in c)) if all(map(is_rational, c)) else 0
-            form = self._integer = (([a.numerator * (D // a.denominator) for a in c], D)
-                                    if D and not all(isinstance(a, int) for a in c) else None)
+            form = self._integer = (polylib.integer_form(c) if all(map(is_rational, c))
+                                    and not all(isinstance(a, int) for a in c) else None)
         return form
 
     def map_coefficients(self, fn):

@@ -2,11 +2,11 @@
 
 A rational polynomial enters the kernel once, as its primitive integer
 form (a positive multiple, so roots and signs are kept) or as P/D with
-integer P and D > 0.  From there everything runs on Python integers:
-Sturm chains, gcds, square-free decomposition, root deflation, exact
-division, composition, the shifts p - g of a containment check, and signs
-at rational points (the sign of p at n/d is the sign of d^k p(n/d)).  On
-top of that kernel: open-interval root counts, isolation into exact roots
+integer P and D > 0 (``polynomials.integer_form``).  From there everything
+runs on Python integers: Sturm chains, gcds, square-free decomposition,
+root deflation, exact division, composition, the shifts p - g of a
+containment check, and signs at rational points (``sign_at``).  On top of
+that kernel: open-interval root counts, isolation into exact roots
 (rational, quadratic) or sign-change enclosures, refinement, and certified
 range containment.  Counts and isolation split into a per-polynomial half,
 ``RealRoots``, and a per-interval half; ``IntegerFacts`` keeps every fact
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from . import polynomials as poly
 from .errors import DegreeOverflow
@@ -38,37 +38,23 @@ def eval_sign_at_infinity(p, positive: bool) -> int:
 
 def sign_at(p, x) -> int:
     """Sign of p at x.  At a rational x = n/d it is the sign of d^k p(n/d),
-    k = degree(p), by Horner on integers for an integer p; other exact
+    k = degree(p), by ``polynomials.homogeneous_horner``; other exact
     points (a QuadraticNumber) are evaluated in their own field."""
     if x is POS_INF:
         return eval_sign_at_infinity(p, True)
     if x is NEG_INF:
         return eval_sign_at_infinity(p, False)
     if is_rational(x):
-        n, d = x.numerator, x.denominator
-        v, scale = 0, 1
-        for c in reversed(p):
-            v = v * n + c * scale
-            scale *= d
+        v = poly.homogeneous_horner(p, x.numerator, x.denominator)
     else:
         v = poly.eval_at(p, x)
     return -1 if v < 0 else (0 if v == 0 else 1)
 
 
-def integer_form(p) -> tuple[list[int], int]:
-    """(P, D) with integers P, D > 0 and p = P/D, for a polynomial p with
-    int or Fraction coefficients; trailing zeros are dropped."""
-    den = lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (den // c.denominator) for c in p]
-    while len(ints) > 1 and ints[-1] == 0:
-        ints.pop()
-    return ints, den
-
-
 def primitive(p) -> list[int]:
     """The integer polynomial with content 1 that is a positive multiple of
     the rational polynomial p: it has p's roots and p's signs."""
-    return _content_free(integer_form(p)[0])
+    return _content_free(poly.integer_form(p)[0])
 
 
 def _content_free(ints) -> list[int]:
@@ -585,7 +571,7 @@ class IntegerFacts:
 
     def __init__(self, coeffs):
         self.coeffs = tuple(coeffs)        # the rational coefficients
-        self.P, self.D = integer_form(self.coeffs)
+        self.P, self.D = poly.integer_form(self.coeffs)
         self._chains = {}
         self._multipliers = {}
         self._shifts = {}

@@ -13,6 +13,8 @@ import compspec
 from compspec.cli import main
 from compspec.continuation import evaluate, globalize
 from compspec.numbers import GaussianRational, parse_gaussian, scalar_from_json
+from compspec.power_series import TruncatedSeries
+from compspec.solver import solve_formal
 from compspec.symbols import parse_rhs, parse_symbol
 from compspec.taxonomy import ClassificationReport
 
@@ -87,6 +89,17 @@ class TestSolve:
                            for n, c in enumerate(coeffs) if 2 * n >= len(coeffs) - 1 and c)
             median = mpmath.nstr(roots[len(roots) // 2], 12)
         assert doc["radius"] == {"verdict": "converges", "radius_estimate": median}
+
+    def test_order_200_prints_and_reads_back(self, capsys):
+        # Coefficients past 4300 digits: Python's default int/str limit.
+        code, out = run_cli(capsys, "solve", "--symbol", "1/2*x+1/4*x^2", "--lambda", "3",
+                            "--gamma", "x", "--order", "200", "--format", "json")
+        assert code == 0
+        series = TruncatedSeries.from_json_dict(json.loads(out)["series"])
+        expected = solve_formal(parse_symbol("1/2*x+1/4*x^2"), F(0), F(3), parse_rhs("x"), 200)
+        assert series == expected.series
+        assert max(c.denominator for c in series.coeffs) > 10 ** 4300
+        assert sys.get_int_max_str_digits() == 4300
 
     def test_resonance_exit_code(self, capsys):
         code = main(["solve", "--symbol", "1/2*x", "--lambda", "1/4",

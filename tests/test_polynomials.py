@@ -2,9 +2,12 @@
 they replace: ``eval_raw`` against ``mpf_mul``/``mpf_add`` step by step,
 ``raw_ratio`` against ``mpf_div(from_int(...))``, and ``eval_rational`` (with
 the series and symbol evaluations routed through it) against Fraction
-Horner, value and type."""
+Horner, value and type; ``integer_form`` against an lcm oracle and
+``sturm.sign_at`` against the sign of the Fraction Horner."""
 
+import ast
 import math
+import pathlib
 from fractions import Fraction as F
 
 import mpmath
@@ -15,6 +18,7 @@ from mpmath.libmp import (fnan, fninf, from_int, from_man_exp, fzero, mpf_add,
                           mpf_div, mpf_mul, round_nearest)
 
 from compspec import polynomials as polylib
+from compspec import sturm
 from compspec.numbers import quadratic, raw_ratio
 from compspec.power_series import TruncatedSeries
 from compspec.symbols import AnalyticSymbol
@@ -195,12 +199,27 @@ def test_series_keeps_its_integer_form_out_of_equality():
 
 
 @settings(max_examples=200, **SETTINGS)
-@given(st.lists(rationals(), min_size=1, max_size=12), rationals())
-def test_eval_rational_matches_fraction_horner(coeffs, x):
+@given(st.lists(rationals(), min_size=1, max_size=12), st.integers(0, 2), rationals())
+def test_eval_rational_matches_fraction_horner(coeffs, zeros, x):
+    coeffs = coeffs + [0] * zeros
     D = math.lcm(*(F(c).denominator for c in coeffs))
     P = [int(F(c) * D) for c in coeffs]
+    while len(P) > 1 and P[-1] == 0:
+        P.pop()
+    assert polylib.integer_form(coeffs) == (P, D)
     got = polylib.eval_rational(P, D, x)
-    assert got == polylib.eval_at([F(c) for c in coeffs], F(x)) and type(got) is F
+    expected = polylib.eval_at([F(c) for c in coeffs], F(x))
+    assert got == expected and type(got) is F
+    assert sturm.sign_at(P, x) == (expected > 0) - (expected < 0)
+
+
+def test_only_polynomials_takes_an_lcm():
+    # The integer form P/D of a rational polynomial has one home.
+    callers = {path.name for path in pathlib.Path(polylib.__file__).parent.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call)
+               and "lcm" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert callers == {"polynomials.py"}
 
 
 @settings(max_examples=100, **SETTINGS)

@@ -272,6 +272,8 @@ def test_cauchy_bound_is_exact_on_integers():
 # each (None: any).  Everything else in sturm runs on integers.
 _STURM_POLYNOMIALS_NAMES = {
     "DEGREE_CAP": None,
+    "integer_form": None,                  # the integer form P/D of a rational p
+    "homogeneous_horner": "sign_at",       # d^k p(n/d) at a rational point
     "eval_at": "sign_at",                  # at a quadratic-irrational point
     "normalize": "solve_quadratic_exact",
     "degree": "solve_quadratic_exact",
@@ -377,7 +379,7 @@ class TestIntegerKernel:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(_rational_polynomial())
     def test_composition_is_the_scaled_rational_one(self, p):
-        P, D = sturm.integer_form(p)
+        P, D = polylib.integer_form(p)
         assert D > 0 and [F(c, D) for c in P] == polylib.normalize(p)
         both = sturm.compose_scaled(P, P, D)
         assert all(type(c) is int for c in both)
