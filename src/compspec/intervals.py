@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import mpf_lt
 
 from .errors import DomainError, ExpressionSyntaxError
 from .numbers import is_exact, is_rational, parse_rational, to_mpf
@@ -128,6 +129,13 @@ class Interval:
             ends = memo[prec] = tuple(to_mpf(e) if is_finite(e) else e
                                       for e in (self.lower, self.upper))
         return ends
+
+    def raw_membership(self, bits: int):
+        """Strict membership of a raw mpf tuple, against the finite ends
+        rounded once by ``to_mpf`` at ``bits``: a predicate on tuples."""
+        lo, hi = (to_mpf(end, bits)._mpf_ if is_finite(end) else None
+                  for end in (self.lower, self.upper))
+        return lambda x: (lo is None or mpf_lt(lo, x)) and (hi is None or mpf_lt(x, hi))
 
     def contains_interval(self, other: "Interval") -> bool:
         lo_ok = (not is_finite(self.lower)) or (

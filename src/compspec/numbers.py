@@ -17,6 +17,7 @@ exact-only.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import sys
@@ -272,19 +273,24 @@ class _FieldElement:
     """x + y*w with rational x, y in the field Q(w), w*w = d.
 
     The arithmetic both exact fields share: GaussianRational is Q(sqrt(-1))
-    and QuadraticNumber is Q(sqrt(d)) for a squarefree d > 1.  Ints,
-    Fractions and elements of the same field give exact results through
+    and QuadraticNumber is Q(sqrt(d)) for a d > 1 from ``_squarefree_split``.
+    Ints, Fractions and elements of the same field give exact results through
     ``_make``; any other scalar follows the module's mixing rule.
     """
 
     __slots__ = ("x", "y")
 
     def _coords(self, other):
-        """(x, y) of other in this field, or None when it lies outside."""
+        """(x, y) of other in this field, or None when it lies outside.  A
+        radicand d' is this field's d when d*d' = r^2, as sqrt(d') = r/d*w."""
         if isinstance(other, (int, Fraction)):
             return other, 0
-        if isinstance(other, _FieldElement) and other.d == self.d:
-            return other.x, other.y
+        if isinstance(other, _FieldElement):
+            if other.d == self.d:
+                return other.x, other.y
+            dd = self.d * other.d
+            if dd > 0 and math.isqrt(dd) ** 2 == dd:
+                return other.x, other.y * Fraction(math.isqrt(dd), self.d)
         return None
 
     def __add__(self, other):
@@ -364,7 +370,8 @@ class _FieldElement:
         return self.x == o[0] and self.y == o[1]
 
     def __hash__(self):
-        return hash(self.x) if self.y == 0 else hash((self.x, self.y, self.d))
+        # y^2 d and the sign of y do not depend on how d was split.
+        return hash(self.x) if self.y == 0 else hash((self.x, self.y ** 2 * self.d, self.y > 0))
 
     def __bool__(self):
         return self.x != 0 or self.y != 0
@@ -435,15 +442,21 @@ def parse_gaussian(text: str) -> GaussianRational:
     return GaussianRational(parse_rational(re_part) if re_part else Fraction(0), im)
 
 
+TRIAL_DIVISORS = 2 ** 16   # a factorization tries the divisors 2..TRIAL_DIVISORS
+
+
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = s^2 * d with d squarefree; returns (s, d). n must be positive."""
+    """n = s^2 * d for a positive n; returns (s, d).  d is squarefree
+    when n < 2^33, and otherwise has no square factor k^2 with k at most
+    TRIAL_DIVISORS and is not itself a square."""
     s, d, k = 1, n, 2
-    while k * k <= d:
+    while k * k <= d and k <= TRIAL_DIVISORS:
         while d % (k * k) == 0:
             d //= k * k
             s *= k
         k += 1
-    return s, d
+    r = math.isqrt(d)
+    return (s * r, 1) if r * r == d else (s, d)
 
 
 def quadratic(p, q, d):

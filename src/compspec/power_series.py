@@ -369,17 +369,28 @@ class Converges(Record):
 
     kind = "converges"
 
+    def to_json_dict(self):
+        est = self.radius_estimate
+        return {"verdict": self.kind,
+                "radius_estimate": None if est is None else mpmath.nstr(est, 12)}
+
 
 class Diverges(Record):
     certificate: dict
 
     kind = "diverges"
 
+    def to_json_dict(self):
+        return {"verdict": self.kind, "certificate": self.certificate}
+
 
 class Inconclusive(Record):
     reason: str
 
     kind = "inconclusive"
+
+    def to_json_dict(self):
+        return {"verdict": self.kind, "reason": self.reason}
 
 
 def estimate_radius(series: TruncatedSeries):

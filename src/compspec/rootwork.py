@@ -225,30 +225,22 @@ def find_fixed_points_second_iterate(phi: AnalyticSymbol):
         return sum(not _same_location(y, x) for y, x in zip(images, locations))
 
 
-def _domain_check(phi: AnalyticSymbol, bits=_SCAN_BITS):
-    """Like eval, a check of a raw point of at most ``bits`` bits against
-    the domain bounds rounded at ``bits``, where the domain has a finite
-    end; it raises DomainError when the point lies outside."""
-    domain = phi.domain
-    lo, hi = (to_mpf(end, bits)._mpf_ if is_finite(end) else None
-              for end in (domain.lower, domain.upper))
-
-    def check(x):
-        if (lo is not None and not mpf_lt(lo, x)) or (hi is not None and not mpf_lt(x, hi)):
-            raise DomainError(f"{mpmath.mp.make_mpf(x)} is outside the domain {domain}")
-    return check
+def _outside(phi: AnalyticSymbol, x) -> DomainError:
+    """The DomainError of eval for a raw point x outside the domain."""
+    return DomainError(f"{mpmath.mp.make_mpf(x)} is outside the domain {phi.domain}")
 
 
 def _raw_iterate(phi: AnalyticSymbol, iterations: int, bits=_SCAN_BITS):
     """x -> phi^k(x) on raw tuples of at most ``bits`` bits, each step
-    ``eval(x, bits)``; each step first checks its point against the
-    domain."""
+    ``eval(x, bits)``; like eval, each step first checks its point against
+    the domain bounds rounded at ``bits`` (``Interval.raw_membership``)."""
     image = phi.raw_eval(bits)
-    check = _domain_check(phi, bits)
+    inside = phi.domain.raw_membership(bits)
 
     def apply(x):
         for _ in range(iterations):
-            check(x)
+            if not inside(x):
+                raise _outside(phi, x)
             x = image(x)
         return x
     return apply
@@ -260,11 +252,12 @@ def _raw_displacement(phi: AnalyticSymbol, iterations: int):
     so that phi(x) = x + exp(-x^2) keeps its displacement where the rounded
     phi(x) equals x; otherwise it is phi^k(x), rounded, minus x."""
     if iterations == 1 and phi.is_elementary():
-        check = _domain_check(phi)
+        inside = phi.domain.raw_membership(_SCAN_BITS)
         move = phi.raw_displacement(_SCAN_BITS)
 
         def displacement(x):
-            check(x)
+            if not inside(x):
+                raise _outside(phi, x)
             return move(x)
         return displacement
     apply = _raw_iterate(phi, iterations)
@@ -646,13 +639,12 @@ def _sampled_basin_witness(phi: AnalyticSymbol, core: Interval, starts):
     raw tuples, each step ``phi.eval(x, 64)`` (``_raw_iterate``), and core
     membership compares with the core's ends rounded at 64 bits."""
     step = _raw_iterate(phi, 1, 64)
-    with mpmath.workprec(64):
-        lo, hi = (end._mpf_ if is_finite(end) else None for end in core._rounded_ends())
+    in_core = core.raw_membership(64)
     big = mpf_shift(fone, 256)
     for num, den in starts:
         x = raw_ratio(num, den, 64)
         for _ in range(MAX_ORBIT_STEPS):
-            if (lo is None or mpf_lt(lo, x)) and (hi is None or mpf_lt(x, hi)):
+            if in_core(x):
                 break
             try:
                 x = step(x)

@@ -19,8 +19,7 @@ from .errors import (HypothesisViolation, NeutralOrSuperattracting,
                      ResonantEigenvalue, ZeroLambda)
 from .numbers import (as_exact, format_scalar, invert, is_exact, same_point,
                       scalar_to_json, to_numeric)
-from .power_series import (Converges, Diverges, Inconclusive, TruncatedSeries,
-                           estimate_radius)
+from .power_series import Inconclusive, TruncatedSeries, estimate_radius
 from .record import Record
 from .rootwork import ATTRACTING, multiplier_kind
 from .symbols import AnalyticSymbol
@@ -50,32 +49,19 @@ class LocalSolution(Record):
 
     def to_json_dict(self):
         verdict = self.radius_verdict
-        doc = {
+        return {
             "series": self.series.to_json_dict(),
             "lambda": _scalar_json(self.lam),
             "multiplier": _scalar_json(self.multiplier),
             "resonances": list(self.resonances),
-            "radius": radius_verdict_json(verdict),
+            "radius": None if verdict is None else verdict.to_json_dict(),
         }
-        return doc
 
 
 def _scalar_json(value):
     """An exact scalar as its text form; a numeric one tagged, through
     ``scalar_to_json``, so that it does not read back as exact."""
     return format_scalar(value) if is_exact(value) else scalar_to_json(value)
-
-
-def radius_verdict_json(verdict):
-    if verdict is None:
-        return None
-    if isinstance(verdict, Converges):
-        est = verdict.radius_estimate
-        return {"verdict": "converges",
-                "radius_estimate": None if est is None else mpmath.nstr(est, 12)}
-    if isinstance(verdict, Diverges):
-        return {"verdict": "diverges", "certificate": verdict.certificate}
-    return {"verdict": "inconclusive", "reason": verdict.reason}
 
 
 def _check_fixed_point(phi: AnalyticSymbol, u, precision):

@@ -23,7 +23,7 @@ from math import gcd
 from . import polynomials as poly
 from .errors import DegreeOverflow
 from .intervals import NEG_INF, POS_INF, Interval, complement_blocks, is_finite
-from .numbers import is_rational, quadratic, to_mpf
+from .numbers import TRIAL_DIVISORS, is_rational, quadratic, to_mpf
 from .record import Record
 
 
@@ -54,7 +54,10 @@ def sign_at(p, x) -> int:
 def primitive(p) -> list[int]:
     """The integer polynomial with content 1 that is a positive multiple of
     the rational polynomial p: it has p's roots and p's signs."""
-    return _content_free(poly.integer_form(p)[0])
+    ints = list(p) if all(type(c) is int for c in p) else poly.integer_form(p)[0]
+    while len(ints) > 1 and ints[-1] == 0:
+        ints.pop()
+    return _content_free(ints)
 
 
 def _content_free(ints) -> list[int]:
@@ -309,17 +312,16 @@ def cauchy_bound(p) -> Fraction:
 
 
 _DIVISOR_BUDGET = 4096
-_DIVISOR_STEPS = 2 ** 16
 
 
 def _divisors(n: int):
     """The positive divisors of n, or None past the divisor budget or after
-    _DIVISOR_STEPS trial divisions."""
+    TRIAL_DIVISORS trial divisions."""
     n = abs(n)
     out = set()
     d = 1
     while d * d <= n:
-        if d > _DIVISOR_STEPS:
+        if d > TRIAL_DIVISORS:
             return None
         if n % d == 0:
             out.add(d)

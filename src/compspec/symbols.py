@@ -19,7 +19,7 @@ from math import gcd
 
 import mpmath
 from mpmath.libmp import (mpf_add, mpf_atan, mpf_cos_sin, mpf_div, mpf_exp,
-                          mpf_lt, mpf_mul, mpf_neg, mpf_pi, mpf_pos, mpf_pow_int,
+                          mpf_mul, mpf_neg, mpf_pi, mpf_pos, mpf_pow_int,
                           mpf_shift, mpf_sin, round_nearest, to_rational)
 
 from . import polynomials as polylib
@@ -924,15 +924,13 @@ class AnalyticSymbol:
         image is compared with the target bounds rounded once at 96 bits."""
         prec = 96 + _GUARD_BITS
         image = self.raw_eval(96)
-        bounds = [tuple(to_mpf(end, 96)._mpf_ if is_finite(end) else None
-                        for end in (t.lower, t.upper)) for t in targets]
+        members = [t.raw_membership(96) for t in targets]
         check_domain = not self.domain.contains_interval(source)
         for num, den in _grid_pairs(source, samples):
             if check_domain and not self.domain.contains(Fraction(num, den)):
                 raise DomainError(f"{Fraction(num, den)} is outside the domain {self.domain}")
             y = image(raw_ratio(num, den, prec))
-            if not any((lo is None or mpf_lt(lo, y)) and (hi is None or mpf_lt(y, hi))
-                       for lo, hi in bounds):
+            if not any(inside(y) for inside in members):
                 return False, Fraction(num, den), False
         return True, None, False
 

@@ -4,8 +4,8 @@ The decision tree routes through the fixed-point taxonomy: identity,
 fixed-point-free maps, involutions, a unique fixed point without 2-cycles
 by its certified kind, pure powers, the quadratic family, and multiple
 fixed points.  Every leaf reports structured set expressions for the
-spectrum, the point spectrum and eigenspace dimension rules of
-point_spectrum, and the case label with its source citations.
+spectrum and the point spectrum, the eigenspace dimension on that point
+spectrum (zero elsewhere), and the case label with its source citations.
 Unresolvable branches return explicit supersets rather than guessing.
 """
 
@@ -31,24 +31,25 @@ REPORT_VERSION = 1
 # Spectral set expressions
 
 
-class AllPlane(Record):
+class _Kind(Record):
+    """A record whose JSON form is its kind alone."""
+
+    def to_json_dict(self):
+        return {"kind": self.kind}
+
+
+class AllPlane(_Kind):
     kind = "all_plane"
 
     def contains(self, lam) -> bool:
         return True
 
-    def to_json_dict(self):
-        return {"kind": self.kind}
 
-
-class PuncturedPlane(Record):
+class PuncturedPlane(_Kind):
     kind = "punctured_plane"
 
     def contains(self, lam) -> bool:
         return lam != 0
-
-    def to_json_dict(self):
-        return {"kind": self.kind}
 
 
 class Powers(Record):
@@ -126,31 +127,24 @@ class RealRay(Record):
                 "closed": self.closed}
 
 
-class SetUnion(Record):
+class _Parts(Record):
     parts: tuple
 
+    def contains(self, lam) -> bool:
+        return any(p.contains(lam) for p in self.parts)
+
+    def to_json_dict(self):
+        return {"kind": self.kind, "parts": [p.to_json_dict() for p in self.parts]}
+
+
+class SetUnion(_Parts):
     kind = "union"
 
-    def contains(self, lam) -> bool:
-        return any(p.contains(lam) for p in self.parts)
 
-    def to_json_dict(self):
-        return {"kind": self.kind, "parts": [p.to_json_dict() for p in self.parts]}
-
-
-class SupersetOf(Record):
-    """The spectrum contains the union of the parts; the rest is open."""
-
-    parts: tuple
+class SupersetOf(_Parts):
+    """The spectrum contains the union of the parts (``contains``); the rest is open."""
 
     kind = "superset_of"
-
-    def contains(self, lam) -> bool:
-        """Membership in the certified lower bound only."""
-        return any(p.contains(lam) for p in self.parts)
-
-    def to_json_dict(self):
-        return {"kind": self.kind, "parts": [p.to_json_dict() for p in self.parts]}
 
 
 def set_expr_from_json(doc):
@@ -175,14 +169,11 @@ def set_expr_from_json(doc):
 
 
 # ---------------------------------------------------------------------------
-# Eigenspace dimension rules
+# Eigenspace dimensions
 
 
-class DimZero(Record):
+class DimZero(_Kind):
     kind = "zero"
-
-    def to_json_dict(self):
-        return {"kind": self.kind}
 
 
 class DimFinite(Record):
@@ -203,11 +194,8 @@ class DimInfinite(Record):
         return {"kind": self.kind, "tag": self.tag}
 
 
-class DimWholeSpace(Record):
+class DimWholeSpace(_Kind):
     kind = "whole_space"
-
-    def to_json_dict(self):
-        return {"kind": self.kind}
 
 
 def _dim_from_json(doc):
@@ -220,74 +208,49 @@ def _dim_from_json(doc):
     return DimWholeSpace()
 
 
-class EigenRule(Record):
-    matcher: tuple  # ("equals", value) | ("in_set", values) | ("power_of", ratio) | ("nonzero",) | ("otherwise",)
+class EigenDim(Record):
+    """dim ker(C - lam): ``dim`` on ``members``, the point spectrum, and
+    zero elsewhere (Thm 2.2).  In JSON, the two first-match rules "when
+    lam is a member" and "otherwise zero"."""
+
+    members: object   # FiniteSet | Powers | PuncturedPlane
     dim: object
 
-    def matches(self, lam) -> bool:
-        tag = self.matcher[0]
-        if tag == "equals":
-            return lam == self.matcher[1]
-        if tag == "in_set":
-            return any(lam == v for v in self.matcher[1])
-        if tag == "power_of":
-            return Powers(self.matcher[1]).contains(lam)
-        if tag == "nonzero":
-            return lam != 0
-        return True
-
-    def to_json_dict(self):
-        tag = self.matcher[0]
-        if tag == "equals":
-            when = {"when": tag, "value": format_scalar(self.matcher[1])}
-        elif tag == "in_set":
-            when = {"when": tag, "values": [format_scalar(v) for v in self.matcher[1]]}
-        elif tag == "power_of":
-            when = {"when": tag, "ratio": format_scalar(self.matcher[1])}
-        else:
-            when = {"when": tag}
-        when["dim"] = self.dim.to_json_dict()
-        return when
-
-
-def eigen_rule_from_json(doc):
-    tag = doc["when"]
-    if tag == "equals":
-        matcher = ("equals", parse_scalar(doc["value"]))
-    elif tag == "in_set":
-        matcher = ("in_set", tuple(parse_scalar(v) for v in doc["values"]))
-    elif tag == "power_of":
-        matcher = ("power_of", parse_scalar(doc["ratio"]))
-    else:
-        matcher = (tag,)
-    return EigenRule(matcher, _dim_from_json(doc["dim"]))
-
-
-class EigenDim(Record):
-    """Ordered first-match rules mapping an eigenvalue to a dimension."""
-
-    rules: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
-
     def dimension(self, lam):
-        for rule in self.rules:
-            if rule.matches(lam):
-                return rule.dim
-        raise UnresolvedVerdict("no eigen rule fired")
+        return self.dim if self.members.contains(lam) else DimZero()
 
     def to_json_list(self):
-        return [r.to_json_dict() for r in self.rules]
+        members = self.members
+        if isinstance(members, Powers):
+            when = {"when": "power_of", "ratio": format_scalar(members.ratio)}
+        elif isinstance(members, PuncturedPlane):
+            when = {"when": "nonzero"}
+        elif len(members.values) == 1:
+            when = {"when": "equals", "value": format_scalar(members.values[0])}
+        else:
+            when = {"when": "in_set", "values": [format_scalar(v) for v in members.values]}
+        return [dict(when, dim=self.dim.to_json_dict()),
+                {"when": "otherwise", "dim": DimZero().to_json_dict()}]
 
     @classmethod
     def from_json_list(cls, docs):
-        return cls([eigen_rule_from_json(d) for d in docs])
-
-
-def _eigen_constants_only():
-    return EigenDim([EigenRule(("equals", Fraction(1)), DimFinite(1)),
-                     EigenRule(("otherwise",), DimZero())])
+        """The inverse of to_json_list: ValueError on a list it never writes."""
+        first = docs[0] if docs else {}
+        when = first.get("when")
+        if when == "equals":
+            members = FiniteSet((parse_scalar(first["value"]),))
+        elif when == "in_set":
+            members = FiniteSet(tuple(parse_scalar(v) for v in first["values"]))
+        elif when == "power_of":
+            members = Powers(parse_scalar(first["ratio"]))
+        elif when == "nonzero":
+            members = PuncturedPlane()
+        else:
+            raise ValueError(f"unknown eigen rule {when!r}")
+        eigen = cls(members, _dim_from_json(first["dim"]))
+        if eigen.to_json_list() != docs:
+            raise ValueError(f"not an eigenspace dimension list: {docs!r}")
+        return eigen
 
 
 # ---------------------------------------------------------------------------
@@ -343,27 +306,29 @@ def _base_multiplier(analysis: SymbolAnalysis):
     return (None, None) if record is None else (record.multiplier, record.kind)
 
 
+def _eigen(members, dim):
+    """sigma_p and its EigenDim, which share the one set object."""
+    return members, EigenDim(members, dim)
+
+
+def _constants_only():
+    return _eigen(FiniteSet((Fraction(1),)), DimFinite(1))
+
+
 def point_spectrum(analysis: SymbolAnalysis):
     """sigma_p and eigenspace dimensions from the fixed-point taxonomy."""
     if analysis.is_identity:
-        return (FiniteSet((Fraction(1),)),
-                EigenDim([EigenRule(("equals", Fraction(1)), DimWholeSpace()),
-                          EigenRule(("otherwise",), DimZero())]))
+        return _eigen(FiniteSet((Fraction(1),)), DimWholeSpace())
     if not analysis.fixed_points:
         # A fixed-point-free map lies strictly on one side of the identity,
         # so its second iterate is fixed-point-free too (no 2-cycles).
         if analysis.critical_bounded_away is True:
-            return (PuncturedPlane(),
-                    EigenDim([EigenRule(("nonzero",), DimInfinite("A(T)")),
-                              EigenRule(("otherwise",), DimZero())]))
+            return _eigen(PuncturedPlane(), DimInfinite("A(T)"))
         if analysis.critical_bounded_away is None:
             raise UnresolvedVerdict("critical-set tail behaviour undecided")
-        return (FiniteSet((Fraction(1),)), _eigen_constants_only())
+        return _constants_only()
     if analysis.is_involution:
-        values = (Fraction(-1), Fraction(1))
-        return (FiniteSet(values),
-                EigenDim([EigenRule(("in_set", values), DimInfinite("A_+(R)")),
-                          EigenRule(("otherwise",), DimZero())]))
+        return _eigen(FiniteSet((Fraction(-1), Fraction(1))), DimInfinite("A_+(R)"))
     m, kind = _base_multiplier(analysis)
     if kind == NEUTRAL_UNRESOLVED:
         raise UnresolvedVerdict("multiplier enclosure straddles modulus one")
@@ -372,10 +337,8 @@ def point_spectrum(analysis: SymbolAnalysis):
             raise UnresolvedVerdict("multiplier known only as an enclosure "
                                     "or numerically")
         if kind == ATTRACTING or not analysis.critical_points:
-            return (Powers(as_exact(m), include_zero=False),
-                    EigenDim([EigenRule(("power_of", as_exact(m)), DimFinite(1)),
-                              EigenRule(("otherwise",), DimZero())]))
-    return (FiniteSet((Fraction(1),)), _eigen_constants_only())
+            return _eigen(Powers(as_exact(m)), DimFinite(1))
+    return _constants_only()
 
 
 def _decided_point_spectrum(analysis: SymbolAnalysis):
@@ -486,8 +449,9 @@ def spectrum(target) -> ClassificationReport:
 
 def _no_fixed_point_leaf(analysis, decided, certified) -> ClassificationReport:
     if analysis.critical_bounded_away is not True:
-        sigma_p, eigen = decided or (SupersetOf((FiniteSet((Fraction(1),)),)),
-                                     _eigen_constants_only())
+        sigma_p, eigen = decided or _constants_only()
+        if decided is None:
+            sigma_p = SupersetOf((sigma_p,))
         return ClassificationReport(
             case_id="Problem 3.2", sigma_p=sigma_p,
             sigma=SupersetOf((FiniteSet((Fraction(0), Fraction(1))),)),
@@ -534,11 +498,11 @@ def quadratic_spectrum(mu, *, certified=True) -> ClassificationReport:
     mu = as_exact(mu)
     if mu < 1:
         raise ValueError("normal form parameter must be at least 1")
-    eigen = _eigen_constants_only()
+    ones, eigen = _constants_only()
     if mu == 1:
         sigma = SupersetOf((FiniteSet((Fraction(0),)), RealRay(Fraction(1), True)))
         return ClassificationReport(
-            case_id="Prop 4.1", sigma_p=FiniteSet((Fraction(1),)), sigma=sigma,
+            case_id="Prop 4.1", sigma_p=ones, sigma=sigma,
             eigen=eigen, resolved=False, open_problem="Prop 4.1 partial",
             certified=certified,
             citations=("Prop 4.1", "Prop 2.1(1)", "Thm 2.2(c)"),
@@ -546,7 +510,7 @@ def quadratic_spectrum(mu, *, certified=True) -> ClassificationReport:
                    "identity right-hand side",))
     if mu <= 2:
         return ClassificationReport(
-            case_id="Prop 4.4", sigma_p=FiniteSet((Fraction(1),)), sigma=AllPlane(),
+            case_id="Prop 4.4", sigma_p=ones, sigma=AllPlane(),
             eigen=eigen, resolved=True, open_problem=None, certified=certified,
             citations=("Prop 4.4", "Thm 3.11", "Thm 2.2"),
             notes=("kernel dimensions reported per Thm 2.2; the source text "
@@ -554,7 +518,7 @@ def quadratic_spectrum(mu, *, certified=True) -> ClassificationReport:
                    "conflicts with its own point spectrum {1}",))
     parts = (ClosedDisk(Fraction(1)), Powers(mu), Powers(2 - mu))
     return ClassificationReport(
-        case_id="Prop 4.5", sigma_p=FiniteSet((Fraction(1),)),
+        case_id="Prop 4.5", sigma_p=ones,
         sigma=SupersetOf(parts), eigen=eigen, resolved=False,
         open_problem="Prop 4.5 partial", certified=certified,
         citations=("Prop 4.5", "Prop 2.1", "Thm 2.2(c)"),
@@ -584,7 +548,7 @@ def _several_fixed_points_leaf(analysis, mu, decided, certified) -> Classificati
 
 
 def _fallback_leaf(analysis, decided, certified, note) -> ClassificationReport:
-    sigma_p, eigen = decided or (FiniteSet((Fraction(1),)), _eigen_constants_only())
+    sigma_p, eigen = decided or _constants_only()
     return ClassificationReport(
         case_id="partial lower bound", sigma_p=sigma_p,
         sigma=SupersetOf(spectrum_lower_bound(analysis).parts), eigen=eigen,
@@ -624,8 +588,7 @@ def kernel_dim(phi: AnalyticSymbol, region: Interval, lam) -> KernelDimLabel:
     if lam == 0:
         _, kind = _base_multiplier(analysis)
         return KernelDimLabel.of_finite(1 if kind == SUPERATTRACTING else 0)
-    sigma_p, eigen = point_spectrum(analysis)
-    dim = eigen.dimension(lam)
+    dim = point_spectrum(analysis)[1].dimension(lam)
     if isinstance(dim, DimZero):
         return KernelDimLabel.of_finite(0)
     if isinstance(dim, DimFinite):

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import time
@@ -53,6 +54,26 @@ class TestClassify:
         code, out = run_cli(capsys, "classify", "--symbol", "x^2")
         assert code == 0
         assert "case: Prop 3.12" in out
+
+    def test_a_32_digit_discriminant_is_bounded(self, capsys):
+        # The fixed points are -1/2 +- sqrt(D)/2 for a 32-digit D, which
+        # trial division alone would not split in time.
+        def too_slow(signum, frame):
+            raise TimeoutError("classify ran past 5 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            code, out = run_cli(capsys, "classify", "--symbol",
+                                "x^2+x-100000000000000000000000000000007",
+                                "--format", "json")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["case"] == "Prop 4.5" and doc["certified"] is True
+        assert ClassificationReport.from_json_dict(doc).to_json_dict() == doc
 
 
 class TestSolve:

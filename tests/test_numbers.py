@@ -97,6 +97,28 @@ def test_arithmetic_does_not_split_the_radicand_again(monkeypatch):
     assert a ** 2 - 2 * a == d - 1
 
 
+def test_a_radicand_past_the_trial_divisors_is_the_same_field():
+    # p = 65537 is the first prime past the trial divisors and q = 2^61 - 1
+    # is prime, so p^2 q keeps its square factor and is not itself a square.
+    p, q = 65537, 2 ** 61 - 1
+    a, b = quadratic(0, p, q), quadratic(0, 1, p * p * q)
+    assert (a.d, b.d) == (q, p * p * q)
+    assert a == b and b == a and hash(a) == hash(b)
+    assert a - b == 0 and isinstance(a - b, F)
+    assert a < b + 1 and b * b == p * p * q
+    assert quadratic(1, -p, q) == quadratic(1, -1, p * p * q) != quadratic(1, 1, p * p * q)
+    assert len({a, b, -a, -b}) == 2
+
+
+def test_a_large_radicand_splits_within_the_trial_budget():
+    # One square factor past 2^16 and a 32-digit radicand: a square
+    # remainder is folded in, any other kept as it is.
+    assert quadratic(0, 1, 4 * 65537 ** 2) == 2 * 65537
+    big = 100000000000000000000000000000007
+    assert parse_scalar(f"sqrt({big})") == quadratic(0, 1, big)
+    assert parse_scalar(format_scalar(quadratic(1, 2, big))) == quadratic(1, 2, big)
+
+
 def test_scalar_round_trip():
     values = [F(3, 7), F(-2), GaussianRational(F(1, 2), F(-3, 4)),
               quadratic(1, 1, 5), quadratic(0, F(-1, 2), 2)]

@@ -7,15 +7,16 @@ from compspec.record import Record, replace
 from compspec.rootwork import AllFixed, FixedPointRecord
 from compspec.symbols import Limit, NoFixedPoints
 from compspec.taxonomy import (AllPlane, CoverPiece, DimFinite, DimZero, EigenDim,
-                               EigenRule, Powers, PuncturedPlane)
+                               Powers, PuncturedPlane)
 
 
 class TestRepr:
     # The dataclass format, as printed before records had their own base.
     @pytest.mark.parametrize("record,text", [
         (Limit("unknown"), "Limit(kind='unknown', value=None, approx=None)"),
-        (EigenRule(("power_of", F(1, 2)), DimFinite(1)),
-         "EigenRule(matcher=('power_of', Fraction(1, 2)), dim=DimFinite(k=1))"),
+        (EigenDim(Powers(F(1, 2)), DimFinite(1)),
+         "EigenDim(members=Powers(ratio=Fraction(1, 2), include_zero=False), "
+         "dim=DimFinite(k=1))"),
         (FixedPointRecord(F(0), F(1, 2), "attracting"),
          "FixedPointRecord(location=Fraction(0, 1), multiplier=Fraction(1, 2), "
          "kind='attracting', multiplicity=1, exact=True)"),
@@ -39,8 +40,8 @@ class TestEquality:
         b = FixedPointRecord(F(1, 3), F(2), "repelling", 1, True)
         assert a == b and hash(a) == hash(b)
         assert a != replace(a, multiplicity=2)
-        assert len({EigenRule(("otherwise",), DimZero()),
-                    EigenRule(("otherwise",), DimZero())}) == 1
+        assert len({EigenDim(Powers(F(1, 2)), DimFinite(1)),
+                    EigenDim(Powers(F(1, 2)), DimFinite(1))}) == 1
 
     def test_hash_is_over_the_field_values(self):
         assert hash(DimFinite(3)) == hash((3,))
@@ -75,10 +76,6 @@ class TestConstruction:
             CoverPiece((Interval(F(0), F(1)), Interval(F(2), F(3))))
         piece = CoverPiece((Interval(F(0), F(1)),))
         assert piece.determining == Interval(F(0), F(1))
-        rules = [EigenRule(("otherwise",), DimZero())]
-        assert EigenDim(rules).rules == tuple(rules)
-        assert EigenDim(rules) == EigenDim(tuple(rules))
-        assert hash(EigenDim(rules)) == hash(EigenDim(tuple(rules)))
 
     def test_arguments_are_checked(self):
         with pytest.raises(TypeError):

@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import random
+import sys
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -268,25 +269,30 @@ def test_cauchy_bound_is_exact_on_integers():
     assert sturm.cauchy_bound([F(1, 3), F(0), F(1)]) == F(4, 3)
 
 
-# The polynomials names sturm may use, with the one function allowed to use
-# each (None: any).  Everything else in sturm runs on integers.
+# The polynomials names sturm may use, with the functions (``Class.method``
+# for a method) allowed to use each (None: any).  Everything else in sturm
+# runs on integers.
 _STURM_POLYNOMIALS_NAMES = {
     "DEGREE_CAP": None,
-    "integer_form": None,                  # the integer form P/D of a rational p
-    "homogeneous_horner": "sign_at",       # d^k p(n/d) at a rational point
-    "eval_at": "sign_at",                  # at a quadratic-irrational point
-    "normalize": "solve_quadratic_exact",
-    "degree": "solve_quadratic_exact",
+    # The integer form P/D, taken once where a rational polynomial enters.
+    "integer_form": ("primitive", "IntegerFacts.__init__"),
+    "homogeneous_horner": ("sign_at",),    # d^k p(n/d) at a rational point
+    "eval_at": ("sign_at",),               # at a quadratic-irrational point
+    "normalize": ("solve_quadratic_exact",),
+    "degree": ("solve_quadratic_exact",),
 }
 
 
 def _attributes_of(node, aliases, owner=None):
-    """(enclosing function, attribute) for every ``alias.attribute``."""
+    """(enclosing function or method, as ``Class.method``, attribute) for
+    every ``alias.attribute``."""
     for child in ast.iter_child_nodes(node):
         if (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
                 and child.value.id in aliases):
             yield owner, child.attr
-        inner = child.name if isinstance(child, ast.FunctionDef) else owner
+        inner = owner
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = child.name if owner is None else f"{owner}.{child.name}"
         yield from _attributes_of(child, aliases, inner)
 
 
@@ -300,9 +306,27 @@ def test_sturm_uses_polynomials_only_at_its_boundary():
             aliases |= {a.asname or a.name for a in node.names if a.name == "polynomials"}
     for owner, name in _attributes_of(tree, aliases):
         if name not in _STURM_POLYNOMIALS_NAMES or \
-                _STURM_POLYNOMIALS_NAMES[name] not in (None, owner):
+                owner not in (_STURM_POLYNOMIALS_NAMES[name] or (owner,)):
             offences.append(f"{owner}: {name}")
     assert offences == []
+
+
+def test_spectrum_takes_one_integer_form(monkeypatch):
+    # The rational coefficients become integers once, in IntegerFacts;
+    # every later primitive() is of an integer polynomial.
+    from compspec.symbols import parse_symbol
+    from compspec.taxonomy import spectrum
+    callers, integer_form = [], polylib.integer_form
+
+    def recording(p):
+        callers.append(sys._getframe(1).f_code)
+        return integer_form(p)
+
+    monkeypatch.setattr(polylib, "integer_form", recording)
+    for text in ("1/2*x^5-3/2*x^3+1/3*x", "-x^2+1/2*x+3/4", "x^3-2*x+1/7"):
+        callers.clear()
+        spectrum(parse_symbol(text))
+        assert callers == [sturm.IntegerFacts.__init__.__code__], text
 
 
 def _second_iterate_fixed_points():

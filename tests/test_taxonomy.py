@@ -14,7 +14,8 @@ from compspec.record import replace
 from compspec.rootwork import analyze_symbol
 from compspec.symbols import conjugate, parse_change, parse_symbol
 from compspec.taxonomy import (AllPlane, ClassificationReport, ClosedDisk,
-                               CoverPiece, FiniteSet, Powers, PuncturedPlane,
+                               CoverPiece, DimFinite, DimInfinite, DimWholeSpace,
+                               DimZero, EigenDim, FiniteSet, Powers, PuncturedPlane,
                                RealRay, SupersetOf, covering_obstruction,
                                kernel_dim, point_spectrum, quadratic_spectrum,
                                spectrum, spectrum_lower_bound)
@@ -452,6 +453,66 @@ class TestOneDecision:
             except UnresolvedVerdict:
                 continue
             assert (report.sigma_p, report.eigen) == decided, text
+
+
+class TestEigenDim:
+    """EigenDim(members, dim): dim on the point spectrum, zero elsewhere."""
+
+    def test_members_are_the_point_spectrum(self):
+        data = pathlib.Path(__file__).parent / "data" / "scan_facts.json"
+        reference = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
+        texts = ([text for text, *_ in CATALOG] + _seeded_polynomials(300)
+                 + list(json.loads(reference.read_text())["classify"]))
+        symbols = [parse_symbol(text) for text in texts] + [
+            parse_symbol(e["symbol"], e["domain"], require_self_map=e["self_map"])
+            for e in json.loads(data.read_text())]
+        undecided_tail = 0
+        for phi in symbols:
+            report = spectrum(phi)
+            if report.notes == ("critical-set tail behaviour undecided",):
+                # Problem 3.2 with sigma_p only bounded below by {1}.
+                undecided_tail += 1
+                assert report.sigma_p == SupersetOf((FiniteSet((F(1),)),))
+                assert report.eigen.members is report.sigma_p.parts[0]
+            else:
+                assert report.eigen.members is report.sigma_p, phi
+        assert undecided_tail >= 2
+
+    def test_dimension_is_dim_on_the_members_only(self):
+        eigen = EigenDim(Powers(F(1, 2)), DimFinite(1))
+        assert [eigen.dimension(lam) for lam in (F(1), F(1, 8), F(2), F(0))] == \
+            [DimFinite(1), DimFinite(1), DimZero(), DimZero()]
+
+    @pytest.mark.parametrize("members, dim, when", [
+        (FiniteSet((F(1),)), DimWholeSpace(), "equals"),
+        (FiniteSet((F(-1), F(1))), DimInfinite("A_+(R)"), "in_set"),
+        (Powers(quadratic(1, -1, 2)), DimFinite(1), "power_of"),
+        (PuncturedPlane(), DimInfinite("A(T)"), "nonzero"),
+    ])
+    def test_json_round_trip(self, members, dim, when):
+        eigen = EigenDim(members, dim)
+        docs = json.loads(json.dumps(eigen.to_json_list()))
+        assert [d["when"] for d in docs] == [when, "otherwise"]
+        assert docs[1] == {"when": "otherwise", "dim": {"kind": "zero"}}
+        assert EigenDim.from_json_list(docs) == eigen
+
+    @pytest.mark.parametrize("docs", [
+        [{"when": "nonzero", "dim": {"kind": "infinite", "tag": "A(T)"}},
+         {"when": "equals", "value": "0", "dim": {"kind": "finite", "k": 1}},
+         {"when": "otherwise", "dim": {"kind": "zero"}}],
+        [{"when": "equals", "value": "1", "dim": {"kind": "finite", "k": 1}},
+         {"when": "otherwise", "dim": {"kind": "finite", "k": 1}}],
+        [{"when": "equals", "value": "1", "dim": {"kind": "finite", "k": 1}},
+         {"when": "nonzero", "dim": {"kind": "zero"}}],
+        [{"when": "between", "value": "1", "dim": {"kind": "finite", "k": 1}},
+         {"when": "otherwise", "dim": {"kind": "zero"}}],
+        [{"when": "equals", "value": "1", "dim": {"kind": "half"}},
+         {"when": "otherwise", "dim": {"kind": "zero"}}],
+    ], ids=["three rules", "otherwise nonzero", "last not otherwise", "unknown when",
+            "unknown dim"])
+    def test_rejects_lists_it_never_writes(self, docs):
+        with pytest.raises(ValueError):
+            EigenDim.from_json_list(docs)
 
 
 class TestReferenceReports:
